@@ -322,37 +322,38 @@ inline bool applyReplayPathOptions(const OptionParser &Opts, int &ExitCode) {
 
 /// Applies the spec-override flags every spec-driven entry point
 /// shares — `--threads=N` (0 = auto-detect; negative rejected),
-/// `--schedule=static|dynamic` and `--decode=materialize|stream|auto`
-/// — then re-validates the spec.
+/// `--chunk=N` (gang tile events; 0 = default) and
+/// `--decode=materialize|stream|auto` — then re-validates the spec.
 /// \returns false with \p ExitCode set (and a diagnostic on stderr)
 /// when the caller should exit.
 inline bool applySpecOverrides(const OptionParser &Opts, SweepSpec &Spec,
                                int &ExitCode) {
-  if (Opts.has("threads")) {
-    // Digits only, like the spec parser's threads field: getInt would
-    // quietly turn "--threads=foo" into 0 = auto-detect, and a typo'd
-    // thread count must diagnose, not silently fan out.
-    std::string T = Opts.get("threads");
-    if (T.empty() || T.find_first_not_of("0123456789") != std::string::npos) {
+  // Digits only, like the spec parser's numeric fields: getInt would
+  // quietly turn "--threads=foo" into 0 = auto-detect, and a typo'd
+  // count must diagnose, not silently fan out.
+  auto ParseCount = [&](const char *Name, const char *Meaning,
+                        unsigned long long &Out) {
+    std::string V = Opts.get(Name);
+    if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos) {
       std::fprintf(stderr,
-                   "error: bad --threads '%s' (expected a number >= 0; "
-                   "0 = auto-detect)\n",
-                   T.c_str());
+                   "error: bad --%s '%s' (expected a number >= 0; %s)\n",
+                   Name, V.c_str(), Meaning);
       ExitCode = 1;
       return false;
     }
-    Spec.Threads = static_cast<unsigned>(
-        std::min<unsigned long long>(std::strtoull(T.c_str(), nullptr, 10),
-                                     0xFFFFFFFFull));
+    Out = std::strtoull(V.c_str(), nullptr, 10);
+    return true;
+  };
+  unsigned long long N = 0;
+  if (Opts.has("threads")) {
+    if (!ParseCount("threads", "0 = auto-detect", N))
+      return false;
+    Spec.Threads = static_cast<unsigned>(std::min(N, 0xFFFFFFFFull));
   }
-  if (Opts.has("schedule") &&
-      !gangScheduleFromId(Opts.get("schedule"), Spec.Schedule)) {
-    std::fprintf(stderr,
-                 "error: unknown --schedule '%s' (expected static or "
-                 "dynamic)\n",
-                 Opts.get("schedule").c_str());
-    ExitCode = 1;
-    return false;
+  if (Opts.has("chunk")) {
+    if (!ParseCount("chunk", "0 = default tile", N))
+      return false;
+    Spec.ChunkEvents = static_cast<size_t>(N);
   }
   if (Opts.has("decode") &&
       !traceDecodeModeFromId(Opts.get("decode"), Spec.Decode)) {
@@ -456,17 +457,16 @@ inline SpeedupMatrix matrixFromCells(const SweepSpec &Spec,
 ///   --spec=FILE       replace the declared spec with FILE
 ///   --shards=N        fan out over N sweep_driver worker processes
 ///   --worker-cmd=TPL  worker command template ({driver}, {spec},
-///                     {shards}, {job}, {threads}; e.g. an ssh wrapper)
+///                     {shards}, {job}, {threads}, {attempt}; e.g. an
+///                     ssh wrapper)
 ///   --threads=N       intra-gang worker threads per gang replay
 ///                     (spec `threads` override; default 1 = serial;
 ///                     0 = auto-detect, resolved to the host's
 ///                     hardware_concurrency at executor level;
 ///                     composes with --shards into shards × threads)
-///   --schedule=S      gang member scheduling, `static` (contiguous
-///                     slices, the default) or `dynamic` (cost-aware
-///                     work-stealing replay + parallel
-///                     deferred-fallback finish); spec `schedule`
-///                     override, bit-identical either way
+///   --chunk=N         gang tile size in events (spec `chunk`
+///                     override; 0 = the default tile), bit-identical
+///                     for any value
 ///   --decode=M        replay input acquisition, `materialize` (whole
 ///                     trace in memory), `stream` (O(tile) decode from
 ///                     the trace cache file) or `auto` (stream past
@@ -530,10 +530,10 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
     }
     Spec = std::move(Loaded);
   }
-  // --threads / --schedule override the spec's intra-gang knobs
+  // --threads / --chunk override the spec's intra-gang knobs
   // (validated like any other spec field; threads 0 = auto-detect), so
   // any spec-driven bench can run its gangs on the shared-tile worker
-  // pool — static or dynamic — without editing the spec.
+  // pool without editing the spec.
   if (!applySpecOverrides(Opts, Spec, ExitCode))
     return false;
   if (Opts.has("emit-spec")) {

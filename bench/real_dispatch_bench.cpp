@@ -16,8 +16,8 @@
 /// predictor-only, and a five-member gang (per member-event) — so a
 /// kernel regression shows up here, not just in the [timing] lines of
 /// the sweep benches. BM_GangReplayMixedThreaded additionally tracks
-/// the threaded pool on a mixed-cost gang under both schedulers and
-/// surfaces GangReplayer::Stats — per-worker events replayed, tiles
+/// the threaded pool on a mixed-cost gang and surfaces
+/// GangReplayer::Stats — per-worker events replayed, tiles
 /// waited, steals, busy time — as a `[timing]` histogram line, so
 /// worker-slice imbalance is a number in the artifact, not a guess.
 /// BM_TraceDecode tracks raw load bandwidth per on-disk encoding (v1
@@ -141,11 +141,10 @@ void BM_GangReplay5(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Trace.numEvents() * GangSize);
 }
 
-/// One [timing] line per (schedule, threads) cell: the per-worker
-/// histogram of the last completed gang pass. Printed once per cell
-/// (google-benchmark re-enters the function while calibrating).
-void emitGangLoadLine(const char *ScheduleId, unsigned Threads,
-                      const GangReplayer::Stats &St) {
+/// One [timing] line: the per-worker histogram of the last completed
+/// gang pass. Printed once (google-benchmark re-enters the function
+/// while calibrating).
+void emitGangLoadLine(unsigned Threads, const GangReplayer::Stats &St) {
   std::string Events, Waits, Busy;
   uint64_t Steals = 0;
   for (size_t W = 0; W < St.Workers.size(); ++W) {
@@ -158,10 +157,10 @@ void emitGangLoadLine(const char *ScheduleId, unsigned Threads,
     Busy += Buf;
     Steals += St.Workers[W].MembersStolen;
   }
-  std::printf("[timing] bench=real_dispatch:gangload schedule=%s threads=%u "
+  std::printf("[timing] bench=real_dispatch:gangload threads=%u "
               "steals=%llu deferred=%llu finish_s=%.4f worker_events=%s "
               "worker_waits=%s worker_busy_s=%s\n",
-              ScheduleId, Threads, (unsigned long long)Steals,
+              Threads, (unsigned long long)Steals,
               (unsigned long long)St.DeferredFinishes, St.FinishSeconds,
               Events.c_str(), Waits.c_str(), Busy.c_str());
 }
@@ -170,10 +169,8 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
   // A deliberately mixed-cost gang — full members on two layouts (the
   // switch one a fused singleton), a tiny-BTB member that overflows
   // into the deferred exact-LRU fallback, and four cheap-to-moderate
-  // predictor-only members — on a 4-worker pool. Arg(0) = static
-  // slices, Arg(1) = the cost-aware dynamic scheduler; the gap between
-  // the two cells is the load-balance win on this shape.
-  bool Dynamic = State.range(0) != 0;
+  // predictor-only members — on a 4-worker pool, where the cost-aware
+  // scheduler has to balance it.
   constexpr unsigned Threads = 4;
   ForthLab &Lab = lab();
   CpuConfig Cpu = makePentium4Northwood();
@@ -201,10 +198,7 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
     Gang.addPredictorOnly(LThreaded, Cpu, NullPredictor(), Base);
     Gang.addPredictorOnly(LThreaded, Cpu,
                           TwoLevelPredictor((TwoLevelConfig())), Base);
-    std::vector<PerfCounters> R =
-        Gang.run(Threads,
-                 Dynamic ? GangSchedule::Dynamic : GangSchedule::Static,
-                 &St);
+    std::vector<PerfCounters> R = Gang.run(Threads, &St);
     benchmark::DoNotOptimize(R.data());
   }
   State.SetItemsProcessed(State.iterations() * Trace.numEvents() * GangSize);
@@ -212,10 +206,10 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
   for (const GangReplayer::Stats::Worker &W : St.Workers)
     Steals += W.MembersStolen;
   State.counters["steals"] = static_cast<double>(Steals);
-  static bool Printed[2] = {false, false};
-  if (!Printed[Dynamic]) {
-    Printed[Dynamic] = true;
-    emitGangLoadLine(Dynamic ? "dynamic" : "static", Threads, St);
+  static bool Printed = false;
+  if (!Printed) {
+    Printed = true;
+    emitGangLoadLine(Threads, St);
   }
 }
 
@@ -298,10 +292,7 @@ BENCHMARK(BM_SuperDispatch)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_ReplayFull)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayPredictorOnly)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangReplay5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GangReplayMixedThreaded)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GangReplayMixedThreaded)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangBatchedBtb)
     ->Arg(0)

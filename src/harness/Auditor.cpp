@@ -74,7 +74,7 @@ bool vmib::decideAudit(const AuditPlan &Plan, const SweepSpec &Spec,
   // Content identity only: the member's configuration key (strategy,
   // predictor geometry, CPU — deliberately shape-free, same feed as
   // the store key) and the workload's suite-qualified name. Shard
-  // layout, thread count, schedule, decode mode and the spec's display
+  // layout, thread count, tile size, decode mode and the spec's display
   // name do not participate, so the sample is stable across every way
   // of executing the same sweep.
   uint64_t CfgKey = memberCostKey(Spec, Member);
@@ -109,8 +109,15 @@ AuditShape vmib::decorrelatedAuditShape(const SweepSpec &Spec) {
   S.Decode = Spec.Decode == TraceDecodeMode::Stream
                  ? TraceDecodeMode::Materialize
                  : TraceDecodeMode::Stream;
-  S.Schedule = Spec.Schedule == GangSchedule::Static ? GangSchedule::Dynamic
-                                                     : GangSchedule::Static;
+  // A prime tile size: audit tiles straddle the primary's tile
+  // boundaries and the v2 trace frames, so a bug tied to either
+  // alignment cannot hit both executions the same way.
+  constexpr size_t AuditChunkEvents = 20011;
+  size_t PrimaryChunk = Spec.ChunkEvents != 0
+                            ? Spec.ChunkEvents
+                            : DispatchTrace::defaultChunkEvents();
+  S.ChunkEvents = PrimaryChunk == AuditChunkEvents ? 2 * AuditChunkEvents
+                                                   : AuditChunkEvents;
   S.Threads = resolveGangThreads(Spec.Threads) <= 1 ? 2 : 1;
   S.Kernel =
       gang::kernelMode() == gang::KernelMode::Batched ? "scalar" : "simd";
@@ -124,8 +131,8 @@ std::string vmib::auditShapeId(const AuditShape &S) {
   Out += traceDecodeModeId(S.Decode);
   Out += ",kernel:";
   Out += S.Kernel;
-  Out += ",schedule:";
-  Out += gangScheduleId(S.Schedule);
+  Out += ",chunk:";
+  Out += S.ChunkEvents == 0 ? "default" : std::to_string(S.ChunkEvents);
   Out += ",threads:" + std::to_string(S.Threads);
   return Out;
 }
@@ -136,7 +143,7 @@ Auditor::replayShaped(const SweepSpec &Spec, size_t Workload,
                       const AuditShape &Shape) {
   SweepSpec Shaped = Spec;
   Shaped.Decode = Shape.Decode;
-  Shaped.Schedule = Shape.Schedule;
+  Shaped.ChunkEvents = Shape.ChunkEvents;
   Shaped.Threads = Shape.Threads;
   ScopedEnv Kernel("VMIB_GANG_KERNEL", Shape.Kernel);
   // Direct replay: no store (the shape-free key would re-serve the

@@ -4,7 +4,7 @@
 /// The always-on silent-corruption audit layer. Every guarantee the
 /// sweep pipeline makes reduces to one contract: a cell's counters are
 /// a pure function of (trace content, member config), bit-identical
-/// across decode mode, kernel, schedule, thread count and shard count.
+/// across decode mode, kernel, tile size, thread count and shard count.
 /// `--verify` checks that contract when a human asks; the Auditor
 /// checks it *continuously*, on a deterministically sampled subset of
 /// real production cells:
@@ -16,15 +16,15 @@
 ///  2. **Re-execute decorrelated** — the sampled cell replays through
 ///     an execution shape that flips every axis relative to the
 ///     primary: decode mode (stream<->materialize), kernel
-///     (scalar<->simd), schedule (static<->dynamic) and thread count.
+///     (scalar<->simd), gang tile size and thread count.
 ///     A bug or bit flip tied to any one shape cannot corrupt both
 ///     executions identically. Audit executions bypass the result
 ///     store and run fault-injection-free: the store key ignores shape
 ///     (caching across shapes is its point), so a store-served cell
 ///     would otherwise just re-serve itself.
 ///  3. **Tiebreak + triage** — on mismatch, a third execution through
-///     the canonical clean shape (materialize, scalar, static, one
-///     thread) classifies the fault:
+///     the canonical clean shape (materialize, scalar, default tile,
+///     one thread) classifies the fault:
 ///       tiebreak == audit  != primary : the primary was wrong. If the
 ///           store would serve that wrong value -> store-served
 ///           corruption (quarantine the cell, never delete); else
@@ -103,7 +103,9 @@ const char *auditVerdictId(AuditVerdict V);
 /// contract quantifies over.
 struct AuditShape {
   TraceDecodeMode Decode = TraceDecodeMode::Materialize;
-  GangSchedule Schedule = GangSchedule::Static;
+  /// Gang tile size in events (the spec `chunk` field, outside the
+  /// store key); 0 = DispatchTrace::defaultChunkEvents().
+  size_t ChunkEvents = 0;
   unsigned Threads = 1;
   /// VMIB_GANG_KERNEL value for the replay ("scalar" or "simd").
   const char *Kernel = "scalar";
@@ -114,11 +116,13 @@ struct AuditShape {
 AuditShape decorrelatedAuditShape(const SweepSpec &Spec);
 
 /// The tiebreak shape: the canonical clean configuration
-/// (materialize, static, one thread, scalar kernel) — the most-tested
-/// baseline path, and the authority when primary and audit disagree.
+/// (materialize, default tile, one thread, scalar kernel) — the
+/// most-tested baseline path, and the authority when primary and audit
+/// disagree.
 AuditShape canonicalAuditShape();
 
-/// "decode:stream,kernel:simd,schedule:dynamic,threads:2" for logs.
+/// "decode:stream,kernel:simd,chunk:20011,threads:2" for logs (chunk
+/// 0 renders as "default").
 std::string auditShapeId(const AuditShape &S);
 
 /// Counters the audit layer reports (summed across slices / workers /

@@ -301,6 +301,7 @@ const DispatchTrace &ForthLab::trace(const std::string &Benchmark) {
     const ForthUnit &SynthUnit = unit(Benchmark);
     DispatchTrace T;
     generateSynthTrace(Params, SynthUnit.Program, T);
+    T.seal();
     if (!CachePath.empty())
       (void)T.save(CachePath, WorkloadHash); // best-effort
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -361,6 +362,7 @@ const DispatchTrace &ForthLab::trace(const std::string &Benchmark) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     HashFromSidecar[Benchmark] = false; // capture confirmed the sidecar
   }
+  T.seal(); // hashed once here, O(1) for every later store/cost key
   if (!CachePath.empty())
     (void)T.save(CachePath, WorkloadHash); // best-effort
   std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -432,12 +434,11 @@ std::vector<PerfCounters>
 ForthLab::replayGang(const std::string &Benchmark,
                      const std::vector<VariantSpec> &Variants,
                      const CpuConfig &Cpu, unsigned Threads,
-                     GangSchedule Schedule, GangReplayer::Stats *StatsOut,
-                     TraceDecodeMode Decode) {
+                     GangReplayer::Stats *StatsOut, TraceDecodeMode Decode) {
   GangReplayer Gang(traceSource(Benchmark, Decode));
   for (const VariantSpec &V : Variants)
     Gang.addDefault(buildLayout(Benchmark, V), Cpu);
-  return Gang.run(Threads, Schedule, StatsOut);
+  return Gang.run(Threads, StatsOut);
 }
 
 PerfCounters

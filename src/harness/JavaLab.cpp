@@ -362,6 +362,7 @@ const DispatchTrace &JavaLab::trace(const std::string &Benchmark) {
     std::lock_guard<std::mutex> Lock(CacheMutex);
     HashFromSidecar[Benchmark] = false; // capture confirmed the sidecar
   }
+  T.seal(); // hashed once here, O(1) for every later store/cost key
   if (!CachePath.empty())
     (void)T.save(CachePath, WorkloadHash); // best-effort
   std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -439,13 +440,13 @@ std::vector<PerfCounters>
 JavaLab::replayGang(const std::string &Benchmark,
                     const std::vector<VariantSpec> &Variants,
                     const CpuConfig &Cpu, unsigned Threads,
-                    GangSchedule Schedule, GangReplayer::Stats *StatsOut,
+                    GangReplayer::Stats *StatsOut,
                     const std::vector<uint64_t> *SeedCostNs,
                     std::vector<uint64_t> *FinalCostNs,
                     TraceDecodeMode Decode) {
   std::vector<PerfCounters> Results =
-      replayGangNoOverhead(Benchmark, Variants, Cpu, Threads, Schedule,
-                           StatsOut, SeedCostNs, FinalCostNs, Decode);
+      replayGangNoOverhead(Benchmark, Variants, Cpu, Threads, StatsOut,
+                           SeedCostNs, FinalCostNs, Decode);
   uint64_t Overhead = runtimeOverhead(Benchmark, Cpu);
   for (PerfCounters &C : Results)
     C.Cycles += Overhead;
@@ -456,7 +457,6 @@ std::vector<PerfCounters>
 JavaLab::replayGangNoOverhead(const std::string &Benchmark,
                               const std::vector<VariantSpec> &Variants,
                               const CpuConfig &Cpu, unsigned Threads,
-                              GangSchedule Schedule,
                               GangReplayer::Stats *StatsOut,
                               const std::vector<uint64_t> *SeedCostNs,
                               std::vector<uint64_t> *FinalCostNs,
@@ -473,7 +473,7 @@ JavaLab::replayGangNoOverhead(const std::string &Benchmark,
         (*SeedCostNs)[Member] != 0)
       Gang.seedMemberCost(Member, (*SeedCostNs)[Member]);
   }
-  std::vector<PerfCounters> Results = Gang.run(Threads, Schedule, StatsOut);
+  std::vector<PerfCounters> Results = Gang.run(Threads, StatsOut);
   if (FinalCostNs)
     *FinalCostNs = Gang.finalCosts();
   return Results;

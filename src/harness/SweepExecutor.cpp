@@ -10,7 +10,6 @@
 #include "uarch/CpuModel.h"
 #include "uarch/TwoLevelPredictor.h"
 
-#include <atomic>
 #include <cassert>
 #include <map>
 #include <mutex>
@@ -19,13 +18,6 @@
 using namespace vmib;
 
 namespace {
-
-/// Whether this run's gangs produce measured per-member costs worth
-/// persisting (the dynamic scheduler on a real pool).
-bool dynamicPooled(const SweepSpec &Spec) {
-  return Spec.Schedule == GangSchedule::Dynamic &&
-         resolveGangThreads(Spec.Threads) > 1;
-}
 
 /// Loads the persisted cost table of \p TraceKey into a by-key map.
 std::map<uint64_t, uint64_t> loadCostMap(const std::string &TraceKey,
@@ -62,6 +54,33 @@ void saveCostMap(const SweepSpec &Spec, const std::vector<size_t> &Members,
 }
 
 } // namespace
+
+StoredSlice vmib::probeStoredSlice(ResultStore &Store, const SweepSpec &Spec,
+                                   size_t Workload, size_t MemberBegin,
+                                   size_t MemberEnd, bool Counted,
+                                   const uint64_t *TraceHash) {
+  StoredSlice S;
+  S.Keyed = TraceHash != nullptr;
+  if (S.Keyed)
+    S.TraceHash = *TraceHash;
+  else
+    S.Keyed = DispatchTrace::peekContentHash(
+        DispatchTrace::cachePathFor(Spec.Suite + "-" +
+                                    Spec.Benchmarks[Workload]),
+        S.TraceHash);
+  S.Cells.resize(MemberEnd - MemberBegin);
+  for (size_t M = MemberBegin; M < MemberEnd; ++M) {
+    bool Hit = false;
+    if (S.Keyed) {
+      StoreKey Key = cellStoreKey(Spec, M, S.TraceHash);
+      PerfCounters &C = S.Cells[M - MemberBegin];
+      Hit = Counted ? Store.lookup(Key, C) : Store.probe(Key, C);
+    }
+    if (!Hit)
+      S.Missing.push_back(M);
+  }
+  return S;
+}
 
 unsigned vmib::resolveGangThreads(unsigned SpecThreads) {
   if (SpecThreads != 0)
@@ -133,32 +152,28 @@ SweepExecutor::runForthSlice(const SweepSpec &Spec, size_t Workload,
       break;
     }
   }
-  // Persisted dynamic-scheduler costs: seed each gang member's EWMA
-  // from the trace's cost sidecar so even tile 0 plans cost-weighted.
-  const bool PersistCosts = dynamicPooled(Spec);
+  // Persisted pool-scheduler costs: seed each gang member's EWMA from
+  // the trace's cost sidecar so even tile 0 plans cost-weighted.
+  const unsigned Threads = resolveGangThreads(Spec.Threads);
+  const bool PersistCosts = Threads > 1;
   const std::string TraceKey = "forth-" + Benchmark;
+  const uint64_t TraceHash = PersistCosts ? Source.contentHash() : 0;
   std::map<uint64_t, uint64_t> CostMap;
   if (PersistCosts) {
-    CostMap = loadCostMap(TraceKey, Source.contentHash());
+    CostMap = loadCostMap(TraceKey, TraceHash);
     for (size_t K = 0; K < Members.size(); ++K) {
       auto It = CostMap.find(memberCostKey(Spec, Members[K]));
       if (It != CostMap.end() && It->second != 0)
         Gang.seedMemberCost(K, It->second);
     }
   }
-  // Only wire the stats through when the caller wants them: a non-null
-  // StatsOut makes every static (member, tile) execution pay two clock
-  // reads (see GangReplayer's Timed gate), which a --worker process
-  // with no consumer should not fund.
   GangReplayer::Stats GangLoad;
-  std::vector<PerfCounters> Out =
-      Gang.run(resolveGangThreads(Spec.Threads), Spec.Schedule,
-               LoadOut ? &GangLoad : nullptr);
+  std::vector<PerfCounters> Out = Gang.run(Threads, &GangLoad);
   if (LoadOut)
     LoadOut->merge(GangLoad);
   if (PersistCosts)
     saveCostMap(Spec, Members, Gang.finalCosts(), CostMap, TraceKey,
-                Source.contentHash());
+                TraceHash);
   return Out;
 }
 
@@ -177,7 +192,8 @@ SweepExecutor::runJavaSlice(const SweepSpec &Spec, size_t Workload,
   // slicing cannot change any cell.
   assert(Spec.Predictors.size() <= 1 &&
          "validateSweepSpec caps java specs at one predictor entry");
-  const bool PersistCosts = dynamicPooled(Spec);
+  const unsigned Threads = resolveGangThreads(Spec.Threads);
+  const bool PersistCosts = Threads > 1;
   const std::string TraceKey = "java-" + Benchmark;
   std::map<uint64_t, uint64_t> CostMap;
   uint64_t TraceHash = 0;
@@ -213,9 +229,7 @@ SweepExecutor::runJavaSlice(const SweepSpec &Spec, size_t Workload,
     GangReplayer::Stats GangLoad;
     std::vector<uint64_t> FinalNs;
     std::vector<PerfCounters> Row =
-        Lab.replayGang(Benchmark, Subset, Cpu,
-                       resolveGangThreads(Spec.Threads), Spec.Schedule,
-                       LoadOut ? &GangLoad : nullptr,
+        Lab.replayGang(Benchmark, Subset, Cpu, Threads, &GangLoad,
                        PersistCosts ? &SeedNs : nullptr,
                        PersistCosts ? &FinalNs : nullptr, Spec.Decode);
     if (LoadOut)
@@ -240,45 +254,31 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
   assert(Workload < Spec.Benchmarks.size() &&
          MemberEnd <= Spec.membersPerWorkload() &&
          MemberBegin <= MemberEnd && "slice out of range");
-  std::vector<PerfCounters> Out(MemberEnd - MemberBegin);
-  std::vector<size_t> Missing;
-  std::vector<size_t> MissSlot;  ///< Out index of each missing member
-  std::vector<StoreKey> MissKey; ///< store key of each missing member
   const bool UseStore = Store && Store->isOpen();
+  StoredSlice Stored;
   if (UseStore) {
-    // The store key needs the trace *content* hash. Peek it from the
-    // cached trace file header when one exists (no load, no capture);
-    // otherwise fall back to the lab's trace — which a miss needs
-    // loaded anyway, and which a fully-hit slice only pays when its
-    // trace file has vanished (re-capture reproduces the same content
-    // hash, so the hits still apply).
-    const std::string &B = Spec.Benchmarks[Workload];
-    uint64_t TraceHash = 0;
-    if (!DispatchTrace::peekContentHash(
-            DispatchTrace::cachePathFor(Spec.Suite + "-" + B), TraceHash))
-      TraceHash = Spec.Suite == "java" ? java().trace(B).contentHash()
-                                       : forth().trace(B).contentHash();
-    for (size_t M = MemberBegin; M < MemberEnd; ++M) {
-      StoreKey Key = cellStoreKey(Spec, M, TraceHash);
-      PerfCounters C;
-      if (Store->lookup(Key, C)) {
-        Out[M - MemberBegin] = C;
-      } else {
-        Missing.push_back(M);
-        MissSlot.push_back(M - MemberBegin);
-        MissKey.push_back(Key);
-      }
+    Stored = probeStoredSlice(*Store, Spec, Workload, MemberBegin, MemberEnd,
+                              /*Counted=*/true);
+    if (!Stored.Keyed) {
+      // No trace cache file to peek: the lab's trace — which the misses
+      // need loaded anyway — supplies the hash (a re-capture reproduces
+      // it, so stored cells still apply).
+      const std::string &B = Spec.Benchmarks[Workload];
+      uint64_t TraceHash = Spec.Suite == "java"
+                               ? java().trace(B).contentHash()
+                               : forth().trace(B).contentHash();
+      Stored = probeStoredSlice(*Store, Spec, Workload, MemberBegin,
+                                MemberEnd, /*Counted=*/true, &TraceHash);
     }
-    if (Missing.empty())
-      return Out;
+    if (Stored.Missing.empty())
+      return Stored.Cells;
   } else {
-    Missing.reserve(MemberEnd - MemberBegin);
-    for (size_t M = MemberBegin; M < MemberEnd; ++M) {
-      Missing.push_back(M);
-      MissSlot.push_back(M - MemberBegin);
-    }
+    Stored.Cells.resize(MemberEnd - MemberBegin);
+    for (size_t M = MemberBegin; M < MemberEnd; ++M)
+      Stored.Missing.push_back(M);
   }
 
+  const std::vector<size_t> &Missing = Stored.Missing;
   std::vector<PerfCounters> Fresh =
       Spec.Suite == "java"
           ? runJavaSlice(Spec, Workload, Missing, LoadOut)
@@ -294,16 +294,17 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
       if (decideCounterFlip(Faults, Workload, Missing[K], Word, Bit))
         Fresh[K].flipBit(Word, Bit);
     }
-    Out[MissSlot[K]] = Fresh[K];
+    Stored.Cells[Missing[K] - MemberBegin] = Fresh[K];
     if (UseStore)
-      Store->record(MissKey[K], Fresh[K]);
+      Store->record(cellStoreKey(Spec, Missing[K], Stored.TraceHash),
+                    Fresh[K]);
   }
   // Durable before returned: the caller (a worker about to emit rows,
   // an in-process sweep about to report cells) must never announce a
   // result the store would lose to a crash.
   if (UseStore)
     (void)Store->flush();
-  return Out;
+  return Stored.Cells;
 }
 
 std::vector<PerfCounters>
@@ -335,16 +336,29 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
   SweepRunStats Stats;
   Stats.Configs = Spec.numCells();
   double CaptureBusy = 0; // producer thread only; no lock needed
-  std::atomic<uint64_t> Events{0};
   std::mutex LoadMutex; // replay jobs may run on several pipeline workers
   std::vector<std::vector<PerfCounters>> Rows(W);
 
   WallTimer PipelineTimer;
+  // Warm-store fast path: a workload whose every cell the store already
+  // holds (keyed off the trace file header, nothing loaded) is served
+  // here and never enters the pipeline — its warmup (trace load,
+  // training, Java's overhead-basis replay) exists only to enable
+  // replays this sweep will not perform.
+  std::vector<size_t> Pending;
+  for (size_t I = 0; I < W; ++I) {
+    if (Store && Store->isOpen() &&
+        probeStoredSlice(*Store, Spec, I, 0, M, /*Counted=*/false)
+            .complete())
+      Rows[I] = runSlice(Spec, I, 0, M); // books the hits
+    else
+      Pending.push_back(I);
+  }
   pipelineSweep(
-      W, Threads,
-      [&](size_t I) {
+      Pending.size(), Threads,
+      [&](size_t K) {
         WallTimer T;
-        const std::string &B = Spec.Benchmarks[I];
+        const std::string &B = Spec.Benchmarks[Pending[K]];
         for (const std::string &CpuId : Spec.Cpus) {
           CpuConfig Cpu;
           if (!cpuConfigById(CpuId, Cpu))
@@ -359,22 +373,17 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
         }
         CaptureBusy += T.seconds();
       },
-      [&](size_t I) {
-        const std::string &B = Spec.Benchmarks[I];
-        // referenceSteps == trace events, and never materializes — a
-        // streaming sweep must not pin the event arena just to count.
-        uint64_t N = Spec.Suite == "java" ? java().referenceSteps(B)
-                                          : forth().referenceSteps(B);
-        // Every member rides the whole trace once per pass.
-        Events.fetch_add(N * M, std::memory_order_relaxed);
+      [&](size_t K) {
         GangReplayer::Stats GangLoad;
-        Rows[I] = runSlice(Spec, I, 0, M, &GangLoad);
+        Rows[Pending[K]] = runSlice(Spec, Pending[K], 0, M, &GangLoad);
         std::lock_guard<std::mutex> Lock(LoadMutex);
         Stats.Load.merge(GangLoad);
       });
   Stats.ReplaySeconds = PipelineTimer.seconds();
   Stats.CaptureSeconds = CaptureBusy;
-  Stats.ReplayedEvents = Events.load();
+  // Only the members a gang actually replayed: store-served cells cost
+  // no events.
+  Stats.ReplayedEvents = Stats.Load.MemberEvents;
 
   // Audit after the pipeline has fully drained, serially: shape
   // re-execution flips the process-wide kernel knob, which must never

@@ -12,14 +12,15 @@
 ///    member range as a single gang (what a `sweep_driver --worker`
 ///    process executes for its ShardJob).
 ///
-/// Both paths honor the spec's `Threads` and `Schedule` knobs: each
-/// gang replays on GangReplayer's shared-tile worker pool when the
-/// resolved thread count exceeds 1 (Threads == 0 auto-detects the
-/// host's core count, see resolveGangThreads), under either the
-/// static-slice or the cost-aware dynamic scheduler — so a worker
-/// process can use several cores of its host without re-decoding the
-/// trace per core (two-level shards × threads fan-out). Cells are
-/// bit-identical for any (shards, threads, schedule) triple.
+/// Both paths honor the spec's `Threads` knob: each gang replays on
+/// GangReplayer's shared-tile worker pool (cost-planned tiles, work
+/// stealing, a parallel finish tail, per-member costs persisted to the
+/// trace's `.vmibcost` sidecar) when the resolved thread count exceeds
+/// 1 (Threads == 0 auto-detects the host's core count, see
+/// resolveGangThreads) — so a worker process can use several cores of
+/// its host without re-decoding the trace per core (two-level shards ×
+/// threads fan-out). Cells are bit-identical for any (shards, threads)
+/// pair.
 ///
 /// Every member is a *full* replay, so a member's counters do not
 /// depend on which other members share the gang — `runAll` and any
@@ -57,6 +58,8 @@ unsigned resolveGangThreads(unsigned SpecThreads);
 struct SweepRunStats {
   double CaptureSeconds = 0; ///< producer-thread busy time
   double ReplaySeconds = 0;  ///< wall clock of the replay/pipeline stage
+  /// Trace events × members actually replayed (store-served cells
+  /// count nothing).
   uint64_t ReplayedEvents = 0;
   size_t Configs = 0;
   /// Gang worker-pool accounting summed over every gang this sweep
@@ -64,6 +67,36 @@ struct SweepRunStats {
   /// finish counts) — what the `:loadbalance` timing line renders.
   GangReplayer::Stats Load;
 };
+
+/// What the result store holds for members [Begin, End) of one
+/// workload.
+struct StoredSlice {
+  /// Whether the cells could be keyed at all: the trace content hash
+  /// was known.
+  bool Keyed = false;
+  uint64_t TraceHash = 0; ///< the hash the cell keys derive from
+  /// Slice order; the stored cells are filled in.
+  std::vector<PerfCounters> Cells;
+  /// Members (ascending) the store did not serve — all of them when
+  /// !Keyed.
+  std::vector<size_t> Missing;
+
+  bool complete() const { return Keyed && Missing.empty(); }
+};
+
+/// The result-store probe every entry point shares: looks up members
+/// [\p MemberBegin, \p MemberEnd) of workload \p Workload under
+/// \p TraceHash, or — when null — under the content hash the
+/// workload's trace cache file declares in its header
+/// (DispatchTrace::peekContentHash: nothing is loaded or captured).
+/// \p Counted books every hit and miss in the store's stats (the
+/// serving lookup); otherwise the probe is stats-free — the
+/// all-or-nothing checks of the orchestrator and the warm-store fast
+/// paths, which leave the accounting to whoever serves the cells.
+StoredSlice probeStoredSlice(ResultStore &Store, const SweepSpec &Spec,
+                             size_t Workload, size_t MemberBegin,
+                             size_t MemberEnd, bool Counted,
+                             const uint64_t *TraceHash = nullptr);
 
 class SweepExecutor {
 public:
@@ -103,16 +136,18 @@ public:
 
   /// Runs gang members [MemberBegin, MemberEnd) of workload \p Workload
   /// as one gang over the workload's trace; results in member order.
-  /// The gang replays on resolveGangThreads(Spec.Threads) workers under
-  /// Spec.Schedule; \p LoadOut, when non-null, accumulates (merges) the
-  /// gang's pool accounting.
+  /// Members the attached store holds are served without replay. The
+  /// gang replays on resolveGangThreads(Spec.Threads) workers;
+  /// \p LoadOut, when non-null, accumulates (merges) the gang's pool
+  /// accounting.
   std::vector<PerfCounters> runSlice(const SweepSpec &Spec, size_t Workload,
                                      size_t MemberBegin, size_t MemberEnd,
                                      GangReplayer::Stats *LoadOut = nullptr);
 
   /// The full in-process sweep: every cell, workload-major canonical
-  /// order, with capture overlapped via pipelineSweep. \p Threads == 0
-  /// uses defaultSweepThreads().
+  /// order, with capture overlapped via pipelineSweep. Workloads the
+  /// attached store fully serves skip the pipeline — no warmup, no
+  /// trace load, no replay. \p Threads == 0 uses defaultSweepThreads().
   SweepRunStats runAll(const SweepSpec &Spec, unsigned Threads,
                        std::vector<PerfCounters> &Cells);
 

@@ -199,9 +199,9 @@ class Orchestration {
 public:
   Orchestration(const SweepSpec &Spec, const SweepWorkerOptions &Opt,
                 const std::string &SpecPath, const std::string &Template,
-                const std::string &Driver, const char *WorkerSchedule)
+                const std::string &Driver)
       : Spec(Spec), Opt(Opt), SpecPath(SpecPath), Template(Template),
-        Driver(Driver), WorkerSchedule(WorkerSchedule),
+        Driver(Driver),
         Jobs(decomposeSweep(Spec, Opt.Shards)), JobStates(Jobs.size()),
         Slices(Jobs.size()),
         WorkerThreads(Opt.Threads != 0 ? Opt.Threads : Spec.Threads) {
@@ -243,7 +243,6 @@ private:
   const std::string &SpecPath;
   const std::string &Template;
   const std::string &Driver;
-  const char *WorkerSchedule;
 
   std::vector<ShardJob> Jobs;
   std::vector<JobState> JobStates;
@@ -275,17 +274,15 @@ bool Orchestration::spawnImpl(size_t JobIdx, bool Hedge,
   substitute(Cmd, "{job}", std::to_string(JobIdx));
   if (Shape) {
     // Audit shard: the decorrelated (or tiebreak) shape rides the
-    // existing {threads}/{schedule} placeholders; decode and kernel
-    // have no placeholder, so they append as flags, together with
-    // --audit-exec (clean re-execution: no store, no fault injection,
-    // no self-audit).
+    // {threads} placeholder; tile size, decode and kernel have none,
+    // so they append as flags, together with --audit-exec (clean
+    // re-execution: no store, no fault injection, no self-audit).
     substitute(Cmd, "{threads}", std::to_string(Shape->Threads));
-    substitute(Cmd, "{schedule}", gangScheduleId(Shape->Schedule));
-    Cmd += format(" --decode=%s --kernel=%s --audit-exec",
-                  traceDecodeModeId(Shape->Decode), Shape->Kernel);
+    Cmd += format(" --chunk=%zu --decode=%s --kernel=%s --audit-exec",
+                  Shape->ChunkEvents, traceDecodeModeId(Shape->Decode),
+                  Shape->Kernel);
   } else {
     substitute(Cmd, "{threads}", std::to_string(WorkerThreads));
-    substitute(Cmd, "{schedule}", WorkerSchedule);
   }
   substitute(Cmd, "{attempt}", std::to_string(J.NextAttemptNo));
 
@@ -922,25 +919,12 @@ bool Orchestration::run(std::vector<PerfCounters> &Cells,
   if (Opt.Store && Opt.Store->isOpen()) {
     for (size_t J = 0; J < Jobs.size(); ++J) {
       const ShardJob &Job = Jobs[J];
-      uint64_t TraceHash = 0;
-      if (!DispatchTrace::peekContentHash(
-              DispatchTrace::cachePathFor(Spec.Suite + "-" +
-                                          Spec.Benchmarks[Job.Workload]),
-              TraceHash))
+      StoredSlice Stored =
+          probeStoredSlice(*Opt.Store, Spec, Job.Workload, Job.MemberBegin,
+                           Job.MemberEnd, /*Counted=*/false);
+      if (!Stored.complete())
         continue;
-      std::vector<PerfCounters> Slice;
-      Slice.reserve(Job.MemberEnd - Job.MemberBegin);
-      bool AllHit = true;
-      for (size_t M = Job.MemberBegin; AllHit && M < Job.MemberEnd; ++M) {
-        PerfCounters C;
-        if (Opt.Store->probe(cellStoreKey(Spec, M, TraceHash), C))
-          Slice.push_back(C);
-        else
-          AllHit = false;
-      }
-      if (!AllHit)
-        continue;
-      Slices[J] = std::move(Slice);
+      Slices[J] = std::move(Stored.Cells);
       JobStates[J].Committed = true;
       JobStates[J].Queued = false;
       Rep.JobsServedFromStore++;
@@ -1099,29 +1083,12 @@ bool vmib::orchestrateSweep(const SweepSpec &Spec,
   std::string Template = Opt.CommandTemplate.empty()
                              ? "{driver} --worker --spec={spec} "
                                "--shards={shards} --job={job} "
-                               "--threads={threads} --schedule={schedule} "
-                               "--attempt={attempt}"
+                               "--threads={threads} --attempt={attempt}"
                              : Opt.CommandTemplate;
-  // {schedule} = the (possibly CLI-overridden) spec's scheduler:
-  // workers re-parse the spec FILE, which does not carry a --schedule
-  // override, so the template must — otherwise a dynamic orchestrator
-  // would silently fan out static workers.
-  const char *WorkerSchedule = gangScheduleId(Spec.Schedule);
-  if (Spec.Schedule != GangSchedule::Static &&
-      Template.find("{schedule}") == std::string::npos)
-    // substitute() is a no-op on an absent key, so a pre-{schedule}
-    // custom template would silently fan out STATIC workers while the
-    // orchestrator logs claim dynamic — counters match either way,
-    // which is exactly why this needs a loud hint, not a failure.
-    std::fprintf(stderr,
-                 "warning: worker template has no {schedule} placeholder; "
-                 "workers will re-parse the spec file and run its schedule, "
-                 "not '%s'\n",
-                 WorkerSchedule);
   std::string Driver =
       Opt.DriverBinary.empty() ? defaultSweepDriverPath() : Opt.DriverBinary;
 
-  Orchestration Run(Spec, Opt, SpecPath, Template, Driver, WorkerSchedule);
+  Orchestration Run(Spec, Opt, SpecPath, Template, Driver);
   OrchestratorReport LocalReport;
   bool Ok = Run.run(Cells, Stats, Error, LocalReport);
   if (Report)

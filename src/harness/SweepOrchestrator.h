@@ -16,15 +16,14 @@
 /// from the remote side):
 ///
 ///   {driver} --worker --spec={spec} --shards={shards} --job={job}
-///     --threads={threads} --schedule={schedule} --attempt={attempt}
+///     --threads={threads} --attempt={attempt}
 ///   ssh host 'VMIB_TRACE_CACHE=/shared/cache {driver} --worker ...'
 ///
-/// `{schedule}` carries the orchestrator's (possibly CLI-overridden)
-/// gang scheduler to the workers — they re-parse the spec *file*,
-/// which a --schedule override never touched. `{attempt}` is the
-/// job's retry/hedge attempt number (0 for the first launch): workers
-/// only use it to seed deterministic fault injection (VMIB_FAULT), so
-/// templates without the placeholder still work.
+/// `{attempt}` is the job's retry/hedge attempt number (0 for the
+/// first launch): workers only use it to seed deterministic fault
+/// injection (VMIB_FAULT), so templates without the placeholder still
+/// work. Older templates may still carry `--schedule={schedule}`; the
+/// placeholder is left as is and workers ignore the flag.
 ///
 /// Fan-out is two-level: `Shards` worker processes × `Threads`
 /// intra-gang worker threads per process (GangReplayer shared decoded
@@ -87,8 +86,8 @@ struct SweepWorkerOptions {
   /// remote templates this must be a path the remote side can read.
   std::string SpecPath;
   /// Shell command template; {driver}, {spec}, {shards}, {job},
-  /// {threads}, {schedule} and {attempt} are substituted. Empty uses
-  /// the default local-worker template above.
+  /// {threads} and {attempt} are substituted. Empty uses the default
+  /// local-worker template above.
   std::string CommandTemplate;
   /// Path substituted for {driver}; empty uses defaultSweepDriverPath().
   std::string DriverBinary;
@@ -142,7 +141,7 @@ struct SweepWorkerOptions {
   /// seeded draw samples are re-dispatched — like hedges, only into
   /// idle slots once the job queue has drained, so audit steals no
   /// critical-path latency — as `--audit-exec` workers running the
-  /// fully decorrelated shape (decode/kernel/schedule/threads all
+  /// fully decorrelated shape (decode/kernel/tile size/threads all
   /// flipped, store and fault injection off). Mismatching cells get a
   /// third canonical-shape tiebreak dispatch; the triage ladder then
   /// classifies (store corruption / compute divergence /

@@ -8,8 +8,7 @@
 ///   chunk 0
 ///   threads 1            # optional: absent (PR-3-era files) means 1;
 ///                        # 0 = auto-detect (hardware_concurrency)
-///   schedule static      # optional: absent means static; `dynamic`
-///                        # enables cost-aware work-stealing replay
+///   schedule static      # legacy, optional: parsed and ignored
 ///   cpu p4northwood
 ///   benchmark fib
 ///   variant name="static repl" kind=static-repl supers=0 replicas=400
@@ -334,7 +333,6 @@ std::string vmib::printSweepSpec(const SweepSpec &Spec) {
   Out += format("suite %s\n", Spec.Suite.c_str());
   Out += format("chunk %zu\n", Spec.ChunkEvents);
   Out += format("threads %u\n", Spec.Threads);
-  Out += format("schedule %s\n", gangScheduleId(Spec.Schedule));
   Out += format("decode %s\n", traceDecodeModeId(Spec.Decode));
   for (const std::string &C : Spec.Cpus)
     Out += format("cpu %s\n", C.c_str());
@@ -405,8 +403,8 @@ bool vmib::parseSweepSpec(const std::string &Text, SweepSpec &Out,
                            (unsigned long long)N));
       Out.Threads = static_cast<unsigned>(N);
     } else if (Key == "schedule" && Tokens.size() == 2) {
-      // Optional declaration: PR-4-era files without it parse as the
-      // static (contiguous-slice) scheduler.
+      // Legacy declaration: still validated so typos stay loud, but
+      // every pooled gang runs the one scheduler whatever it says.
       if (!gangScheduleFromId(Tokens[1], Out.Schedule))
         return Fail("unknown schedule '" + Tokens[1] +
                     "' (expected static or dynamic)");

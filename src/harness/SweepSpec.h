@@ -80,12 +80,9 @@ struct SweepSpec {
   /// bit-identical cells. Composes with process sharding into a
   /// two-level shards × threads fan-out.
   unsigned Threads = 1;
-  /// How each gang's worker pool distributes members: static
-  /// contiguous slices (the default, and what a spec without the
-  /// field parses as) or the cost-aware dynamic scheduler with
-  /// work-stealing member replay and the parallel deferred-fallback
-  /// finish. Bit-identical either way; dynamic is the fast choice for
-  /// gangs mixing cheap and expensive members.
+  /// The legacy `schedule` declaration. Parsed, never printed, and
+  /// selects nothing: every pooled gang runs the one cost-aware
+  /// scheduler (see GangSchedule.h).
   GangSchedule Schedule = GangSchedule::Static;
   /// How replay acquires each workload's event stream: materialize
   /// the whole trace in memory (the classic zero-copy path), stream

@@ -72,10 +72,30 @@
 #include <cstring>
 #include <sys/stat.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 using namespace vmib;
 
 namespace {
+
+/// Event arenas are the largest buffers a sweep allocates (8–40 MB per
+/// paper trace), each allocated and freed once per workload. glibc
+/// raises its mmap threshold to the size of every mmapped block it
+/// frees, so once one trace has been released the next ones are carved
+/// from the per-thread arena heaps, whose freed pages stay resident and
+/// are not reused across arenas: an in-process sweep running spec after
+/// spec then peaks at up to ~1.8× its live set, depending on which arena
+/// each loader thread happens to draw. Pinning the threshold (which
+/// also stops the adjustment) keeps every block of 4 MB or more in its
+/// own mapping, returned to the OS when freed.
+void pinLargeBlocksToMmap() {
+#if defined(__GLIBC__)
+  static const bool Pinned = mallopt(M_MMAP_THRESHOLD, 4 << 20) == 1;
+  (void)Pinned;
+#endif
+}
 
 constexpr uint64_t FileMagic = 0x0143525442494d56ULL; // "VMIBTRC\1"
 /// Bump on ANY change that invalidates cached traces: the serialized
@@ -242,6 +262,9 @@ size_t DispatchTrace::defaultChunkEvents() {
 }
 
 uint64_t DispatchTrace::contentHash() const {
+  if (Sealed && SealedEvents == Events.size() &&
+      SealedQuickens == Quickens.size())
+    return SealedHash;
   uint64_t Hash = Fnv1aOffset;
   Hash = fnv1a(Hash, Events.data(), Events.size() * sizeof(Event));
   for (const QuickenRecord &Q : Quickens) {
@@ -250,6 +273,20 @@ uint64_t DispatchTrace::contentHash() const {
     Hash = fnv1a(Hash, Words, sizeof(Words));
   }
   return Hash;
+}
+
+void DispatchTrace::reserve(size_t NumEvents) {
+  pinLargeBlocksToMmap();
+  Events.reserve(NumEvents);
+}
+
+void DispatchTrace::seal() { sealWith(contentHash()); }
+
+void DispatchTrace::sealWith(uint64_t Hash) {
+  SealedHash = Hash;
+  SealedEvents = Events.size();
+  SealedQuickens = Quickens.size();
+  Sealed = true;
 }
 
 bool DispatchTrace::compressEnabled() {
@@ -426,6 +463,7 @@ bool DispatchTrace::peekFileInfo(const std::string &Path, FileInfo &Info) {
 
 bool DispatchTrace::load(const std::string &Path,
                          uint64_t ExpectedWorkloadHash, std::string *Diag) {
+  pinLargeBlocksToMmap();
   clear();
   // Every failure path funnels through here: the trace is cleared again
   // so a partially filled buffer can never leak out, and the caller
@@ -500,6 +538,7 @@ bool DispatchTrace::load(const std::string &Path,
     }
     if (Hash != Header[5])
       return Fail("content hash mismatch (bit corruption)");
+    sealWith(Hash);
     return true;
   }
 
@@ -642,7 +681,8 @@ bool DispatchTrace::load(const std::string &Path,
   // per-frame checksums pinned every payload byte, and the exact size
   // equation plus per-frame event counts pinned the structure. The
   // stored hash in Header[5] is therefore trustworthy as this trace's
-  // logical identity without being re-derived (see contentHash()).
+  // logical identity without being re-derived: it seals the trace.
+  sealWith(Header[5]);
   return true;
 }
 

@@ -90,9 +90,23 @@ public:
   void clear() {
     Events.clear();
     Quickens.clear();
+    Sealed = false;
   }
 
-  void reserve(size_t NumEvents) { Events.reserve(NumEvents); }
+  /// Reserves the event arena for a capture of \p NumEvents events.
+  ///
+  /// Process-wide side effect: the first reserve() or load() in a
+  /// process pins glibc's mmap threshold at 4 MB (mallopt
+  /// M_MMAP_THRESHOLD, which also turns off glibc's dynamic threshold
+  /// and trim adjustment). From then on EVERY allocation of 4 MB or more
+  /// in the process — trace arenas, but also result-store buffers, v2
+  /// payloads and gang scratch — gets its own mapping and is returned
+  /// to the OS when freed. It lives here because event arenas are a
+  /// sweep's largest buffers, each freed once per workload: under the
+  /// dynamic threshold, freed traces were carved from per-thread malloc
+  /// arenas whose pages stayed resident, and an in-process sweep peaked
+  /// well above its live set. No-op on other C libraries.
+  void reserve(size_t NumEvents);
 
   bool empty() const { return Events.empty(); }
   size_t numEvents() const { return Events.size(); }
@@ -158,7 +172,17 @@ public:
   /// FNV-1a over the event words and quicken records; the save() header
   /// stores it and load() verifies it, so a truncated or bit-flipped
   /// trace file is rejected instead of silently corrupting a sweep.
+  /// O(1) on a sealed trace (see seal()); otherwise a byte-serial pass
+  /// over the whole event arena.
   uint64_t contentHash() const;
+
+  /// Hashes the trace once and pins the result: until the next
+  /// append(), appendQuicken() or clear(), contentHash() returns it in
+  /// O(1). load() seals implicitly with the hash it verified, so only a
+  /// freshly captured trace pays the pass — once, before it is shared.
+  /// Sealing happens only here and in load(), never lazily inside the
+  /// const accessor, so concurrent readers never race on the cache.
+  void seal();
 
   /// Writes the trace to \p Path in the encoding compressEnabled()
   /// selects. \p WorkloadHash identifies the workload the trace was
@@ -189,7 +213,9 @@ public:
   /// either hash check, or is truncated / carries trailing garbage.
   /// When \p Diag is non-null, a failure stores a one-line description
   /// of exactly what was rejected (callers surface it instead of
-  /// silently re-capturing on a corrupt cache).
+  /// silently re-capturing on a corrupt cache). Like reserve(), the
+  /// first call pins glibc's mmap threshold for the whole process (see
+  /// reserve() for what that changes and why).
   bool load(const std::string &Path, uint64_t ExpectedWorkloadHash,
             std::string *Diag = nullptr);
 
@@ -327,9 +353,17 @@ public:
 private:
   bool writeFlat(std::FILE *F, uint64_t WorkloadHash) const;
   bool writeCompressed(std::FILE *F, uint64_t WorkloadHash) const;
+  void sealWith(uint64_t Hash);
 
   std::vector<Event> Events;
   std::vector<QuickenRecord> Quickens;
+  /// seal() state: the content hash of the first SealedEvents events and
+  /// SealedQuickens quicken records. The arenas only grow until clear()
+  /// (which unseals), so matching sizes mean the hash is still current.
+  uint64_t SealedHash = 0;
+  size_t SealedEvents = 0;
+  size_t SealedQuickens = 0;
+  bool Sealed = false;
 };
 
 } // namespace vmib

@@ -85,13 +85,12 @@ struct ExecUnit {
 
 /// One slot of the parallel tile ring. The decoder publishes a tile by
 /// storing its index into Seq (release) after filling Begin/End, the
-/// per-group chunks and (dynamic schedule) the owner plan; workers
-/// drain Pending (release) — one decrement per worker under the static
-/// schedule; one per member execution PLUS one sweep token per worker
-/// under the dynamic schedule — and the decoder refills the slot once
-/// Pending hits zero (acquire), so chunk memory is never written while
-/// a worker reads it and a claim ledger is never recycled under a
-/// worker that has not swept the tile yet.
+/// per-group chunks and the owner plan; workers drain Pending (release)
+/// — one decrement per unit execution PLUS one sweep token per worker —
+/// and the decoder refills the slot once Pending hits zero (acquire),
+/// so chunk memory is never written while a worker reads it and a
+/// claim ledger is never recycled under a worker that has not swept
+/// the tile yet.
 struct TileSlot {
   /// The tile's event window. Materialized sources alias the trace
   /// arena (Raw stays empty); streaming sources decode the tile into
@@ -103,10 +102,10 @@ struct TileSlot {
   std::vector<gang::DecodedChunk> Chunks; ///< one per group
   std::atomic<int64_t> Seq{-1};           ///< tile index this slot holds
   std::atomic<unsigned> Pending{0};       ///< drain count (see above)
-  // Dynamic schedule only: the per-tile owner table. Order is the
-  // claim scan order (members by descending measured cost), OwnerOf
-  // the cost-weighted plan, Claimed the one-owner-per-member-per-tile
-  // ledger (exchange 0->1 wins the member for this tile).
+  // The per-tile owner table. Order is the claim scan order (units by
+  // descending measured cost), OwnerOf the cost-weighted plan, Claimed
+  // the one-owner-per-unit-per-tile ledger (exchange 0->1 wins the unit
+  // for this tile).
   std::vector<uint32_t> Order;
   std::vector<uint16_t> OwnerOf;
   std::unique_ptr<std::atomic<uint8_t>[]> Claimed;
@@ -115,7 +114,6 @@ struct TileSlot {
 } // namespace
 
 std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
-                                            GangSchedule Schedule,
                                             Stats *StatsOut) {
   // Scratch sizing: a tile never exceeds the trace, so clamp before
   // the decoders allocate (a huge VMIB_GANG_CHUNK must degrade to one
@@ -233,6 +231,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
 
   const size_t M = Members.size();
   bool Pooled = Threads > 1 && Source.numEvents() != 0;
+  St.MemberEvents = M * Source.numEvents();
   St.StreamedDecode = Source.streaming();
   // Source-read accounting costs two clock reads per tile: always pay
   // it when streaming (the decode-bandwidth number is the point of the
@@ -339,27 +338,24 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
   } else {
     // Shared-tile worker pool: the calling thread decodes tiles into a
     // small ring; Threads workers replay units off the published
-    // slots. Under either schedule a unit has exactly one owner per
-    // tile and crosses tiles in stream order, so every member sees
-    // exactly the serial event sequence and counters are bit-identical
-    // for any thread count and any steal schedule; the ring only
-    // bounds how far decode runs ahead.
+    // slots. A unit has exactly one owner per tile and crosses tiles
+    // in stream order, so every member sees exactly the serial event
+    // sequence and counters are bit-identical for any thread count and
+    // any steal schedule; the ring only bounds how far decode runs
+    // ahead.
     size_t NumTiles =
         (Source.numEvents() + ChunkCapacity - 1) / ChunkCapacity;
     size_t Slots = std::min<size_t>(4, NumTiles);
-    bool Dynamic = Schedule == GangSchedule::Dynamic;
     std::vector<TileSlot> Ring(Slots);
     for (TileSlot &S : Ring) {
       S.Chunks.reserve(Groups.size());
       for (Group &G : Groups)
         S.Chunks.push_back(G.Decoder->makeChunk());
-      if (Dynamic) {
-        S.Order.resize(NU);
-        S.OwnerOf.assign(NU, 0);
-        S.Claimed = std::make_unique<std::atomic<uint8_t>[]>(NU);
-        for (size_t I = 0; I < NU; ++I)
-          S.Claimed[I].store(0, std::memory_order_relaxed);
-      }
+      S.Order.resize(NU);
+      S.OwnerOf.assign(NU, 0);
+      S.Claimed = std::make_unique<std::atomic<uint8_t>[]>(NU);
+      for (size_t I = 0; I < NU; ++I)
+        S.Claimed[I].store(0, std::memory_order_relaxed);
     }
 
     std::atomic<bool> Abort{false};
@@ -377,30 +373,17 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     const unsigned NumWorkers = Threads;
     St.Workers.assign(NumWorkers, Stats::Worker());
 
-    // The dynamic planner always needs the per-execution cost samples;
-    // a static run only pays the two clock reads per (member, tile)
-    // when the caller asked for stats — the PR-4 hot path stays
-    // clock-free otherwise (chunk=1 runs make the reads comparable to
-    // the replay work itself).
-    const bool Timed = Dynamic || StatsOut != nullptr;
-
-    /// Replays unit \p UI over the published tile in \p S, with the
-    /// per-execution accounting both schedules share. \returns the
-    /// measured nanoseconds (the dynamic scheduler's cost sample; 0
-    /// when untimed).
+    /// Replays unit \p UI over the published tile in \p S and accounts
+    /// it. \returns the measured nanoseconds — the planner's cost
+    /// sample.
     auto ReplayUnitTile = [&](size_t UI, TileSlot &S,
                               Stats::Worker &WS) -> uint64_t {
-      Clock::time_point T0;
-      if (Timed)
-        T0 = Clock::now();
+      Clock::time_point T0 = Clock::now();
       ExecUnit &U = Units[UI];
       size_t Ran = RunUnitSpan(
           U, U.Group < 0 ? nullptr : &S.Chunks[U.Group], S.Span);
-      uint64_t Ns = 0;
-      if (Timed) {
-        Ns = elapsedNs(T0);
-        WS.BusySeconds += static_cast<double>(Ns) * 1e-9;
-      }
+      uint64_t Ns = elapsedNs(T0);
+      WS.BusySeconds += static_cast<double>(Ns) * 1e-9;
       WS.EventsReplayed += Ran * S.Span.size();
       return Ns;
     };
@@ -420,54 +403,28 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       return true;
     };
 
-    // Per-unit serialization and cost state of the dynamic scheduler.
+    // Per-unit serialization and cost state of the scheduler.
     // DoneTile[I] counts the tiles unit I completed: the claimant of
     // (I, T) spins until DoneTile[I] == T (acquire) and stores T+1
     // (release) afterwards — the happens-before edge that carries the
     // unit's member state between owners across tiles. CostNs[I] is a
     // relaxed EWMA of the unit's per-tile replay cost; it only steers
     // the plan, never the results.
-    std::unique_ptr<std::atomic<uint64_t>[]> DoneTile;
-    std::unique_ptr<std::atomic<uint64_t>[]> CostNs;
-    if (Dynamic) {
-      DoneTile = std::make_unique<std::atomic<uint64_t>[]>(NU);
-      CostNs = std::make_unique<std::atomic<uint64_t>[]>(NU);
-      for (size_t UI = 0; UI < NU; ++UI) {
-        DoneTile[UI].store(0, std::memory_order_relaxed);
-        // Seeded costs (persisted per-member EWMAs of a previous run)
-        // make even tile 0's plan cost-weighted; a batch unit's seed
-        // is the sum over its lanes. The EWMA update then absorbs them
-        // like any other past sample.
-        uint64_t Seed = 0;
-        for (size_t I : Units[UI].MemberIdx)
-          Seed += I < SeedCostNs.size() ? SeedCostNs[I] : 0;
-        CostNs[UI].store(Seed, std::memory_order_relaxed);
-      }
+    auto DoneTile = std::make_unique<std::atomic<uint64_t>[]>(NU);
+    auto CostNs = std::make_unique<std::atomic<uint64_t>[]>(NU);
+    for (size_t UI = 0; UI < NU; ++UI) {
+      DoneTile[UI].store(0, std::memory_order_relaxed);
+      // Seeded costs (persisted per-member EWMAs of a previous run)
+      // make even tile 0's plan cost-weighted; a batch unit's seed is
+      // the sum over its lanes. The EWMA update then absorbs them like
+      // any other past sample.
+      uint64_t Seed = 0;
+      for (size_t I : Units[UI].MemberIdx)
+        Seed += I < SeedCostNs.size() ? SeedCostNs[I] : 0;
+      CostNs[UI].store(Seed, std::memory_order_relaxed);
     }
 
-    auto StaticWorker = [&](unsigned W) {
-      Stats::Worker &WS = St.Workers[W];
-      // Near-equal contiguous unit slice; the first (NU % workers)
-      // slices carry one extra unit.
-      size_t Base = NU / NumWorkers, Rem = NU % NumWorkers;
-      size_t UBegin = W * Base + std::min<size_t>(W, Rem);
-      size_t UEnd = UBegin + Base + (W < Rem ? 1 : 0);
-      try {
-        for (size_t T = 0; T < NumTiles; ++T) {
-          TileSlot &S = Ring[T % Slots];
-          if (!AwaitTile(S, T, WS))
-            return;
-          for (size_t UI = UBegin; UI < UEnd; ++UI)
-            if (UnitActive(Units[UI]))
-              (void)ReplayUnitTile(UI, S, WS);
-          S.Pending.fetch_sub(1, std::memory_order_release);
-        }
-      } catch (...) {
-        Record();
-      }
-    };
-
-    auto DynamicWorker = [&](unsigned W) {
+    auto Worker = [&](unsigned W) {
       Stats::Worker &WS = St.Workers[W];
       try {
         for (size_t T = 0; T < NumTiles; ++T) {
@@ -538,7 +495,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     // measured costs — the "cost-weighted initial slices from the
     // first tiles". Decoder-only state, published with the slot.
     std::vector<uint64_t> PlanLoad(NumWorkers);
-    std::vector<uint64_t> CostSnap(Dynamic ? NU : 0);
+    std::vector<uint64_t> CostSnap(NU);
     auto PlanTile = [&](TileSlot &S) {
       // Snapshot the costs first: workers update the EWMAs while this
       // runs, and a comparator whose answers shift mid-sort violates
@@ -567,19 +524,14 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
 
     std::vector<std::thread> Pool;
     Pool.reserve(NumWorkers);
-    for (unsigned W = 0; W < NumWorkers; ++W) {
-      if (Dynamic)
-        Pool.emplace_back(DynamicWorker, W);
-      else
-        Pool.emplace_back(StaticWorker, W);
-    }
+    for (unsigned W = 0; W < NumWorkers; ++W)
+      Pool.emplace_back(Worker, W);
 
     // Decoder loop (this thread): refill each ring slot once it
-    // drained, decode the live groups, plan (dynamic), publish. A
-    // dynamic slot drains after NU unit executions plus one sweep
-    // token per worker (see DynamicWorker).
-    const unsigned PendingInit =
-        Dynamic ? static_cast<unsigned>(NU) + NumWorkers : NumWorkers;
+    // drained, decode the live groups, plan, publish. A slot drains
+    // after NU unit executions plus one sweep token per worker (see
+    // Worker).
+    const unsigned PendingInit = static_cast<unsigned>(NU) + NumWorkers;
     try {
       TraceSource::Cursor Cursor = Source.cursor(ChunkCapacity);
       for (size_t T = 0; T < NumTiles; ++T) {
@@ -616,8 +568,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
         for (size_t G = 0; G < Groups.size(); ++G)
           if (GroupAlive[G].load(std::memory_order_relaxed) != 0)
             Groups[G].Decoder->decodeInto(S.Span, S.Chunks[G]);
-        if (Dynamic)
-          PlanTile(S);
+        PlanTile(S);
         S.Pending.store(PendingInit, std::memory_order_relaxed);
         S.Seq.store(static_cast<int64_t>(T), std::memory_order_release);
       }
@@ -628,33 +579,30 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       Th.join();
     if (FirstError)
       std::rethrow_exception(FirstError);
-    if (Dynamic) {
-      // Per-member final costs: a batch unit's EWMA is spread evenly
-      // over its lanes, so persisted .vmibcost sidecars stay keyed by
-      // member and pre-balance future runs under any lane packing.
-      FinalCostNs.assign(M, 0);
-      for (size_t UI = 0; UI < NU; ++UI) {
-        uint64_t PerMember = CostNs[UI].load(std::memory_order_relaxed) /
-                             Units[UI].MemberIdx.size();
-        for (size_t I : Units[UI].MemberIdx)
-          FinalCostNs[I] = PerMember;
-      }
+    // Per-member final costs: a batch unit's EWMA is spread evenly over
+    // its lanes, so persisted .vmibcost sidecars stay keyed by member
+    // and pre-balance future runs under any lane packing.
+    FinalCostNs.assign(M, 0);
+    for (size_t UI = 0; UI < NU; ++UI) {
+      uint64_t PerMember = CostNs[UI].load(std::memory_order_relaxed) /
+                           Units[UI].MemberIdx.size();
+      for (size_t I : Units[UI].MemberIdx)
+        FinalCostNs[I] = PerMember;
     }
   }
 
   for (const Slot &Mem : Members)
     St.DeferredFinishes += Mem.Active ? 0 : 1;
 
-  // Completion pass. Serial (and static-pooled, for PR-4 parity):
-  // add order, so predictor-only members take their fetch baseline
-  // from an earlier member's finished counters. Dynamic-pooled: the
-  // same tasks as a dependency-ordered list drained by a worker pool —
-  // deferred exact-LRU re-runs are whole-trace replays, so the serial
-  // tail they used to form dominates gangs with many overflowing
-  // members.
+  // Completion pass. Serial: add order, so predictor-only members take
+  // their fetch baseline from an earlier member's finished counters.
+  // Pooled: the same tasks as a dependency-ordered list drained by a
+  // worker pool — deferred exact-LRU re-runs are whole-trace replays,
+  // so a serial tail of them would dominate gangs with many
+  // overflowing members.
   Clock::time_point FinishStart = Clock::now();
   std::vector<PerfCounters> Finished;
-  if (!Pooled || Schedule != GangSchedule::Dynamic || M <= 1) {
+  if (!Pooled || M <= 1) {
     Finished.reserve(M);
     for (Slot &Mem : Members)
       Finished.push_back(Mem.Member->finish(Source, Finished));

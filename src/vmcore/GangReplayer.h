@@ -43,21 +43,19 @@
 ///
 /// run(Threads) with Threads > 1 replays the gang on a shared-tile
 /// worker pool: the calling thread decodes tiles into a small ring and
-/// Threads workers replay member work off the same decoded tile. Under
-/// GangSchedule::Static each worker owns a fixed contiguous member
-/// slice for the whole pass; under GangSchedule::Dynamic the decoder
-/// publishes a cost-weighted owner table with every tile and idle
-/// workers steal whole members at tile boundaries. Either way a member
-/// has exactly one owner per tile and crosses tiles in stream order,
-/// so counters are bit-identical for any thread count and any steal
-/// schedule (tests/GangReplayTest.cpp pins the invariance).
+/// Threads workers replay member work off the same decoded tile. The
+/// decoder publishes a cost-weighted owner table with every tile, idle
+/// workers steal whole members at tile boundaries, and the deferred
+/// finish tail drains on the same pool. A member has exactly one owner
+/// per tile and crosses tiles in stream order, so counters are
+/// bit-identical for any thread count and any steal schedule
+/// (tests/GangReplayTest.cpp pins the invariance).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VMIB_VMCORE_GANGREPLAYER_H
 #define VMIB_VMCORE_GANGREPLAYER_H
 
-#include "vmcore/GangSchedule.h"
 #include "vmcore/TraceReplayer.h"
 #include "vmcore/TraceSource.h"
 
@@ -966,13 +964,13 @@ public:
 
   size_t size() const { return Members.size(); }
 
-  /// Seeds the dynamic scheduler's measured-cost EWMA for member
+  /// Seeds the pool scheduler's measured-cost EWMA for member
   /// \p Member (add order) with \p Ns nanoseconds per tile — typically
   /// a persisted cost from a previous run over the same trace
   /// (WorkloadCache::loadMemberCosts). A seeded gang plans its FIRST
   /// tile cost-weighted instead of round-robin. Costs steer the plan
   /// only, never the results; a wildly stale seed costs wall clock on
-  /// early tiles until the EWMA converges. No-op for static schedules.
+  /// early tiles until the EWMA converges. No-op for serial runs.
   void seedMemberCost(size_t Member, uint64_t Ns) {
     if (SeedCostNs.size() < Members.size())
       SeedCostNs.resize(Members.size(), 0);
@@ -980,10 +978,10 @@ public:
     SeedCostNs[Member] = Ns;
   }
 
-  /// The per-member cost EWMAs as of the end of the last dynamic
-  /// pooled run() (nanoseconds per tile, add order; 0 = never
-  /// measured). Empty unless such a run happened — the executor
-  /// persists these for the next process's seedMemberCost.
+  /// The per-member cost EWMAs as of the end of the last pooled run()
+  /// (nanoseconds per tile, add order; 0 = never measured). Empty
+  /// unless such a run happened — the executor persists these for the
+  /// next process's seedMemberCost.
   const std::vector<uint64_t> &finalCosts() const { return FinalCostNs; }
 
   /// Pool accounting of one run(): who replayed how much, who waited,
@@ -999,14 +997,18 @@ public:
       /// Tiles where the worker stalled waiting for the decoder to
       /// publish (decode-bound or arrived early).
       uint64_t TilesWaited = 0;
-      /// Dynamic only: member executions taken outside the worker's
-      /// cost-weighted plan slice (the steal count).
+      /// Member executions taken outside the worker's cost-weighted
+      /// plan slice (the steal count).
       uint64_t MembersStolen = 0;
       /// Wall time spent inside replay kernels (busy fraction =
       /// BusySeconds / replay wall clock).
       double BusySeconds = 0;
     };
     std::vector<Worker> Workers;
+    /// Members × trace events: the work of this pass, serial or
+    /// pooled (every member rides the whole trace once) — what the
+    /// sweep [timing] line reports as replayed events.
+    uint64_t MemberEvents = 0;
     /// Members that dropped out and re-ran through the exact tier.
     uint64_t DeferredFinishes = 0;
     /// Wall clock of the completion pass (deferred fallbacks,
@@ -1039,6 +1041,7 @@ public:
         Workers[I].MembersStolen += O.Workers[I].MembersStolen;
         Workers[I].BusySeconds += O.Workers[I].BusySeconds;
       }
+      MemberEvents += O.MemberEvents;
       DeferredFinishes += O.DeferredFinishes;
       FinishSeconds += O.FinishSeconds;
       ParallelFinish |= O.ParallelFinish;
@@ -1064,31 +1067,24 @@ public:
   /// finalized PerfCounters per member, in add order. The gang is
   /// spent afterwards; build a new one for another pass.
   ///
-  /// \p Threads <= 1 is the serial pass. Threads > 1 runs the
-  /// shared-tile worker pool: the calling thread decodes each tile
-  /// once into a small ring and \p Threads workers replay members off
-  /// it, distributed per \p Schedule:
+  /// \p Threads <= 1 is the serial pass, finishing members in add
+  /// order. Threads > 1 runs the shared-tile worker pool: the calling
+  /// thread decodes each tile once into a small ring and publishes a
+  /// cost-weighted owner table with it (LPT over per-member replay cost
+  /// measured on earlier tiles, or seeded by seedMemberCost); a worker
+  /// first claims its planned members, then *steals* any member another
+  /// worker has not claimed yet. Claims are per (member, tile) —
+  /// exactly one owner per member per tile, serialized against the
+  /// member's previous tile — so any steal schedule observes the serial
+  /// event order. The finish tail (deferred exact-LRU fallbacks,
+  /// baseline patching) then drains on the same pool as a
+  /// dependency-ordered task list: baseline members before the
+  /// predictor-only members that read their counters, deferred
+  /// (expensive) re-runs first within a rank.
   ///
-  ///  - GangSchedule::Static — fixed near-equal contiguous member
-  ///    slices; finish() drains serially in add order (PR-4 parity).
-  ///  - GangSchedule::Dynamic — the decoder publishes a cost-weighted
-  ///    owner table with every tile (LPT over per-member replay cost
-  ///    measured on earlier tiles); a worker first claims its planned
-  ///    members, then *steals* any member another worker has not
-  ///    claimed yet. Claims are per (member, tile) — exactly one owner
-  ///    per member per tile, serialized against the member's previous
-  ///    tile — so any steal schedule observes the serial event order.
-  ///    The finish tail (deferred exact-LRU fallbacks, baseline
-  ///    patching) then drains on the same pool as a
-  ///    dependency-ordered task list: baseline members before the
-  ///    predictor-only members that read their counters, deferred
-  ///    (expensive) re-runs first within a rank.
-  ///
-  /// Counters are bit-identical across every (Threads, Schedule)
-  /// combination. \p StatsOut, when non-null, receives the pool
-  /// accounting of this run.
+  /// Counters are bit-identical for every thread count. \p StatsOut,
+  /// when non-null, receives the pool accounting of this run.
   std::vector<PerfCounters> run(unsigned Threads = 1,
-                                GangSchedule Schedule = GangSchedule::Static,
                                 Stats *StatsOut = nullptr);
 
 private:

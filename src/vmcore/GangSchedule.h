@@ -1,14 +1,12 @@
-//===- vmcore/GangSchedule.h - Gang worker-pool scheduling knob -*- C++ -*-===//
+//===- vmcore/GangSchedule.h - Legacy gang scheduling token -----*- C++ -*-===//
 ///
 /// \file
-/// How `GangReplayer::run` distributes gang members over its worker
-/// pool when Threads > 1 (serial runs ignore the knob). Split into its
-/// own header so the harness layers (SweepSpec, the bench flags) can
-/// name the knob without pulling in the replay engine.
-///
-/// Both schedules produce bit-identical counters — the choice only
-/// moves *where* each (member, tile) executes, never the event order a
-/// member observes (tests/GangReplayTest.cpp pins the invariance).
+/// The `schedule static|dynamic` token older spec files declare. It
+/// selects nothing: every gang with threads > 1 runs GangReplayer's one
+/// pooled scheduler (cost-planned tiles, work stealing, parallel finish
+/// tail), and serial gangs stay serial. The token still parses so those
+/// files keep loading, and the type stays declared because external
+/// drivers assign SweepSpec::Schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,23 +19,12 @@
 namespace vmib {
 
 enum class GangSchedule : uint8_t {
-  /// Fixed near-equal contiguous member slices, one owner per member
-  /// for the whole pass; finish() drains serially in add order (the
-  /// PR-4 baseline, and what old spec files parse as).
   Static,
-  /// Cost-aware dynamic scheduling: the decoder builds a cost-weighted
-  /// owner table per tile from measured member replay cost, idle
-  /// workers steal whole members at tile boundaries (one owner per
-  /// member *per tile*), and the deferred-fallback finish pass drains
-  /// on the worker pool in baseline-dependency order.
   Dynamic,
 };
 
-/// Stable token for spec files and command lines.
-inline const char *gangScheduleId(GangSchedule S) {
-  return S == GangSchedule::Dynamic ? "dynamic" : "static";
-}
-
+/// Parses a spec-file schedule token. \returns false on anything but
+/// "static" or "dynamic".
 inline bool gangScheduleFromId(const std::string &Id, GangSchedule &Out) {
   if (Id == "static")
     Out = GangSchedule::Static;

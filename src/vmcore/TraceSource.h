@@ -102,8 +102,9 @@ public:
   size_t numQuickens() const { return quickens().size(); }
   const std::vector<DispatchTrace::QuickenRecord> &quickens() const;
 
-  /// The logical content hash — computed from the arena when
-  /// materialized, the verified header declaration when streaming.
+  /// The logical content hash — the trace's own contentHash() when
+  /// materialized (O(1) for the labs' sealed traces), the verified
+  /// header declaration when streaming.
   /// Identical for the same logical stream either way, so everything
   /// keyed by it (ResultStore cells, cost sidecars) is path-agnostic.
   uint64_t contentHash() const;

@@ -6,7 +6,7 @@
 ///    sampling draw (same cells audited no matter how the sweep is
 ///    shaped or named);
 ///  - the decorrelation matrix: the audit shape flips decode mode,
-///    schedule and thread count relative to the primary, and the
+///    gang tile size and thread count relative to the primary, and the
 ///    tiebreak shape is the canonical clean configuration;
 ///  - PerfCounters fingerprint/flipBit, the audit layer's value
 ///    identity and the fault injector's corruption primitive;
@@ -38,6 +38,7 @@
 #include "harness/SweepOrchestrator.h"
 #include "harness/SweepSpec.h"
 #include "uarch/PerfCounters.h"
+#include "vmcore/DispatchTrace.h"
 #include "workloads/ForthSuite.h"
 #include "workloads/JavaSuite.h"
 
@@ -225,7 +226,8 @@ TEST(AuditPlan, SamplingIsDeterministicShapeFreeAndSeeded) {
 
   // The draw is pure, and a reshaped/renamed/rechunked execution of
   // the same logical sweep samples the SAME cells — shard layout,
-  // threads, schedule, decode mode and display name are not identity.
+  // threads, tile size, decode mode, the legacy schedule declaration and
+  // display name are not identity.
   SweepSpec Shaped = Spec;
   Shaped.Name = "renamed";
   Shaped.Threads = 8;
@@ -269,33 +271,40 @@ TEST(AuditPlan, SamplingIsDeterministicShapeFreeAndSeeded) {
 TEST(AuditPlan, DecorrelatedShapeFlipsEveryAxis) {
   SweepSpec Spec;
   Spec.Decode = TraceDecodeMode::Materialize;
-  Spec.Schedule = GangSchedule::Static;
   Spec.Threads = 1;
   AuditShape D = decorrelatedAuditShape(Spec);
   EXPECT_EQ(D.Decode, TraceDecodeMode::Stream);
-  EXPECT_EQ(D.Schedule, GangSchedule::Dynamic);
   EXPECT_EQ(D.Threads, 2u);
+  // The tile size flips away from the primary's effective tile (the
+  // default one here) to a size the store key never sees.
+  EXPECT_NE(D.ChunkEvents, 0u);
+  EXPECT_NE(D.ChunkEvents, DispatchTrace::defaultChunkEvents());
 
   Spec.Decode = TraceDecodeMode::Stream;
-  Spec.Schedule = GangSchedule::Dynamic;
   Spec.Threads = 4;
-  D = decorrelatedAuditShape(Spec);
-  EXPECT_EQ(D.Decode, TraceDecodeMode::Materialize);
-  EXPECT_EQ(D.Schedule, GangSchedule::Static);
-  EXPECT_EQ(D.Threads, 1u);
+  Spec.ChunkEvents = D.ChunkEvents; // a primary already on that tile
+  AuditShape E = decorrelatedAuditShape(Spec);
+  EXPECT_EQ(E.Decode, TraceDecodeMode::Materialize);
+  EXPECT_EQ(E.Threads, 1u);
+  EXPECT_NE(E.ChunkEvents, 0u);
+  EXPECT_NE(E.ChunkEvents, Spec.ChunkEvents);
   // The kernel axis flips relative to the process-wide knob; either
   // way it must name a real kernel.
-  EXPECT_TRUE(std::strcmp(D.Kernel, "scalar") == 0 ||
-              std::strcmp(D.Kernel, "simd") == 0);
+  EXPECT_TRUE(std::strcmp(E.Kernel, "scalar") == 0 ||
+              std::strcmp(E.Kernel, "simd") == 0);
 
   // The tiebreak authority is the canonical clean configuration.
   AuditShape C = canonicalAuditShape();
   EXPECT_EQ(C.Decode, TraceDecodeMode::Materialize);
-  EXPECT_EQ(C.Schedule, GangSchedule::Static);
+  EXPECT_EQ(C.ChunkEvents, 0u);
   EXPECT_EQ(C.Threads, 1u);
   EXPECT_STREQ(C.Kernel, "scalar");
   EXPECT_EQ(auditShapeId(C),
-            "decode:materialize,kernel:scalar,schedule:static,threads:1");
+            "decode:materialize,kernel:scalar,chunk:default,threads:1");
+  EXPECT_EQ(auditShapeId(E), std::string("decode:materialize,kernel:") +
+                                 E.Kernel + ",chunk:" +
+                                 std::to_string(E.ChunkEvents) +
+                                 ",threads:1");
 }
 
 //===--- PerfCounters value identity --------------------------------------===//

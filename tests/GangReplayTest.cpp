@@ -520,7 +520,6 @@ namespace {
 /// predictor-only members, and a fused singleton.
 std::vector<PerfCounters>
 runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
-                   GangSchedule Schedule = GangSchedule::Static,
                    GangReplayer::Stats *StatsOut = nullptr) {
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
@@ -543,15 +542,14 @@ runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
   Gang.addPredictorOnly(L, P4, TwoLevelPredictor(TL), Base);
   Gang.addPredictor(Lab.buildLayout("gray", Switch), P4,
                     CaseBlockTable(1024)); // singleton -> fused kernel
-  return Gang.run(Threads, Schedule, StatsOut);
+  return Gang.run(Threads, StatsOut);
 }
 
 /// The JVM quickening gang of the matrix: every member re-applies the
 /// recorded rewrites to its own program copy (fused members — the
 /// decoder ring still paces them tile by tile).
 std::vector<PerfCounters>
-runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
-                  GangSchedule Schedule = GangSchedule::Static) {
+runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads) {
   JavaLab &Lab = javaLab();
   CpuConfig P4 = makePentium4Northwood();
   std::vector<VariantSpec> Variants = {
@@ -566,44 +564,40 @@ runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
     Gang.addQuickening(std::shared_ptr<DispatchProgram>(std::move(Layout)),
                        std::move(Copy), P4);
   }
-  return Gang.run(Threads, Schedule);
+  return Gang.run(Threads);
 }
 
 } // namespace
 
 TEST(GangReplay, ForthThreadCountInvarianceMatrix) {
-  // The parallel-replay contract: any (threads, chunk, schedule)
-  // combination is bit-identical to the serial gang — including the
-  // overflow/exact-LRU fallback member and the fingerprint-shared
-  // cross-CPU group. Chunk=1 over a 60K-event prefix gives the dynamic
-  // scheduler tens of thousands of tiny tiles, so the claim/steal
-  // machinery is exercised under maximal contention (a forced-steal
-  // schedule, not a lucky one).
+  // The parallel-replay contract: any (threads, chunk) combination is
+  // bit-identical to the serial gang — including the overflow/exact-LRU
+  // fallback member and the fingerprint-shared cross-CPU group.
+  // Chunk=1 over a 60K-event prefix gives the scheduler tens of
+  // thousands of tiny tiles, so the claim/steal machinery is exercised
+  // under maximal contention (a forced-steal schedule, not a lucky
+  // one).
   ForthLab &Lab = forthLab();
   DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 60000);
   ASSERT_GT(Prefix.numEvents(), 0u);
   std::vector<PerfCounters> Serial =
       runForthMatrixGang(Prefix, /*Chunk=*/4096, /*Threads=*/1);
-  for (GangSchedule Schedule :
-       {GangSchedule::Static, GangSchedule::Dynamic})
-    for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
-      for (unsigned Threads : {1u, 2u, 3u, 8u}) {
-        std::vector<PerfCounters> R =
-            runForthMatrixGang(Prefix, Chunk, Threads, Schedule);
-        ASSERT_EQ(R.size(), Serial.size());
-        for (size_t I = 0; I < R.size(); ++I)
-          expectEqualCounters(Serial[I], R[I],
-                              "member " + std::to_string(I) + " chunk " +
-                                  std::to_string(Chunk) + " threads " +
-                                  std::to_string(Threads) + " schedule " +
-                                  gangScheduleId(Schedule));
-      }
+  for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
+    for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+      std::vector<PerfCounters> R = runForthMatrixGang(Prefix, Chunk, Threads);
+      ASSERT_EQ(R.size(), Serial.size());
+      for (size_t I = 0; I < R.size(); ++I)
+        expectEqualCounters(Serial[I], R[I],
+                            "member " + std::to_string(I) + " chunk " +
+                                std::to_string(Chunk) + " threads " +
+                                std::to_string(Threads));
+    }
 }
 
 TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
   // Same matrix over the quickening tier: JVM members are fused (each
   // owns a mutating program copy) and must stay bit-identical for any
-  // thread count, tile size and scheduler.
+  // thread count and tile size.
   JavaLab &Lab = javaLab();
   DispatchTrace Prefix = prefixTrace(Lab.trace("jess"), 60000);
   ASSERT_GT(Prefix.numEvents(), 0u);
@@ -611,20 +605,16 @@ TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
       << "prefix must cover quickening rewrites to exercise the tier";
   std::vector<PerfCounters> Serial =
       runJavaMatrixGang(Prefix, /*Chunk=*/4096, /*Threads=*/1);
-  for (GangSchedule Schedule :
-       {GangSchedule::Static, GangSchedule::Dynamic})
-    for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
-      for (unsigned Threads : {1u, 2u, 3u, 8u}) {
-        std::vector<PerfCounters> R =
-            runJavaMatrixGang(Prefix, Chunk, Threads, Schedule);
-        ASSERT_EQ(R.size(), Serial.size());
-        for (size_t I = 0; I < R.size(); ++I)
-          expectEqualCounters(Serial[I], R[I],
-                              "member " + std::to_string(I) + " chunk " +
-                                  std::to_string(Chunk) + " threads " +
-                                  std::to_string(Threads) + " schedule " +
-                                  gangScheduleId(Schedule));
-      }
+  for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
+    for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+      std::vector<PerfCounters> R = runJavaMatrixGang(Prefix, Chunk, Threads);
+      ASSERT_EQ(R.size(), Serial.size());
+      for (size_t I = 0; I < R.size(); ++I)
+        expectEqualCounters(Serial[I], R[I],
+                            "member " + std::to_string(I) + " chunk " +
+                                std::to_string(Chunk) + " threads " +
+                                std::to_string(Threads));
+    }
 }
 
 TEST(GangReplay, ParallelFinishBitIdenticalWithDeferredMembers) {
@@ -633,16 +623,15 @@ TEST(GangReplay, ParallelFinishBitIdenticalWithDeferredMembers) {
   // baseline members and predictor-only dependents — including a
   // dependent whose fetch baseline is itself a *deferred* member —
   // produces bit-identical counters whether the tail drains serially
-  // (serial gang, static pool) or on the dependency-ordered worker
-  // pool (dynamic), and the stats confirm the parallel pass ran.
+  // (serial gang) or on the dependency-ordered worker pool, and the
+  // stats confirm the parallel pass ran.
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
   DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 60000);
   std::shared_ptr<DispatchProgram> L = Lab.buildLayout("gray", Threaded);
 
-  auto BuildAndRun = [&](unsigned Threads, GangSchedule Schedule,
-                         GangReplayer::Stats *St) {
+  auto BuildAndRun = [&](unsigned Threads, GangReplayer::Stats *St) {
     GangReplayer Gang(Prefix, /*Chunk=*/4096);
     size_t Base = Gang.addDefault(L, P4);
     std::vector<size_t> TinyIdx;
@@ -660,39 +649,29 @@ TEST(GangReplay, ParallelFinishBitIdenticalWithDeferredMembers) {
     BTBConfig Mid = P4.Btb;
     Mid.Entries = 128;
     Gang.addBtbPredictorOnly(L, P4, Mid, TinyIdx[0]);
-    return Gang.run(Threads, Schedule, St);
+    return Gang.run(Threads, St);
   };
 
   GangReplayer::Stats SerialSt;
-  std::vector<PerfCounters> Serial =
-      BuildAndRun(1, GangSchedule::Static, &SerialSt);
+  std::vector<PerfCounters> Serial = BuildAndRun(1, &SerialSt);
   EXPECT_FALSE(SerialSt.ParallelFinish);
   EXPECT_GE(SerialSt.DeferredFinishes, 3u)
       << "tiny BTBs must overflow for this test to bite";
 
-  GangReplayer::Stats StaticSt, DynSt;
-  std::vector<PerfCounters> StaticR =
-      BuildAndRun(4, GangSchedule::Static, &StaticSt);
-  std::vector<PerfCounters> DynR =
-      BuildAndRun(4, GangSchedule::Dynamic, &DynSt);
-  EXPECT_FALSE(StaticSt.ParallelFinish); // PR-4 parity under static
-  EXPECT_TRUE(DynSt.ParallelFinish);
-  EXPECT_EQ(DynSt.DeferredFinishes, SerialSt.DeferredFinishes);
-  ASSERT_EQ(StaticR.size(), Serial.size());
-  ASSERT_EQ(DynR.size(), Serial.size());
-  for (size_t I = 0; I < Serial.size(); ++I) {
-    expectEqualCounters(Serial[I], StaticR[I],
-                        "static member " + std::to_string(I));
-    expectEqualCounters(Serial[I], DynR[I],
-                        "dynamic member " + std::to_string(I));
-  }
+  GangReplayer::Stats PoolSt;
+  std::vector<PerfCounters> Pooled = BuildAndRun(4, &PoolSt);
+  EXPECT_TRUE(PoolSt.ParallelFinish);
+  EXPECT_EQ(PoolSt.DeferredFinishes, SerialSt.DeferredFinishes);
+  ASSERT_EQ(Pooled.size(), Serial.size());
+  for (size_t I = 0; I < Serial.size(); ++I)
+    expectEqualCounters(Serial[I], Pooled[I],
+                        "pooled member " + std::to_string(I));
 }
 
 TEST(GangReplay, SchedulerStatsAccountGangWork) {
   // The imbalance-reporting contract: the pool stats must add up — on
-  // a no-dropout gang every worker row is populated, the events
-  // replayed sum to members × trace events under both schedulers, and
-  // the dynamic run reports its plan/steal split over the same total.
+  // a no-dropout gang every worker row is populated and the events
+  // replayed, plan and steals together, sum to members × trace events.
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
@@ -700,37 +679,34 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
   std::shared_ptr<DispatchProgram> L = Lab.buildLayout("gray", Threaded);
   constexpr size_t NumMembers = 5;
 
-  for (GangSchedule Schedule :
-       {GangSchedule::Static, GangSchedule::Dynamic}) {
-    GangReplayer Gang(Prefix, /*Chunk=*/4096);
-    for (size_t I = 0; I < NumMembers; ++I)
-      Gang.addDefault(L, P4);
-    GangReplayer::Stats St;
-    std::vector<PerfCounters> R = Gang.run(3, Schedule, &St);
-    ASSERT_EQ(R.size(), NumMembers);
-    ASSERT_EQ(St.Workers.size(), 3u) << gangScheduleId(Schedule);
-    uint64_t Events = 0, Steals = 0;
-    double Busy = 0;
-    for (const GangReplayer::Stats::Worker &W : St.Workers) {
-      Events += W.EventsReplayed;
-      Steals += W.MembersStolen;
-      Busy += W.BusySeconds;
-    }
-    EXPECT_EQ(Events, Prefix.numEvents() * NumMembers)
-        << gangScheduleId(Schedule);
-    EXPECT_GT(Busy, 0.0);
-    EXPECT_EQ(St.DeferredFinishes, 0u);
-    if (Schedule == GangSchedule::Static)
-      EXPECT_EQ(Steals, 0u) << "static slices never steal";
-    EXPECT_GE(St.FinishSeconds, 0.0);
-  }
-
-  // Serial runs have no pool to account.
-  GangReplayer Gang(Prefix, 4096);
-  Gang.addDefault(L, P4);
+  GangReplayer Pooled(Prefix, /*Chunk=*/4096);
+  for (size_t I = 0; I < NumMembers; ++I)
+    Pooled.addDefault(L, P4);
   GangReplayer::Stats St;
-  (void)Gang.run(1, GangSchedule::Dynamic, &St);
-  EXPECT_TRUE(St.Workers.empty());
+  std::vector<PerfCounters> R = Pooled.run(3, &St);
+  ASSERT_EQ(R.size(), NumMembers);
+  ASSERT_EQ(St.Workers.size(), 3u);
+  uint64_t Events = 0;
+  double Busy = 0;
+  for (const GangReplayer::Stats::Worker &W : St.Workers) {
+    Events += W.EventsReplayed;
+    Busy += W.BusySeconds;
+  }
+  EXPECT_EQ(Events, Prefix.numEvents() * NumMembers);
+  EXPECT_EQ(St.MemberEvents, Prefix.numEvents() * NumMembers);
+  EXPECT_GT(Busy, 0.0);
+  EXPECT_EQ(St.DeferredFinishes, 0u);
+  EXPECT_GE(St.FinishSeconds, 0.0);
+  EXPECT_EQ(Pooled.finalCosts().size(), NumMembers);
+
+  // Serial runs have no pool to account, but still report their work.
+  GangReplayer Serial(Prefix, 4096);
+  Serial.addDefault(L, P4);
+  GangReplayer::Stats SerialSt;
+  (void)Serial.run(1, &SerialSt);
+  EXPECT_TRUE(SerialSt.Workers.empty());
+  EXPECT_EQ(SerialSt.MemberEvents, Prefix.numEvents());
+  EXPECT_TRUE(Serial.finalCosts().empty());
 }
 
 TEST(GangReplay, ThreadedFullTraceMatchesPerConfigReplay) {

@@ -45,7 +45,9 @@ using namespace vmib;
 
 namespace {
 
-/// The shell tail every template ends with: run the real worker.
+/// The shell tail every template ends with: run the real worker. It
+/// keeps the retired `--schedule={schedule}` pair on purpose: a legacy
+/// custom template must still launch workers, which ignore the flag.
 const char *WorkerExec =
     "exec {driver} --worker --spec={spec} --shards={shards} --job={job} "
     "--threads={threads} --schedule={schedule} --attempt={attempt}";

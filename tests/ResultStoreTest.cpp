@@ -4,7 +4,7 @@
 ///
 ///  - key derivation: every configuration axis that can change a cell's
 ///    counters changes its key; cosmetic/invariant knobs (variant name,
-///    chunking, threads, schedule) do not;
+///    chunking, threads, legacy schedule line) do not;
 ///  - round trip: flushed cells reload bit-identically in a new store;
 ///  - corruption: a torn segment tail is salvaged record-by-record, a
 ///    bad header quarantines the whole segment, and nothing is ever
@@ -15,13 +15,18 @@
 ///  - kill-anywhere: SIGKILL mid-segment-write (pre-fsync, the worst
 ///    instant) loses only the uncommitted flush, never a committed one
 ///    and never a partial record;
-///  - the in-use lock makes a live store invisible to --cache-gc.
+///  - the in-use lock makes a live store invisible to --cache-gc;
+///  - the executor's warm-store fast path: a fully stored sweep runs no
+///    warmup, loads no trace and replays nothing, and a half-stored one
+///    replays exactly its missing members, bit-identically.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/CacheGC.h"
 #include "harness/ResultStore.h"
+#include "harness/SweepExecutor.h"
 #include "harness/SweepSpec.h"
+#include "harness/WorkloadCache.h"
 
 #include <gtest/gtest.h>
 
@@ -213,9 +218,9 @@ TEST_F(ResultStoreTest, KeyCoversEveryConfigurationAxis) {
 }
 
 TEST_F(ResultStoreTest, KeyIgnoresCosmeticAndInvariantKnobs) {
-  // The variant display name is cosmetic; chunk size, thread count and
-  // gang schedule are bit-identity invariants — caching across them is
-  // the point of the store. None may shift a key.
+  // The variant display name and the legacy schedule declaration are
+  // cosmetic; chunk size and thread count are bit-identity invariants —
+  // caching across them is the point of the store. None may shift a key.
   SweepSpec Spec = makeSpec();
   SweepSpec Tweaked = Spec;
   Tweaked.Variants[0].Name = "renamed";
@@ -570,4 +575,138 @@ TEST_F(ResultStoreTest, CacheGCEvictsOldestFirstAndClearsTemps) {
   EXPECT_NE(0, ::stat((Dir + "/seg-0.vmibstore").c_str(), &St));
   EXPECT_EQ(0, ::stat((Dir + "/seg-1.vmibstore").c_str(), &St));
   EXPECT_EQ(0, ::stat((Dir + "/seg-2.vmibstore").c_str(), &St));
+}
+
+//===--- SweepExecutor: the warm-store fast path ---------------------------===//
+
+namespace {
+
+/// A real two-workload sweep over \p Variants on one CPU.
+SweepSpec executorSpec(const std::string &Suite,
+                       std::vector<VariantSpec> Variants) {
+  SweepSpec Spec;
+  Spec.Name = "store-exec-" + Suite;
+  Spec.Suite = Suite;
+  if (Suite == "java")
+    Spec.Benchmarks = {javaSuite()[0].Name, javaSuite()[1].Name};
+  else
+    Spec.Benchmarks = {forthSuite()[0].Name, forthSuite()[1].Name};
+  Spec.Cpus = {"p4northwood"};
+  Spec.Variants = std::move(Variants);
+  return Spec;
+}
+
+/// runAll over \p Spec with a store at \p StoreDir (none when empty).
+SweepRunStats runWithStore(SweepExecutor &Executor, const SweepSpec &Spec,
+                           const std::string &StoreDir,
+                           std::vector<PerfCounters> &Cells,
+                           ResultStoreStats *StoreStats = nullptr) {
+  ResultStore Store;
+  if (!StoreDir.empty()) {
+    std::string Diag;
+    EXPECT_TRUE(Store.open(StoreDir, &Diag)) << Diag;
+    Executor.setResultStore(&Store);
+  }
+  SweepRunStats Stats = Executor.runAll(Spec, 1, Cells);
+  Executor.setResultStore(nullptr);
+  if (StoreStats)
+    *StoreStats = Store.stats();
+  return Stats;
+}
+
+void expectSameCells(const std::vector<PerfCounters> &A,
+                     const std::vector<PerfCounters> &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I < A.size(); ++I)
+    EXPECT_TRUE(sameCounters(A[I], B[I])) << "cell " << I;
+}
+
+class ExecutorStoreTest : public ResultStoreTest {
+protected:
+  void SetUp() override {
+    ResultStoreTest::SetUp();
+    ASSERT_EQ(0, ::mkdir(Dir.c_str(), 0777));
+    ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", (Dir + "/cache").c_str(), 1));
+  }
+  void TearDown() override {
+    ::unsetenv("VMIB_TRACE_CACHE");
+    ResultStoreTest::TearDown();
+  }
+};
+
+} // namespace
+
+TEST_F(ExecutorStoreTest, FullyStoredSweepLoadsAndReplaysNothing) {
+  for (const char *Suite : {"forth", "java"}) {
+    SweepSpec Spec =
+        executorSpec(Suite, {makeVariant(DispatchStrategy::Threaded),
+                             makeVariant(DispatchStrategy::DynamicSuper)});
+    std::string StoreDir = Dir + "/results-" + Suite;
+    std::vector<PerfCounters> Want, Filled, Cells;
+    {
+      SweepExecutor Storeless; // captures the traces into the cache
+      runWithStore(Storeless, Spec, "", Want);
+      SweepExecutor Filler;
+      runWithStore(Filler, Spec, StoreDir, Filled);
+    }
+    expectSameCells(Want, Filled);
+
+    // Leave each workload only what the fast path may read: the trace
+    // file header (its declared content hash). A warmup would now have
+    // to re-run the reference interpretation (the meta sidecar is
+    // gone), and a trace load would reject the header-only file and
+    // re-capture over it.
+    for (const std::string &B : Spec.Benchmarks) {
+      std::string Key = std::string(Suite) + "-" + B;
+      removeWorkloadMeta(Key);
+      ASSERT_EQ(0, ::truncate(DispatchTrace::cachePathFor(Key).c_str(), 48));
+    }
+    ForthLab Forth;
+    JavaLab Java;
+    SweepExecutor Warm(&Forth, &Java);
+    ResultStoreStats StoreStats;
+    SweepRunStats Stats = runWithStore(Warm, Spec, StoreDir, Cells,
+                                       &StoreStats);
+    expectSameCells(Want, Cells);
+    EXPECT_EQ(Stats.CaptureSeconds, 0.0) << Suite;
+    EXPECT_EQ(Stats.ReplayedEvents, 0u) << Suite;
+    EXPECT_EQ(Stats.Load.SourceEvents, 0u) << Suite;
+    EXPECT_EQ(Forth.referenceRunsPerformed() + Java.referenceRunsPerformed(),
+              0u)
+        << Suite;
+    EXPECT_EQ(StoreStats.Hits, Spec.numCells()) << Suite;
+    EXPECT_EQ(StoreStats.Misses, 0u) << Suite;
+    for (const std::string &B : Spec.Benchmarks) {
+      struct stat St;
+      ASSERT_EQ(0, ::stat(DispatchTrace::cachePathFor(std::string(Suite) +
+                                                      "-" + B)
+                              .c_str(),
+                          &St));
+      EXPECT_EQ(St.st_size, 48) << Suite << "-" << B << " was reloaded";
+    }
+  }
+}
+
+TEST_F(ExecutorStoreTest, HalfStoredSweepReplaysOnlyMissingMembers) {
+  SweepSpec Full = executorSpec("forth",
+                                {makeVariant(DispatchStrategy::Threaded),
+                                 makeVariant(DispatchStrategy::StaticRepl)});
+  SweepSpec Half = Full;
+  Half.Variants.resize(1); // stores member 0 of every workload
+  std::string StoreDir = Dir + "/results";
+  SweepExecutor Executor;
+  std::vector<PerfCounters> Want, Cells;
+  runWithStore(Executor, Full, "", Want);
+  runWithStore(Executor, Half, StoreDir, Cells);
+
+  ResultStoreStats StoreStats;
+  SweepRunStats Stats =
+      runWithStore(Executor, Full, StoreDir, Cells, &StoreStats);
+  expectSameCells(Want, Cells);
+  uint64_t Events = 0;
+  for (const std::string &B : Full.Benchmarks)
+    Events += Executor.forth().referenceSteps(B);
+  EXPECT_EQ(Stats.ReplayedEvents, Events) << "one missing member per workload";
+  EXPECT_EQ(StoreStats.Hits, Full.Benchmarks.size());
+  EXPECT_EQ(StoreStats.Misses, Full.Benchmarks.size());
 }

@@ -194,43 +194,43 @@ TEST(SweepSpec, ThreadsFieldCompatAndValidation) {
   EXPECT_TRUE(validateSweepSpec(Prog, Error)) << Error;
 }
 
-TEST(SweepSpec, ScheduleFieldCompatAndRoundTrip) {
-  // A PR-4-era spec (no `schedule` declaration) must parse as the
-  // static scheduler, not fail.
+TEST(SweepSpec, LegacyScheduleFieldParsesAndSelectsNothing) {
+  // The printer no longer emits the `schedule` declaration, but spec
+  // files that carry one still load — `static` and `dynamic` alike —
+  // and run the one pooled scheduler: cells bit-identical to the
+  // serial sweep at threads 1 and 3. Malformed values still fail.
   std::string Modern = printSweepSpec(forthRunSpec());
-  size_t Pos = Modern.find("schedule static\n");
+  EXPECT_EQ(Modern.find("schedule"), std::string::npos);
+  size_t Pos = Modern.find("decode ");
   ASSERT_NE(Pos, std::string::npos);
-  std::string Legacy = Modern;
-  Legacy.erase(Pos, std::strlen("schedule static\n"));
+  SweepExecutor Executor;
+  std::vector<PerfCounters> Reference;
+  Executor.runAll(forthRunSpec(), 1, Reference);
   SweepSpec P;
   std::string Error;
-  ASSERT_TRUE(parseSweepSpec(Legacy, P, Error)) << Error;
-  EXPECT_EQ(P.Schedule, GangSchedule::Static);
+  for (const char *Decl : {"schedule static\n", "schedule dynamic\n"}) {
+    std::string Legacy = Modern;
+    Legacy.insert(Pos, Decl);
+    ASSERT_TRUE(parseSweepSpec(Legacy, P, Error)) << Decl << Error;
+    EXPECT_EQ(printSweepSpec(P), Modern) << Decl;
+    for (unsigned Threads : {1u, 3u}) {
+      P.Threads = Threads;
+      std::vector<PerfCounters> Cells;
+      Executor.runAll(P, 1, Cells);
+      expectCellsEqual(Reference, Cells);
+    }
+  }
 
-  // The dynamic scheduler round-trips exactly.
-  std::string Dynamic = Modern;
-  Dynamic.replace(Pos, std::strlen("schedule static\n"),
-                  "schedule dynamic\n");
-  ASSERT_TRUE(parseSweepSpec(Dynamic, P, Error)) << Error;
-  EXPECT_EQ(P.Schedule, GangSchedule::Dynamic);
-  EXPECT_NE(printSweepSpec(P).find("schedule dynamic\n"),
-            std::string::npos);
-
-  // Malformed values are rejected with a diagnostic.
   for (const char *Bad : {"schedule bogus\n", "schedule static extra\n",
                           "schedule\n"}) {
     std::string Broken = Modern;
-    Broken.replace(Pos, std::strlen("schedule static\n"), Bad);
+    Broken.insert(Pos, Bad);
     EXPECT_FALSE(parseSweepSpec(Broken, P, Error)) << Bad;
     EXPECT_FALSE(Error.empty());
   }
-
-  // The id helpers are the stable spec/CLI tokens.
   GangSchedule S;
   EXPECT_TRUE(gangScheduleFromId("static", S));
-  EXPECT_EQ(S, GangSchedule::Static);
   EXPECT_TRUE(gangScheduleFromId("dynamic", S));
-  EXPECT_EQ(S, GangSchedule::Dynamic);
   EXPECT_FALSE(gangScheduleFromId("Dynamic", S));
 }
 
@@ -414,11 +414,11 @@ TEST(SweepSpec, ShardedJavaSweepIsBitIdenticalToInProcess) {
 }
 
 TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
-  // The spec-level threads + schedule knobs: runAll and every shard
-  // slice replay their gangs on the shared-tile worker pool — static
-  // or cost-aware dynamic — bit-identical to the serial spec,
-  // including the two-level (shards x threads) shape and the
-  // auto-detected (threads 0) worker count.
+  // The spec-level threads knob: runAll and every shard slice replay
+  // their gangs on the shared-tile worker pool (work-stealing member
+  // replay + parallel deferred-fallback finish) bit-identical to the
+  // serial spec, including the two-level (shards x threads) shape and
+  // the auto-detected (threads 0) worker count.
   for (bool Java : {false, true}) {
     SweepSpec Serial = Java ? javaRunSpec() : forthRunSpec();
     SweepExecutor Executor;
@@ -426,31 +426,23 @@ TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
     Executor.runAll(Serial, 1, Reference);
     ASSERT_EQ(Reference.size(), Serial.numCells());
 
+    // The pool must not move a single bit, in-process or sharded, and
+    // its accounting must cover the work.
     SweepSpec Threaded = Serial;
     Threaded.Threads = 3;
     std::vector<PerfCounters> Cells;
-    Executor.runAll(Threaded, 1, Cells);
+    SweepRunStats Stats = Executor.runAll(Threaded, 1, Cells);
     expectCellsEqual(Reference, Cells);
+    EXPECT_FALSE(Stats.Load.Workers.empty());
+    uint64_t Events = 0;
+    for (const GangReplayer::Stats::Worker &W : Stats.Load.Workers)
+      Events += W.EventsReplayed;
+    EXPECT_GT(Events, 0u);
     // 2 shards x 3 threads: slices of a threaded spec stay exact.
     expectCellsEqual(Reference, runSharded(Executor, Threaded, 2));
 
-    // The cost-aware dynamic scheduler (work-stealing member replay +
-    // parallel deferred-fallback finish) must not move a single bit,
-    // in-process or sharded; the pool accounting must cover the work.
-    SweepSpec Dynamic = Threaded;
-    Dynamic.Schedule = GangSchedule::Dynamic;
-    std::vector<PerfCounters> DynCells;
-    SweepRunStats DynStats = Executor.runAll(Dynamic, 1, DynCells);
-    expectCellsEqual(Reference, DynCells);
-    EXPECT_FALSE(DynStats.Load.Workers.empty());
-    uint64_t Events = 0;
-    for (const GangReplayer::Stats::Worker &W : DynStats.Load.Workers)
-      Events += W.EventsReplayed;
-    EXPECT_GT(Events, 0u);
-    expectCellsEqual(Reference, runSharded(Executor, Dynamic, 2));
-
     // threads 0 auto-detects at executor level and stays bit-exact.
-    SweepSpec Auto = Dynamic;
+    SweepSpec Auto = Threaded;
     Auto.Threads = 0;
     std::vector<PerfCounters> AutoCells;
     Executor.runAll(Auto, 1, AutoCells);

@@ -76,7 +76,98 @@ void expectRoundTrip(const DispatchTrace &T, const std::string &What) {
   std::remove(Path.c_str());
 }
 
+/// FNV-1a over the logical stream exactly as the file header defines
+/// it: the packed event words, then four words per quicken record.
+uint64_t logicalStreamHash(const DispatchTrace &T) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  auto Mix = [&H](uint64_t Word) {
+    for (unsigned B = 0; B < 8; ++B) {
+      H ^= (Word >> (8 * B)) & 0xFF;
+      H *= 0x100000001b3ULL;
+    }
+  };
+  for (DispatchTrace::Event E : T.events())
+    Mix(E);
+  for (const DispatchTrace::QuickenRecord &Q : T.quickens()) {
+    Mix(Q.AfterEvents);
+    Mix((static_cast<uint64_t>(Q.NewInstr.Op) << 32) | Q.Index);
+    Mix(static_cast<uint64_t>(Q.NewInstr.A));
+    Mix(static_cast<uint64_t>(Q.NewInstr.B));
+  }
+  return H;
+}
+
 } // namespace
+
+TEST(TraceCodecTest, LoadedTraceHashIsTheVerifiedDeclaration) {
+  // contentHash() of a loaded trace is the hash load() verified — O(1),
+  // never re-derived: under both encodings it equals the header
+  // declaration and the FNV-1a over the logical stream, it survives
+  // re-encoding, and it stops applying the moment the trace grows.
+  DispatchTrace T;
+  for (uint32_t I = 0; I < 70000; ++I) // spans two v2 frames
+    T.append(I % 113, (I * 7 + 1) % 113);
+  VMInstr Q;
+  Q.Op = 5;
+  Q.A = -3;
+  Q.B = int64_t{1} << 40;
+  T.appendQuicken(17, Q);
+  const uint64_t Logical = logicalStreamHash(T);
+  EXPECT_EQ(T.contentHash(), Logical);
+  T.seal();
+  EXPECT_EQ(T.contentHash(), Logical);
+
+  std::string Path = tempPath("sealed");
+  for (bool Compressed : {false, true}) {
+    const char *Enc = Compressed ? "v2" : "v1";
+    ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, Compressed)) << Enc;
+    uint64_t Peeked = 0;
+    ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << Enc;
+    DispatchTrace Loaded;
+    ASSERT_TRUE(Loaded.load(Path, WorkloadHash)) << Enc;
+    EXPECT_EQ(Loaded.contentHash(), Peeked) << Enc;
+    EXPECT_EQ(Loaded.contentHash(), Logical) << Enc;
+    EXPECT_EQ(logicalStreamHash(Loaded), Logical) << Enc;
+
+    ASSERT_TRUE(Loaded.saveEncoded(Path, WorkloadHash, !Compressed)) << Enc;
+    ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << Enc;
+    EXPECT_EQ(Peeked, Logical) << Enc << " re-encoded";
+
+    Loaded.append(1, 2);
+    EXPECT_NE(Loaded.contentHash(), Logical) << Enc;
+    EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(Loaded)) << Enc;
+    Loaded.appendQuicken(3, Q);
+    EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(Loaded)) << Enc;
+    Loaded.clear();
+    EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(DispatchTrace()))
+        << Enc;
+  }
+
+  // The v2 load trusts the checksummed declaration outright: re-declare
+  // a different hash under a valid header checksum and the loaded trace
+  // reports it — proof that nothing re-derives the hash from events.
+  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
+  uint64_t Header[11];
+  std::FILE *F = std::fopen(Path.c_str(), "r+b");
+  ASSERT_NE(nullptr, F);
+  ASSERT_EQ(11u, std::fread(Header, sizeof(uint64_t), 11, F));
+  Header[5] = ~Logical;
+  uint64_t Check = 0xcbf29ce484222325ULL;
+  const unsigned char *Bytes = reinterpret_cast<const unsigned char *>(Header);
+  for (size_t I = 0; I < 10 * sizeof(uint64_t); ++I) {
+    Check ^= Bytes[I];
+    Check *= 0x100000001b3ULL;
+  }
+  Header[10] = Check;
+  std::fseek(F, 0, SEEK_SET);
+  ASSERT_EQ(11u, std::fwrite(Header, sizeof(uint64_t), 11, F));
+  std::fclose(F);
+  DispatchTrace Redeclared;
+  std::string Diag;
+  ASSERT_TRUE(Redeclared.load(Path, WorkloadHash, &Diag)) << Diag;
+  EXPECT_EQ(Redeclared.contentHash(), ~Logical);
+  std::remove(Path.c_str());
+}
 
 TEST(TraceCodecTest, RoundTripShapes) {
   // Empty.
@@ -338,9 +429,13 @@ TEST(TraceCodecTest, StreamingDecodeBitIdenticalToMaterialized) {
     for (size_t I = 0; I < T.numQuickens(); ++I) {
       EXPECT_EQ(T.quickens()[I].AfterEvents, Stream.quickens()[I].AfterEvents);
       EXPECT_EQ(T.quickens()[I].Index, Stream.quickens()[I].Index);
-      EXPECT_EQ(0, std::memcmp(&T.quickens()[I].NewInstr,
-                               &Stream.quickens()[I].NewInstr,
-                               sizeof(VMInstr)));
+      // Field by field: VMInstr has padding after Op, whose bytes are
+      // indeterminate and never serialized.
+      const VMInstr &Want = T.quickens()[I].NewInstr;
+      const VMInstr &Got = Stream.quickens()[I].NewInstr;
+      EXPECT_EQ(Want.Op, Got.Op);
+      EXPECT_EQ(Want.A, Got.A);
+      EXPECT_EQ(Want.B, Got.B);
     }
 
     TraceSource Mat(T);

@@ -12,15 +12,13 @@
 ///                --shards=N --job=I             gang slice, emit [result]
 ///                [--attempt=A]                  lines on stdout
 ///   sweep_driver --spec=F --verify --shards=N   run in-process serial,
-///                                               static-threaded and
-///                                               dynamic-threaded (when
-///                                               the threads knob is
-///                                               set), 1-worker and
-///                                               N-worker sharded;
-///                                               bit-compare all of them
-///                                               and report wall-clock
-///                                               scaling + the
-///                                               :loadbalance line
+///                                               threaded (when the
+///                                               threads knob is set),
+///                                               1-worker and N-worker
+///                                               sharded; bit-compare
+///                                               all of them and report
+///                                               wall-clock scaling +
+///                                               the :loadbalance line
 ///   sweep_driver --spec=F --emit-spec           parse + reprint the spec
 ///
 /// Replay-path knobs (docs/simulation-pipeline.md, "Trace encoding"):
@@ -45,12 +43,9 @@
 ///
 /// --threads=N overrides the spec's `threads` field everywhere: each
 /// gang replays on GangReplayer's shared-tile worker pool (one decoder
-/// feeding N workers), bit-identical to the serial gang. N=0
-/// auto-detects the host's core count at executor level. --schedule
-/// overrides the spec's `schedule` field: `static` keeps fixed
-/// contiguous member slices, `dynamic` turns on the cost-aware
-/// work-stealing scheduler and the parallel deferred-fallback finish —
-/// same counters, faster wall-clock on mixed-cost gangs. Fan-out is
+/// feeding N workers, cost-planned tiles, work stealing and a parallel
+/// deferred-fallback finish), bit-identical to the serial gang. N=0
+/// auto-detects the host's core count at executor level. Fan-out is
 /// two-level — `--shards=S --threads=N` runs S worker processes × N
 /// intra-gang threads each, so a multi-core worker host uses its cores
 /// off one trace decode instead of S×N processes.
@@ -96,7 +91,7 @@
 /// Audit model (docs/simulation-pipeline.md, "Audit model"):
 /// `--audit=RATE` re-executes a deterministically-sampled subset of
 /// cells through a fully decorrelated execution shape (decode, kernel,
-/// schedule and thread count all flipped) and bit-compares. In
+/// tile size and thread count all flipped) and bit-compares. In
 /// orchestrator mode the audits are dispatched like hedges — into idle
 /// worker slots, after the job queue drains — as `--audit-exec`
 /// workers (clean re-execution: VMIB_FAULT ignored, store off); in
@@ -186,39 +181,17 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
   Executor.setResultStore(Store);
   Executor.setFaultInjection(Plan); // flipcounter mass; zero for audit-exec
 
-  // Store fast path: when the trace is cached (content hash peekable
-  // from the file header, no decode) and EVERY member of the job is
-  // already durable, serve the whole slice without paying warmup — the
+  // Store fast path: when EVERY member of the job is already durable
+  // (keyed off the trace file header, no decode), skip warmup — the
   // reference run, profile training and trace load all exist only to
-  // enable replays this job will not perform.
-  std::vector<PerfCounters> Slice;
+  // enable replays this job will not perform; runSlice then serves the
+  // slice from the store.
   double CaptureSeconds = 0;
-  uint64_t Events = 0;
-  bool Served = false;
   WallTimer ReplayTimer;
-  if (Store && Store->isOpen()) {
-    uint64_t TraceHash = 0;
-    if (DispatchTrace::peekContentHash(
-            DispatchTrace::cachePathFor(Spec.Suite + "-" + Benchmark),
-            TraceHash)) {
-      PerfCounters C;
-      bool AllHit = true;
-      for (size_t M = Job.MemberBegin; AllHit && M < Job.MemberEnd; ++M)
-        AllHit = Store->probe(cellStoreKey(Spec, M, TraceHash), C);
-      if (AllHit) {
-        // Second pass through lookup() so the served cells land in the
-        // hit accounting the [store] line below reports (probe() is
-        // deliberately uncounted).
-        Slice.reserve(Job.MemberEnd - Job.MemberBegin);
-        for (size_t M = Job.MemberBegin; M < Job.MemberEnd; ++M) {
-          (void)Store->lookup(cellStoreKey(Spec, M, TraceHash), C);
-          Slice.push_back(C);
-        }
-        Served = true;
-      }
-    }
-  }
-  if (!Served) {
+  if (!(Store && Store->isOpen() &&
+        probeStoredSlice(*Store, Spec, Job.Workload, Job.MemberBegin,
+                         Job.MemberEnd, /*Counted=*/false)
+            .complete())) {
     WallTimer CaptureTimer;
     for (const std::string &CpuId : Spec.Cpus) {
       CpuConfig Cpu;
@@ -230,29 +203,25 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
         Executor.forth().warmup(Benchmark, Cpu, Spec.Decode);
     }
     CaptureSeconds = CaptureTimer.seconds();
-    // referenceSteps == trace events without materializing the event
-    // arena — a streaming worker stays O(tile).
-    Events = Spec.Suite == "java"
-                 ? Executor.java().referenceSteps(Benchmark)
-                 : Executor.forth().referenceSteps(Benchmark);
-    Slice =
-        Executor.runSlice(Spec, Job.Workload, Job.MemberBegin, Job.MemberEnd);
   }
+  GangReplayer::Stats Load;
+  std::vector<PerfCounters> Slice = Executor.runSlice(
+      Spec, Job.Workload, Job.MemberBegin, Job.MemberEnd, &Load);
   bench::emitTiming(Spec.Name + format(":job%zu", JobIdx), CaptureSeconds,
-                    ReplayTimer.seconds(), Events * Slice.size(),
-                    Slice.size());
+                    ReplayTimer.seconds(), Load.MemberEvents, Slice.size());
 
   if (AuditExec) {
     // Banner for the orchestrator's logs: which shape this shard
     // re-executed. Deliberately carries NONE of the summable [audit]
     // count tokens, so it stages zero everywhere.
     const char *Kernel = std::getenv("VMIB_GANG_KERNEL");
-    std::printf("[audit] sweep=%s job=%zu role=shaped-replay "
-                "shape=decode:%s,kernel:%s,schedule:%s,threads:%u\n",
-                Spec.Name.c_str(), JobIdx, traceDecodeModeId(Spec.Decode),
-                Kernel && *Kernel ? Kernel : "scalar",
-                gangScheduleId(Spec.Schedule),
-                resolveGangThreads(Spec.Threads));
+    AuditShape Shape;
+    Shape.Decode = Spec.Decode;
+    Shape.ChunkEvents = Spec.ChunkEvents;
+    Shape.Threads = resolveGangThreads(Spec.Threads);
+    Shape.Kernel = Kernel && *Kernel ? Kernel : "scalar";
+    std::printf("[audit] sweep=%s job=%zu role=shaped-replay shape=%s\n",
+                Spec.Name.c_str(), JobIdx, auditShapeId(Shape).c_str());
   } else if (Audit.enabled()) {
     // Worker self-audit: repair the slice BEFORE its rows go out, so
     // what the orchestrator commits is already the audited truth. The
@@ -502,7 +471,6 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
   // has to reproduce bit for bit.
   SweepSpec Serial = Spec;
   Serial.Threads = 1;
-  Serial.Schedule = GangSchedule::Static;
   std::vector<PerfCounters> InProc;
   SweepRunStats InProcStats = Executor.runAll(Serial, 1, InProc);
   bench::emitTiming(Spec.Name + ":inproc", CaptureSeconds,
@@ -521,70 +489,49 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
     return true;
   };
 
-  // Scheduler invariance + measured intra-host scaling: the same gangs
+  // Thread invariance + measured intra-host scaling: the same gangs
   // off the same cached traces, replayed on the shared-tile worker
-  // pool under BOTH schedulers. Counters must be bit-identical across
-  // {serial, static, dynamic}; the wall-clock ratios — including the
-  // static-vs-dynamic comparison and the dynamic pool's per-worker
-  // busy fractions and steal counts — land in the [timing] artifact.
+  // pool. Counters must be bit-identical to the serial sweep; the
+  // wall-clock ratio and the pool's per-worker busy fractions and
+  // steal counts land in the [timing] artifact.
   unsigned GangThreads = resolveGangThreads(Spec.Threads);
   if (GangThreads > 1) {
-    SweepSpec Static = Spec;
-    Static.Threads = GangThreads;
-    Static.Schedule = GangSchedule::Static;
-    std::vector<PerfCounters> StaticCells;
-    SweepRunStats StaticStats = Executor.runAll(Static, 1, StaticCells);
+    SweepSpec Threaded = Spec;
+    Threaded.Threads = GangThreads;
+    std::vector<PerfCounters> ThreadedCells;
+    SweepRunStats ThreadedStats = Executor.runAll(Threaded, 1, ThreadedCells);
     bench::emitTiming(Spec.Name + format(":threads%u", GangThreads),
-                      StaticStats);
-    if (!Compare(StaticCells, "static threaded in-process"))
+                      ThreadedStats);
+    if (!Compare(ThreadedCells, "threaded in-process"))
       return 1;
 
-    SweepSpec Dynamic = Static;
-    Dynamic.Schedule = GangSchedule::Dynamic;
-    std::vector<PerfCounters> DynamicCells;
-    SweepRunStats DynamicStats = Executor.runAll(Dynamic, 1, DynamicCells);
-    bench::emitTiming(Spec.Name + format(":dynamic%u", GangThreads),
-                      DynamicStats);
-    if (!Compare(DynamicCells, "dynamic threaded in-process"))
-      return 1;
-
+    double Wall = ThreadedStats.ReplaySeconds;
     std::printf("[timing] bench=%s:threadscaling threads=%u "
                 "wall_1thread_s=%.3f wall_%uthreads_s=%.3f scaling=%.2f\n",
                 Spec.Name.c_str(), GangThreads, InProcStats.ReplaySeconds,
-                GangThreads, StaticStats.ReplaySeconds,
-                StaticStats.ReplaySeconds > 0
-                    ? InProcStats.ReplaySeconds / StaticStats.ReplaySeconds
-                    : 0.0);
+                GangThreads, Wall,
+                Wall > 0 ? InProcStats.ReplaySeconds / Wall : 0.0);
 
-    // The load-balance line: how evenly the dynamic pool kept its
-    // workers busy, how many members were stolen off slow workers, and
-    // what the static-vs-dynamic schedule is worth in wall clock.
-    const GangReplayer::Stats &Load = DynamicStats.Load;
+    // The load-balance line: how evenly the pool kept its workers busy,
+    // how many members were stolen off slow workers, and what the
+    // deferred finish tail cost.
+    const GangReplayer::Stats &Load = ThreadedStats.Load;
     uint64_t Steals = 0;
     std::string Busy, Waits;
     for (size_t W = 0; W < Load.Workers.size(); ++W) {
       Steals += Load.Workers[W].MembersStolen;
       Busy += format("%s%.2f", W == 0 ? "" : ",",
-                     DynamicStats.ReplaySeconds > 0
-                         ? Load.Workers[W].BusySeconds /
-                               DynamicStats.ReplaySeconds
-                         : 0.0);
+                     Wall > 0 ? Load.Workers[W].BusySeconds / Wall : 0.0);
       Waits += format("%s%llu", W == 0 ? "" : ",",
                       (unsigned long long)Load.Workers[W].TilesWaited);
     }
-    std::printf("[timing] bench=%s:loadbalance threads=%u wall_static_s=%.3f "
-                "wall_dynamic_s=%.3f dynamic_speedup=%.2f steals=%llu "
+    std::printf("[timing] bench=%s:loadbalance threads=%u steals=%llu "
                 "deferred=%llu finish_s=%.3f busy=%s waits=%s\n",
-                Spec.Name.c_str(), GangThreads, StaticStats.ReplaySeconds,
-                DynamicStats.ReplaySeconds,
-                DynamicStats.ReplaySeconds > 0
-                    ? StaticStats.ReplaySeconds / DynamicStats.ReplaySeconds
-                    : 0.0,
-                (unsigned long long)Steals,
+                Spec.Name.c_str(), GangThreads, (unsigned long long)Steals,
                 (unsigned long long)Load.DeferredFinishes,
                 Load.FinishSeconds, Busy.c_str(), Waits.c_str());
-    std::printf("verify: %zu cells bit-identical across {serial, static, "
-                "dynamic} x threads {1, %u} in-process execution\n",
+    std::printf("verify: %zu cells bit-identical across threads {1, %u} "
+                "in-process execution\n",
                 InProc.size(), GangThreads);
   }
 
@@ -688,7 +635,6 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
           if (GangThreads > 1) {
             SweepSpec Thr = Run; // keeps the decode mode
             Thr.Threads = GangThreads;
-            Thr.Schedule = GangSchedule::Dynamic;
             std::vector<PerfCounters> ThrCells;
             Fresh.runAll(Thr, 1, ThrCells);
             if (!Compare(ThrCells, (Label + " threaded").c_str())) {
@@ -805,7 +751,7 @@ int main(int argc, char **argv) {
                  "usage: sweep_driver --spec=FILE [--shards=N] [--worker "
                  "--job=I [--attempt=A] | --in-process | --verify | "
                  "--emit-spec] [--worker-cmd=TEMPLATE] "
-                 "[--threads=N (0 = auto)] [--schedule=static|dynamic] "
+                 "[--threads=N (0 = auto)] [--chunk=N] "
                  "[--retries=N] [--backoff-ms=MS] [--job-timeout=MS] "
                  "[--kill-grace=MS] [--hedge=K] [--partial-ok] "
                  "[--trace-compress=on|off] [--kernel=scalar|simd] "
@@ -827,12 +773,12 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-  // --threads / --schedule override the spec's intra-gang knobs in
-  // every mode (the shared bench helper validates them like parsed
-  // fields; threads 0 = auto-detect at executor level). Orchestrated
-  // workers inherit the overrides through the {threads}/{schedule}
-  // command-template substitutions — they re-parse the spec FILE,
-  // which a CLI override never touched.
+  // --threads / --chunk override the spec's intra-gang knobs in every
+  // mode (the shared bench helper validates them like parsed fields;
+  // threads 0 = auto-detect at executor level). Orchestrated workers
+  // inherit the thread count through the {threads} command-template
+  // substitution — they re-parse the spec FILE, which a CLI override
+  // never touched.
   int OverrideExit = 0;
   if (!bench::applySpecOverrides(Opts, Spec, OverrideExit))
     return OverrideExit;
