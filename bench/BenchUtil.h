@@ -268,40 +268,15 @@ inline bool writeOrchestratorReportJson(const std::string &Path,
   return std::fclose(F) == 0 && Ok;
 }
 
-/// Applies the replay-path knobs every entry point shares —
-/// `--trace-compress=on|off` (v2 delta/varint vs v1 flat trace files;
-/// default on), `--kernel=scalar|simd` (gang member kernel; default
-/// scalar, simd = batched with runtime AVX2 dispatch) and
+/// Applies the replay-path knob every entry point shares —
 /// `--decode=materialize|stream|auto` (whole-trace in-memory decode vs
 /// O(tile) streaming from the trace cache file; auto streams past the
-/// VMIB_DECODE_BUDGET footprint) — and RE-EXPORTS each decision into
+/// VMIB_DECODE_BUDGET footprint) — and RE-EXPORTS the decision into
 /// the environment so orchestrated worker processes make the same
-/// choice. All three knobs are bit-identity-neutral by contract; they
-/// only move throughput and memory. \returns false with \p ExitCode
-/// set on a malformed value.
+/// choice. Bit-identity-neutral by contract; it only moves throughput
+/// and memory. \returns false with \p ExitCode set on a malformed
+/// value.
 inline bool applyReplayPathOptions(const OptionParser &Opts, int &ExitCode) {
-  if (Opts.has("trace-compress")) {
-    std::string V = Opts.get("trace-compress");
-    if (V != "on" && V != "off") {
-      std::fprintf(stderr,
-                   "error: bad --trace-compress '%s' (expected on or off)\n",
-                   V.c_str());
-      ExitCode = 1;
-      return false;
-    }
-    ::setenv("VMIB_TRACE_COMPRESS", V.c_str(), 1);
-  }
-  if (Opts.has("kernel")) {
-    std::string V = Opts.get("kernel");
-    if (V != "scalar" && V != "simd" && V != "batched") {
-      std::fprintf(stderr,
-                   "error: bad --kernel '%s' (expected scalar or simd)\n",
-                   V.c_str());
-      ExitCode = 1;
-      return false;
-    }
-    ::setenv("VMIB_GANG_KERNEL", V.c_str(), 1);
-  }
   if (Opts.has("decode")) {
     std::string V = Opts.get("decode");
     TraceDecodeMode Mode;

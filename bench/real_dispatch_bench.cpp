@@ -20,21 +20,18 @@
 /// GangReplayer::Stats — per-worker events replayed, tiles
 /// waited, steals, busy time — as a `[timing]` histogram line, so
 /// worker-slice imbalance is a number in the artifact, not a guess.
-/// BM_TraceDecode tracks raw load bandwidth per on-disk encoding (v1
-/// flat vs v2 delta/varint), and BM_GangBatchedBtb the scalar-vs-
-/// batched kernel gap on an eight-lane BTB capacity-sweep gang.
+/// BM_TraceDecode tracks raw trace-file load bandwidth.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/ForthLab.h"
 #include "realdispatch/RealDispatch.h"
 #include "uarch/TwoLevelPredictor.h"
-#include "vmcore/GangKernels.h"
 #include "vmcore/GangReplayer.h"
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
+#include <cstdio>
 #include <unistd.h>
 
 using namespace vmib;
@@ -214,18 +211,16 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
 }
 
 void BM_TraceDecode(benchmark::State &State) {
-  // Raw trace-load bandwidth per on-disk encoding: Arg(0)=0 is the v1
-  // flat dump (bounded by fread), 1 the v2 delta/varint frames (fread
-  // plus per-frame checksum plus varint decode). items_per_second is
-  // events through DispatchTrace::load; the bytes/ratio counters pin
-  // what the compression buys on a real captured trace.
-  bool Compressed = State.range(0) != 0;
+  // Raw trace-load bandwidth: fread plus per-frame checksum plus varint
+  // decode. items_per_second is events through DispatchTrace::load; the
+  // bytes/ratio counters pin what the encoding buys on a real captured
+  // trace.
   ForthLab &Lab = lab();
   const DispatchTrace &Trace = Lab.trace(ReplayBench);
   constexpr uint64_t Hash = 0x6265636863646563ULL;
   std::string Path = "/tmp/vmib-bench-decode-" +
                      std::to_string(::getpid()) + ".vmibtrace";
-  if (!Trace.saveEncoded(Path, Hash, Compressed)) {
+  if (!Trace.save(Path, Hash)) {
     State.SkipWithError("cannot write temp trace");
     return;
   }
@@ -246,44 +241,6 @@ void BM_TraceDecode(benchmark::State &State) {
   std::remove(Path.c_str());
 }
 
-void BM_GangBatchedBtb(benchmark::State &State) {
-  // A BTB capacity sweep, the shape real gangs take: eight no-evict
-  // predictor-only members over one shared decoded stream, each with a
-  // different 4-way geometry (256..32K entries). Under the batched
-  // kernel (Arg(0)=1) they advance together — one pass over each
-  // decoded tile steps all eight lanes, so the stream is read once per
-  // tile instead of once per member; under the scalar kernel
-  // (Arg(0)=0) the same members run as eight singleton units. The cell
-  // ratio is the raw batching win on a realistic heterogeneous gang.
-  // (Identical-geometry lanes would pack into the AoSoA fast path but
-  // also compute identical tables from the shared stream — a gang no
-  // real sweep submits, so this benchmark measures the mixed path.)
-  bool Batched = State.range(0) != 0;
-  ::setenv("VMIB_GANG_KERNEL", Batched ? "batched" : "scalar", 1);
-  ForthLab &Lab = lab();
-  CpuConfig Cpu = makePentium4Northwood();
-  const DispatchTrace &Trace = Lab.trace(ReplayBench);
-  std::shared_ptr<DispatchProgram> Layout =
-      Lab.buildLayout(ReplayBench, makeVariant(DispatchStrategy::Threaded));
-  constexpr size_t BtbMembers = 8;
-  for (auto _ : State) {
-    GangReplayer Gang(Trace);
-    size_t Base = Gang.addDefault(Layout, Cpu);
-    for (size_t I = 0; I < BtbMembers; ++I) {
-      BTBConfig Sweep = Cpu.Btb;
-      Sweep.Entries = 256u << I;
-      Gang.addBtbPredictorOnly(Layout, Cpu, Sweep, Base);
-    }
-    std::vector<PerfCounters> R = Gang.run();
-    benchmark::DoNotOptimize(R.data());
-  }
-  ::unsetenv("VMIB_GANG_KERNEL");
-  State.SetItemsProcessed(State.iterations() * Trace.numEvents() *
-                          BtbMembers);
-  State.counters["avx2"] =
-      Batched && gang::batchedKernelUsesAvx2() ? 1.0 : 0.0;
-}
-
 } // namespace
 
 BENCHMARK(BM_SwitchDispatch)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
@@ -293,10 +250,6 @@ BENCHMARK(BM_ReplayFull)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayPredictorOnly)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangReplay5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangReplayMixedThreaded)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TraceDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GangBatchedBtb)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -5,41 +5,13 @@
 #include "harness/SweepExecutor.h"
 #include "support/Random.h"
 #include "vmcore/DispatchTrace.h"
-#include "vmcore/GangKernels.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace vmib;
 
 namespace {
-
-/// Save/restore wrapper for the process-wide kernel knob — the same
-/// idiom --verify uses to flip kernels between in-process replays.
-/// Only safe while no other gang replay is running in this process,
-/// which is the Auditor's documented serial contract.
-class ScopedEnv {
-public:
-  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
-    if (const char *Old = std::getenv(Name)) {
-      Saved = Old;
-      HadOld = true;
-    }
-    ::setenv(Name, Value, 1);
-  }
-  ~ScopedEnv() {
-    if (HadOld)
-      ::setenv(Name, Saved.c_str(), 1);
-    else
-      ::unsetenv(Name);
-  }
-
-private:
-  const char *Name;
-  std::string Saved;
-  bool HadOld = false;
-};
 
 uint64_t fnv1aString(const std::string &S) {
   uint64_t H = 0xcbf29ce484222325ULL;
@@ -105,12 +77,12 @@ AuditShape vmib::decorrelatedAuditShape(const SweepSpec &Spec) {
   // Stream (Auto materializes any trace that fits the budget, so
   // Stream is the opposite path in practice; a budget-exceeding trace
   // degenerates to a same-decode audit on that one axis while the
-  // other three still flip).
+  // other two still flip).
   S.Decode = Spec.Decode == TraceDecodeMode::Stream
                  ? TraceDecodeMode::Materialize
                  : TraceDecodeMode::Stream;
   // A prime tile size: audit tiles straddle the primary's tile
-  // boundaries and the v2 trace frames, so a bug tied to either
+  // boundaries and the trace file's frames, so a bug tied to either
   // alignment cannot hit both executions the same way.
   constexpr size_t AuditChunkEvents = 20011;
   size_t PrimaryChunk = Spec.ChunkEvents != 0
@@ -119,8 +91,6 @@ AuditShape vmib::decorrelatedAuditShape(const SweepSpec &Spec) {
   S.ChunkEvents = PrimaryChunk == AuditChunkEvents ? 2 * AuditChunkEvents
                                                    : AuditChunkEvents;
   S.Threads = resolveGangThreads(Spec.Threads) <= 1 ? 2 : 1;
-  S.Kernel =
-      gang::kernelMode() == gang::KernelMode::Batched ? "scalar" : "simd";
   return S;
 }
 
@@ -129,8 +99,6 @@ AuditShape vmib::canonicalAuditShape() { return AuditShape(); }
 std::string vmib::auditShapeId(const AuditShape &S) {
   std::string Out = "decode:";
   Out += traceDecodeModeId(S.Decode);
-  Out += ",kernel:";
-  Out += S.Kernel;
   Out += ",chunk:";
   Out += S.ChunkEvents == 0 ? "default" : std::to_string(S.ChunkEvents);
   Out += ",threads:" + std::to_string(S.Threads);
@@ -145,7 +113,6 @@ Auditor::replayShaped(const SweepSpec &Spec, size_t Workload,
   Shaped.Decode = Shape.Decode;
   Shaped.ChunkEvents = Shape.ChunkEvents;
   Shaped.Threads = Shape.Threads;
-  ScopedEnv Kernel("VMIB_GANG_KERNEL", Shape.Kernel);
   // Direct replay: no store (the shape-free key would re-serve the
   // very value under audit), no fault injection (the flip draws are
   // keyed on the cell, so an injected primary fault would reproduce

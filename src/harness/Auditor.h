@@ -4,7 +4,7 @@
 /// The always-on silent-corruption audit layer. Every guarantee the
 /// sweep pipeline makes reduces to one contract: a cell's counters are
 /// a pure function of (trace content, member config), bit-identical
-/// across decode mode, kernel, tile size, thread count and shard count.
+/// across decode mode, tile size, thread count and shard count.
 /// `--verify` checks that contract when a human asks; the Auditor
 /// checks it *continuously*, on a deterministically sampled subset of
 /// real production cells:
@@ -15,16 +15,16 @@
 ///     same cells and sharding cannot dodge the sample.
 ///  2. **Re-execute decorrelated** — the sampled cell replays through
 ///     an execution shape that flips every axis relative to the
-///     primary: decode mode (stream<->materialize), kernel
-///     (scalar<->simd), gang tile size and thread count.
+///     primary: decode mode (stream<->materialize), gang tile size and
+///     thread count.
 ///     A bug or bit flip tied to any one shape cannot corrupt both
 ///     executions identically. Audit executions bypass the result
 ///     store and run fault-injection-free: the store key ignores shape
 ///     (caching across shapes is its point), so a store-served cell
 ///     would otherwise just re-serve itself.
 ///  3. **Tiebreak + triage** — on mismatch, a third execution through
-///     the canonical clean shape (materialize, scalar, default tile,
-///     one thread) classifies the fault:
+///     the canonical clean shape (materialize, default tile, one
+///     thread) classifies the fault:
 ///       tiebreak == audit  != primary : the primary was wrong. If the
 ///           store would serve that wrong value -> store-served
 ///           corruption (quarantine the cell, never delete); else
@@ -100,29 +100,27 @@ enum class AuditVerdict : uint8_t {
 const char *auditVerdictId(AuditVerdict V);
 
 /// One point in execution-shape space: the axes the bit-identity
-/// contract quantifies over.
+/// contract quantifies over. A plain value — replaying a shape means
+/// copying these fields into a SweepSpec, nothing process-wide.
 struct AuditShape {
   TraceDecodeMode Decode = TraceDecodeMode::Materialize;
   /// Gang tile size in events (the spec `chunk` field, outside the
   /// store key); 0 = DispatchTrace::defaultChunkEvents().
   size_t ChunkEvents = 0;
   unsigned Threads = 1;
-  /// VMIB_GANG_KERNEL value for the replay ("scalar" or "simd").
-  const char *Kernel = "scalar";
 };
 
 /// The decorrelation matrix: every axis flipped relative to what
-/// \p Spec (plus the process-wide kernel knob) would run as primary.
+/// \p Spec would run as primary.
 AuditShape decorrelatedAuditShape(const SweepSpec &Spec);
 
 /// The tiebreak shape: the canonical clean configuration
-/// (materialize, default tile, one thread, scalar kernel) — the
-/// most-tested baseline path, and the authority when primary and audit
-/// disagree.
+/// (materialize, default tile, one thread) — the most-tested baseline
+/// path, and the authority when primary and audit disagree.
 AuditShape canonicalAuditShape();
 
-/// "decode:stream,kernel:simd,chunk:20011,threads:2" for logs (chunk
-/// 0 renders as "default").
+/// "decode:stream,chunk:20011,threads:2" for logs (chunk 0 renders as
+/// "default").
 std::string auditShapeId(const AuditShape &S);
 
 /// Counters the audit layer reports (summed across slices / workers /
@@ -149,11 +147,11 @@ struct AuditStats {
 };
 
 /// The in-process audit engine, shared by `runAll` (audits each
-/// workload row after its gang completes) and worker mode (audits the
-/// shard slice before emitting rows). NOT thread-safe, and must not
-/// run concurrently with other gang replays in this process: shape
-/// re-execution flips the process-wide VMIB_GANG_KERNEL knob around
-/// each replay (save/restore, the --verify idiom).
+/// workload row after the pipeline drains) and worker mode (audits the
+/// shard slice before emitting rows). NOT thread-safe: its counters,
+/// its `[audit]` lines and its store repairs are unsynchronized, so
+/// callers run one auditSlice() at a time. Shape re-execution itself
+/// touches no process-wide state.
 class Auditor {
 public:
   /// \p Store (may be null) is consulted and repaired during triage;

@@ -385,10 +385,10 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
   // no events.
   Stats.ReplayedEvents = Stats.Load.MemberEvents;
 
-  // Audit after the pipeline has fully drained, serially: shape
-  // re-execution flips the process-wide kernel knob, which must never
-  // race a concurrent gang. Rows are repaired in place, so the scatter
-  // below publishes the post-audit (authoritative) cells.
+  // Audit after the pipeline has fully drained, one row at a time: the
+  // Auditor's counters, [audit] lines and store repairs are
+  // unsynchronized. Rows are repaired in place, so the scatter below
+  // publishes the post-audit (authoritative) cells.
   if (Audit && Audit->plan().enabled())
     for (size_t I = 0; I < W; ++I)
       Audit->auditSlice(Spec, I, 0, M, Rows[I]);

@@ -122,8 +122,8 @@ public:
 
   /// Attaches an Auditor (borrowed, may be null to detach): runAll
   /// then audits each workload's row after the pipeline completes —
-  /// serially, because shape re-execution flips the process-wide
-  /// kernel knob — repairing rows in place before cells scatter.
+  /// serially, because the Auditor is not thread-safe — repairing rows
+  /// in place before cells scatter.
   void setAuditor(Auditor *A) { Audit = A; }
 
   /// The audit layer's re-execution entry: replays \p Members

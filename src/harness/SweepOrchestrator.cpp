@@ -274,13 +274,12 @@ bool Orchestration::spawnImpl(size_t JobIdx, bool Hedge,
   substitute(Cmd, "{job}", std::to_string(JobIdx));
   if (Shape) {
     // Audit shard: the decorrelated (or tiebreak) shape rides the
-    // {threads} placeholder; tile size, decode and kernel have none,
-    // so they append as flags, together with --audit-exec (clean
-    // re-execution: no store, no fault injection, no self-audit).
+    // {threads} placeholder; tile size and decode have none, so they
+    // append as flags, together with --audit-exec (clean re-execution:
+    // no store, no fault injection, no self-audit).
     substitute(Cmd, "{threads}", std::to_string(Shape->Threads));
-    Cmd += format(" --chunk=%zu --decode=%s --kernel=%s --audit-exec",
-                  Shape->ChunkEvents, traceDecodeModeId(Shape->Decode),
-                  Shape->Kernel);
+    Cmd += format(" --chunk=%zu --decode=%s --audit-exec",
+                  Shape->ChunkEvents, traceDecodeModeId(Shape->Decode));
   } else {
     substitute(Cmd, "{threads}", std::to_string(WorkerThreads));
   }

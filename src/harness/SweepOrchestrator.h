@@ -141,8 +141,8 @@ struct SweepWorkerOptions {
   /// seeded draw samples are re-dispatched — like hedges, only into
   /// idle slots once the job queue has drained, so audit steals no
   /// critical-path latency — as `--audit-exec` workers running the
-  /// fully decorrelated shape (decode/kernel/tile size/threads all
-  /// flipped, store and fault injection off). Mismatching cells get a
+  /// fully decorrelated shape (decode/tile size/threads all flipped,
+  /// store and fault injection off). Mismatching cells get a
   /// third canonical-shape tiebreak dispatch; the triage ladder then
   /// classifies (store corruption / compute divergence /
   /// nondeterminism), quarantines implicated store cells, and repairs

@@ -2,9 +2,11 @@
 
 #include "harness/SweepRunner.h"
 
+#include "support/CommandLine.h"
+
 #include <atomic>
+#include <climits>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -12,13 +14,9 @@
 using namespace vmib;
 
 unsigned vmib::defaultSweepThreads() {
-  if (const char *Env = std::getenv("VMIB_THREADS")) {
-    long N = std::strtol(Env, nullptr, 10);
-    if (N >= 1)
-      return static_cast<unsigned>(N);
-  }
   unsigned HW = std::thread::hardware_concurrency();
-  return HW == 0 ? 1 : HW;
+  return static_cast<unsigned>(
+      envCount("VMIB_THREADS", HW == 0 ? 1 : HW, UINT_MAX));
 }
 
 void vmib::parallelFor(size_t N, unsigned Threads,

@@ -28,7 +28,8 @@
 namespace vmib {
 
 /// Worker count for bench sweeps: the VMIB_THREADS environment variable
-/// if set (>=1), otherwise std::thread::hardware_concurrency (min 1).
+/// if set to a count (see envCount()), otherwise
+/// std::thread::hardware_concurrency (min 1).
 unsigned defaultSweepThreads();
 
 /// Runs Body(0), ..., Body(N-1) across \p Threads workers. Blocks until

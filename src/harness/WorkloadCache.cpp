@@ -1,9 +1,9 @@
 //===- harness/WorkloadCache.cpp - Persisted warm-up state ----------------===//
 ///
-/// Both sidecar formats are flat little-endian u64 words, mirroring the
-/// trace file format (same loader discipline: validate sizes before
-/// sizing buffers, checksum everything, reject — never partially
-/// apply — anything that does not verify).
+/// Both sidecar formats are flat little-endian u64 words under the
+/// trace file's loader discipline: validate sizes before sizing
+/// buffers, checksum everything, reject — never partially apply —
+/// anything that does not verify.
 ///
 ///   meta:     [magic, version, binding, refhash, refsteps, checksum]
 ///   profile:  [magic, version, boundhash, numOpcodeWeights,

@@ -2,7 +2,12 @@
 
 #include "support/CommandLine.h"
 
+#include <cerrno>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 
 using namespace vmib;
 
@@ -37,4 +42,28 @@ int64_t OptionParser::getInt(const std::string &Name, int64_t Default) const {
   if (It == Options.end())
     return Default;
   return std::strtoll(It->second.c_str(), nullptr, 0);
+}
+
+uint64_t vmib::envCount(const char *Name, uint64_t Default, uint64_t Max) {
+  const char *Env = std::getenv(Name);
+  if (Env == nullptr || Env[0] == '\0')
+    return Default;
+  bool Digits = true;
+  for (const char *P = Env; *P != '\0'; ++P)
+    Digits &= *P >= '0' && *P <= '9';
+  if (Digits) {
+    errno = 0;
+    unsigned long long N = std::strtoull(Env, nullptr, 10);
+    if (errno == 0 && N >= 1 && N <= Max)
+      return N;
+  }
+  static std::mutex Mutex;
+  static std::set<std::string> Warned;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  if (Warned.insert(Name).second)
+    std::fprintf(stderr,
+                 "warning: ignoring %s='%s' (expected a whole number from 1 "
+                 "to %" PRIu64 "); using %" PRIu64 "\n",
+                 Name, Env, Max, Default);
+  return Default;
 }

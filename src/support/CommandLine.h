@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Minimal --name=value / --flag option parsing for the examples and the
-/// bench binaries. Not a general library; just enough to select
-/// benchmarks, variants and CPU models from the command line.
+/// bench binaries, plus the strict count parser for the VMIB_* sizing
+/// variables. Not a general library; just enough to select benchmarks,
+/// variants and CPU models from the command line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,15 @@ private:
   std::map<std::string, std::string> Options;
   std::vector<std::string> Positional;
 };
+
+/// Reads environment variable \p Name as a count: decimal digits only
+/// (no sign, space or suffix), no overflow, at least 1 and at most
+/// \p Max. \returns \p Default when the variable is unset or empty,
+/// and also for a value that breaks the rule — after one warning on
+/// stderr per variable, so "64k" or "4x" can never silently become 64
+/// or 4. Thread-safe.
+uint64_t envCount(const char *Name, uint64_t Default,
+                  uint64_t Max = UINT64_MAX);
 
 } // namespace vmib
 

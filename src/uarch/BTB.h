@@ -187,39 +187,6 @@ public:
   bool overflowed() const { return Overflowed; }
   std::string name() const { return "no-evict-btb"; }
 
-  /// Raw-pointer window over this predictor's state for the batched
-  /// gang kernels (GangKernels.h): one lane of an AoSoA batch is
-  /// exactly this view. The kernel must apply the same transitions as
-  /// predictAndUpdate() above — that function stays the single source
-  /// of truth for the semantics; the view only removes the
-  /// one-member-at-a-time call boundary. Pointers alias the member's
-  /// vectors, so the view is invalidated by reset() re-assignment only
-  /// if the vectors reallocate (assign() keeps capacity — they don't),
-  /// but callers still re-take views per tile for clarity.
-  struct KernelView {
-    Addr *Tags = nullptr;
-    Addr *Targets = nullptr;
-    uint8_t *Counters = nullptr; // null unless TwoBitCounters
-    FastMod SetMod;
-    uint32_t Ways = 0;
-    uint32_t IndexShift = 0;
-    bool TwoBitCounters = false;
-    bool *Overflowed = nullptr;
-  };
-
-  KernelView kernelView() {
-    KernelView V;
-    V.Tags = Tags.data();
-    V.Targets = Targets.data();
-    V.Counters = Config.TwoBitCounters ? Counters.data() : nullptr;
-    V.SetMod = SetMod;
-    V.Ways = Config.Ways;
-    V.IndexShift = Config.IndexShift;
-    V.TwoBitCounters = Config.TwoBitCounters;
-    V.Overflowed = &Overflowed;
-    return V;
-  }
-
   /// Mutable predictor state (gang packing audit): the SoA arrays are
   /// what a dense gang keeps cache-resident — no LRU clocks, and the
   /// counter array only exists in two-bit mode.

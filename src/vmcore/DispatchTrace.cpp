@@ -1,31 +1,20 @@
 //===- vmcore/DispatchTrace.cpp - Trace serialization ---------------------===//
 ///
-/// Binary trace file formats. Both versions share the six-word header
-/// (all fields little-endian u64):
+/// Binary trace file format, version 2 (all header fields little-endian
+/// u64):
 ///
 ///   [0] magic "VMIBTRC\1"
-///   [1] format version (1 = flat, 2 = compressed)
+///   [1] format version (2)
 ///   [2] number of events
 ///   [3] number of quicken records
 ///   [4] workload identity hash (reference output hash of the workload)
 ///   [5] FNV-1a content hash over the LOGICAL stream: the packed event
 ///       words followed by the four packed words of each quicken record
-///       — i.e. exactly what the v1 payload spells out byte for byte.
-///       Because the hash is defined over the logical stream rather
-///       than the file bytes, re-encoding a trace preserves its hash,
-///       and every content-keyed derivation (ResultStore cells,
-///       WorkloadCache cost sidecars) survives the re-encoding.
-///
-/// Version 1 payload — a flat dump of the in-memory arenas (a load is
-/// two bulk reads):
-///
-///   [6..6+numEvents)            packed (Cur,Next) event words
-///   [.. 4 words per quicken)    AfterEvents, (Op << 32 | Index), A, B
-///
-/// Version 2 payload — delta + LEB128 varint encoding in independently
-/// decodable frames of FrameEvents (64K) events, aligned with the
-/// default gang tile so one frame feeds one replay tile:
-///
+///       (AfterEvents, Op << 32 | Index, A, B). Because the hash is
+///       defined over the logical stream rather than the file bytes,
+///       every content-keyed derivation (ResultStore cells,
+///       WorkloadCache cost sidecars) survives a change of encoding —
+///       the retired version-1 flat dump declared the same hash here.
 ///   [6] events per frame (FrameEvents at write time)
 ///   [7] number of frames = ceil(numEvents / eventsPerFrame)
 ///   [8] quicken block payload bytes
@@ -36,10 +25,12 @@
 ///   then the frame payloads, concatenated, byte-aligned
 ///   then the quicken block payload
 ///
-/// Per-event encoding inside a frame (PrevNext starts at 0 at every
-/// frame boundary, so frames decode independently): dispatch is a walk
-/// — almost every event starts where the previous one landed — so one
-/// token usually suffices:
+/// Events are delta + LEB128 varint encoded in independently decodable
+/// frames of FrameEvents (64K) events, aligned with the default gang
+/// tile so one frame feeds one replay tile. Per-event encoding inside a
+/// frame (PrevNext starts at 0 at every frame boundary): dispatch is a
+/// walk — almost every event starts where the previous one landed — so
+/// one token usually suffices:
 ///
 ///   token  = zigzag(Next - Cur) << 1 | (Cur != PrevNext)
 ///   extra  = zigzag(Cur - PrevNext)      only when the low bit is set
@@ -50,18 +41,20 @@
 /// The per-frame checksums make any payload corruption loud before a
 /// single decoded value is trusted, and the header checksum [10] makes
 /// every header byte load-bearing — including the stored logical hash
-/// [5], which nothing else cross-checks. Together they let the v2 load
-/// skip the O(N) logical-hash recompute that dominates flat decode:
-/// the frame checksums pin the payload bytes, the exact size equation
-/// and per-frame event counts pin the payload structure, and the
-/// header checksum pins the declarations. A failed load never exposes
-/// partial state. Only same-endianness interchange is supported — the
-/// trace cache is a local/cluster artifact, not an archival one.
+/// [5], which nothing else cross-checks. Together they let a load skip
+/// the O(N) logical-hash recompute: the frame checksums pin the payload
+/// bytes, the exact size equation and per-frame event counts pin the
+/// payload structure, and the header checksum pins the declarations.
+/// FrameReader is the one validator and decoder; load() is open() plus
+/// one read() of the whole stream. A failed load never exposes partial
+/// state. Only same-endianness interchange is supported — the trace
+/// cache is a local/cluster artifact, not an archival one.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "vmcore/DispatchTrace.h"
 
+#include "support/CommandLine.h"
 #include "support/FileSync.h"
 #include "support/Format.h"
 
@@ -103,15 +96,16 @@ constexpr uint64_t FileMagic = 0x0143525442494d56ULL; // "VMIBTRC\1"
 /// quicken recording). The workload hash only ties a file to a
 /// program's output, which does not change when event emission does —
 /// the version word is what retires every stale cache entry at once.
-/// Version 2 (the compressed encoding) deliberately did NOT retire v1
-/// files: the logical stream and its hash are unchanged, so both
-/// versions stay loadable side by side.
-constexpr uint64_t FlatVersion = 1;
-constexpr uint64_t CompressedVersion = 2;
-constexpr size_t HeaderWords = 6;
-constexpr size_t HeaderWordsV2 = 11;
+/// Version 1 (a flat u64 dump) is retired this way: its files are
+/// rejected as stale and recaptured, and because both versions declare
+/// the same logical hash, the recaptured file keys the same cells.
+constexpr uint64_t FileVersion = 2;
+/// Words [0..5], the prefix every version has shared: what the header
+/// peeks read, and enough to reject another version as stale.
+constexpr size_t PrefixWords = 6;
+constexpr size_t HeaderWords = 11;
 constexpr size_t WordsPerQuicken = 4;
-/// v2 frame granularity. Matches DispatchTrace::defaultChunkEvents()'s
+/// Frame granularity. Matches DispatchTrace::defaultChunkEvents()'s
 /// default so one decoded frame covers one gang tile, but is a file
 /// format constant: VMIB_GANG_CHUNK must never change what save()
 /// writes (the encoding stays canonical per content).
@@ -134,16 +128,6 @@ void packQuicken(const DispatchTrace::QuickenRecord &Q, uint64_t Out[4]) {
   Out[1] = (static_cast<uint64_t>(Q.NewInstr.Op) << 32) | Q.Index;
   Out[2] = static_cast<uint64_t>(Q.NewInstr.A);
   Out[3] = static_cast<uint64_t>(Q.NewInstr.B);
-}
-
-DispatchTrace::QuickenRecord unpackQuicken(const uint64_t In[4]) {
-  DispatchTrace::QuickenRecord Q;
-  Q.AfterEvents = In[0];
-  Q.Index = static_cast<uint32_t>(In[1]);
-  Q.NewInstr.Op = static_cast<Opcode>(In[1] >> 32);
-  Q.NewInstr.A = static_cast<int64_t>(In[2]);
-  Q.NewInstr.B = static_cast<int64_t>(In[3]);
-  return Q;
 }
 
 /// RAII stdio handle so every early return closes the file.
@@ -253,12 +237,7 @@ bool decodeEventFrame(ByteReader &R, size_t NumEvents,
 } // namespace
 
 size_t DispatchTrace::defaultChunkEvents() {
-  if (const char *Env = std::getenv("VMIB_GANG_CHUNK")) {
-    long N = std::strtol(Env, nullptr, 10);
-    if (N >= 1)
-      return static_cast<size_t>(N);
-  }
-  return size_t{1} << 16;
+  return static_cast<size_t>(envCount("VMIB_GANG_CHUNK", size_t{1} << 16));
 }
 
 uint64_t DispatchTrace::contentHash() const {
@@ -289,21 +268,8 @@ void DispatchTrace::sealWith(uint64_t Hash) {
   Sealed = true;
 }
 
-bool DispatchTrace::compressEnabled() {
-  const char *Env = std::getenv("VMIB_TRACE_COMPRESS");
-  if (Env == nullptr || Env[0] == '\0')
-    return true;
-  return !(std::strcmp(Env, "off") == 0 || std::strcmp(Env, "0") == 0);
-}
-
 bool DispatchTrace::save(const std::string &Path,
                          uint64_t WorkloadHash) const {
-  return saveEncoded(Path, WorkloadHash, compressEnabled());
-}
-
-bool DispatchTrace::saveEncoded(const std::string &Path,
-                                uint64_t WorkloadHash,
-                                bool Compressed) const {
   // Write to a writer-unique temp name and rename so a crashed writer
   // never leaves a half-written file under the canonical key, and
   // concurrent capturing writers (two benches racing on a cold cache,
@@ -319,12 +285,10 @@ bool DispatchTrace::saveEncoded(const std::string &Path,
     File Out(Tmp.c_str(), "wb");
     if (!Out.F)
       return false;
-    bool Written = Compressed ? writeCompressed(Out.F, WorkloadHash)
-                              : writeFlat(Out.F, WorkloadHash);
     // fsync before rename: rename orders only the directory entry, so
     // without this a crash after the rename could surface a complete-
     // looking name over still-unwritten data blocks.
-    if (!Written || !flushAndSync(Out.F)) {
+    if (!write(Out.F, WorkloadHash) || !flushAndSync(Out.F)) {
       std::remove(Tmp.c_str());
       return false;
     }
@@ -336,28 +300,7 @@ bool DispatchTrace::saveEncoded(const std::string &Path,
   return true;
 }
 
-bool DispatchTrace::writeFlat(std::FILE *F, uint64_t WorkloadHash) const {
-  uint64_t Header[HeaderWords] = {FileMagic,     FlatVersion,
-                                  Events.size(), Quickens.size(),
-                                  WorkloadHash,  contentHash()};
-  if (std::fwrite(Header, sizeof(uint64_t), HeaderWords, F) != HeaderWords)
-    return false;
-  if (!Events.empty() &&
-      std::fwrite(Events.data(), sizeof(Event), Events.size(), F) !=
-          Events.size())
-    return false;
-  for (const QuickenRecord &Q : Quickens) {
-    uint64_t Words[WordsPerQuicken];
-    packQuicken(Q, Words);
-    if (std::fwrite(Words, sizeof(uint64_t), WordsPerQuicken, F) !=
-        WordsPerQuicken)
-      return false;
-  }
-  return true;
-}
-
-bool DispatchTrace::writeCompressed(std::FILE *F,
-                                    uint64_t WorkloadHash) const {
+bool DispatchTrace::write(std::FILE *F, uint64_t WorkloadHash) const {
   const size_t NumFrames =
       Events.empty() ? 0 : (Events.size() + FrameEvents - 1) / FrameEvents;
 
@@ -392,20 +335,19 @@ bool DispatchTrace::writeCompressed(std::FILE *F,
     PrevAfter = Q.AfterEvents;
   }
 
-  uint64_t Header[HeaderWordsV2] = {
-      FileMagic,     CompressedVersion,
+  uint64_t Header[HeaderWords] = {
+      FileMagic,     FileVersion,
       Events.size(), Quickens.size(),
       WorkloadHash,  contentHash(),
       FrameEvents,   NumFrames,
       QBlock.size(), fnv1a(Fnv1aOffset, QBlock.data(), QBlock.size())};
   // Header checksum over words [0..9]: the stored logical hash [5] is
   // the one declaration no downstream check cross-validates, and
-  // covering it here is what lets load() trust the stored hash without
+  // covering it here is what lets a load trust the stored hash without
   // recomputing it over the decoded stream.
-  Header[HeaderWordsV2 - 1] =
-      fnv1a(Fnv1aOffset, Header, (HeaderWordsV2 - 1) * sizeof(uint64_t));
-  if (std::fwrite(Header, sizeof(uint64_t), HeaderWordsV2, F) !=
-      HeaderWordsV2)
+  Header[HeaderWords - 1] =
+      fnv1a(Fnv1aOffset, Header, (HeaderWords - 1) * sizeof(uint64_t));
+  if (std::fwrite(Header, sizeof(uint64_t), HeaderWords, F) != HeaderWords)
     return false;
   if (!Dir.empty() &&
       std::fwrite(Dir.data(), sizeof(uint64_t), Dir.size(), F) != Dir.size())
@@ -419,45 +361,49 @@ bool DispatchTrace::writeCompressed(std::FILE *F,
   return true;
 }
 
-bool DispatchTrace::peekContentHash(const std::string &Path, uint64_t &Hash) {
-  File In(Path.c_str(), "rb");
-  if (!In.F)
-    return false;
-  uint64_t Header[HeaderWords];
-  if (std::fread(Header, sizeof(uint64_t), HeaderWords, In.F) != HeaderWords)
-    return false;
-  // Both encodings declare the logical-stream hash in header word 5:
-  // a probe keyed off a v1 file keeps finding its cells after the
-  // trace is re-encoded to v2 (and vice versa).
-  if (Header[0] != FileMagic ||
-      (Header[1] != FlatVersion && Header[1] != CompressedVersion))
-    return false;
-  Hash = Header[5];
-  return true;
-}
+namespace {
 
-bool DispatchTrace::peekFileInfo(const std::string &Path, FileInfo &Info) {
+/// Reads the shared header prefix of the trace at \p Path, plus the
+/// file size. \returns false when the file is missing, shorter than
+/// the prefix, or is not a current-version trace file.
+bool peekPrefix(const std::string &Path, uint64_t (&Prefix)[PrefixWords],
+                uint64_t *FileBytes) {
   File In(Path.c_str(), "rb");
-  if (!In.F)
+  if (!In.F ||
+      std::fread(Prefix, sizeof(uint64_t), PrefixWords, In.F) != PrefixWords ||
+      Prefix[0] != FileMagic || Prefix[1] != FileVersion)
     return false;
-  uint64_t Header[HeaderWords];
-  if (std::fread(Header, sizeof(uint64_t), HeaderWords, In.F) != HeaderWords)
-    return false;
-  if (Header[0] != FileMagic ||
-      (Header[1] != FlatVersion && Header[1] != CompressedVersion))
-    return false;
+  if (FileBytes == nullptr)
+    return true;
   if (std::fseek(In.F, 0, SEEK_END) != 0)
     return false;
   long Bytes = std::ftell(In.F);
   if (Bytes < 0)
     return false;
-  Info.Version = Header[1];
-  Info.NumEvents = Header[2];
-  Info.NumQuickens = Header[3];
-  Info.FileBytes = static_cast<uint64_t>(Bytes);
-  Info.LogicalBytes =
-      sizeof(uint64_t) *
-      (HeaderWords + Info.NumEvents + WordsPerQuicken * Info.NumQuickens);
+  *FileBytes = static_cast<uint64_t>(Bytes);
+  return true;
+}
+
+} // namespace
+
+bool DispatchTrace::peekContentHash(const std::string &Path, uint64_t &Hash) {
+  uint64_t Prefix[PrefixWords];
+  if (!peekPrefix(Path, Prefix, nullptr))
+    return false;
+  Hash = Prefix[5];
+  return true;
+}
+
+bool DispatchTrace::peekFileInfo(const std::string &Path, FileInfo &Info) {
+  uint64_t Prefix[PrefixWords];
+  uint64_t FileBytes = 0;
+  if (!peekPrefix(Path, Prefix, &FileBytes))
+    return false;
+  Info.NumEvents = Prefix[2];
+  Info.NumQuickens = Prefix[3];
+  Info.FileBytes = FileBytes;
+  Info.LogicalBytes = Info.NumEvents * sizeof(Event) +
+                      Info.NumQuickens * sizeof(QuickenRecord);
   return true;
 }
 
@@ -465,224 +411,31 @@ bool DispatchTrace::load(const std::string &Path,
                          uint64_t ExpectedWorkloadHash, std::string *Diag) {
   pinLargeBlocksToMmap();
   clear();
-  // Every failure path funnels through here: the trace is cleared again
-  // so a partially filled buffer can never leak out, and the caller
-  // gets one line naming exactly what was rejected.
-  auto Fail = [&](std::string Why) {
+  // The streaming reader is the one validator and decoder: open()
+  // checks everything but the frame payloads, and one read() of the
+  // whole stream verifies each frame's checksum before decoding it
+  // straight into the reserved arena. Every failure clears the trace
+  // again, so a partially filled buffer never leaks out.
+  FrameReader Reader;
+  if (!Reader.open(Path, ExpectedWorkloadHash, Diag))
+    return false;
+  Events.reserve(Reader.numEvents());
+  if (!Reader.read(Reader.numEvents(), Events)) {
     clear();
     if (Diag)
-      *Diag = Path + ": " + std::move(Why);
+      *Diag = Reader.error();
     return false;
-  };
-  File In(Path.c_str(), "rb");
-  if (!In.F)
-    return Fail(format("cannot open: %s", std::strerror(errno)));
-  if (std::fseek(In.F, 0, SEEK_END) != 0)
-    return Fail("seek failed");
-  long FileBytes = std::ftell(In.F);
-  if (FileBytes < 0 || std::fseek(In.F, 0, SEEK_SET) != 0)
-    return Fail("seek failed");
-  uint64_t Header[HeaderWords];
-  if (std::fread(Header, sizeof(uint64_t), HeaderWords, In.F) != HeaderWords)
-    return Fail(format("truncated: %ld bytes is shorter than the %zu-byte "
-                       "header",
-                       FileBytes, HeaderWords * sizeof(uint64_t)));
-  if (Header[0] != FileMagic)
-    return Fail("bad magic (not a trace file)");
-  if (Header[1] != FlatVersion && Header[1] != CompressedVersion)
-    return Fail(format("format version %llu, expected %llu or %llu (stale "
-                       "cache entry)",
-                       (unsigned long long)Header[1],
-                       (unsigned long long)FlatVersion,
-                       (unsigned long long)CompressedVersion));
-  if (Header[4] != ExpectedWorkloadHash)
-    return Fail(format("workload hash %016llx does not match expected "
-                       "%016llx (trace was captured from a different "
-                       "workload)",
-                       (unsigned long long)Header[4],
-                       (unsigned long long)ExpectedWorkloadHash));
-  uint64_t NumEvents = Header[2], NumQuickens = Header[3];
-
-  if (Header[1] == FlatVersion) {
-    // Validate the counts against the actual file size before sizing any
-    // buffer: a corrupted header must fail the load, not throw out of a
-    // resize. The check is exact, so trailing garbage is rejected too.
-    uint64_t FileWords = static_cast<uint64_t>(FileBytes) / sizeof(uint64_t);
-    if (NumEvents > FileWords || NumQuickens > FileWords ||
-        HeaderWords + NumEvents + WordsPerQuicken * NumQuickens != FileWords ||
-        static_cast<uint64_t>(FileBytes) % sizeof(uint64_t) != 0)
-      return Fail(format("size mismatch: header claims %llu events + %llu "
-                         "quicken records but the file holds %ld bytes "
-                         "(truncated or trailing garbage)",
-                         (unsigned long long)NumEvents,
-                         (unsigned long long)NumQuickens, FileBytes));
-    Events.resize(NumEvents);
-    if (NumEvents != 0 &&
-        std::fread(Events.data(), sizeof(Event), NumEvents, In.F) != NumEvents)
-      return Fail("short read on event array");
-    // Hash the RAW file words as read, not the re-packed parsed records:
-    // unpack→pack canonicalizes (e.g. the unused high bits of a quicken
-    // opcode word), so hashing parsed data would let a corrupted
-    // non-canonical byte load silently (caught by tests/TraceFuzzTest).
-    // For a canonical file this equals contentHash() of the result.
-    uint64_t Hash = Fnv1aOffset;
-    Hash = fnv1a(Hash, Events.data(), Events.size() * sizeof(Event));
-    Quickens.reserve(NumQuickens);
-    for (size_t I = 0; I < NumQuickens; ++I) {
-      uint64_t Words[WordsPerQuicken];
-      if (std::fread(Words, sizeof(uint64_t), WordsPerQuicken, In.F) !=
-          WordsPerQuicken)
-        return Fail("short read on quicken records");
-      Hash = fnv1a(Hash, Words, sizeof(Words));
-      Quickens.push_back(unpackQuicken(Words));
-    }
-    if (Hash != Header[5])
-      return Fail("content hash mismatch (bit corruption)");
-    sealWith(Hash);
-    return true;
   }
-
-  //===--- v2 compressed ---------------------------------------------------===//
-
-  uint64_t Ext[HeaderWordsV2 - HeaderWords];
-  if (std::fread(Ext, sizeof(uint64_t), HeaderWordsV2 - HeaderWords, In.F) !=
-      HeaderWordsV2 - HeaderWords)
-    return Fail("truncated: missing compressed-header extension");
-  // Header checksum first, before a single extension word is trusted.
-  // FNV-1a is byte-serial, so chaining the two reads hashes exactly
-  // header words [0..9] as written. This is what covers the stored
-  // logical hash [5] — every other word is cross-checked by a
-  // downstream structural comparison, but [5] is only ever *declared*,
-  // and verifying the declaration here is what lets the decode below
-  // skip the O(N) logical-hash recompute the flat path pays.
-  uint64_t HdrHash = fnv1a(Fnv1aOffset, Header, sizeof(Header));
-  HdrHash = fnv1a(HdrHash, Ext, (HeaderWordsV2 - HeaderWords - 1) *
-                                    sizeof(uint64_t));
-  if (HdrHash != Ext[HeaderWordsV2 - HeaderWords - 1])
-    return Fail("header checksum mismatch (bit corruption)");
-  uint64_t EventsPerFrame = Ext[0], NumFrames = Ext[1];
-  uint64_t QuickenBytes = Ext[2], QuickenChecksum = Ext[3];
-  uint64_t FileBytesU = static_cast<uint64_t>(FileBytes);
-  // The writer only ever emits FrameEvents; any other value is header
-  // corruption today (a future frame-size change is a version bump).
-  // Pinning it keeps every header byte load-bearing — a flipped
-  // events-per-frame byte must not load, not even "accidentally
-  // equivalently" when the trace happens to fit one frame either way.
-  if (EventsPerFrame != FrameEvents)
-    return Fail(format("corrupt header: %llu events per frame (expected "
-                       "%llu)",
-                       (unsigned long long)EventsPerFrame,
-                       (unsigned long long)FrameEvents));
-  uint64_t WantFrames =
-      NumEvents == 0 ? 0 : (NumEvents + EventsPerFrame - 1) / EventsPerFrame;
-  // Bound the directory by the file size before trusting NumFrames for
-  // an allocation: each directory entry is 16 bytes, so a frame count
-  // the file cannot even index is a corrupt header, full stop.
-  if (NumFrames != WantFrames ||
-      NumFrames > FileBytesU / (2 * sizeof(uint64_t)))
-    return Fail(format("corrupt header: %llu frames for %llu events at "
-                       "%llu events/frame",
-                       (unsigned long long)NumFrames,
-                       (unsigned long long)NumEvents,
-                       (unsigned long long)EventsPerFrame));
-  std::vector<uint64_t> Dir(2 * NumFrames);
-  if (!Dir.empty() &&
-      std::fread(Dir.data(), sizeof(uint64_t), Dir.size(), In.F) !=
-          Dir.size())
-    return Fail("short read on frame directory");
-  uint64_t PayloadBytes = 0;
-  for (uint64_t Frame = 0; Frame < NumFrames; ++Frame) {
-    uint64_t Bytes = Dir[2 * Frame];
-    PayloadBytes += Bytes;
-    if (Bytes > FileBytesU || PayloadBytes > FileBytesU)
-      return Fail(format("corrupt directory: frame %llu claims %llu bytes",
-                         (unsigned long long)Frame,
-                         (unsigned long long)Bytes));
-  }
-  // Exact total-size check, mirroring v1: truncation and trailing
-  // garbage are both rejected before any payload is decoded.
-  uint64_t Expect = sizeof(uint64_t) * (HeaderWordsV2 + 2 * NumFrames) +
-                    PayloadBytes + QuickenBytes;
-  if (Expect != FileBytesU)
-    return Fail(format("size mismatch: header claims %llu payload + %llu "
-                       "quicken bytes but the file holds %ld bytes "
-                       "(truncated or trailing garbage)",
-                       (unsigned long long)PayloadBytes,
-                       (unsigned long long)QuickenBytes, FileBytes));
-  // Every event costs at least one payload byte (its token varint) and
-  // every quicken record at least five, so counts the payloads cannot
-  // even spell are corrupt headers — checked before any reserve() so a
-  // corrupted count fails the load instead of throwing out of an
-  // allocation.
-  if (NumEvents > PayloadBytes)
-    return Fail(format("corrupt header: %llu events cannot fit in %llu "
-                       "payload bytes",
-                       (unsigned long long)NumEvents,
-                       (unsigned long long)PayloadBytes));
-  if (NumQuickens > QuickenBytes / 5)
-    return Fail(format("corrupt header: %llu quicken records cannot fit in "
-                       "%llu quicken bytes",
-                       (unsigned long long)NumQuickens,
-                       (unsigned long long)QuickenBytes));
-  // Frames decode through one reused scratch buffer: peak memory is the
-  // decoded arrays plus a single compressed frame, never a second full
-  // copy of the file.
-  Events.reserve(NumEvents);
-  std::vector<uint8_t> Scratch;
-  uint64_t Remaining = NumEvents;
-  for (uint64_t Frame = 0; Frame < NumFrames; ++Frame) {
-    uint64_t Bytes = Dir[2 * Frame];
-    Scratch.resize(Bytes);
-    if (Bytes != 0 && std::fread(Scratch.data(), 1, Bytes, In.F) != Bytes)
-      return Fail("short read on event frame");
-    // Checksum BEFORE decode: no decoded value is trusted (or even
-    // computed) from a payload that fails its frame checksum.
-    if (fnv1a(Fnv1aOffset, Scratch.data(), Bytes) != Dir[2 * Frame + 1])
-      return Fail(format("frame %llu checksum mismatch (bit corruption)",
-                         (unsigned long long)Frame));
-    uint64_t Want = Remaining < EventsPerFrame ? Remaining : EventsPerFrame;
-    ByteReader R(Scratch.data(), Bytes);
-    if (!decodeEventFrame(R, Want, Events))
-      return Fail(format("frame %llu payload is malformed",
-                         (unsigned long long)Frame));
-    Remaining -= Want;
-  }
-  Scratch.resize(QuickenBytes);
-  if (QuickenBytes != 0 &&
-      std::fread(Scratch.data(), 1, QuickenBytes, In.F) != QuickenBytes)
-    return Fail("short read on quicken block");
-  if (fnv1a(Fnv1aOffset, Scratch.data(), QuickenBytes) != QuickenChecksum)
-    return Fail("quicken block checksum mismatch (bit corruption)");
-  ByteReader QR(Scratch.data(), QuickenBytes);
-  Quickens.reserve(NumQuickens);
-  uint64_t PrevAfter = 0;
-  for (uint64_t I = 0; I < NumQuickens; ++I) {
-    QuickenRecord Q;
-    Q.AfterEvents = PrevAfter + QR.varint();
-    uint64_t Index = QR.varint();
-    uint64_t Op = QR.varint();
-    int64_t A = unzigzag(QR.varint());
-    int64_t B = unzigzag(QR.varint());
-    if (QR.Fail || Index > 0xffffffffull || Op > 0xffffull)
-      return Fail("quicken block is malformed");
-    Q.Index = static_cast<uint32_t>(Index);
-    Q.NewInstr.Op = static_cast<Opcode>(Op);
-    Q.NewInstr.A = A;
-    Q.NewInstr.B = B;
-    PrevAfter = Q.AfterEvents;
-    Quickens.push_back(Q);
-  }
-  if (!QR.exhausted())
-    return Fail("quicken block is malformed");
+  Quickens = Reader.quickens();
   // No logical-hash recompute here, deliberately: recomputing FNV-1a
   // over the decoded stream is byte-serial and costs more than the
   // whole varint decode, and it is redundant — the header checksum
   // pinned every declaration (counts, sizes, the stored hash), the
   // per-frame checksums pinned every payload byte, and the exact size
   // equation plus per-frame event counts pinned the structure. The
-  // stored hash in Header[5] is therefore trustworthy as this trace's
-  // logical identity without being re-derived: it seals the trace.
-  sealWith(Header[5]);
+  // verified declaration is therefore this trace's logical identity
+  // without being re-derived: it seals the trace.
+  sealWith(Reader.contentHash());
   return true;
 }
 
@@ -765,7 +518,7 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
   }
   PathV = Path;
   ErrorV.clear();
-  VersionV = NumEventsV = WorkloadHashV = ContentHashV = 0;
+  NumEventsV = WorkloadHashV = ContentHashV = 0;
   QuickensV.clear();
   Dir.clear();
   Pending.clear();
@@ -773,8 +526,8 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
   NextFrame = 0;
   EventsOut = 0;
   PayloadStart = 0;
-  // Mirrors load()'s failure funnel: one line naming what was rejected,
-  // in the same grammar, and never a half-open reader.
+  // One failure funnel: one line naming exactly what was rejected, and
+  // never a half-open reader.
   auto Fail = [&](std::string Why) {
     if (F) {
       std::fclose(F);
@@ -793,19 +546,20 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
   long FileBytes = std::ftell(F);
   if (FileBytes < 0 || std::fseek(F, 0, SEEK_SET) != 0)
     return Fail("seek failed");
+  // The version-independent prefix first, so a file of another version
+  // is named as a stale cache entry however its payload is laid out.
   uint64_t Header[HeaderWords];
-  if (std::fread(Header, sizeof(uint64_t), HeaderWords, F) != HeaderWords)
+  if (std::fread(Header, sizeof(uint64_t), PrefixWords, F) != PrefixWords)
     return Fail(format("truncated: %ld bytes is shorter than the %zu-byte "
                        "header",
-                       FileBytes, HeaderWords * sizeof(uint64_t)));
+                       FileBytes, PrefixWords * sizeof(uint64_t)));
   if (Header[0] != FileMagic)
     return Fail("bad magic (not a trace file)");
-  if (Header[1] != FlatVersion && Header[1] != CompressedVersion)
-    return Fail(format("format version %llu, expected %llu or %llu (stale "
-                       "cache entry)",
+  if (Header[1] != FileVersion)
+    return Fail(format("format version %llu, expected %llu (stale cache "
+                       "entry)",
                        (unsigned long long)Header[1],
-                       (unsigned long long)FlatVersion,
-                       (unsigned long long)CompressedVersion));
+                       (unsigned long long)FileVersion));
   if (Header[4] != ExpectedWorkloadHash)
     return Fail(format("workload hash %016llx does not match expected "
                        "%016llx (trace was captured from a different "
@@ -814,71 +568,27 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
                        (unsigned long long)ExpectedWorkloadHash));
   uint64_t NumEvents = Header[2], NumQuickens = Header[3];
 
-  if (Header[1] == FlatVersion) {
-    uint64_t FileWords = static_cast<uint64_t>(FileBytes) / sizeof(uint64_t);
-    if (NumEvents > FileWords || NumQuickens > FileWords ||
-        HeaderWords + NumEvents + WordsPerQuicken * NumQuickens != FileWords ||
-        static_cast<uint64_t>(FileBytes) % sizeof(uint64_t) != 0)
-      return Fail(format("size mismatch: header claims %llu events + %llu "
-                         "quicken records but the file holds %ld bytes "
-                         "(truncated or trailing garbage)",
-                         (unsigned long long)NumEvents,
-                         (unsigned long long)NumQuickens, FileBytes));
-    // Flat files have no per-frame checksums, so integrity is a whole-
-    // file content-hash pre-pass — streamed through one 64K-event
-    // buffer, never a full materialization. The quicken tail is hashed
-    // over its RAW words (see load()'s canonicalization note) and
-    // decoded in the same pass.
-    uint64_t Hash = Fnv1aOffset;
-    {
-      std::vector<Event> Buf;
-      const uint64_t ChunkE = uint64_t{1} << 16;
-      Buf.resize(static_cast<size_t>(NumEvents < ChunkE ? NumEvents
-                                                        : ChunkE));
-      uint64_t Left = NumEvents;
-      while (Left != 0) {
-        size_t N = static_cast<size_t>(Left < ChunkE ? Left : ChunkE);
-        if (std::fread(Buf.data(), sizeof(Event), N, F) != N)
-          return Fail("short read on event array");
-        Hash = fnv1a(Hash, Buf.data(), N * sizeof(Event));
-        Left -= N;
-      }
-    }
-    QuickensV.reserve(NumQuickens);
-    for (uint64_t I = 0; I < NumQuickens; ++I) {
-      uint64_t Words[WordsPerQuicken];
-      if (std::fread(Words, sizeof(uint64_t), WordsPerQuicken, F) !=
-          WordsPerQuicken)
-        return Fail("short read on quicken records");
-      Hash = fnv1a(Hash, Words, sizeof(Words));
-      QuickensV.push_back(unpackQuicken(Words));
-    }
-    if (Hash != Header[5])
-      return Fail("content hash mismatch (bit corruption)");
-    PayloadStart = static_cast<long>(HeaderWords * sizeof(uint64_t));
-    if (std::fseek(F, PayloadStart, SEEK_SET) != 0)
-      return Fail("seek failed");
-    VersionV = Header[1];
-    NumEventsV = NumEvents;
-    WorkloadHashV = Header[4];
-    ContentHashV = Header[5];
-    return true;
-  }
-
-  //===--- v2 compressed ---------------------------------------------------===//
-
-  uint64_t Ext[HeaderWordsV2 - HeaderWords];
-  if (std::fread(Ext, sizeof(uint64_t), HeaderWordsV2 - HeaderWords, F) !=
-      HeaderWordsV2 - HeaderWords)
-    return Fail("truncated: missing compressed-header extension");
-  uint64_t HdrHash = fnv1a(Fnv1aOffset, Header, sizeof(Header));
-  HdrHash = fnv1a(HdrHash, Ext, (HeaderWordsV2 - HeaderWords - 1) *
-                                    sizeof(uint64_t));
-  if (HdrHash != Ext[HeaderWordsV2 - HeaderWords - 1])
+  if (std::fread(Header + PrefixWords, sizeof(uint64_t),
+                 HeaderWords - PrefixWords, F) != HeaderWords - PrefixWords)
+    return Fail(format("truncated: %ld bytes is shorter than the %zu-byte "
+                       "header",
+                       FileBytes, HeaderWords * sizeof(uint64_t)));
+  // Header checksum first, before a single extension word is trusted:
+  // it is what covers the stored logical hash [5] — every other word is
+  // cross-checked by a downstream structural comparison, but [5] is
+  // only ever declared, and verifying the declaration here is what lets
+  // the decode skip the O(N) logical-hash recompute.
+  if (fnv1a(Fnv1aOffset, Header, (HeaderWords - 1) * sizeof(uint64_t)) !=
+      Header[HeaderWords - 1])
     return Fail("header checksum mismatch (bit corruption)");
-  uint64_t EventsPerFrame = Ext[0], NumFrames = Ext[1];
-  uint64_t QuickenBytes = Ext[2], QuickenChecksum = Ext[3];
+  uint64_t EventsPerFrame = Header[6], NumFrames = Header[7];
+  uint64_t QuickenBytes = Header[8], QuickenChecksum = Header[9];
   uint64_t FileBytesU = static_cast<uint64_t>(FileBytes);
+  // The writer only ever emits FrameEvents; any other value is header
+  // corruption today (a future frame-size change is a version bump).
+  // Pinning it keeps every header byte load-bearing — a flipped
+  // events-per-frame byte must not load, not even "accidentally
+  // equivalently" when the trace happens to fit one frame either way.
   if (EventsPerFrame != FrameEvents)
     return Fail(format("corrupt header: %llu events per frame (expected "
                        "%llu)",
@@ -886,6 +596,9 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
                        (unsigned long long)FrameEvents));
   uint64_t WantFrames =
       NumEvents == 0 ? 0 : (NumEvents + EventsPerFrame - 1) / EventsPerFrame;
+  // Bound the directory by the file size before trusting NumFrames for
+  // an allocation: each directory entry is 16 bytes, so a frame count
+  // the file cannot even index is a corrupt header, full stop.
   if (NumFrames != WantFrames ||
       NumFrames > FileBytesU / (2 * sizeof(uint64_t)))
     return Fail(format("corrupt header: %llu frames for %llu events at "
@@ -906,7 +619,9 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
                          (unsigned long long)Frame,
                          (unsigned long long)Bytes));
   }
-  uint64_t Expect = sizeof(uint64_t) * (HeaderWordsV2 + 2 * NumFrames) +
+  // Exact total-size check: truncation and trailing garbage are both
+  // rejected before any payload is decoded.
+  uint64_t Expect = sizeof(uint64_t) * (HeaderWords + 2 * NumFrames) +
                     PayloadBytes + QuickenBytes;
   if (Expect != FileBytesU)
     return Fail(format("size mismatch: header claims %llu payload + %llu "
@@ -914,6 +629,11 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
                        "(truncated or trailing garbage)",
                        (unsigned long long)PayloadBytes,
                        (unsigned long long)QuickenBytes, FileBytes));
+  // Every event costs at least one payload byte (its token varint) and
+  // every quicken record at least five, so counts the payloads cannot
+  // even spell are corrupt headers — checked before anything is sized
+  // from them, so a corrupted count fails the open instead of throwing
+  // out of an allocation.
   if (NumEvents > PayloadBytes)
     return Fail(format("corrupt header: %llu events cannot fit in %llu "
                        "payload bytes",
@@ -928,7 +648,7 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
   // decode it now (it is small side-band metadata, and replays need it
   // random-access), then park the file position on the first frame.
   PayloadStart =
-      static_cast<long>(sizeof(uint64_t) * (HeaderWordsV2 + 2 * NumFrames));
+      static_cast<long>(sizeof(uint64_t) * (HeaderWords + 2 * NumFrames));
   if (std::fseek(F, PayloadStart + static_cast<long>(PayloadBytes),
                  SEEK_SET) != 0)
     return Fail("seek failed");
@@ -961,7 +681,6 @@ bool DispatchTrace::FrameReader::open(const std::string &Path,
     return Fail("quicken block is malformed");
   if (std::fseek(F, PayloadStart, SEEK_SET) != 0)
     return Fail("seek failed");
-  VersionV = Header[1];
   NumEventsV = NumEvents;
   WorkloadHashV = Header[4];
   ContentHashV = Header[5];
@@ -977,16 +696,6 @@ bool DispatchTrace::FrameReader::read(size_t MaxEvents,
     Want64 = MaxEvents;
   size_t Want = static_cast<size_t>(Want64);
   size_t OutStart = Out.size();
-  if (VersionV == FlatVersion) {
-    Out.resize(OutStart + Want);
-    if (Want != 0 &&
-        std::fread(Out.data() + OutStart, sizeof(Event), Want, F) != Want) {
-      Out.resize(OutStart);
-      return fail("short read on event array");
-    }
-    EventsOut += Want;
-    return true;
-  }
   while (Want != 0) {
     if (PendingPos < Pending.size()) {
       size_t Take = Pending.size() - PendingPos;
@@ -999,9 +708,10 @@ bool DispatchTrace::FrameReader::read(size_t MaxEvents,
       Want -= Take;
       continue;
     }
-    // Next frame: checksum BEFORE decode, exactly like load(). A tile
-    // that consumes the whole frame decodes straight into Out; a
-    // partial need decodes into Pending and hands out a prefix.
+    // Next frame: checksum BEFORE decode — no decoded value is trusted
+    // (or even computed) from a payload that fails it. A read that
+    // consumes the whole frame decodes straight into Out; a partial
+    // need decodes into Pending and hands out a prefix.
     uint64_t Bytes = Dir[2 * NextFrame];
     Scratch.resize(Bytes);
     if (Bytes != 0 && std::fread(Scratch.data(), 1, Bytes, F) != Bytes) {

@@ -19,21 +19,19 @@
 /// object can be refilled across workloads without reallocating.
 ///
 /// Traces serialize to a versioned binary file (save()/load()): a
-/// fixed header carrying event/quicken counts, an FNV-1a content hash
-/// and a caller-supplied workload identity hash, followed by the event
-/// payload. Two encodings share that header: the v1 flat u64 dump and
-/// the v2 compressed form (delta + LEB128 varint event frames of ~64K
-/// events with per-frame checksums, varint-packed quicken records —
-/// see DispatchTrace.cpp for the exact layout). The *content hash is
-/// defined over the logical event stream*, not the file bytes, so the
-/// same trace carries the same hash under either encoding and
-/// everything keyed by it (ResultStore cells, WorkloadCache sidecars)
-/// survives a re-encoding. save() follows the VMIB_TRACE_COMPRESS
-/// knob (default on); load() accepts both versions. The
-/// VMIB_TRACE_CACHE environment variable names a directory the labs
-/// consult before re-interpreting a workload, which makes a sweep a
-/// pure function of (trace file, config list) — the prerequisite for
-/// sharding sweeps across machines.
+/// checksummed header carrying event/quicken counts, an FNV-1a content
+/// hash and a caller-supplied workload identity hash, followed by delta
+/// + LEB128 varint event frames of 64K events with per-frame checksums
+/// and varint-packed quicken records (see DispatchTrace.cpp for the
+/// exact layout). The *content hash is defined over the logical event
+/// stream*, not the file bytes, so everything keyed by it (ResultStore
+/// cells, WorkloadCache sidecars) survives a change of encoding: a file
+/// of the retired version 1 is rejected as a stale cache entry, and the
+/// recaptured file declares the same hash. The VMIB_TRACE_CACHE
+/// environment variable names a directory the labs consult before
+/// re-interpreting a workload, which makes a sweep a pure function of
+/// (trace file, config list) — the prerequisite for sharding sweeps
+/// across machines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,7 +97,7 @@ public:
   /// process pins glibc's mmap threshold at 4 MB (mallopt
   /// M_MMAP_THRESHOLD, which also turns off glibc's dynamic threshold
   /// and trim adjustment). From then on EVERY allocation of 4 MB or more
-  /// in the process — trace arenas, but also result-store buffers, v2
+  /// in the process — trace arenas, but also result-store buffers, file
   /// payloads and gang scratch — gets its own mapping and is returned
   /// to the OS when freed. It lives here because event arenas are a
   /// sweep's largest buffers, each freed once per workload: under the
@@ -124,9 +122,10 @@ public:
   //===--- chunk-tiled iteration (gang replay) ----------------------------===//
 
   /// Events per gang tile: the VMIB_GANG_CHUNK environment variable if
-  /// set (>= 1), otherwise 64K events (512KB of packed u64s — sized so
-  /// one tile plus the gang's layouts and predictor state stay
-  /// cache-resident while every gang member crosses it).
+  /// set to a count (see envCount()), otherwise 64K events (512KB of
+  /// packed u64s — sized so one tile plus the gang's layouts and
+  /// predictor state stay cache-resident while every gang member
+  /// crosses it).
   static size_t defaultChunkEvents();
 
   /// Walks [0, numEvents) in ChunkEvents-sized half-open ranges. The
@@ -184,38 +183,28 @@ public:
   /// const accessor, so concurrent readers never race on the cache.
   void seal();
 
-  /// Writes the trace to \p Path in the encoding compressEnabled()
-  /// selects. \p WorkloadHash identifies the workload the trace was
-  /// captured from (the labs pass the reference output hash); load()
-  /// refuses a file whose workload hash does not match, so a stale
-  /// cache entry for a changed workload re-captures instead of lying.
+  /// Writes the trace to \p Path (format version 2). \p WorkloadHash
+  /// identifies the workload the trace was captured from (the labs pass
+  /// the reference output hash); load() refuses a file whose workload
+  /// hash does not match, so a stale cache entry for a changed workload
+  /// re-captures instead of lying.
   /// \returns false on any I/O failure (best-effort: callers fall back
   /// to the captured in-memory trace).
   bool save(const std::string &Path, uint64_t WorkloadHash) const;
 
-  /// save() with an explicit encoding choice: \p Compressed writes the
-  /// v2 delta/varint frames, otherwise the v1 flat dump. Both carry
-  /// the identical logical content hash. Used by re-encoding tools and
-  /// the encoding-equivalence tests; save() itself follows the
-  /// VMIB_TRACE_COMPRESS knob.
-  bool saveEncoded(const std::string &Path, uint64_t WorkloadHash,
-                   bool Compressed) const;
-
-  /// Whether save() writes the compressed encoding: VMIB_TRACE_COMPRESS
-  /// unset/"on"/"1" -> true, "off"/"0" -> false. sweep_driver's
-  /// --trace-compress flag re-exports its decision through the
-  /// environment so forked shard workers agree with the orchestrator.
-  static bool compressEnabled();
-
-  /// Replaces *this with the trace stored at \p Path. \returns false
-  /// (leaving *this cleared — a failed load never exposes partial
-  /// state) if the file is missing, has a wrong magic/version, fails
-  /// either hash check, or is truncated / carries trailing garbage.
-  /// When \p Diag is non-null, a failure stores a one-line description
-  /// of exactly what was rejected (callers surface it instead of
-  /// silently re-capturing on a corrupt cache). Like reserve(), the
-  /// first call pins glibc's mmap threshold for the whole process (see
-  /// reserve() for what that changes and why).
+  /// Replaces *this with the trace stored at \p Path: FrameReader::open()
+  /// plus one read() of the whole stream into the reserved arena, sealed
+  /// with the verified header hash — the streaming path's validator and
+  /// decoder, materialized. \returns false (leaving *this cleared — a
+  /// failed load never exposes partial state) if the file is missing,
+  /// has a wrong magic/version (a version-1 file is a stale cache
+  /// entry), fails a checksum or the workload hash, or is truncated /
+  /// carries trailing garbage. When \p Diag is non-null, a failure
+  /// stores a one-line description of exactly what was rejected
+  /// (callers surface it instead of silently re-capturing on a corrupt
+  /// cache). Like reserve(), the first call pins glibc's mmap threshold
+  /// for the whole process (see reserve() for what that changes and
+  /// why).
   bool load(const std::string &Path, uint64_t ExpectedWorkloadHash,
             std::string *Diag = nullptr);
 
@@ -230,13 +219,12 @@ public:
   /// or has the wrong magic/version.
   static bool peekContentHash(const std::string &Path, uint64_t &Hash);
 
-  /// Header facts of a trace file without decoding it: format version,
-  /// logical stream sizes, and the on-disk footprint. LogicalBytes is
-  /// what the v1 flat encoding would occupy, so
-  /// LogicalBytes / FileBytes is the compression ratio the cache and
-  /// store reports print per trace (1.0 for v1 files by construction).
+  /// Header facts of a trace file without decoding it: logical stream
+  /// sizes and the on-disk footprint. LogicalBytes is the decoded
+  /// footprint — the bytes load() materializes for the event and
+  /// quicken arrays — so LogicalBytes / FileBytes is the compression
+  /// ratio the cache reports and the :decodebandwidth line print.
   struct FileInfo {
-    uint64_t Version = 0;
     uint64_t NumEvents = 0;
     uint64_t NumQuickens = 0;
     uint64_t FileBytes = 0;
@@ -255,22 +243,18 @@ public:
 
   //===--- streaming decode (O(tile) replay memory) ------------------------===//
 
-  /// Incremental decoder over a serialized trace file: the streaming
-  /// counterpart of load(). open() performs every validation load()
-  /// performs EXCEPT decoding the event payload — v2: header checksum,
-  /// pinned frame geometry, directory bounds, the exact file-size
-  /// equation, and the quicken block (verified and fully decoded, it is
-  /// side-band metadata orders of magnitude smaller than the events);
-  /// v1: the exact size equation plus a whole-file content-hash
-  /// pre-pass in O(1) memory (flat files carry no per-frame checksums,
-  /// so integrity costs one extra sequential read). read() then hands
-  /// out events in stream order, verifying each v2 frame's checksum
-  /// immediately before decoding it, so working memory stays one frame
-  /// (64K events) regardless of trace length and corruption is still
-  /// loud before a single fabricated event escapes.
-  ///
-  /// The decoded stream is bit-identical to what load() materializes:
-  /// both run the same frame decoder over the same verified bytes.
+  /// Incremental decoder over a serialized trace file — the one
+  /// validator and decoder behind both streamed and materialized
+  /// replay (load() is open() plus one read() of the whole stream).
+  /// open() checks everything except the event payload: header
+  /// checksum, pinned frame geometry, directory bounds, the exact
+  /// file-size equation, and the quicken block (verified and fully
+  /// decoded, it is side-band metadata orders of magnitude smaller
+  /// than the events). read() then hands out events in stream order,
+  /// verifying each frame's checksum immediately before decoding it,
+  /// so working memory stays one frame (64K events) regardless of trace
+  /// length and corruption is still loud before a single fabricated
+  /// event escapes.
   class FrameReader {
   public:
     FrameReader();
@@ -279,21 +263,21 @@ public:
     FrameReader &operator=(const FrameReader &) = delete;
 
     /// Opens and validates \p Path (see class comment for what is
-    /// checked when). \returns false with \p Diag set (same grammar as
-    /// load()'s) on any rejection; the reader is then closed.
+    /// checked when). \returns false with \p Diag set to a one-line
+    /// "<path>: <what was rejected>" on any rejection; the reader is
+    /// then closed.
     bool open(const std::string &Path, uint64_t ExpectedWorkloadHash,
               std::string *Diag = nullptr);
 
     bool isOpen() const { return F != nullptr; }
 
     // Header facts, valid after a successful open().
-    uint64_t version() const { return VersionV; }
     uint64_t numEvents() const { return NumEventsV; }
     uint64_t numQuickens() const { return QuickensV.size(); }
     uint64_t workloadHash() const { return WorkloadHashV; }
-    /// The verified logical content hash (header word 5): under v2 the
-    /// layered checksums make the declaration trustworthy, under v1
-    /// open()'s pre-pass recomputed and compared it.
+    /// The verified logical content hash (header word 5): the layered
+    /// checksums make the declaration trustworthy without recomputing
+    /// it over the events.
     uint64_t contentHash() const { return ContentHashV; }
     /// All quicken records, decoded and verified at open() time.
     const std::vector<QuickenRecord> &quickens() const { return QuickensV; }
@@ -301,8 +285,8 @@ public:
     /// Appends up to \p MaxEvents next events (in stream order) to
     /// \p Out. Fewer are appended only at end of stream; zero appended
     /// with a true return means the stream is exhausted. \returns
-    /// false — with error() describing the failure, mirroring load()'s
-    /// diagnostics — on I/O error or a frame that fails its checksum
+    /// false — with error() describing the failure in open()'s
+    /// grammar — on I/O error or a frame that fails its checksum
     /// or decode; the reader is then closed and stays failed.
     bool read(size_t MaxEvents, std::vector<Event> &Out);
 
@@ -310,8 +294,8 @@ public:
     uint64_t eventsRemaining() const { return NumEventsV - EventsOut; }
 
     /// Rewinds to the first event for a fresh pass (the already-
-    /// verified open() state is reused; v1 does NOT re-pay its hash
-    /// pre-pass). \returns false on seek failure.
+    /// verified open() state is reused). \returns false on seek
+    /// failure.
     bool rewind();
 
     /// The failure description of the first failed read()/rewind().
@@ -323,14 +307,13 @@ public:
     std::FILE *F = nullptr;
     std::string PathV;
     std::string ErrorV;
-    uint64_t VersionV = 0;
     uint64_t NumEventsV = 0;
     uint64_t WorkloadHashV = 0;
     uint64_t ContentHashV = 0;
     std::vector<QuickenRecord> QuickensV;
     long PayloadStart = 0;   ///< file offset of the first event payload
     uint64_t EventsOut = 0;  ///< events handed out since open/rewind
-    // v2 state: frame directory, the current frame's raw bytes, and
+    // Frame directory, the current frame's raw bytes, and
     // decoded-but-not-yet-handed-out events of a partially consumed
     // frame (tiles need not align with frames).
     std::vector<uint64_t> Dir;
@@ -351,8 +334,7 @@ public:
   static std::string cachePathFor(const std::string &Key);
 
 private:
-  bool writeFlat(std::FILE *F, uint64_t WorkloadHash) const;
-  bool writeCompressed(std::FILE *F, uint64_t WorkloadHash) const;
+  bool write(std::FILE *F, uint64_t WorkloadHash) const;
   void sealWith(uint64_t Hash);
 
   std::vector<Event> Events;

@@ -1,6 +1,5 @@
 //===- vmcore/GangReplayer.cpp --------------------------------------------===//
 
-#include "vmcore/GangKernels.h"
 #include "vmcore/GangReplayer.h"
 
 #include <algorithm>
@@ -70,23 +69,10 @@ struct Group {
   std::vector<size_t> MemberIdx;
 };
 
-/// The schedulable quantum of a gang pass over one tile. A singleton
-/// unit replays one member (fused or decoded, as before); a multi-
-/// member unit is an AoSoA batch — up to MaxBatchLanes batchable
-/// members of ONE decode group that a single GangKernels pass advances
-/// together. Units replaced members as what the workers own, claim,
-/// steal and cost-track: a batch must execute as one quantum (its
-/// lanes share an instruction stream), so the scheduling layer cannot
-/// be allowed to split it.
-struct ExecUnit {
-  std::vector<size_t> MemberIdx;
-  int Group = -1; ///< decode group, or -1 for a fused singleton
-};
-
 /// One slot of the parallel tile ring. The decoder publishes a tile by
 /// storing its index into Seq (release) after filling Begin/End, the
 /// per-group chunks and the owner plan; workers drain Pending (release)
-/// — one decrement per unit execution PLUS one sweep token per worker —
+/// — one decrement per member execution PLUS one sweep token per worker —
 /// and the decoder refills the slot once Pending hits zero (acquire),
 /// so chunk memory is never written while a worker reads it and a
 /// claim ledger is never recycled under a worker that has not swept
@@ -102,10 +88,10 @@ struct TileSlot {
   std::vector<gang::DecodedChunk> Chunks; ///< one per group
   std::atomic<int64_t> Seq{-1};           ///< tile index this slot holds
   std::atomic<unsigned> Pending{0};       ///< drain count (see above)
-  // The per-tile owner table. Order is the claim scan order (units by
+  // The per-tile owner table. Order is the claim scan order (members by
   // descending measured cost), OwnerOf the cost-weighted plan, Claimed
-  // the one-owner-per-unit-per-tile ledger (exchange 0->1 wins the unit
-  // for this tile).
+  // the one-owner-per-member-per-tile ledger (exchange 0->1 wins the
+  // member for this tile).
   std::vector<uint32_t> Order;
   std::vector<uint16_t> OwnerOf;
   std::unique_ptr<std::atomic<uint8_t>[]> Claimed;
@@ -132,17 +118,12 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
   // fused kernel (decode-then-consume would cost them an extra pass
   // over the tile for nothing).
   std::vector<Group> Groups;
-  std::vector<size_t> Fused;
   std::vector<int> GroupOf(Members.size(), -1);
   {
     std::map<const DispatchProgram *, std::vector<size_t>> ByLayout;
-    for (size_t I = 0; I < Members.size(); ++I) {
-      const DispatchProgram *L = Members[I].Member->soaLayout();
-      if (L != nullptr)
+    for (size_t I = 0; I < Members.size(); ++I)
+      if (const DispatchProgram *L = Members[I].Member->soaLayout())
         ByLayout[L].push_back(I);
-      else
-        Fused.push_back(I);
-    }
     std::map<uint64_t, std::pair<const DispatchProgram *,
                                  std::vector<size_t>>> ByPrint;
     for (auto &[Layout, Idx] : ByLayout) {
@@ -154,10 +135,8 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     for (auto &[Print, Merged] : ByPrint) {
       (void)Print;
       std::vector<size_t> &Idx = Merged.second;
-      if (Idx.size() < 2) {
-        Fused.insert(Fused.end(), Idx.begin(), Idx.end());
+      if (Idx.size() < 2)
         continue;
-      }
       std::sort(Idx.begin(), Idx.end()); // deterministic consume order
       for (size_t I : Idx)
         GroupOf[I] = static_cast<int>(Groups.size());
@@ -167,69 +146,14 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     }
   }
 
-  // Pack the members into execution units. Within a decode group,
-  // members exposing a batchable no-evict BTB are chunked into AoSoA
-  // batches of up to MaxBatchLanes (under the batched kernel mode);
-  // everything else — fused members, idealised configs, non-BTB
-  // predictors — stays a singleton unit running the scalar kernels
-  // unchanged. Batching only happens *within* a group: all lanes of a
-  // batch consume the identical decoded stream.
-  std::vector<ExecUnit> Units;
-  {
-    const bool Batched = gang::kernelMode() == gang::KernelMode::Batched;
-    std::vector<std::vector<size_t>> Packable(Groups.size());
-    for (size_t I : Fused)
-      Units.push_back({{I}, -1});
-    for (size_t G = 0; G < Groups.size(); ++G)
-      for (size_t I : Groups[G].MemberIdx) {
-        if (Batched && Members[I].Member->batchedBtb() != nullptr)
-          Packable[G].push_back(I);
-        else
-          Units.push_back({{I}, static_cast<int>(G)});
-      }
-    // Batch counts per group: at least what the lane cap demands, but
-    // never so few that the pool goes idle — batching amortizes work
-    // per unit, it must not shrink the schedulable unit supply below
-    // the worker count (a gang of N same-geometry members on an
-    // N-thread pool must still fan out, just in narrower batches).
-    // Lanes are independent, so the split never changes results.
-    std::vector<size_t> Want(Groups.size());
-    size_t Have = Units.size();
-    for (size_t G = 0; G < Groups.size(); ++G) {
-      Want[G] = (Packable[G].size() + gang::MaxBatchLanes - 1) /
-                gang::MaxBatchLanes;
-      Have += Want[G];
-    }
-    for (bool Grew = true; Grew && Have < Threads;) {
-      Grew = false;
-      for (size_t G = 0; G < Groups.size() && Have < Threads; ++G)
-        if (Want[G] < Packable[G].size()) {
-          ++Want[G];
-          ++Have;
-          Grew = true;
-        }
-    }
-    for (size_t G = 0; G < Groups.size(); ++G) {
-      const std::vector<size_t> &P = Packable[G];
-      for (size_t B = 0, Begin = 0; B < Want[G]; ++B) {
-        size_t Len = P.size() / Want[G] + (B < P.size() % Want[G] ? 1 : 0);
-        Units.push_back({std::vector<size_t>(P.begin() + Begin,
-                                             P.begin() + Begin + Len),
-                         static_cast<int>(G)});
-        Begin += Len;
-      }
-    }
-  }
-  const size_t NU = Units.size();
-
-  if (Threads > NU)
-    Threads = static_cast<unsigned>(NU);
+  const size_t M = Members.size();
+  if (Threads > M)
+    Threads = static_cast<unsigned>(M);
 
   Stats LocalStats;
   Stats &St = StatsOut ? *StatsOut : LocalStats;
   St = Stats();
 
-  const size_t M = Members.size();
   bool Pooled = Threads > 1 && Source.numEvents() != 0;
   St.MemberEvents = M * Source.numEvents();
   St.StreamedDecode = Source.streaming();
@@ -253,62 +177,27 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       GroupAlive[GroupOf[I]].fetch_sub(1, std::memory_order_relaxed);
   };
 
-  /// Advances one unit over the tile in \p Span (\p C is the group's
-  /// decoded tile, null for fused units). \returns how many members
-  /// actually executed. Singleton units run the scalar kernels exactly
-  /// as before; batch units gather their live lanes' state views, make
-  /// one batched kernel pass, then account each lane. A lane that
-  /// overflows drops out of the gang (and out of future lane
-  /// gatherings) just like a scalar member — finish() re-runs it
-  /// through the exact tier.
-  auto RunUnitSpan = [&](ExecUnit &U, const gang::DecodedChunk *C,
-                         const EventSpan &Span) -> size_t {
-    if (U.MemberIdx.size() == 1) {
-      size_t I = U.MemberIdx[0];
-      Slot &Mem = Members[I];
-      if (!Mem.Active)
-        return 0;
-      bool Ok = C == nullptr ? Mem.Member->runChunk(Span)
-                             : Mem.Member->runChunkDecoded(*C);
-      if (!Ok)
-        DropMember(I);
-      return 1;
-    }
-    gang::BtbLane Lanes[gang::MaxBatchLanes];
-    size_t LaneOf[gang::MaxBatchLanes];
-    size_t NumLanes = 0;
-    for (size_t I : U.MemberIdx) {
-      if (!Members[I].Active)
-        continue;
-      Lanes[NumLanes].V = Members[I].Member->batchedBtb()->kernelView();
-      Lanes[NumLanes].Misses = 0;
-      LaneOf[NumLanes] = I;
-      ++NumLanes;
-    }
-    if (NumLanes == 0)
-      return 0;
-    gang::runDecodedBranchesBatched(*C, Lanes, NumLanes);
-    for (size_t L = 0; L < NumLanes; ++L)
-      if (!Members[LaneOf[L]].Member->applyBatchedTile(*C, Lanes[L].Misses))
-        DropMember(LaneOf[L]);
-    return NumLanes;
-  };
-
-  auto UnitActive = [&](const ExecUnit &U) {
-    for (size_t I : U.MemberIdx)
-      if (Members[I].Active)
-        return true;
-    return false;
+  /// Advances member \p I over the tile in \p Span (\p C is its
+  /// group's decoded tile, null for fused members). A member that
+  /// overflows drops out of the gang; finish() re-runs it through the
+  /// exact tier.
+  auto RunMemberSpan = [&](size_t I, const gang::DecodedChunk *C,
+                           const EventSpan &Span) {
+    bool Ok = C == nullptr ? Members[I].Member->runChunk(Span)
+                           : Members[I].Member->runChunkDecoded(*C);
+    if (!Ok)
+      DropMember(I);
   };
 
   if (!Pooled) {
-    // Serial chunk-major sweep: every active unit crosses the tile
-    // before the cursor advances — group layouts decode once, then
-    // their units consume the SoA streams; fused members replay the
-    // raw events. A member that overflows its optimistic models drops
-    // out here and re-runs through the exact tier in finish(). A
-    // streaming source decodes each tile into Raw — the only resident
-    // event buffer — before the units consume it.
+    // Serial chunk-major sweep: every active member crosses the tile
+    // before the cursor advances — fused members replay the raw
+    // events, then each group layout decodes once and its members
+    // consume the SoA streams while they are cache-hot. A member that
+    // overflows its optimistic models drops out here and re-runs
+    // through the exact tier in finish(). A streaming source decodes
+    // each tile into Raw — the only resident event buffer — before the
+    // members consume it.
     TraceSource::Cursor Cursor = Source.cursor(ChunkCapacity);
     std::vector<DispatchTrace::Event> Raw;
     EventSpan Span;
@@ -327,18 +216,22 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
         if (Bytes > St.PeakTileRingBytes)
           St.PeakTileRingBytes = Bytes;
       }
-      for (size_t G = 0; G < Groups.size(); ++G)
-        if (GroupAlive[G].load(std::memory_order_relaxed) != 0)
-          Groups[G].Decoder->decode(Span);
-      for (ExecUnit &U : Units)
-        RunUnitSpan(U,
-                    U.Group < 0 ? nullptr : &Groups[U.Group].Decoder->chunk(),
-                    Span);
+      for (size_t I = 0; I < M; ++I)
+        if (GroupOf[I] < 0 && Members[I].Active)
+          RunMemberSpan(I, nullptr, Span);
+      for (size_t G = 0; G < Groups.size(); ++G) {
+        if (GroupAlive[G].load(std::memory_order_relaxed) == 0)
+          continue;
+        Groups[G].Decoder->decode(Span);
+        for (size_t I : Groups[G].MemberIdx)
+          if (Members[I].Active)
+            RunMemberSpan(I, &Groups[G].Decoder->chunk(), Span);
+      }
     }
   } else {
     // Shared-tile worker pool: the calling thread decodes tiles into a
-    // small ring; Threads workers replay units off the published
-    // slots. A unit has exactly one owner per tile and crosses tiles
+    // small ring; Threads workers replay members off the published
+    // slots. A member has exactly one owner per tile and crosses tiles
     // in stream order, so every member sees exactly the serial event
     // sequence and counters are bit-identical for any thread count and
     // any steal schedule; the ring only bounds how far decode runs
@@ -351,10 +244,10 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       S.Chunks.reserve(Groups.size());
       for (Group &G : Groups)
         S.Chunks.push_back(G.Decoder->makeChunk());
-      S.Order.resize(NU);
-      S.OwnerOf.assign(NU, 0);
-      S.Claimed = std::make_unique<std::atomic<uint8_t>[]>(NU);
-      for (size_t I = 0; I < NU; ++I)
+      S.Order.resize(M);
+      S.OwnerOf.assign(M, 0);
+      S.Claimed = std::make_unique<std::atomic<uint8_t>[]>(M);
+      for (size_t I = 0; I < M; ++I)
         S.Claimed[I].store(0, std::memory_order_relaxed);
     }
 
@@ -373,18 +266,17 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     const unsigned NumWorkers = Threads;
     St.Workers.assign(NumWorkers, Stats::Worker());
 
-    /// Replays unit \p UI over the published tile in \p S and accounts
-    /// it. \returns the measured nanoseconds — the planner's cost
-    /// sample.
-    auto ReplayUnitTile = [&](size_t UI, TileSlot &S,
-                              Stats::Worker &WS) -> uint64_t {
+    /// Replays member \p I over the published tile in \p S and
+    /// accounts it. \returns the measured nanoseconds — the planner's
+    /// cost sample.
+    auto ReplayMemberTile = [&](size_t I, TileSlot &S,
+                                Stats::Worker &WS) -> uint64_t {
       Clock::time_point T0 = Clock::now();
-      ExecUnit &U = Units[UI];
-      size_t Ran = RunUnitSpan(
-          U, U.Group < 0 ? nullptr : &S.Chunks[U.Group], S.Span);
+      RunMemberSpan(I, GroupOf[I] < 0 ? nullptr : &S.Chunks[GroupOf[I]],
+                    S.Span);
       uint64_t Ns = elapsedNs(T0);
       WS.BusySeconds += static_cast<double>(Ns) * 1e-9;
-      WS.EventsReplayed += Ran * S.Span.size();
+      WS.EventsReplayed += S.Span.size();
       return Ns;
     };
 
@@ -403,25 +295,22 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       return true;
     };
 
-    // Per-unit serialization and cost state of the scheduler.
-    // DoneTile[I] counts the tiles unit I completed: the claimant of
+    // Per-member serialization and cost state of the scheduler.
+    // DoneTile[I] counts the tiles member I completed: the claimant of
     // (I, T) spins until DoneTile[I] == T (acquire) and stores T+1
     // (release) afterwards — the happens-before edge that carries the
-    // unit's member state between owners across tiles. CostNs[I] is a
-    // relaxed EWMA of the unit's per-tile replay cost; it only steers
+    // member's state between owners across tiles. CostNs[I] is a
+    // relaxed EWMA of the member's per-tile replay cost; it only steers
     // the plan, never the results.
-    auto DoneTile = std::make_unique<std::atomic<uint64_t>[]>(NU);
-    auto CostNs = std::make_unique<std::atomic<uint64_t>[]>(NU);
-    for (size_t UI = 0; UI < NU; ++UI) {
-      DoneTile[UI].store(0, std::memory_order_relaxed);
-      // Seeded costs (persisted per-member EWMAs of a previous run)
-      // make even tile 0's plan cost-weighted; a batch unit's seed is
-      // the sum over its lanes. The EWMA update then absorbs them like
+    auto DoneTile = std::make_unique<std::atomic<uint64_t>[]>(M);
+    auto CostNs = std::make_unique<std::atomic<uint64_t>[]>(M);
+    for (size_t I = 0; I < M; ++I) {
+      DoneTile[I].store(0, std::memory_order_relaxed);
+      // Seeded costs (persisted EWMAs of a previous run) make even tile
+      // 0's plan cost-weighted; the EWMA update then absorbs them like
       // any other past sample.
-      uint64_t Seed = 0;
-      for (size_t I : Units[UI].MemberIdx)
-        Seed += I < SeedCostNs.size() ? SeedCostNs[I] : 0;
-      CostNs[UI].store(Seed, std::memory_order_relaxed);
+      CostNs[I].store(I < SeedCostNs.size() ? SeedCostNs[I] : 0,
+                      std::memory_order_relaxed);
     }
 
     auto Worker = [&](unsigned W) {
@@ -432,17 +321,17 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
           if (!AwaitTile(S, T, WS))
             return;
           // Pass 0 claims the worker's cost-weighted plan slice; pass
-          // 1 steals units other workers have not claimed yet AND
+          // 1 steals members other workers have not claimed yet AND
           // whose previous tile already completed (a stealer must not
-          // park behind the hot unit while ready work idles); pass 2
+          // park behind the hot member while ready work idles); pass 2
           // is the unconditional coverage sweep — it claims whatever
           // is left, waiting as needed. A single worker's pass-0 +
-          // pass-2 sweeps cover every unit, so by the time anyone
-          // advances past tile T, all of tile T's units are claimed
+          // pass-2 sweeps cover every member, so by the time anyone
+          // advances past tile T, all of tile T's members are claimed
           // by *someone* who will execute them — the progress argument
           // behind the DoneTile spins.
           for (int Pass = 0; Pass < 3; ++Pass) {
-            for (size_t K = 0; K < NU; ++K) {
+            for (size_t K = 0; K < M; ++K) {
               uint32_t I = S.Order[K];
               if ((S.OwnerOf[I] == W) != (Pass == 0))
                 continue;
@@ -452,15 +341,15 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                 continue; // not ready — leave it for a readier thief
               if (S.Claimed[I].exchange(1, std::memory_order_relaxed) != 0)
                 continue;
-              // One owner per unit per tile: serialize against the
-              // unit's previous tile before touching its state.
+              // One owner per member per tile: serialize against the
+              // member's previous tile before touching its state.
               while (DoneTile[I].load(std::memory_order_acquire) != T) {
                 if (Abort.load(std::memory_order_relaxed))
                   return;
                 std::this_thread::yield();
               }
-              if (UnitActive(Units[I])) {
-                uint64_t Ns = ReplayUnitTile(I, S, WS);
+              if (Members[I].Active) {
+                uint64_t Ns = ReplayMemberTile(I, S, WS);
                 uint64_t Prev = CostNs[I].load(std::memory_order_relaxed);
                 CostNs[I].store(Prev == 0 ? Ns : (3 * Prev + Ns) / 4,
                                 std::memory_order_relaxed);
@@ -471,7 +360,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
               S.Pending.fetch_sub(1, std::memory_order_release);
             }
           }
-          // Sweep token: the slot also carries one Pending unit per
+          // Sweep token: the slot also carries one Pending count per
           // WORKER, returned only after this worker's claim sweep of
           // the tile. Without it a worker that claimed nothing in tile
           // T would leave no trace, the decoder could recycle the slot
@@ -487,20 +376,20 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       }
     };
 
-    // Cost-weighted plan for one tile: claim order is units by
+    // Cost-weighted plan for one tile: claim order is members by
     // descending measured cost, the owner table a greedy LPT
     // assignment onto the least-loaded worker. Tile 0 has no samples
     // yet (all costs zero), so the stable sort keeps add order and LPT
-    // deals units round-robin; from tile 1 on the plan follows the
+    // deals members round-robin; from tile 1 on the plan follows the
     // measured costs — the "cost-weighted initial slices from the
     // first tiles". Decoder-only state, published with the slot.
     std::vector<uint64_t> PlanLoad(NumWorkers);
-    std::vector<uint64_t> CostSnap(NU);
+    std::vector<uint64_t> CostSnap(M);
     auto PlanTile = [&](TileSlot &S) {
       // Snapshot the costs first: workers update the EWMAs while this
       // runs, and a comparator whose answers shift mid-sort violates
       // strict weak ordering.
-      for (size_t I = 0; I < NU; ++I) {
+      for (size_t I = 0; I < M; ++I) {
         CostSnap[I] = CostNs[I].load(std::memory_order_relaxed);
         S.Order[I] = static_cast<uint32_t>(I);
       }
@@ -509,7 +398,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                          return CostSnap[A] > CostSnap[B];
                        });
       std::fill(PlanLoad.begin(), PlanLoad.end(), 0);
-      for (size_t K = 0; K < NU; ++K) {
+      for (size_t K = 0; K < M; ++K) {
         uint32_t I = S.Order[K];
         unsigned Best = 0;
         for (unsigned W = 1; W < NumWorkers; ++W)
@@ -518,7 +407,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
         S.OwnerOf[I] = static_cast<uint16_t>(Best);
         PlanLoad[Best] += std::max<uint64_t>(CostSnap[I], 1);
       }
-      for (size_t I = 0; I < NU; ++I)
+      for (size_t I = 0; I < M; ++I)
         S.Claimed[I].store(0, std::memory_order_relaxed);
     };
 
@@ -529,9 +418,9 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
 
     // Decoder loop (this thread): refill each ring slot once it
     // drained, decode the live groups, plan, publish. A slot drains
-    // after NU unit executions plus one sweep token per worker (see
+    // after M member executions plus one sweep token per worker (see
     // Worker).
-    const unsigned PendingInit = static_cast<unsigned>(NU) + NumWorkers;
+    const unsigned PendingInit = static_cast<unsigned>(M) + NumWorkers;
     try {
       TraceSource::Cursor Cursor = Source.cursor(ChunkCapacity);
       for (size_t T = 0; T < NumTiles; ++T) {
@@ -579,16 +468,9 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       Th.join();
     if (FirstError)
       std::rethrow_exception(FirstError);
-    // Per-member final costs: a batch unit's EWMA is spread evenly over
-    // its lanes, so persisted .vmibcost sidecars stay keyed by member
-    // and pre-balance future runs under any lane packing.
     FinalCostNs.assign(M, 0);
-    for (size_t UI = 0; UI < NU; ++UI) {
-      uint64_t PerMember = CostNs[UI].load(std::memory_order_relaxed) /
-                           Units[UI].MemberIdx.size();
-      for (size_t I : Units[UI].MemberIdx)
-        FinalCostNs[I] = PerMember;
-    }
+    for (size_t I = 0; I < M; ++I)
+      FinalCostNs[I] = CostNs[I].load(std::memory_order_relaxed);
   }
 
   for (const Slot &Mem : Members)

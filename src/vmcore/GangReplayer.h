@@ -431,27 +431,6 @@ public:
     return true;
   }
 
-  /// The no-evict BTB the AoSoA-batched kernel (GangKernels.h) can
-  /// advance for this member, or nullptr when the member has no such
-  /// predictor (idealised configs, non-BTB predictors, quickening).
-  /// Members of one decode group returning non-null here may be packed
-  /// into one batched tile pass.
-  virtual NoEvictBTB *batchedBtb() { return nullptr; }
-
-  /// Accounts one decoded tile whose branch stream the batched kernel
-  /// already pushed through batchedBtb(), with \p BranchMisses the
-  /// kernel-computed miss count for this member's lane. Runs whatever
-  /// per-member work the kernel does not cover (the private fetch
-  /// stream) and applies the tile aggregates. Same drop-out contract
-  /// as runChunkDecoded(). Only called when batchedBtb() returned
-  /// non-null.
-  virtual bool applyBatchedTile(const gang::DecodedChunk &D,
-                                uint64_t BranchMisses) {
-    (void)D;
-    (void)BranchMisses;
-    return true;
-  }
-
   /// Completes the member: deferred exact fallback if it dropped out,
   /// fetch-baseline patching for predictor-only members, counter
   /// finalization. \p Finished holds the results of all *earlier*
@@ -511,23 +490,6 @@ public:
   bool runChunkDecoded(const DecodedChunk &D) override {
     bool Ok = FastPred ? consumeDecoded(D, *FastPred)
                        : consumeDecoded(D, *IdealPred);
-    if (!Ok)
-      ICacheOverflowed = S.ICache.overflowed();
-    return Ok;
-  }
-
-  NoEvictBTB *batchedBtb() override { return FastPred.get(); }
-
-  bool applyBatchedTile(const DecodedChunk &D,
-                        uint64_t BranchMisses) override {
-    // The batched kernel already advanced FastPred over the branch
-    // stream; only the member-private fetch stream remains.
-    NoEvictICache ICache = std::move(S.ICache);
-    uint64_t FetchMisses = runDecodedFetches(D, ICache);
-    bool Ok = !ICache.overflowed() && !FastPred->overflowed();
-    S.ICache = std::move(ICache);
-    S.Counters.ICacheMisses += FetchMisses;
-    addDecodedAggregates(D, S.Counters, BranchMisses);
     if (!Ok)
       ICacheOverflowed = S.ICache.overflowed();
     return Ok;
@@ -629,18 +591,6 @@ public:
       BranchMisses = runDecodedBranches(D, Pred);
       *IdealPred = std::move(Pred);
     }
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    return Ok;
-  }
-
-  NoEvictBTB *batchedBtb() override { return FastPred.get(); }
-
-  bool applyBatchedTile(const DecodedChunk &D,
-                        uint64_t BranchMisses) override {
-    // Branch-only member: the kernel did all the model work; just
-    // account the tile.
-    bool Ok = !FastPred->overflowed();
-    Overflowed |= !Ok;
     addDecodedAggregates(D, S.Counters, BranchMisses);
     return Ok;
   }

@@ -290,7 +290,7 @@ public:
   }
 
 private:
-  /// Streaming tile size: matches runChunked's strip-mining AND the v2
+  /// Streaming tile size: matches runChunked's strip-mining AND the trace
   /// frame granularity, so the optimistic tier probes overflow at the
   /// same boundaries on both paths and each tile read decodes exactly
   /// one frame.

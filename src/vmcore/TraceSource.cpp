@@ -2,7 +2,8 @@
 
 #include "vmcore/TraceSource.h"
 
-#include <cerrno>
+#include "support/CommandLine.h"
+
 #include <cstdlib>
 #include <stdexcept>
 
@@ -54,14 +55,7 @@ TraceDecodeMode vmib::traceDecodeMode() {
 }
 
 uint64_t vmib::traceDecodeBudgetBytes() {
-  if (const char *Env = std::getenv("VMIB_DECODE_BUDGET")) {
-    char *End = nullptr;
-    errno = 0;
-    unsigned long long N = std::strtoull(Env, &End, 10);
-    if (errno == 0 && End != Env && *End == '\0' && N >= 1)
-      return N;
-  }
-  return uint64_t{256} << 20;
+  return envCount("VMIB_DECODE_BUDGET", uint64_t{256} << 20);
 }
 
 TraceSource::TraceSource() = default;

@@ -67,9 +67,9 @@ bool traceDecodeModeFromId(const std::string &Id, TraceDecodeMode &Out);
 TraceDecodeMode traceDecodeMode();
 
 /// Decoded-footprint budget for TraceDecodeMode::Auto: the
-/// VMIB_DECODE_BUDGET environment variable (bytes, >= 1) if set,
-/// otherwise 256 MiB. Auto streams a trace whose decoded event bytes
-/// (numEvents * 8) exceed this.
+/// VMIB_DECODE_BUDGET environment variable (bytes, a count per
+/// envCount()) if set, otherwise 256 MiB. Auto streams a trace whose
+/// decoded event bytes (numEvents * 8) exceed this.
 uint64_t traceDecodeBudgetBytes();
 
 /// The replay input handle: either a borrowed materialized trace or a

@@ -288,21 +288,14 @@ TEST(AuditPlan, DecorrelatedShapeFlipsEveryAxis) {
   EXPECT_EQ(E.Threads, 1u);
   EXPECT_NE(E.ChunkEvents, 0u);
   EXPECT_NE(E.ChunkEvents, Spec.ChunkEvents);
-  // The kernel axis flips relative to the process-wide knob; either
-  // way it must name a real kernel.
-  EXPECT_TRUE(std::strcmp(E.Kernel, "scalar") == 0 ||
-              std::strcmp(E.Kernel, "simd") == 0);
 
   // The tiebreak authority is the canonical clean configuration.
   AuditShape C = canonicalAuditShape();
   EXPECT_EQ(C.Decode, TraceDecodeMode::Materialize);
   EXPECT_EQ(C.ChunkEvents, 0u);
   EXPECT_EQ(C.Threads, 1u);
-  EXPECT_STREQ(C.Kernel, "scalar");
-  EXPECT_EQ(auditShapeId(C),
-            "decode:materialize,kernel:scalar,chunk:default,threads:1");
-  EXPECT_EQ(auditShapeId(E), std::string("decode:materialize,kernel:") +
-                                 E.Kernel + ",chunk:" +
+  EXPECT_EQ(auditShapeId(C), "decode:materialize,chunk:default,threads:1");
+  EXPECT_EQ(auditShapeId(E), "decode:materialize,chunk:" +
                                  std::to_string(E.ChunkEvents) +
                                  ",threads:1");
 }

@@ -1,14 +1,20 @@
 //===- tests/SupportTest.cpp - support library unit tests -----------------===//
 
+#include "harness/SweepRunner.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
+#include "vmcore/DispatchTrace.h"
+#include "vmcore/TraceSource.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdlib>
 #include <set>
+#include <thread>
 
 using namespace vmib;
 
@@ -130,4 +136,79 @@ TEST(CommandLine, ParsesOptionsAndPositional) {
   EXPECT_EQ(P.get("missing", "dflt"), "dflt");
   ASSERT_EQ(P.positional().size(), 1u);
   EXPECT_EQ(P.positional()[0], "pos1");
+}
+
+//===--- envCount: the VMIB_* count variables ------------------------------===//
+
+TEST(EnvCount, AcceptsPlainDecimalCounts) {
+  const char *Var = "VMIB_TEST_COUNT_OK";
+  ::unsetenv(Var);
+  EXPECT_EQ(envCount(Var, 17), 17u);
+  ::setenv(Var, "", 1); // empty reads as unset
+  EXPECT_EQ(envCount(Var, 17), 17u);
+  for (const char *V : {"1", "65536", "007", "18446744073709551615"}) {
+    ::setenv(Var, V, 1);
+    EXPECT_EQ(envCount(Var, 17), std::strtoull(V, nullptr, 10)) << V;
+  }
+  ::setenv(Var, "4", 1);
+  EXPECT_EQ(envCount(Var, 17, /*Max=*/4), 4u);
+  ::unsetenv(Var);
+}
+
+/// Every form the strict rule rejects: a suffix, a trailing letter, a
+/// sign, surrounding space, zero, a fraction, hex, overflow, and a
+/// value over the caller's bound.
+class EnvCountRejects : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(EnvCountRejects, WarnsOnceAndUsesTheDefault) {
+  // A variable per form, so each case sees its own first warning.
+  std::string Var = "VMIB_TEST_COUNT_";
+  for (const char *C = GetParam(); *C != '\0'; ++C)
+    Var += format("%02x", static_cast<unsigned char>(*C));
+  ::setenv(Var.c_str(), GetParam(), 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(envCount(Var.c_str(), 65536, /*Max=*/UINT_MAX), 65536u);
+  std::string First = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(First.find("warning: ignoring " + Var), std::string::npos)
+      << First;
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(envCount(Var.c_str(), 65536, /*Max=*/UINT_MAX), 65536u);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ::unsetenv(Var.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Forms, EnvCountRejects,
+                         ::testing::Values("64k", "4x", "-1", "+8", " 8",
+                                           "8 ", "0", "1.5", "0x10",
+                                           "18446744073709551616",
+                                           "4294967296"));
+
+TEST(EnvCount, SizingVariablesParseStrictly) {
+  // The knobs behind the three sizing variables: a malformed value
+  // falls back to the default instead of its numeric prefix.
+  ::testing::internal::CaptureStderr();
+  ::setenv("VMIB_GANG_CHUNK", "64k", 1);
+  EXPECT_EQ(DispatchTrace::defaultChunkEvents(), size_t{1} << 16);
+  ::setenv("VMIB_GANG_CHUNK", "4096", 1);
+  EXPECT_EQ(DispatchTrace::defaultChunkEvents(), 4096u);
+  ::unsetenv("VMIB_GANG_CHUNK");
+
+  unsigned HW = std::thread::hardware_concurrency();
+  ::setenv("VMIB_THREADS", "4x", 1);
+  EXPECT_EQ(defaultSweepThreads(), HW == 0 ? 1u : HW);
+  ::setenv("VMIB_THREADS", "3", 1);
+  EXPECT_EQ(defaultSweepThreads(), 3u);
+  ::unsetenv("VMIB_THREADS");
+
+  ::setenv("VMIB_DECODE_BUDGET", "1e9", 1);
+  EXPECT_EQ(traceDecodeBudgetBytes(), uint64_t{256} << 20);
+  ::setenv("VMIB_DECODE_BUDGET", "1000", 1);
+  EXPECT_EQ(traceDecodeBudgetBytes(), 1000u);
+  ::unsetenv("VMIB_DECODE_BUDGET");
+  std::string Err = ::testing::internal::GetCapturedStderr();
+  for (const char *Var : {"VMIB_GANG_CHUNK", "VMIB_THREADS",
+                          "VMIB_DECODE_BUDGET"})
+    EXPECT_NE(Err.find(std::string("warning: ignoring ") + Var),
+              std::string::npos)
+        << Err;
 }

@@ -556,10 +556,8 @@ TEST_F(TraceFileTest, TruncationRejected) {
 }
 
 TEST_F(TraceFileTest, SizeMismatchRejected) {
-  // Truncating mid-payload under the default v2 encoding is caught by
-  // the frame directory's byte claim indexing past EOF — before any
-  // payload byte is read. (The v1 flat "size mismatch" equivalent is
-  // pinned by TraceFuzzTest's Flat truncation cases.)
+  // Truncating mid-payload is caught by the frame directory's byte
+  // claim indexing past EOF — before any payload byte is read.
   truncateTo(48 + 8 * 100); // header + less payload than it claims
   expectLoadFailure("corrupt directory");
 }
@@ -576,8 +574,8 @@ TEST_F(TraceFileTest, TrailingGarbageRejected) {
 TEST_F(TraceFileTest, BitCorruptionRejected) {
   unsigned char Flip = 0xFF;
   corrupt(-5, &Flip, 1); // inside the last quicken record
-  // v1 catches this via the logical content hash, v2 via the quicken
-  // block checksum; both diagnostics name bit corruption.
+  // Caught by the quicken block checksum; the diagnostic names bit
+  // corruption.
   expectLoadFailure("bit corruption");
 }
 

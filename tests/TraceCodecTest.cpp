@@ -1,31 +1,31 @@
-//===- tests/TraceCodecTest.cpp - Trace encoding + batched kernels --------===//
+//===- tests/TraceCodecTest.cpp - Trace file encoding ----------------------===//
 ///
-/// Pins the two bandwidth layers PR 8 added under the existing
-/// bit-identity contract:
+/// Pins the trace file format under the bit-identity contract:
 ///
-///  - the v2 delta/varint trace encoding round-trips every trace shape
-///    (frame boundaries, wild deltas, halt sentinels, quickens)
-///    bit-identically, declares the same logical content hash as the
-///    v1 flat encoding of the same trace, and actually compresses
-///    walk-shaped dispatch streams (the ratio the :decodebandwidth
-///    line reports);
-///  - ResultStore cell keys are derived from that logical hash, so
-///    re-encoding a cached trace serves the SAME store cells with zero
-///    recompute;
-///  - the batched (AoSoA) gang kernel leaves every lane's NoEvictBTB
-///    in the identical state, with identical miss counts, as the
-///    scalar per-member kernel — including the 2-bit-counter and
-///    overflow paths the AVX2 tag search must not shortcut.
+///  - the delta/varint encoding round-trips every trace shape (frame
+///    boundaries, wild deltas, halt sentinels, quickens)
+///    bit-identically, declares the FNV-1a hash of the logical stream,
+///    and actually compresses walk-shaped dispatch streams (the ratio
+///    the :decodebandwidth line reports);
+///  - streamed (FrameReader/TraceSource) and materialized (load())
+///    decode hand out the identical event sequence;
+///  - a file of the retired flat version 1 is rejected as a stale cache
+///    entry everywhere, and the lab's recapture declares the same
+///    logical hash, so ResultStore cells recorded under the old file
+///    are still served without replay.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "harness/ForthLab.h"
+#include "harness/JavaLab.h"
 #include "harness/ResultStore.h"
+#include "harness/SweepExecutor.h"
 #include "harness/SweepSpec.h"
 #include "harness/Variants.h"
 #include "support/Random.h"
 #include "vmcore/DispatchTrace.h"
-#include "vmcore/GangKernels.h"
 #include "vmcore/TraceSource.h"
+#include "workloads/ForthSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -47,32 +47,25 @@ std::string tempPath(const char *Tag) {
          std::to_string(::getpid()) + ".vmibtrace";
 }
 
-/// Round-trips \p T through both encodings at \p Path and checks that
-/// the loads are bit-identical and both files declare the identical
-/// logical content hash.
+/// Round-trips \p T through a trace file and checks that the load is
+/// bit-identical and the file declares the logical content hash.
 void expectRoundTrip(const DispatchTrace &T, const std::string &What) {
   std::string Path = tempPath("roundtrip");
-  for (bool Compressed : {false, true}) {
-    ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, Compressed)) << What;
-    DispatchTrace::FileInfo Info;
-    ASSERT_TRUE(DispatchTrace::peekFileInfo(Path, Info)) << What;
-    EXPECT_EQ(Compressed ? 2u : 1u, Info.Version) << What;
-    EXPECT_EQ(T.numEvents(), Info.NumEvents) << What;
-    EXPECT_EQ(T.numQuickens(), Info.NumQuickens) << What;
-    if (!Compressed)
-      EXPECT_EQ(Info.FileBytes, Info.LogicalBytes) << What;
-    uint64_t Peeked = 0;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << What;
-    EXPECT_EQ(T.contentHash(), Peeked)
-        << What << (Compressed ? " (compressed)" : " (flat)");
-    DispatchTrace Loaded;
-    std::string Diag;
-    ASSERT_TRUE(Loaded.load(Path, WorkloadHash, &Diag)) << What << ": "
-                                                        << Diag;
-    EXPECT_EQ(T.events(), Loaded.events()) << What;
-    EXPECT_EQ(T.numQuickens(), Loaded.numQuickens()) << What;
-    EXPECT_EQ(T.contentHash(), Loaded.contentHash()) << What;
-  }
+  ASSERT_TRUE(T.save(Path, WorkloadHash)) << What;
+  DispatchTrace::FileInfo Info;
+  ASSERT_TRUE(DispatchTrace::peekFileInfo(Path, Info)) << What;
+  EXPECT_EQ(T.numEvents(), Info.NumEvents) << What;
+  EXPECT_EQ(T.numQuickens(), Info.NumQuickens) << What;
+  uint64_t Peeked = 0;
+  ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << What;
+  EXPECT_EQ(T.contentHash(), Peeked) << What;
+  DispatchTrace Loaded;
+  std::string Diag;
+  ASSERT_TRUE(Loaded.load(Path, WorkloadHash, &Diag)) << What << ": "
+                                                      << Diag;
+  EXPECT_EQ(T.events(), Loaded.events()) << What;
+  EXPECT_EQ(T.numQuickens(), Loaded.numQuickens()) << What;
+  EXPECT_EQ(T.contentHash(), Loaded.contentHash()) << What;
   std::remove(Path.c_str());
 }
 
@@ -97,15 +90,44 @@ uint64_t logicalStreamHash(const DispatchTrace &T) {
   return H;
 }
 
+constexpr uint64_t TraceMagic = 0x0143525442494d56ULL; // "VMIBTRC\1"
+
+/// Writes \p T at \p Path in the retired version-1 flat layout — the
+/// six header words, then the raw event words, then four words per
+/// quicken record — which no writer in the library produces any more.
+/// \returns the header words it wrote.
+std::vector<uint64_t> writeV1(const DispatchTrace &T, const std::string &Path,
+                              uint64_t Workload) {
+  std::vector<uint64_t> Words = {TraceMagic,     1,
+                                 T.numEvents(),  T.numQuickens(),
+                                 Workload,       logicalStreamHash(T)};
+  std::vector<uint64_t> Header = Words;
+  Words.insert(Words.end(), T.events().begin(), T.events().end());
+  for (const DispatchTrace::QuickenRecord &Q : T.quickens()) {
+    Words.push_back(Q.AfterEvents);
+    Words.push_back((static_cast<uint64_t>(Q.NewInstr.Op) << 32) | Q.Index);
+    Words.push_back(static_cast<uint64_t>(Q.NewInstr.A));
+    Words.push_back(static_cast<uint64_t>(Q.NewInstr.B));
+  }
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  EXPECT_NE(nullptr, F);
+  if (F) {
+    EXPECT_EQ(Words.size(),
+              std::fwrite(Words.data(), sizeof(uint64_t), Words.size(), F));
+    EXPECT_EQ(0, std::fclose(F));
+  }
+  return Header;
+}
+
 } // namespace
 
 TEST(TraceCodecTest, LoadedTraceHashIsTheVerifiedDeclaration) {
   // contentHash() of a loaded trace is the hash load() verified — O(1),
-  // never re-derived: under both encodings it equals the header
-  // declaration and the FNV-1a over the logical stream, it survives
-  // re-encoding, and it stops applying the moment the trace grows.
+  // never re-derived: it equals the header declaration and the FNV-1a
+  // over the logical stream, and it stops applying the moment the
+  // trace grows.
   DispatchTrace T;
-  for (uint32_t I = 0; I < 70000; ++I) // spans two v2 frames
+  for (uint32_t I = 0; I < 70000; ++I) // spans two frames
     T.append(I % 113, (I * 7 + 1) % 113);
   VMInstr Q;
   Q.Op = 5;
@@ -118,35 +140,26 @@ TEST(TraceCodecTest, LoadedTraceHashIsTheVerifiedDeclaration) {
   EXPECT_EQ(T.contentHash(), Logical);
 
   std::string Path = tempPath("sealed");
-  for (bool Compressed : {false, true}) {
-    const char *Enc = Compressed ? "v2" : "v1";
-    ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, Compressed)) << Enc;
-    uint64_t Peeked = 0;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << Enc;
-    DispatchTrace Loaded;
-    ASSERT_TRUE(Loaded.load(Path, WorkloadHash)) << Enc;
-    EXPECT_EQ(Loaded.contentHash(), Peeked) << Enc;
-    EXPECT_EQ(Loaded.contentHash(), Logical) << Enc;
-    EXPECT_EQ(logicalStreamHash(Loaded), Logical) << Enc;
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
+  uint64_t Peeked = 0;
+  ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked));
+  DispatchTrace Loaded;
+  ASSERT_TRUE(Loaded.load(Path, WorkloadHash));
+  EXPECT_EQ(Loaded.contentHash(), Peeked);
+  EXPECT_EQ(Loaded.contentHash(), Logical);
+  EXPECT_EQ(logicalStreamHash(Loaded), Logical);
 
-    ASSERT_TRUE(Loaded.saveEncoded(Path, WorkloadHash, !Compressed)) << Enc;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(Path, Peeked)) << Enc;
-    EXPECT_EQ(Peeked, Logical) << Enc << " re-encoded";
+  Loaded.append(1, 2);
+  EXPECT_NE(Loaded.contentHash(), Logical);
+  EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(Loaded));
+  Loaded.appendQuicken(3, Q);
+  EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(Loaded));
+  Loaded.clear();
+  EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(DispatchTrace()));
 
-    Loaded.append(1, 2);
-    EXPECT_NE(Loaded.contentHash(), Logical) << Enc;
-    EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(Loaded)) << Enc;
-    Loaded.appendQuicken(3, Q);
-    EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(Loaded)) << Enc;
-    Loaded.clear();
-    EXPECT_EQ(Loaded.contentHash(), logicalStreamHash(DispatchTrace()))
-        << Enc;
-  }
-
-  // The v2 load trusts the checksummed declaration outright: re-declare
-  // a different hash under a valid header checksum and the loaded trace
+  // The load trusts the checksummed declaration outright: re-declare a
+  // different hash under a valid header checksum and the loaded trace
   // reports it — proof that nothing re-derives the hash from events.
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
   uint64_t Header[11];
   std::FILE *F = std::fopen(Path.c_str(), "r+b");
   ASSERT_NE(nullptr, F);
@@ -180,7 +193,7 @@ TEST(TraceCodecTest, RoundTripShapes) {
     expectRoundTrip(T, "single halt event");
   }
 
-  // Exactly one frame, one frame + 1, and one frame - 1 (the v2 frame
+  // Exactly one frame, one frame + 1, and one frame - 1 (the frame
   // size is 65536 events; boundary off-by-ones are where framed codecs
   // break).
   for (uint32_t N : {65535u, 65536u, 65537u}) {
@@ -225,7 +238,7 @@ TEST(TraceCodecTest, RoundTripShapes) {
 TEST(TraceCodecTest, WalkTraceCompressesAtLeastTwofold) {
   // A dispatch-shaped walk (straight-line runs broken by indirect
   // jumps, like every real and synthetic workload) must compress >= 2x
-  // against its v1 flat footprint — the floor the :decodebandwidth
+  // against its decoded footprint — the floor the :decodebandwidth
   // line is expected to show in CI.
   DispatchTrace T;
   Xoroshiro128 Rng(0x77616c6bULL);
@@ -238,151 +251,134 @@ TEST(TraceCodecTest, WalkTraceCompressesAtLeastTwofold) {
     Ip = Next;
   }
   std::string Path = tempPath("ratio");
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
   DispatchTrace::FileInfo Info;
   ASSERT_TRUE(DispatchTrace::peekFileInfo(Path, Info));
-  EXPECT_GE(Info.ratio(), 2.0) << "v2 encoding stopped compressing: "
+  EXPECT_GE(Info.ratio(), 2.0) << "trace encoding stopped compressing: "
                                << Info.FileBytes << " bytes for "
                                << Info.LogicalBytes << " logical";
   std::remove(Path.c_str());
 }
 
-TEST(TraceCodecTest, ReencodedTraceHitsSameStoreCells) {
-  // The encoding-invariance satellite end to end: record cells keyed
-  // by a compressed trace file, re-encode the file flat, and the store
-  // must serve the same cells — the key is the logical content hash,
-  // not the bytes on disk.
+TEST(TraceCodecTest, VersionOneFileIsAStaleCacheEntry) {
+  // No writer emits version 1 any more, so the file is spelled out by
+  // hand. Every reader refuses it: the two loaders name it a stale
+  // cache entry, and the header peeks that key store probes see no
+  // trace at all.
+  DispatchTrace T;
+  for (uint32_t I = 0; I < 3000; ++I)
+    T.append(I % 61, (I + 1) % 61);
+  VMInstr Q;
+  Q.Op = 9;
+  Q.A = -7;
+  Q.B = 11;
+  T.appendQuicken(42, Q);
+  std::string Path = tempPath("v1");
+  writeV1(T, Path, WorkloadHash);
+  const std::string Stale = "format version 1, expected 2 (stale cache entry)";
+
+  DispatchTrace Loaded;
+  Loaded.append(1, 2); // a failed load must clear this
+  std::string Diag;
+  EXPECT_FALSE(Loaded.load(Path, WorkloadHash, &Diag));
+  EXPECT_NE(std::string::npos, Diag.find(Stale)) << Diag;
+  EXPECT_EQ(0u, Loaded.numEvents());
+
+  DispatchTrace::FrameReader R;
+  Diag.clear();
+  EXPECT_FALSE(R.open(Path, WorkloadHash, &Diag));
+  EXPECT_NE(std::string::npos, Diag.find(Stale)) << Diag;
+  EXPECT_FALSE(R.isOpen());
+
+  uint64_t Hash = 0;
+  EXPECT_FALSE(DispatchTrace::peekContentHash(Path, Hash));
+  DispatchTrace::FileInfo Info;
+  EXPECT_FALSE(DispatchTrace::peekFileInfo(Path, Info));
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCodecTest, VersionOneCacheEntryRecapturesOntoItsStoreCells) {
+  // The upgrade path end to end: a trace cache still holding a
+  // version-1 file, and a result store whose cells were recorded under
+  // the hash that file declares.
+  char DirTemplate[] = "/tmp/vmib-codec-upgrade-XXXXXX";
+  ASSERT_NE(nullptr, ::mkdtemp(DirTemplate));
+  const std::string Dir = DirTemplate;
+  ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", (Dir + "/cache").c_str(), 1));
+
   SweepSpec Spec;
-  Spec.Name = "codec";
+  Spec.Name = "codec-upgrade";
   Spec.Suite = "forth";
-  Spec.Benchmarks = {"fib"};
+  Spec.Benchmarks = {forthSuite()[0].Name};
   Spec.Variants = {makeVariant(DispatchStrategy::Threaded),
                    makeVariant(DispatchStrategy::StaticRepl)};
   Spec.Cpus = {"p4northwood"};
+  const std::string &B = Spec.Benchmarks[0];
+  const std::string Path = DispatchTrace::cachePathFor("forth-" + B);
 
-  DispatchTrace T;
-  for (uint32_t I = 0; I < 4096; ++I)
-    T.append(I % 97, (I + 1) % 97);
-  std::string TracePath = tempPath("store");
+  // Capture once, then put the entry back in its version-1 form.
+  std::vector<uint64_t> V1Header;
+  {
+    ForthLab Capture;
+    V1Header = writeV1(Capture.trace(B), Path, Capture.referenceHash(B));
+  }
 
-  char StoreTemplate[] = "/tmp/vmib-codec-store-XXXXXX";
-  ASSERT_NE(nullptr, ::mkdtemp(StoreTemplate));
-  std::string StoreDir = StoreTemplate;
+  // Cells recorded while the version-1 file was current. Sentinel
+  // values: no replay produces them.
+  const std::string StoreDir = Dir + "/results";
+  std::vector<PerfCounters> Stored(Spec.Variants.size());
+  std::string Diag;
   {
     ResultStore Store;
-    std::string Diag;
     ASSERT_TRUE(Store.open(StoreDir, &Diag)) << Diag;
-
-    ASSERT_TRUE(T.saveEncoded(TracePath, WorkloadHash, /*Compressed=*/true));
-    uint64_t CompressedHash = 0;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(TracePath, CompressedHash));
-    for (size_t M = 0; M < Spec.Variants.size(); ++M) {
-      PerfCounters C;
-      C.Cycles = 1000 + M;
-      C.DispatchCount = 4096;
-      Store.record(cellStoreKey(Spec, M, CompressedHash), C);
+    for (size_t M = 0; M < Stored.size(); ++M) {
+      Stored[M].Cycles = 1000 + M;
+      Stored[M].DispatchCount = 4096;
+      Store.record(cellStoreKey(Spec, M, V1Header[5]), Stored[M]);
     }
     ASSERT_TRUE(Store.flush());
-
-    ASSERT_TRUE(T.saveEncoded(TracePath, WorkloadHash, /*Compressed=*/false));
-    uint64_t FlatHash = 0;
-    ASSERT_TRUE(DispatchTrace::peekContentHash(TracePath, FlatHash));
-    EXPECT_EQ(CompressedHash, FlatHash);
-    for (size_t M = 0; M < Spec.Variants.size(); ++M) {
-      PerfCounters C;
-      EXPECT_TRUE(Store.probe(cellStoreKey(Spec, M, FlatHash), C))
-          << "member " << M << " missed after re-encoding";
-      EXPECT_EQ(1000 + M, C.Cycles);
-    }
   }
-  std::remove(TracePath.c_str());
-  std::string Cleanup = "rm -rf '" + StoreDir + "'";
-  ASSERT_EQ(0, std::system(Cleanup.c_str()));
-}
 
-TEST(TraceCodecTest, BatchedKernelMatchesScalarLanes) {
-  // Eight lanes with deliberately mixed geometries: 4-way lanes take
-  // the AVX2 tag search (when the host has it), everything else the
-  // scalar step inside the same pass. Each must finish with the exact
-  // per-member miss count, table contents and overflow flag the scalar
-  // kernel produces.
-  std::vector<BTBConfig> Geometries;
+  // The lab warns, recaptures, and leaves a current-version file that
+  // declares the same logical hash.
   {
-    BTBConfig C;
-    C.Entries = 64;
-    C.Ways = 4;
-    Geometries.push_back(C); // AVX2-eligible, overflows under pressure
-    C.Entries = 512;
-    C.Ways = 4;
-    C.TwoBitCounters = true;
-    Geometries.push_back(C); // AVX2-eligible, hysteresis path
-    C.Entries = 512;
-    C.Ways = 2;
-    C.TwoBitCounters = false;
-    Geometries.push_back(C); // scalar-in-batch lane
-    C.Entries = 513;
-    C.Ways = 3;
-    Geometries.push_back(C); // non-power-of-two sets, scalar lane
+    ForthLab Lab;
+    ::testing::internal::CaptureStderr();
+    uint64_t Recaptured = Lab.trace(B).contentHash();
+    std::string Err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(std::string::npos,
+              Err.find("format version 1, expected 2 (stale cache entry)"))
+        << Err;
+    EXPECT_EQ(V1Header[5], Recaptured);
   }
+  DispatchTrace Reloaded;
+  ASSERT_TRUE(Reloaded.load(Path, V1Header[4], &Diag)) << Diag;
+  EXPECT_EQ(V1Header[5], Reloaded.contentHash());
 
-  gang::DecodedChunk D;
-  Xoroshiro128 Rng(0x6b65726eULL);
-  const size_t NumRecords = 20000;
-  D.Branches.resize(NumRecords);
-  for (size_t I = 0; I < NumRecords; ++I) {
-    // ~600 distinct sites: enough reuse for hits, enough spread for
-    // conflict-driven overflow in the 64-entry geometry.
-    Addr Site = 0x1000 + (Rng.nextBelow(600) << 2);
-    Addr Target = 0x200000 + (Rng.nextBelow(900) << 4);
-    D.Branches[I].Site = Site;
-    D.Branches[I].TargetHint = Target;
+  // So the cells recorded under the old file are served, and nothing
+  // replays.
+  {
+    ResultStore Store;
+    ASSERT_TRUE(Store.open(StoreDir, &Diag)) << Diag;
+    SweepExecutor Executor;
+    Executor.setResultStore(&Store);
+    std::vector<PerfCounters> Cells;
+    SweepRunStats Stats = Executor.runAll(Spec, 1, Cells);
+    EXPECT_EQ(0u, Stats.ReplayedEvents);
+    EXPECT_EQ(Spec.numCells(), Store.stats().Hits);
+    ASSERT_EQ(Spec.numCells(), Cells.size());
+    for (size_t M = 0; M < Stored.size(); ++M)
+      EXPECT_EQ(Stored[M].Cycles, Cells[Spec.cellIndex(0, M)].Cycles)
+          << "member " << M;
   }
-  D.NumBranches = NumRecords;
-
-  // Scalar reference: one member at a time through the shared
-  // runDecodedBranches path every non-batched replay uses.
-  std::vector<NoEvictBTB> Reference;
-  std::vector<uint64_t> ReferenceMisses;
-  for (size_t L = 0; L < 8; ++L)
-    Reference.emplace_back(Geometries[L % Geometries.size()]);
-  for (NoEvictBTB &B : Reference)
-    ReferenceMisses.push_back(gang::runDecodedBranches(D, B));
-
-  // Batched: all eight lanes in one pass.
-  std::vector<NoEvictBTB> Batched;
-  for (size_t L = 0; L < 8; ++L)
-    Batched.emplace_back(Geometries[L % Geometries.size()]);
-  gang::BtbLane Lanes[gang::MaxBatchLanes];
-  for (size_t L = 0; L < 8; ++L)
-    Lanes[L].V = Batched[L].kernelView();
-  gang::runDecodedBranchesBatched(D, Lanes, 8);
-
-  for (size_t L = 0; L < 8; ++L) {
-    EXPECT_EQ(ReferenceMisses[L], Lanes[L].Misses) << "lane " << L;
-    EXPECT_EQ(Reference[L].overflowed(), Batched[L].overflowed())
-        << "lane " << L;
-    // The tables themselves: replay a probe stream through both and
-    // compare predictions — any hidden state divergence surfaces as a
-    // differing prediction within one set scan.
-    gang::DecodedChunk Probe;
-    Probe.Branches.resize(600);
-    for (size_t I = 0; I < 600; ++I) {
-      Probe.Branches[I].Site = 0x1000 + ((I * 7 % 600) << 2);
-      Probe.Branches[I].TargetHint = 0x300000;
-    }
-    Probe.NumBranches = Probe.Branches.size();
-    EXPECT_EQ(gang::runDecodedBranches(Probe, Reference[L]),
-              gang::runDecodedBranches(Probe, Batched[L]))
-        << "lane " << L << " tables diverged";
-  }
-  EXPECT_TRUE(Reference[0].overflowed())
-      << "pressure geometry never overflowed; the overflow path went "
-         "untested";
+  ::unsetenv("VMIB_TRACE_CACHE");
+  std::string Cleanup = "rm -rf '" + Dir + "'";
+  ASSERT_EQ(0, std::system(Cleanup.c_str()));
 }
 
 namespace {
 
-/// A multi-frame walk with quicken records clustered around the v2
+/// A multi-frame walk with quicken records clustered around the
 /// 64K-event frame boundaries — the shapes where a streaming decoder
 /// with per-frame state is most likely to diverge from load().
 DispatchTrace makeMultiFrameTrace(uint32_t NumEvents) {
@@ -415,55 +411,51 @@ TEST(TraceCodecTest, StreamingDecodeBitIdenticalToMaterialized) {
   // ~2.3 frames of events, quickens straddling both frame boundaries.
   DispatchTrace T = makeMultiFrameTrace(150000);
   std::string Path = tempPath("stream");
-  for (bool Compressed : {false, true}) {
-    ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, Compressed));
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
+  TraceSource Stream;
+  std::string Diag;
+  ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, Stream, &Diag))
+      << Diag;
+  ASSERT_TRUE(Stream.streaming());
+  EXPECT_EQ(T.numEvents(), Stream.numEvents());
+  EXPECT_EQ(T.contentHash(), Stream.contentHash());
+  ASSERT_EQ(T.numQuickens(), Stream.numQuickens());
+  for (size_t I = 0; I < T.numQuickens(); ++I) {
+    EXPECT_EQ(T.quickens()[I].AfterEvents, Stream.quickens()[I].AfterEvents);
+    EXPECT_EQ(T.quickens()[I].Index, Stream.quickens()[I].Index);
+    // Field by field: VMInstr has padding after Op, whose bytes are
+    // indeterminate and never serialized.
+    const VMInstr &Want = T.quickens()[I].NewInstr;
+    const VMInstr &Got = Stream.quickens()[I].NewInstr;
+    EXPECT_EQ(Want.Op, Got.Op);
+    EXPECT_EQ(Want.A, Got.A);
+    EXPECT_EQ(Want.B, Got.B);
+  }
 
-    TraceSource Stream;
-    std::string Diag;
-    ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, Stream, &Diag))
-        << Diag;
-    ASSERT_TRUE(Stream.streaming());
-    EXPECT_EQ(T.numEvents(), Stream.numEvents());
-    EXPECT_EQ(T.contentHash(), Stream.contentHash());
-    ASSERT_EQ(T.numQuickens(), Stream.numQuickens());
-    for (size_t I = 0; I < T.numQuickens(); ++I) {
-      EXPECT_EQ(T.quickens()[I].AfterEvents, Stream.quickens()[I].AfterEvents);
-      EXPECT_EQ(T.quickens()[I].Index, Stream.quickens()[I].Index);
-      // Field by field: VMInstr has padding after Op, whose bytes are
-      // indeterminate and never serialized.
-      const VMInstr &Want = T.quickens()[I].NewInstr;
-      const VMInstr &Got = Stream.quickens()[I].NewInstr;
-      EXPECT_EQ(Want.Op, Got.Op);
-      EXPECT_EQ(Want.A, Got.A);
-      EXPECT_EQ(Want.B, Got.B);
-    }
-
-    TraceSource Mat(T);
-    // Tile sizes chosen to hit every boundary class: odd (tiles
-    // straddle frames), the default, one frame exactly, and oversize
-    // (one tile spanning the whole trace).
-    for (size_t Chunk : {size_t(999), size_t(0), size_t(65536),
-                         size_t(1) << 21}) {
-      TraceSource::Cursor SC = Stream.cursor(Chunk);
-      TraceSource::Cursor MC = Mat.cursor(Chunk);
-      std::vector<DispatchTrace::Event> SBuf, MBuf;
-      EventSpan SSpan, MSpan;
-      size_t Tiles = 0;
-      for (;;) {
-        bool SMore = SC.nextInto(SBuf, SSpan);
-        bool MMore = MC.nextInto(MBuf, MSpan);
-        ASSERT_EQ(MMore, SMore) << "tile count diverged at tile " << Tiles
-                                << " chunk " << Chunk;
-        if (!SMore)
-          break;
-        ASSERT_EQ(MSpan.Begin, SSpan.Begin) << "chunk " << Chunk;
-        ASSERT_EQ(MSpan.End, SSpan.End) << "chunk " << Chunk;
-        ASSERT_EQ(0, std::memcmp(MSpan.Data, SSpan.Data,
-                                 SSpan.size() * sizeof(DispatchTrace::Event)))
-            << "tile " << Tiles << " chunk " << Chunk
-            << (Compressed ? " (compressed)" : " (flat)");
-        ++Tiles;
-      }
+  TraceSource Mat(T);
+  // Tile sizes chosen to hit every boundary class: odd (tiles
+  // straddle frames), the default, one frame exactly, and oversize
+  // (one tile spanning the whole trace).
+  for (size_t Chunk : {size_t(999), size_t(0), size_t(65536),
+                       size_t(1) << 21}) {
+    TraceSource::Cursor SC = Stream.cursor(Chunk);
+    TraceSource::Cursor MC = Mat.cursor(Chunk);
+    std::vector<DispatchTrace::Event> SBuf, MBuf;
+    EventSpan SSpan, MSpan;
+    size_t Tiles = 0;
+    for (;;) {
+      bool SMore = SC.nextInto(SBuf, SSpan);
+      bool MMore = MC.nextInto(MBuf, MSpan);
+      ASSERT_EQ(MMore, SMore) << "tile count diverged at tile " << Tiles
+                              << " chunk " << Chunk;
+      if (!SMore)
+        break;
+      ASSERT_EQ(MSpan.Begin, SSpan.Begin) << "chunk " << Chunk;
+      ASSERT_EQ(MSpan.End, SSpan.End) << "chunk " << Chunk;
+      ASSERT_EQ(0, std::memcmp(MSpan.Data, SSpan.Data,
+                               SSpan.size() * sizeof(DispatchTrace::Event)))
+          << "tile " << Tiles << " chunk " << Chunk;
+      ++Tiles;
     }
   }
   std::remove(Path.c_str());
@@ -472,12 +464,11 @@ TEST(TraceCodecTest, StreamingDecodeBitIdenticalToMaterialized) {
 TEST(TraceCodecTest, FrameReaderIncrementalApi) {
   DispatchTrace T = makeMultiFrameTrace(70000); // frame + partial frame
   std::string Path = tempPath("reader");
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
 
   DispatchTrace::FrameReader R;
   std::string Diag;
   ASSERT_TRUE(R.open(Path, WorkloadHash, &Diag)) << Diag;
-  EXPECT_EQ(2u, R.version());
   EXPECT_EQ(T.numEvents(), R.numEvents());
   EXPECT_EQ(T.numQuickens(), R.numQuickens());
   EXPECT_EQ(WorkloadHash, R.workloadHash());
@@ -511,18 +502,16 @@ TEST(TraceCodecTest, FrameReaderIncrementalApi) {
 TEST(TraceCodecTest, StreamingZeroEventsAndOversizeChunk) {
   DispatchTrace Empty;
   std::string Path = tempPath("empty");
-  for (bool Compressed : {false, true}) {
-    ASSERT_TRUE(Empty.saveEncoded(Path, WorkloadHash, Compressed));
-    TraceSource S;
-    std::string Diag;
-    ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, S, &Diag))
-        << Diag;
-    EXPECT_EQ(0u, S.numEvents());
-    TraceSource::Cursor C = S.cursor(4096);
-    std::vector<DispatchTrace::Event> Buf;
-    EventSpan Span;
-    EXPECT_FALSE(C.nextInto(Buf, Span)) << "zero-event trace yielded a tile";
-  }
+  ASSERT_TRUE(Empty.save(Path, WorkloadHash));
+  TraceSource S;
+  std::string Diag;
+  ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, S, &Diag))
+      << Diag;
+  EXPECT_EQ(0u, S.numEvents());
+  TraceSource::Cursor C = S.cursor(4096);
+  std::vector<DispatchTrace::Event> Buf;
+  EventSpan Span;
+  EXPECT_FALSE(C.nextInto(Buf, Span)) << "zero-event trace yielded a tile";
   std::remove(Path.c_str());
 }
 
@@ -530,58 +519,37 @@ TEST(TraceCodecTest, StreamingRejectsBitCorruption) {
   DispatchTrace T = makeMultiFrameTrace(100000);
   std::string Path = tempPath("corrupt");
 
-  // v2: open() validates header/directory/quickens; a flipped byte in
-  // an event frame is caught by that frame's checksum at read() time,
+  // open() validates header/directory/quickens; a flipped byte in an
+  // event frame is caught by that frame's checksum at read() time,
   // before any decoded event escapes.
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/true));
-  {
-    // Find the payload region: flip a byte well inside the event
-    // frames (half-way through the file is always event payload for
-    // this shape — quickens are a tiny tail).
-    FILE *F = std::fopen(Path.c_str(), "r+b");
-    ASSERT_NE(nullptr, F);
-    std::fseek(F, 0, SEEK_END);
-    long Size = std::ftell(F);
-    std::fseek(F, Size / 2, SEEK_SET);
-    int Byte = std::fgetc(F);
-    std::fseek(F, Size / 2, SEEK_SET);
-    std::fputc(Byte ^ 0x40, F);
-    std::fclose(F);
+  ASSERT_TRUE(T.save(Path, WorkloadHash));
+  // Find the payload region: flip a byte well inside the event
+  // frames (half-way through the file is always event payload for
+  // this shape — quickens are a tiny tail).
+  FILE *F = std::fopen(Path.c_str(), "r+b");
+  ASSERT_NE(nullptr, F);
+  std::fseek(F, 0, SEEK_END);
+  long Size = std::ftell(F);
+  std::fseek(F, Size / 2, SEEK_SET);
+  int Byte = std::fgetc(F);
+  std::fseek(F, Size / 2, SEEK_SET);
+  std::fputc(Byte ^ 0x40, F);
+  std::fclose(F);
 
-    DispatchTrace::FrameReader R;
-    std::string Diag;
-    ASSERT_TRUE(R.open(Path, WorkloadHash, &Diag))
-        << "v2 open should defer payload verification: " << Diag;
-    std::vector<DispatchTrace::Event> Out;
-    bool Failed = false;
-    while (R.eventsRemaining() > 0)
-      if (!R.read(65536, Out)) {
-        Failed = true;
-        break;
-      }
-    ASSERT_TRUE(Failed) << "corrupt frame decoded without complaint";
-    EXPECT_NE(std::string::npos, R.error().find("checksum"))
-        << "unexpected diagnostic: " << R.error();
-  }
+  DispatchTrace::FrameReader R;
+  std::string Diag;
+  ASSERT_TRUE(R.open(Path, WorkloadHash, &Diag))
+      << "open should defer payload verification: " << Diag;
+  std::vector<DispatchTrace::Event> Out;
+  bool Failed = false;
+  while (R.eventsRemaining() > 0)
+    if (!R.read(65536, Out)) {
+      Failed = true;
+      break;
+    }
+  ASSERT_TRUE(Failed) << "corrupt frame decoded without complaint";
+  EXPECT_NE(std::string::npos, R.error().find("checksum"))
+      << "unexpected diagnostic: " << R.error();
 
-  // v1: no per-frame checksums, so open() pays a whole-file hash
-  // pre-pass and rejects up front.
-  ASSERT_TRUE(T.saveEncoded(Path, WorkloadHash, /*Compressed=*/false));
-  {
-    FILE *F = std::fopen(Path.c_str(), "r+b");
-    ASSERT_NE(nullptr, F);
-    std::fseek(F, 0, SEEK_END);
-    long Size = std::ftell(F);
-    std::fseek(F, Size / 2, SEEK_SET);
-    int Byte = std::fgetc(F);
-    std::fseek(F, Size / 2, SEEK_SET);
-    std::fputc(Byte ^ 0x40, F);
-    std::fclose(F);
-
-    DispatchTrace::FrameReader R;
-    std::string Diag;
-    EXPECT_FALSE(R.open(Path, WorkloadHash, &Diag))
-        << "v1 open accepted a corrupt file";
-  }
   std::remove(Path.c_str());
 }

@@ -10,16 +10,13 @@
 ///       trace object must come back empty, never half-filled.
 ///
 /// Every header word is covered by an explicit check (magic, version,
-/// counts vs file size, workload hash; v1 pins its content-hash word
-/// by recomputing the hash, v2 pins all of its header words — the
-/// stored hash included — with the header checksum) and every payload
-/// byte by an FNV-1a hash (v1: the logical content hash; v2: the
-/// per-frame and quicken-block checksums), so a crash or a silent
-/// wrong load on any seeded mutation is a real bug, not fuzz noise.
-/// Seeded
-/// truncations and bit flips extend the same contract. The whole suite
-/// runs once per on-disk encoding (v1 flat, v2 delta/varint frames),
-/// and a cross-encoding round trip pins old-version compatibility.
+/// counts vs file size, workload hash, and the header checksum, which
+/// pins the stored content hash too) and every payload byte by an
+/// FNV-1a checksum (per frame and over the quicken block), so a crash
+/// or a silent wrong load on any seeded mutation is a real bug, not
+/// fuzz noise. Seeded truncations and bit flips extend the same
+/// contract. load() is FrameReader::open() plus one read() of the whole
+/// stream, so the contract covers the streaming reader as well.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,18 +53,15 @@ DispatchTrace makeTrace() {
   return T;
 }
 
-/// Parameterized over the on-disk encoding: false = v1 flat dump,
-/// true = v2 delta/varint frames. The mutation contract is identical —
-/// the v2 header checksum plus per-frame checksums must catch every
-/// corruption the v1 raw-word hash caught, even though the v2 load
-/// never recomputes the logical hash.
-class TraceFuzzTest : public ::testing::TestWithParam<bool> {
+/// The header checksum plus per-frame checksums must catch every
+/// corruption, even though the load never recomputes the logical hash.
+class TraceFuzzTest : public ::testing::Test {
 protected:
   void SetUp() override {
     Trace = makeTrace();
     Path = "/tmp/vmib-trace-fuzz-" + std::to_string(::getpid()) +
            ".vmibtrace";
-    ASSERT_TRUE(Trace.saveEncoded(Path, WorkloadHash, GetParam()));
+    ASSERT_TRUE(Trace.save(Path, WorkloadHash));
     // Keep the pristine image in memory; each case patches the file
     // and restores it from this buffer.
     std::FILE *F = std::fopen(Path.c_str(), "rb");
@@ -119,7 +113,7 @@ protected:
 
 } // namespace
 
-TEST_P(TraceFuzzTest, SeededSingleByteOverwrites) {
+TEST_F(TraceFuzzTest, SeededSingleByteOverwrites) {
   // 512 seeded single-byte overwrites at uniform offsets. When the
   // random byte equals the original, the file is untouched and must
   // load bit-identically; any actual change must be rejected.
@@ -140,7 +134,7 @@ TEST_P(TraceFuzzTest, SeededSingleByteOverwrites) {
   checkContract(true, "pristine after overwrite fuzz");
 }
 
-TEST_P(TraceFuzzTest, SeededSingleBitFlips) {
+TEST_F(TraceFuzzTest, SeededSingleBitFlips) {
   // Bit flips always change the file, so every case must be rejected —
   // including flips inside the stored hashes themselves.
   Xoroshiro128 Rng(0x626974666c697073ULL);
@@ -157,7 +151,7 @@ TEST_P(TraceFuzzTest, SeededSingleBitFlips) {
   }
 }
 
-TEST_P(TraceFuzzTest, SeededTruncationsAndExtensions) {
+TEST_F(TraceFuzzTest, SeededTruncationsAndExtensions) {
   // Random truncations (any length short of the full file) and random
   // trailing garbage must both be rejected by the exact size check.
   Xoroshiro128 Rng(0x7472756e63617465ULL);
@@ -177,25 +171,3 @@ TEST_P(TraceFuzzTest, SeededTruncationsAndExtensions) {
     checkContract(false, "extend by " + std::to_string(Extra));
   }
 }
-
-TEST_P(TraceFuzzTest, CrossEncodingRoundTrip) {
-  // The OTHER encoding of the identical trace must load back
-  // bit-identically (v1-compat when this instance fuzzes v2, and vice
-  // versa), and both files must declare the same logical content hash —
-  // the encoding-invariance the result-store keys rest on.
-  ASSERT_TRUE(Trace.saveEncoded(Path, WorkloadHash, !GetParam()));
-  checkContract(true, "cross-encoding reload");
-  uint64_t OtherHash = 0;
-  ASSERT_TRUE(DispatchTrace::peekContentHash(Path, OtherHash));
-  EXPECT_EQ(Trace.contentHash(), OtherHash);
-  writeFile(Pristine);
-  uint64_t ThisHash = 0;
-  ASSERT_TRUE(DispatchTrace::peekContentHash(Path, ThisHash));
-  EXPECT_EQ(OtherHash, ThisHash);
-}
-
-INSTANTIATE_TEST_SUITE_P(Encodings, TraceFuzzTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool> &I) {
-                           return I.param ? "Compressed" : "Flat";
-                         });

@@ -14,32 +14,27 @@
 ///   sweep_driver --spec=F --verify --shards=N   run in-process serial,
 ///                                               threaded (when the
 ///                                               threads knob is set),
-///                                               1-worker and N-worker
-///                                               sharded; bit-compare
-///                                               all of them and report
+///                                               materialized and
+///                                               streamed, 1-worker and
+///                                               N-worker sharded;
+///                                               bit-compare all of
+///                                               them and report
 ///                                               wall-clock scaling +
 ///                                               the :loadbalance line
 ///   sweep_driver --spec=F --emit-spec           parse + reprint the spec
 ///
-/// Replay-path knobs (docs/simulation-pipeline.md, "Trace encoding"):
-/// `--trace-compress=on|off` picks the trace-file encoding (v2
-/// delta/varint frames, the default, vs the v1 flat dump),
-/// `--kernel=scalar|simd` picks the gang member kernel (one member per
-/// tile pass, the measured-faster default, vs SIMD-batched
-/// same-fingerprint members advancing together) and
+/// Replay-path knob (docs/simulation-pipeline.md, "Streaming decode"):
 /// `--decode=materialize|stream|auto` picks how replay acquires the
 /// event stream (whole trace in memory vs O(tile) streaming decode
 /// from the trace cache file; auto streams past the
-/// VMIB_DECODE_BUDGET footprint). All three are bit-identity-neutral
-/// by contract, and `--verify` proves it: the encoding x kernel x
-/// decode axis re-encodes every trace both ways, reloads through the
-/// file path, re-runs the sweep under both kernels and both decode
-/// paths, bit-compares all combinations, and emits the
-/// `:decodebandwidth` [timing] line (compressed AND flat decode
-/// events/s, their speedup, the on-disk compression ratio, plus the
-/// streaming tile-read rate and peak tile-ring bytes). The decisions
-/// are re-exported via VMIB_TRACE_COMPRESS / VMIB_GANG_KERNEL /
-/// VMIB_TRACE_DECODE so forked workers agree.
+/// VMIB_DECODE_BUDGET footprint). It is bit-identity-neutral by
+/// contract, and `--verify` proves it: the decode axis reloads every
+/// trace through the cache file, re-runs the sweep materialized and
+/// streamed (serially, and threaded when the threads knob is set),
+/// bit-compares every run, and emits the `:decodebandwidth` [timing]
+/// line (load events/s, the on-disk compression ratio, the streaming
+/// tile-read rate and peak tile-ring bytes). The decision is
+/// re-exported via VMIB_TRACE_DECODE so forked workers agree.
 ///
 /// --threads=N overrides the spec's `threads` field everywhere: each
 /// gang replays on GangReplayer's shared-tile worker pool (one decoder
@@ -90,8 +85,8 @@
 ///
 /// Audit model (docs/simulation-pipeline.md, "Audit model"):
 /// `--audit=RATE` re-executes a deterministically-sampled subset of
-/// cells through a fully decorrelated execution shape (decode, kernel,
-/// tile size and thread count all flipped) and bit-compares. In
+/// cells through a fully decorrelated execution shape (decode, tile
+/// size and thread count all flipped) and bit-compares. In
 /// orchestrator mode the audits are dispatched like hedges — into idle
 /// worker slots, after the job queue drains — as `--audit-exec`
 /// workers (clean re-execution: VMIB_FAULT ignored, store off); in
@@ -113,7 +108,6 @@
 #include "harness/Auditor.h"
 #include "harness/CacheGC.h"
 #include "harness/FaultInjection.h"
-#include "vmcore/GangKernels.h"
 
 #include <cerrno>
 #include <csignal>
@@ -214,12 +208,10 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
     // Banner for the orchestrator's logs: which shape this shard
     // re-executed. Deliberately carries NONE of the summable [audit]
     // count tokens, so it stages zero everywhere.
-    const char *Kernel = std::getenv("VMIB_GANG_KERNEL");
     AuditShape Shape;
     Shape.Decode = Spec.Decode;
     Shape.ChunkEvents = Spec.ChunkEvents;
     Shape.Threads = resolveGangThreads(Spec.Threads);
-    Shape.Kernel = Kernel && *Kernel ? Kernel : "scalar";
     std::printf("[audit] sweep=%s job=%zu role=shaped-replay shape=%s\n",
                 Spec.Name.c_str(), JobIdx, auditShapeId(Shape).c_str());
   } else if (Audit.enabled()) {
@@ -311,8 +303,8 @@ bool parseByteSize(const std::string &S, uint64_t &Out) {
   return true;
 }
 
-/// Per-trace encoding report: on-disk vs logical (v1-equivalent)
-/// bytes for every trace left in the cache after the GC pass, so
+/// Per-trace encoding report: on-disk vs decoded bytes for every
+/// trace left in the cache after the GC pass, so
 /// `--cache-gc` doubles as the "what is the compression buying"
 /// inspection tool. Silent when the cache is empty or unreadable.
 void printTraceEncodingReport(const std::string &CacheDir) {
@@ -334,10 +326,9 @@ void printTraceEncodingReport(const std::string &CacheDir) {
     DispatchTrace::FileInfo Info;
     if (!DispatchTrace::peekFileInfo(Path, Info))
       continue;
-    std::printf("[cache-gc] trace=%s version=%llu events=%llu bytes=%llu "
-                "logical=%llu ratio=%.2f\n",
-                Name.c_str(), (unsigned long long)Info.Version,
-                (unsigned long long)Info.NumEvents,
+    std::printf("[cache-gc] trace=%s events=%llu bytes=%llu logical=%llu "
+                "ratio=%.2f\n",
+                Name.c_str(), (unsigned long long)Info.NumEvents,
                 (unsigned long long)Info.FileBytes,
                 (unsigned long long)Info.LogicalBytes, Info.ratio());
     DiskTotal += Info.FileBytes;
@@ -535,160 +526,100 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
                 InProc.size(), GangThreads);
   }
 
-  // Encoding x kernel invariance + raw decode bandwidth: re-encode
-  // every cached trace both ways (v1 flat, v2 delta/varint), reload
-  // through the real file path with a FRESH executor per encoding, and
-  // re-run the sweep under both gang kernels. Every combination must
-  // bit-match the reference cells; the compressed-decode measurements
-  // land in the [timing] artifact as :decodebandwidth. Needs the trace
-  // cache — without VMIB_TRACE_CACHE there are no trace files whose
-  // encoding could differ.
+  // Decode invariance + raw decode bandwidth: a FRESH executor loads
+  // every trace through the cache file and re-runs the sweep off the
+  // materialized arena and streamed tile by tile from the file —
+  // serially, and threaded when the threads knob is set. Every run must
+  // bit-match the reference cells; the decode measurements land in the
+  // [timing] artifact as :decodebandwidth. Needs the trace cache —
+  // without VMIB_TRACE_CACHE there are no trace files to stream.
   if (!DispatchTrace::cacheDir().empty()) {
-    const char *PrevEnv = std::getenv("VMIB_GANG_KERNEL");
-    std::string PrevKernel = PrevEnv ? PrevEnv : "";
-    uint64_t DecodedEvents = 0, FlatBytes = 0, CompBytes = 0;
-    double DecodeSeconds = 0, FlatDecodeSeconds = 0;
-    // Streaming-decode measurements off the compressed+scalar pass
-    // (the canonical configuration): tile read time, events streamed,
-    // and the peak tile-ring footprint that proves O(tile) memory.
-    double StreamReadSeconds = 0;
-    uint64_t StreamEvents = 0, PeakRingBytes = 0;
-    bool Ok = true;
-    auto Reencode = [&](bool Compressed, bool Measure) {
-      for (const std::string &B : Spec.Benchmarks) {
-        const DispatchTrace &T = Spec.Suite == "java"
-                                     ? Executor.java().trace(B)
-                                     : Executor.forth().trace(B);
-        uint64_t WH = Spec.Suite == "java"
-                          ? Executor.java().referenceHash(B)
-                          : Executor.forth().referenceHash(B);
-        std::string Path = DispatchTrace::cachePathFor(Spec.Suite + "-" + B);
-        if (Path.empty() || !T.saveEncoded(Path, WH, Compressed)) {
-          std::printf("FAIL: could not re-encode %s as %s\n", B.c_str(),
-                      Compressed ? "compressed" : "flat");
-          return false;
-        }
-        if (!Measure)
-          continue;
-        DispatchTrace::FileInfo Info;
-        if (!DispatchTrace::peekFileInfo(Path, Info)) {
-          std::printf("FAIL: unreadable re-encoded header for %s\n",
-                      B.c_str());
-          return false;
-        }
-        (Compressed ? CompBytes : FlatBytes) += Info.FileBytes;
-        // Time BOTH reload paths so the timing artifact carries the
-        // decode speedup, not just the compressed rate: the flat path
-        // is the pre-compression baseline every later run compares
-        // against.
-        WallTimer DecodeTimer;
-        DispatchTrace Reload;
-        std::string Diag;
-        if (!Reload.load(Path, WH, &Diag)) {
-          std::printf("FAIL: %s reload of %s: %s\n",
-                      Compressed ? "compressed" : "flat", B.c_str(),
-                      Diag.c_str());
-          return false;
-        }
-        (Compressed ? DecodeSeconds : FlatDecodeSeconds) +=
-            DecodeTimer.seconds();
-        if (Compressed)
-          DecodedEvents += Reload.numEvents();
-        if (Reload.contentHash() != T.contentHash()) {
-          std::printf("FAIL: %s content hash changed across re-encoding\n",
-                      B.c_str());
-          return false;
-        }
+    uint64_t DecodedEvents = 0, DecodedBytes = 0, FileBytes = 0;
+    double DecodeSeconds = 0;
+    for (const std::string &B : Spec.Benchmarks) {
+      const DispatchTrace &T = Spec.Suite == "java"
+                                   ? Executor.java().trace(B)
+                                   : Executor.forth().trace(B);
+      uint64_t WH = Spec.Suite == "java" ? Executor.java().referenceHash(B)
+                                         : Executor.forth().referenceHash(B);
+      std::string Path = DispatchTrace::cachePathFor(Spec.Suite + "-" + B);
+      DispatchTrace::FileInfo Info;
+      if (Path.empty() || !DispatchTrace::peekFileInfo(Path, Info)) {
+        std::printf("FAIL: no readable trace cache file for %s\n",
+                    B.c_str());
+        return 1;
       }
-      return true;
-    };
-    for (int Enc = 0; Ok && Enc <= 1; ++Enc) {
-      if (!Reencode(/*Compressed=*/Enc == 1, /*Measure=*/true)) {
-        Ok = false;
-        break;
+      FileBytes += Info.FileBytes;
+      DecodedBytes += Info.LogicalBytes;
+      WallTimer DecodeTimer;
+      DispatchTrace Reload;
+      std::string Diag;
+      if (!Reload.load(Path, WH, &Diag)) {
+        std::printf("FAIL: reload of %s: %s\n", B.c_str(), Diag.c_str());
+        return 1;
       }
-      SweepExecutor Fresh; // loads the re-encoded files, not memory
-      for (const char *Kernel : {"scalar", "simd"}) {
-        ::setenv("VMIB_GANG_KERNEL", Kernel, 1);
-        // The decode axis rides the same combinations: every
-        // (encoding, kernel) cell set replays once off the
-        // materialized arena and once streamed tile-by-tile from the
-        // re-encoded file — bit-identity across ALL of it.
-        for (int Dec = 0; Ok && Dec <= 1; ++Dec) {
-          SweepSpec Run = Serial;
-          Run.Decode = Dec == 1 ? TraceDecodeMode::Stream
-                                : TraceDecodeMode::Materialize;
-          std::string Label =
-              format("%s+%s+%s in-process", Enc == 1 ? "compressed" : "flat",
-                     Kernel, Dec == 1 ? "streaming" : "materialized");
-          std::vector<PerfCounters> EncCells;
-          SweepRunStats RunStats = Fresh.runAll(Run, 1, EncCells);
-          if (!Compare(EncCells, Label.c_str())) {
-            Ok = false;
-            break;
-          }
-          if (Dec == 1 && Enc == 1 && std::strcmp(Kernel, "scalar") == 0) {
-            StreamReadSeconds = RunStats.Load.SourceReadSeconds;
-            StreamEvents = RunStats.Load.SourceEvents;
-            PeakRingBytes = RunStats.Load.PeakTileRingBytes;
-          }
-          if (GangThreads > 1) {
-            SweepSpec Thr = Run; // keeps the decode mode
-            Thr.Threads = GangThreads;
-            std::vector<PerfCounters> ThrCells;
-            Fresh.runAll(Thr, 1, ThrCells);
-            if (!Compare(ThrCells, (Label + " threaded").c_str())) {
-              Ok = false;
-              break;
-            }
-          }
-        }
-        if (!Ok)
-          break;
+      DecodeSeconds += DecodeTimer.seconds();
+      DecodedEvents += Reload.numEvents();
+      if (Reload.contentHash() != T.contentHash()) {
+        std::printf("FAIL: %s content hash changed across the cache file\n",
+                    B.c_str());
+        return 1;
       }
     }
-    if (PrevKernel.empty())
-      ::unsetenv("VMIB_GANG_KERNEL");
-    else
-      ::setenv("VMIB_GANG_KERNEL", PrevKernel.c_str(), 1);
-    // Leave the cache in the configured encoding for whoever runs next.
-    if (Ok)
-      Ok = Reencode(DispatchTrace::compressEnabled(), /*Measure=*/false);
-    if (!Ok)
-      return 1;
+    // Streaming-decode measurements off the serial streamed pass: tile
+    // read time, events streamed, and the peak tile-ring footprint that
+    // proves O(tile) memory.
+    double StreamReadSeconds = 0;
+    uint64_t StreamEvents = 0, PeakRingBytes = 0;
+    SweepExecutor Fresh; // loads the cache files, not memory
+    for (bool Streaming : {false, true}) {
+      SweepSpec Run = Serial;
+      Run.Decode =
+          Streaming ? TraceDecodeMode::Stream : TraceDecodeMode::Materialize;
+      std::string Label = Streaming ? "streaming" : "materialized";
+      std::vector<PerfCounters> DecCells;
+      SweepRunStats RunStats = Fresh.runAll(Run, 1, DecCells);
+      if (!Compare(DecCells, (Label + " in-process").c_str()))
+        return 1;
+      if (Streaming) {
+        StreamReadSeconds = RunStats.Load.SourceReadSeconds;
+        StreamEvents = RunStats.Load.SourceEvents;
+        PeakRingBytes = RunStats.Load.PeakTileRingBytes;
+      }
+      if (GangThreads > 1) {
+        SweepSpec Thr = Run; // keeps the decode mode
+        Thr.Threads = GangThreads;
+        std::vector<PerfCounters> ThrCells;
+        Fresh.runAll(Thr, 1, ThrCells);
+        if (!Compare(ThrCells, (Label + " threaded in-process").c_str()))
+          return 1;
+      }
+    }
     std::printf("[timing] bench=%s:decodebandwidth events=%llu "
-                "flat_bytes=%llu compressed_bytes=%llu ratio=%.2f "
-                "decode_s=%.3f events_per_s=%.3g bytes_per_s=%.3g "
-                "flat_decode_s=%.3f flat_events_per_s=%.3g "
-                "decode_speedup=%.2f stream_decode_s=%.3f "
+                "file_bytes=%llu ratio=%.2f decode_s=%.3f "
+                "events_per_s=%.3g bytes_per_s=%.3g stream_decode_s=%.3f "
                 "stream_events_per_s=%.3g peak_ring_bytes=%llu\n",
                 Spec.Name.c_str(), (unsigned long long)DecodedEvents,
-                (unsigned long long)FlatBytes, (unsigned long long)CompBytes,
-                CompBytes > 0 ? (double)FlatBytes / (double)CompBytes : 0.0,
+                (unsigned long long)FileBytes,
+                FileBytes > 0 ? (double)DecodedBytes / (double)FileBytes
+                              : 0.0,
                 DecodeSeconds,
                 DecodeSeconds > 0 ? (double)DecodedEvents / DecodeSeconds
                                   : 0.0,
-                DecodeSeconds > 0 ? (double)FlatBytes / DecodeSeconds : 0.0,
-                FlatDecodeSeconds,
-                FlatDecodeSeconds > 0
-                    ? (double)DecodedEvents / FlatDecodeSeconds
-                    : 0.0,
-                DecodeSeconds > 0 && FlatDecodeSeconds > 0
-                    ? FlatDecodeSeconds / DecodeSeconds
-                    : 0.0,
+                DecodeSeconds > 0 ? (double)DecodedBytes / DecodeSeconds
+                                  : 0.0,
                 StreamReadSeconds,
                 StreamReadSeconds > 0
                     ? (double)StreamEvents / StreamReadSeconds
                     : 0.0,
                 (unsigned long long)PeakRingBytes);
-    std::printf("verify: %zu cells bit-identical across {flat, compressed} "
-                "encodings x {scalar, simd%s} kernels x {materialized, "
-                "streaming} decode\n",
+    std::printf("verify: %zu cells bit-identical across %s replay x "
+                "{materialized, streaming} decode\n",
                 InProc.size(),
-                gang::batchedKernelUsesAvx2() ? "/avx2" : "");
+                GangThreads > 1 ? "{serial, threaded}" : "{serial}");
   } else {
-    std::printf("note: VMIB_TRACE_CACHE unset; skipping the encoding x "
-                "kernel verify axis\n");
+    std::printf("note: VMIB_TRACE_CACHE unset; skipping the decode verify "
+                "axis\n");
   }
 
   std::vector<PerfCounters> OneWorker;
@@ -754,7 +685,6 @@ int main(int argc, char **argv) {
                  "[--threads=N (0 = auto)] [--chunk=N] "
                  "[--retries=N] [--backoff-ms=MS] [--job-timeout=MS] "
                  "[--kill-grace=MS] [--hedge=K] [--partial-ok] "
-                 "[--trace-compress=on|off] [--kernel=scalar|simd] "
                  "[--decode=materialize|stream|auto] "
                  "[--result-store | --store-dir=D | --no-result-store] "
                  "[--audit=RATE] [--audit-seed=N] "
@@ -782,9 +712,9 @@ int main(int argc, char **argv) {
   int OverrideExit = 0;
   if (!bench::applySpecOverrides(Opts, Spec, OverrideExit))
     return OverrideExit;
-  // --trace-compress / --kernel / --decode re-export through the
-  // environment, so orchestrated workers (which see only the env)
-  // make the same choice this process does.
+  // --decode re-exports through the environment, so orchestrated
+  // workers (which see only the env) make the same choice this process
+  // does.
   if (!bench::applyReplayPathOptions(Opts, OverrideExit))
     return OverrideExit;
   if (Opts.has("emit-spec")) {

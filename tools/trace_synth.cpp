@@ -7,7 +7,6 @@
 ///
 ///   trace_synth --seed=S --events=N[k|m|g] --entropy=E
 ///               [--out=PATH]              write here instead of the cache
-///               [--trace-compress=on|off] encoding override (default on)
 ///   trace_synth --name=synth-markov-s1-n250m-e35   same, from the
 ///               canonical benchmark name
 ///   trace_synth ... --emit-spec    print a ready-to-run sweep spec for
@@ -17,10 +16,10 @@
 /// multi-hundred-million-event decode/replay-bandwidth inputs are made:
 /// the real suite tops out around 10^7 events per benchmark. The
 /// [timing] line reports generation and save throughput plus the
-/// on-disk compression ratio (logical v1-equivalent bytes / file
-/// bytes), and the benchmark NAME is the workload — running the
-/// emitted spec through sweep_driver needs no side channel, because
-/// the labs regenerate (or cache-load) the trace from the name alone.
+/// on-disk compression ratio (decoded bytes / file bytes), and the
+/// benchmark NAME is the workload — running the emitted spec through
+/// sweep_driver needs no side channel, because the labs regenerate (or
+/// cache-load) the trace from the name alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +48,7 @@ int main(int argc, char **argv) {
   } else {
     std::fprintf(stderr,
                  "usage: trace_synth --seed=S --events=N[k|m|g] "
-                 "--entropy=0..100 [--out=PATH] [--trace-compress=on|off] "
+                 "--entropy=0..100 [--out=PATH] "
                  "[--emit-spec [--threads=N]]\n"
                  "       trace_synth --name=synth-markov-s<seed>-"
                  "n<events>[k|m|g]-e<entropy> [...]\n");
@@ -65,7 +64,8 @@ int main(int argc, char **argv) {
 
   if (Opts.has("emit-spec")) {
     // A four-variant single-benchmark sweep: enough members per gang
-    // to exercise the batched kernels, small enough for a smoke cell.
+    // to share one decoded stream across a decode group, small enough
+    // for a smoke cell.
     SweepSpec Spec = bench::suiteSpec(
         "synthsmoke", "forth", {Name},
         {makeVariant(DispatchStrategy::Threaded),
@@ -80,9 +80,6 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  int ExitCode = 0;
-  if (!bench::applyReplayPathOptions(Opts, ExitCode))
-    return ExitCode;
   std::string Out = Opts.get("out");
   if (Out.empty())
     Out = DispatchTrace::cachePathFor("forth-" + Name);
@@ -122,14 +119,13 @@ int main(int argc, char **argv) {
   std::printf("%s: %llu events -> %s\n", Name.c_str(),
               (unsigned long long)Trace.numEvents(), Out.c_str());
   std::printf("[timing] bench=trace_synth:%s events=%llu generate_s=%.3f "
-              "save_s=%.3f events_per_s=%.3g version=%llu bytes=%llu "
-              "logical=%llu ratio=%.2f\n",
+              "save_s=%.3f events_per_s=%.3g bytes=%llu logical=%llu "
+              "ratio=%.2f\n",
               Name.c_str(), (unsigned long long)Trace.numEvents(),
               GenerateSeconds, SaveSeconds,
               GenerateSeconds > 0
                   ? (double)Trace.numEvents() / GenerateSeconds
                   : 0.0,
-              (unsigned long long)Info.Version,
               (unsigned long long)Info.FileBytes,
               (unsigned long long)Info.LogicalBytes, Info.ratio());
   return 0;
