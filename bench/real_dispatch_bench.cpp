@@ -155,7 +155,7 @@ void emitGangLoadLine(unsigned Threads, const GangReplayer::Stats &St) {
     Steals += St.Workers[W].MembersStolen;
   }
   std::printf("[timing] bench=real_dispatch:gangload threads=%u "
-              "steals=%llu deferred=%llu finish_s=%.4f worker_events=%s "
+              "steals=%llu restarts=%llu finish_s=%.4f worker_events=%s "
               "worker_waits=%s worker_busy_s=%s\n",
               Threads, (unsigned long long)Steals,
               (unsigned long long)St.DeferredFinishes, St.FinishSeconds,
@@ -164,10 +164,10 @@ void emitGangLoadLine(unsigned Threads, const GangReplayer::Stats &St) {
 
 void BM_GangReplayMixedThreaded(benchmark::State &State) {
   // A deliberately mixed-cost gang — full members on two layouts (the
-  // switch one a fused singleton), a tiny-BTB member that overflows
-  // into the deferred exact-LRU fallback, and four cheap-to-moderate
-  // predictor-only members — on a 4-worker pool, where the cost-aware
-  // scheduler has to balance it.
+  // switch one a group of one, decoded by the worker that replays it),
+  // a tiny-BTB member that overflows and restarts in place on the
+  // exact BTB, and four cheap-to-moderate predictor-only members — on
+  // a 4-worker pool, where the cost-aware scheduler has to balance it.
   constexpr unsigned Threads = 4;
   ForthLab &Lab = lab();
   CpuConfig Cpu = makePentium4Northwood();
@@ -189,7 +189,7 @@ void BM_GangReplayMixedThreaded(benchmark::State &State) {
     GangReplayer Gang(Trace);
     size_t Base = Gang.addDefault(LThreaded, Cpu);
     Gang.addDefault(LSwitch, Cpu);
-    Gang.addBtb(LThreaded, Cpu, Tiny); // overflows -> deferred fallback
+    Gang.addBtb(LThreaded, Cpu, Tiny); // overflows -> restarts in place
     Gang.addBtbPredictorOnly(LThreaded, Cpu, TwoBit, Base);
     Gang.addPredictorOnly(LThreaded, Cpu, PerfectPredictor(), Base);
     Gang.addPredictorOnly(LThreaded, Cpu, NullPredictor(), Base);

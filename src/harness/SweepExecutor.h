@@ -14,13 +14,13 @@
 ///
 /// Both paths honor the spec's `Threads` knob: each gang replays on
 /// GangReplayer's shared-tile worker pool (cost-planned tiles, work
-/// stealing, a parallel finish tail, per-member costs persisted to the
-/// trace's `.vmibcost` sidecar) when the resolved thread count exceeds
-/// 1 (Threads == 0 auto-detects the host's core count, see
-/// resolveGangThreads) — so a worker process can use several cores of
-/// its host without re-decoding the trace per core (two-level shards ×
-/// threads fan-out). Cells are bit-identical for any (shards, threads)
-/// pair.
+/// stealing, overflowing members restarting in place on the pool,
+/// per-member costs persisted to the trace's `.vmibcost` sidecar) when
+/// the resolved thread count exceeds 1 (Threads == 0 auto-detects the
+/// host's core count, see resolveGangThreads) — so a worker process
+/// can use several cores of its host without re-decoding the trace per
+/// core (two-level shards × threads fan-out). Cells are bit-identical
+/// for any (shards, threads) pair.
 ///
 /// Every member is a *full* replay, so a member's counters do not
 /// depend on which other members share the gang — `runAll` and any
@@ -63,8 +63,8 @@ struct SweepRunStats {
   uint64_t ReplayedEvents = 0;
   size_t Configs = 0;
   /// Gang worker-pool accounting summed over every gang this sweep
-  /// replayed (per-worker events/waits/steals/busy time, deferred
-  /// finish counts) — what the `:loadbalance` timing line renders.
+  /// replayed (per-worker events/waits/steals/busy time, restarted
+  /// member counts) — what the `:loadbalance` timing line renders.
   GangReplayer::Stats Load;
 };
 

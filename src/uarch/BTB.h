@@ -186,6 +186,7 @@ public:
 
   bool overflowed() const { return Overflowed; }
   std::string name() const { return "no-evict-btb"; }
+  const BTBConfig &config() const { return Config; }
 
   /// Mutable predictor state (gang packing audit): the SoA arrays are
   /// what a dense gang keeps cache-resident — no LRU clocks, and the

@@ -8,7 +8,6 @@
 #include <exception>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <thread>
 
 using namespace vmib;
@@ -61,17 +60,20 @@ uint64_t elapsedNs(Clock::time_point Since) {
           .count());
 }
 
-/// Members sharing one decoded stream: two or more members whose
-/// layouts carry the same decode fingerprint amortize one SoA decode
-/// per tile across the group.
+/// Members sharing one decoded stream: the members whose layouts carry
+/// the same decode fingerprint. A shared group (two or more members)
+/// amortizes one SoA decode per tile across its members, decoded by
+/// the decoder thread; a group of one is decoded by whichever thread
+/// replays its member, so its decode runs on the pool too.
 struct Group {
   std::unique_ptr<gang::GroupDecoder> Decoder;
   std::vector<size_t> MemberIdx;
+  bool shared() const { return MemberIdx.size() > 1; }
 };
 
 /// One slot of the parallel tile ring. The decoder publishes a tile by
 /// storing its index into Seq (release) after filling Begin/End, the
-/// per-group chunks and the owner plan; workers drain Pending (release)
+/// shared groups' chunks and the owner plan; workers drain Pending (release)
 /// — one decrement per member execution PLUS one sweep token per worker —
 /// and the decoder refills the slot once Pending hits zero (acquire),
 /// so chunk memory is never written while a worker reads it and a
@@ -85,7 +87,7 @@ struct TileSlot {
   /// length.
   EventSpan Span;
   std::vector<DispatchTrace::Event> Raw;
-  std::vector<gang::DecodedChunk> Chunks; ///< one per group
+  std::vector<gang::DecodedChunk> Chunks; ///< one per shared group
   std::atomic<int64_t> Seq{-1};           ///< tile index this slot holds
   std::atomic<unsigned> Pending{0};       ///< drain count (see above)
   // The per-tile owner table. Order is the claim scan order (members by
@@ -102,27 +104,27 @@ struct TileSlot {
 std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                                             Stats *StatsOut) {
   // Scratch sizing: a tile never exceeds the trace, so clamp before
-  // the decoders allocate (a huge VMIB_GANG_CHUNK must degrade to one
-  // whole-trace tile, not a multi-GB zeroed buffer).
+  // the decode buffers are sized (a huge VMIB_GANG_CHUNK must degrade
+  // to one whole-trace tile, not a multi-GB zeroed buffer).
   size_t ChunkCapacity =
       ChunkEvents == 0 ? DispatchTrace::defaultChunkEvents() : ChunkEvents;
   if (ChunkCapacity > Source.numEvents())
     ChunkCapacity = Source.numEvents();
 
-  // Group members by decode fingerprint: a group of two or more
+  // Group the decoding members by decode fingerprint: a shared group
   // amortizes one SoA decode per tile across all of its members.
   // Pointer identity first (exact and cheap — the executor shares
   // layouts per variant already), then fingerprint merging, so members
   // that differ only in CPU geometry share a decoded stream even when
-  // their layout objects were built independently. Singletons keep the
-  // fused kernel (decode-then-consume would cost them an extra pass
-  // over the tile for nothing).
+  // their layout objects were built independently. A member alone on
+  // its layout still decodes: the decode pass elides its repeat
+  // fetches, which beats probing the I-cache on every event.
   std::vector<Group> Groups;
   std::vector<int> GroupOf(Members.size(), -1);
   {
     std::map<const DispatchProgram *, std::vector<size_t>> ByLayout;
     for (size_t I = 0; I < Members.size(); ++I)
-      if (const DispatchProgram *L = Members[I].Member->soaLayout())
+      if (const DispatchProgram *L = Members[I]->soaLayout())
         ByLayout[L].push_back(I);
     std::map<uint64_t, std::pair<const DispatchProgram *,
                                  std::vector<size_t>>> ByPrint;
@@ -135,14 +137,12 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     for (auto &[Print, Merged] : ByPrint) {
       (void)Print;
       std::vector<size_t> &Idx = Merged.second;
-      if (Idx.size() < 2)
-        continue;
       std::sort(Idx.begin(), Idx.end()); // deterministic consume order
       for (size_t I : Idx)
         GroupOf[I] = static_cast<int>(Groups.size());
-      Groups.push_back({std::make_unique<gang::GroupDecoder>(*Merged.first,
-                                                             ChunkCapacity),
-                        std::move(Idx)});
+      Groups.push_back(
+          {std::make_unique<gang::GroupDecoder>(*Merged.first),
+           std::move(Idx)});
     }
   }
 
@@ -162,44 +162,38 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
   // mode), otherwise only when the caller asked for stats.
   const bool TimedSource = Source.streaming() || StatsOut != nullptr;
 
-  // Live-member count per group: once a group's last member drops,
-  // decoding for it stops. In the pooled modes a worker decrements
-  // only after its member stopped consuming, so the count can never
-  // read zero while a consumer of a future tile is still active.
+  // Decoding-member count per group: once it reads zero, decoding for
+  // the group stops. A member leaves the count only after it stopped
+  // consuming (RunMemberTile), so the count never reads zero while a
+  // consumer of a future tile remains.
   std::vector<std::atomic<unsigned>> GroupAlive(Groups.size());
   for (size_t G = 0; G < Groups.size(); ++G)
     GroupAlive[G].store(static_cast<unsigned>(Groups[G].MemberIdx.size()),
                         std::memory_order_relaxed);
 
-  auto DropMember = [&](size_t I) {
-    Members[I].Active = false;
-    if (GroupOf[I] >= 0)
+  /// Advances member \p I over the tile in \p Span; \p C is the tile
+  /// decoded for the member's group, or null when it reads raw events.
+  /// An overflowing member restarts in place inside runTile(); once it
+  /// runs the exact I-cache it stops decoding, and its group with it
+  /// when it was the last decoding member.
+  auto RunMemberTile = [&](size_t I, const gang::DecodedChunk *C,
+                           const EventSpan &Span) {
+    GangMember &Member = *Members[I];
+    Member.runTile(Span, C, Source);
+    if (C != nullptr && !Member.decodes())
       GroupAlive[GroupOf[I]].fetch_sub(1, std::memory_order_relaxed);
   };
 
-  /// Advances member \p I over the tile in \p Span (\p C is its
-  /// group's decoded tile, null for fused members). A member that
-  /// overflows drops out of the gang; finish() re-runs it through the
-  /// exact tier.
-  auto RunMemberSpan = [&](size_t I, const gang::DecodedChunk *C,
-                           const EventSpan &Span) {
-    bool Ok = C == nullptr ? Members[I].Member->runChunk(Span)
-                           : Members[I].Member->runChunkDecoded(*C);
-    if (!Ok)
-      DropMember(I);
-  };
-
   if (!Pooled) {
-    // Serial chunk-major sweep: every active member crosses the tile
-    // before the cursor advances — fused members replay the raw
-    // events, then each group layout decodes once and its members
-    // consume the SoA streams while they are cache-hot. A member that
-    // overflows its optimistic models drops out here and re-runs
-    // through the exact tier in finish(). A streaming source decodes
-    // each tile into Raw — the only resident event buffer — before the
-    // members consume it.
+    // Serial chunk-major sweep: every member crosses the tile before
+    // the cursor advances — raw-event members first, then each group
+    // decodes once into the one scratch chunk and its members consume
+    // the SoA streams while they are cache-hot. A streaming source
+    // decodes each tile into Raw — the only resident event buffer —
+    // before the members consume it.
     TraceSource::Cursor Cursor = Source.cursor(ChunkCapacity);
     std::vector<DispatchTrace::Event> Raw;
+    gang::DecodedChunk Scratch;
     EventSpan Span;
     for (;;) {
       Clock::time_point T0;
@@ -216,16 +210,19 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
         if (Bytes > St.PeakTileRingBytes)
           St.PeakTileRingBytes = Bytes;
       }
+      // Raw-event members run first: a member that restarts onto the
+      // exact I-cache in its group's pass below stops decoding, and
+      // must not cross this tile a second time here.
       for (size_t I = 0; I < M; ++I)
-        if (GroupOf[I] < 0 && Members[I].Active)
-          RunMemberSpan(I, nullptr, Span);
+        if (!Members[I]->decodes())
+          RunMemberTile(I, nullptr, Span);
       for (size_t G = 0; G < Groups.size(); ++G) {
         if (GroupAlive[G].load(std::memory_order_relaxed) == 0)
           continue;
-        Groups[G].Decoder->decode(Span);
+        Groups[G].Decoder->decodeInto(Span, Scratch);
         for (size_t I : Groups[G].MemberIdx)
-          if (Members[I].Active)
-            RunMemberSpan(I, &Groups[G].Decoder->chunk(), Span);
+          if (Members[I]->decodes())
+            RunMemberTile(I, &Scratch, Span);
       }
     }
   } else {
@@ -241,9 +238,14 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     size_t Slots = std::min<size_t>(4, NumTiles);
     std::vector<TileSlot> Ring(Slots);
     for (TileSlot &S : Ring) {
-      S.Chunks.reserve(Groups.size());
-      for (Group &G : Groups)
-        S.Chunks.push_back(G.Decoder->makeChunk());
+      // Indexed by group; only shared groups' chunks are filled. They
+      // are sized here, before the pool starts: growing them on the
+      // decoder thread during the first tiles measured ~10% slower on
+      // a 16-member, 4-group gang.
+      S.Chunks.resize(Groups.size());
+      for (size_t G = 0; G < Groups.size(); ++G)
+        if (Groups[G].shared())
+          Groups[G].Decoder->fit(S.Chunks[G], ChunkCapacity);
       S.Order.resize(M);
       S.OwnerOf.assign(M, 0);
       S.Claimed = std::make_unique<std::atomic<uint8_t>[]>(M);
@@ -265,15 +267,30 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
 
     const unsigned NumWorkers = Threads;
     St.Workers.assign(NumWorkers, Stats::Worker());
+    // Per-worker decode scratch for groups of one: resident decode
+    // buffers scale with the pool, not with the member count. Each
+    // grows on its worker's first decode, so a worker that never
+    // claims a group of one holds none.
+    std::vector<gang::DecodedChunk> Scratch(NumWorkers);
 
-    /// Replays member \p I over the published tile in \p S and
-    /// accounts it. \returns the measured nanoseconds — the planner's
-    /// cost sample.
-    auto ReplayMemberTile = [&](size_t I, TileSlot &S,
+    /// Replays member \p I over the published tile in \p S on worker
+    /// \p W and accounts it — a group of one decodes into the worker's
+    /// scratch first. \returns the measured nanoseconds (decode
+    /// included) — the planner's cost sample.
+    auto ReplayMemberTile = [&](size_t I, TileSlot &S, unsigned W,
                                 Stats::Worker &WS) -> uint64_t {
       Clock::time_point T0 = Clock::now();
-      RunMemberSpan(I, GroupOf[I] < 0 ? nullptr : &S.Chunks[GroupOf[I]],
-                    S.Span);
+      const gang::DecodedChunk *C = nullptr;
+      if (Members[I]->decodes()) {
+        const Group &G = Groups[GroupOf[I]];
+        if (G.shared()) {
+          C = &S.Chunks[GroupOf[I]];
+        } else {
+          G.Decoder->decodeInto(S.Span, Scratch[W]);
+          C = &Scratch[W];
+        }
+      }
+      RunMemberTile(I, C, S.Span);
       uint64_t Ns = elapsedNs(T0);
       WS.BusySeconds += static_cast<double>(Ns) * 1e-9;
       WS.EventsReplayed += S.Span.size();
@@ -348,14 +365,12 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                   return;
                 std::this_thread::yield();
               }
-              if (Members[I].Active) {
-                uint64_t Ns = ReplayMemberTile(I, S, WS);
-                uint64_t Prev = CostNs[I].load(std::memory_order_relaxed);
-                CostNs[I].store(Prev == 0 ? Ns : (3 * Prev + Ns) / 4,
-                                std::memory_order_relaxed);
-                if (Pass != 0)
-                  ++WS.MembersStolen;
-              }
+              uint64_t Ns = ReplayMemberTile(I, S, W, WS);
+              uint64_t Prev = CostNs[I].load(std::memory_order_relaxed);
+              CostNs[I].store(Prev == 0 ? Ns : (3 * Prev + Ns) / 4,
+                              std::memory_order_relaxed);
+              if (Pass != 0)
+                ++WS.MembersStolen;
               DoneTile[I].store(T + 1, std::memory_order_release);
               S.Pending.fetch_sub(1, std::memory_order_release);
             }
@@ -417,7 +432,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       Pool.emplace_back(Worker, W);
 
     // Decoder loop (this thread): refill each ring slot once it
-    // drained, decode the live groups, plan, publish. A slot drains
+    // drained, decode the live shared groups, plan, publish. A slot drains
     // after M member executions plus one sweep token per worker (see
     // Worker).
     const unsigned PendingInit = static_cast<unsigned>(M) + NumWorkers;
@@ -455,7 +470,8 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
             St.PeakTileRingBytes = RingBytes;
         }
         for (size_t G = 0; G < Groups.size(); ++G)
-          if (GroupAlive[G].load(std::memory_order_relaxed) != 0)
+          if (Groups[G].shared() &&
+              GroupAlive[G].load(std::memory_order_relaxed) != 0)
             Groups[G].Decoder->decodeInto(S.Span, S.Chunks[G]);
         PlanTile(S);
         S.Pending.store(PendingInit, std::memory_order_relaxed);
@@ -473,94 +489,16 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       FinalCostNs[I] = CostNs[I].load(std::memory_order_relaxed);
   }
 
-  for (const Slot &Mem : Members)
-    St.DeferredFinishes += Mem.Active ? 0 : 1;
+  for (const std::unique_ptr<GangMember> &Member : Members)
+    St.DeferredFinishes += Member->restarted() ? 1 : 0;
 
-  // Completion pass. Serial: add order, so predictor-only members take
-  // their fetch baseline from an earlier member's finished counters.
-  // Pooled: the same tasks as a dependency-ordered list drained by a
-  // worker pool — deferred exact-LRU re-runs are whole-trace replays,
-  // so a serial tail of them would dominate gangs with many
-  // overflowing members.
+  // Completion in add order, so predictor-only members take their fetch
+  // baseline from an earlier member's finished counters.
   Clock::time_point FinishStart = Clock::now();
   std::vector<PerfCounters> Finished;
-  if (!Pooled || M <= 1) {
-    Finished.reserve(M);
-    for (Slot &Mem : Members)
-      Finished.push_back(Mem.Member->finish(Source, Finished));
-  } else {
-    St.ParallelFinish = true;
-    Finished.assign(M, PerfCounters());
-    // Rank = baseline-dependency depth (an edge always points at an
-    // earlier member, so one forward pass computes it). Claiming in
-    // rank order makes the dependency spins deadlock-free: a waited-on
-    // member is always earlier in the claim order, hence already
-    // claimed by a worker that is actively finishing it.
-    std::vector<uint32_t> Rank(M, 0);
-    for (size_t I = 0; I < M; ++I) {
-      size_t Dep = Members[I].Member->finishDependency();
-      if (Dep != GangMember::NoFinishDependency) {
-        assert(Dep < I && "finish dependency must be an earlier member");
-        Rank[I] = Rank[Dep] + 1;
-      }
-    }
-    std::vector<uint32_t> TaskOrder(M);
-    std::iota(TaskOrder.begin(), TaskOrder.end(), 0);
-    std::stable_sort(TaskOrder.begin(), TaskOrder.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       if (Rank[A] != Rank[B])
-                         return Rank[A] < Rank[B];
-                       // Deferred members re-run the whole trace —
-                       // start the long tasks first within a rank.
-                       return !Members[A].Active && Members[B].Active;
-                     });
-
-    std::unique_ptr<std::atomic<uint8_t>[]> Done =
-        std::make_unique<std::atomic<uint8_t>[]>(M);
-    for (size_t I = 0; I < M; ++I)
-      Done[I].store(0, std::memory_order_relaxed);
-    std::atomic<size_t> Cursor{0};
-    std::atomic<bool> Abort{false};
-    std::exception_ptr FirstError;
-    std::mutex ErrorMutex;
-    auto FinishWorker = [&] {
-      try {
-        for (;;) {
-          size_t K = Cursor.fetch_add(1, std::memory_order_relaxed);
-          if (K >= M)
-            return;
-          size_t I = TaskOrder[K];
-          size_t Dep = Members[I].Member->finishDependency();
-          if (Dep != GangMember::NoFinishDependency)
-            while (Done[Dep].load(std::memory_order_acquire) == 0) {
-              if (Abort.load(std::memory_order_relaxed))
-                return;
-              std::this_thread::yield();
-            }
-          Finished[I] = Members[I].Member->finish(Source, Finished);
-          Done[I].store(1, std::memory_order_release);
-        }
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> Lock(ErrorMutex);
-          if (!FirstError)
-            FirstError = std::current_exception();
-        }
-        Abort.store(true, std::memory_order_relaxed);
-      }
-    };
-    unsigned FinishThreads =
-        std::min<unsigned>(Threads, static_cast<unsigned>(M));
-    std::vector<std::thread> Pool;
-    Pool.reserve(FinishThreads - 1);
-    for (unsigned W = 1; W < FinishThreads; ++W)
-      Pool.emplace_back(FinishWorker);
-    FinishWorker(); // the calling thread drains tasks too
-    for (std::thread &Th : Pool)
-      Th.join();
-    if (FirstError)
-      std::rethrow_exception(FirstError);
-  }
+  Finished.reserve(M);
+  for (const std::unique_ptr<GangMember> &Member : Members)
+    Finished.push_back(Member->finish(Finished));
   St.FinishSeconds = static_cast<double>(elapsedNs(FinishStart)) * 1e-9;
   return Finished;
 }

@@ -18,35 +18,41 @@
 ///
 /// Members carry the same tiered state the per-config replayer uses:
 ///
-///  - addBtb()/addDefault(): optimistic NoEvictBTB + NoEvictICache
-///    fast path. A member whose optimistic model overflows drops out
-///    of the gang and is *deferred*: finish() re-runs just that member
-///    through the exact-LRU TraceReplayer tier (overflows are the rare
-///    case — tiny BTBs, replication blowing a small I-cache — so the
-///    gang never pays LRU bookkeeping for the common case).
+///  - addBtb()/addDefault()/addPredictor(): full replay on the
+///    optimistic models (NoEvictICache; NoEvictBTB for sized BTB
+///    geometries), with predict()/update() of any concrete predictor
+///    type devirtualized into the tile loop exactly as in
+///    TraceReplayer. A member whose optimistic model overflows while
+///    crossing tile T *restarts in place*: fresh state with each
+///    overflowed model swapped for its exact one, caught up by
+///    replaying events [0, end of T) from the gang's TraceSource, then
+///    on with tile T+1. Overflows are the rare case — tiny BTBs,
+///    replication blowing a small I-cache — so the gang never pays LRU
+///    bookkeeping for the common case, and they mostly happen in the
+///    first tiles, where the catch-up is short.
 ///  - addBtbPredictorOnly()/addPredictorOnly(): branch-stream-only
 ///    members (NullICache) that take the predictor-independent fetch
 ///    counters from an *earlier gang member's* finished result —
-///    baselines resolve in member order at finish() time, so one gang
-///    can carry a full replay and all its dependent predictor sweeps.
-///  - addPredictor(): any concrete predictor type; predict()/update()
-///    devirtualize into the tile loop exactly as in TraceReplayer.
+///    members finish in add order, so one gang can carry a full replay
+///    and all its dependent predictor sweeps.
 ///  - addQuickening(): JVM members own a fresh program copy + layout
 ///    and re-apply the recorded quicken rewrites at their exact event
 ///    positions (per-member record cursor), on the exact-LRU models.
 ///
-/// Quicken-free members only *read* their DispatchProgram (sim::step
-/// uses const accessors), so members of the same variant may share one
-/// layout via shared_ptr — with the predictor state-size audit
+/// Every quicken-free member consumes SoA-decoded tiles (GroupDecoder).
+/// Such members only *read* their DispatchProgram, so members of the
+/// same variant share one layout via shared_ptr and one decode per
+/// tile; a member alone on its layout is a group of one, decoded by the
+/// thread that replays it. With the predictor state-size audit
 /// (stateBytes()) this is what lets a 20+-member gang pack into cache
 /// next to the tile.
 ///
 /// run(Threads) with Threads > 1 replays the gang on a shared-tile
-/// worker pool: the calling thread decodes tiles into a small ring and
-/// Threads workers replay member work off the same decoded tile. The
-/// decoder publishes a cost-weighted owner table with every tile, idle
-/// workers steal whole members at tile boundaries, and the deferred
-/// finish tail drains on the same pool. A member has exactly one owner
+/// worker pool: the calling thread decodes tiles (and the shared
+/// groups' SoA streams) into a small ring and Threads workers replay
+/// member work off the same decoded tile. The decoder publishes a
+/// cost-weighted owner table with every tile and idle workers steal
+/// whole members at tile boundaries. A member has exactly one owner
 /// per tile and crosses tiles in stream order, so counters are
 /// bit-identical for any thread count and any steal schedule
 /// (tests/GangReplayTest.cpp pins the invariance).
@@ -61,16 +67,17 @@
 
 #include <cassert>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace vmib {
 
 namespace gang {
 
-/// Replays one tile of events through the devirtualized kernel — the
-/// tile-sized inner loop every gang member runs. The span may alias a
-/// materialized trace arena or a streaming decode buffer; the kernel
-/// only sees a contiguous (Cur, Next) window either way.
+/// Replays one tile of events through the devirtualized kernel. The
+/// span may alias a materialized trace arena or a streaming decode
+/// buffer; the kernel only sees a contiguous (Cur, Next) window either
+/// way.
 template <bool Full, class StateT, class PredictorT>
 inline void runSpan(const EventSpan &Span, DispatchProgram &Layout,
                     StateT &S, PredictorT &Pred) {
@@ -81,35 +88,48 @@ inline void runSpan(const EventSpan &Span, DispatchProgram &Layout,
                     DispatchTrace::next(Events[I]));
 }
 
-/// runSpan dispatched on the slim-layout check, with the per-tile
-/// overflow probe. \returns false if an optimistic model overflowed
-/// (the member drops out of the gang).
+/// runSpan dispatched on the slim-layout check, over stack copies of
+/// the member's models.
 ///
-/// The state and predictor are taken by value and moved back: gang
-/// member state lives on the heap behind the member object, and a hot
-/// loop storing counters through `this` cannot keep them in registers
-/// (any u64 store into the model tables may alias them). Hoisting the
+/// The state and predictor are moved into locals and back: gang member
+/// state lives on the heap behind the member object, and a hot loop
+/// storing counters through `this` cannot keep them in registers (any
+/// u64 store into the model tables may alias them). Hoisting the
 /// models into non-escaping stack locals for the duration of the tile
 /// restores the per-config replayer's codegen — the moves are pointer
 /// swaps, paid once per ~64K events. Without this the lean
 /// predictor-only kernels run ~2.6x slower in a gang than per-config.
 template <class StateT, class PredictorT>
-inline bool runSpanChecked(const EventSpan &Span,
-                           DispatchProgram &Layout, bool Slim, StateT &MemberS,
-                           PredictorT &MemberPred) {
+inline void runFused(const EventSpan &Span, DispatchProgram &Layout,
+                     bool Slim, StateT &MemberS, PredictorT &MemberPred) {
   StateT S = std::move(MemberS);
   PredictorT Pred = std::move(MemberPred);
   if (Slim)
     runSpan<false>(Span, Layout, S, Pred);
   else
     runSpan<true>(Span, Layout, S, Pred);
-  bool Ok = !TraceReplayer::overflowed(S.ICache) &&
-            !TraceReplayer::overflowed(Pred);
   MemberS = std::move(S);
   MemberPred = std::move(Pred);
-  return Ok;
 }
 
+/// The catch-up of a restarted member: replays events [0, \p End) of
+/// \p Source through the fused kernel. It reads through its own cursor,
+/// in 64K-event tiles (one trace frame each), so a streamed catch-up
+/// holds one tile of events however deep into the trace the restart
+/// happened, and never touches the gang's own cursor or tile ring.
+template <class StateT, class PredictorT>
+void replayPrefix(const TraceSource &Source, size_t End,
+                  DispatchProgram &Layout, bool Slim, StateT &S,
+                  PredictorT &Pred) {
+  TraceSource::Cursor Cursor = Source.cursor(size_t{1} << 16);
+  std::vector<DispatchTrace::Event> Raw;
+  EventSpan Span;
+  while (Span.End < End && Cursor.nextInto(Raw, Span)) {
+    if (Span.End > End)
+      Span.End = End;
+    runFused(Span, Layout, Slim, S, Pred);
+  }
+}
 /// One tile of the event stream decoded against a layout, stored as
 /// structure-of-arrays: the per-event work that depends only on
 /// (layout, event) — piece lookup, fallback state machine, fetch
@@ -127,9 +147,10 @@ inline bool runSpanChecked(const EventSpan &Span,
 /// at decode time. This is what makes full members nearly as cheap as
 /// predictor-only members inside a group. The stream is therefore
 /// only valid for no-evict cache models; exact-LRU members (the
-/// quickening tier, the deferred fallbacks) never consume it. Totals
-/// and the overflow flag stay bit-identical; post-overflow state is
-/// garbage in *both* models and is discarded by the exact fallback.
+/// quickening tier, members restarted on the exact I-cache) never
+/// consume it. Totals and the overflow flag stay bit-identical;
+/// post-overflow state is garbage in *both* models and is discarded
+/// by the restart.
 ///
 /// All counter contributions are sums and the predictor sees the
 /// identical (site, target, hint) sequence, so the decomposition is
@@ -150,20 +171,20 @@ struct DecodedChunk {
     uint64_t Bytes;
   };
 
-  /// Sizes the SoA arrays for \p ChunkCapacity events over a layout of
-  /// \p NumPieces pieces. The parallel tile ring owns one chunk per
-  /// (slot, group); GroupDecoder's internal scratch uses the same
-  /// sizing.
-  void reserve(size_t ChunkCapacity, uint32_t NumPieces) {
-    Branches.resize(ChunkCapacity); // one dispatch per event, max
-    // First-touch fetches: at most two per piece over the whole run.
-    Fetches.resize(2 * (size_t{NumPieces} + 1));
+  /// Grows the SoA arrays to hold \p Events branch records and
+  /// \p MaxFetches fetch records. Never shrinks, so one chunk (a
+  /// worker's scratch) serves the decoders of different layouts.
+  void reserve(size_t Events, size_t MaxFetches) {
+    if (Branches.size() < Events)
+      Branches.resize(Events);
+    if (Fetches.size() < MaxFetches)
+      Fetches.resize(MaxFetches);
   }
 
   /// Dispatch branch records in exact event order; [0, NumBranches).
-  /// The vector is sized to tile capacity once and never resized — the
-  /// decoder writes through raw pointers (a push_back per event costs
-  /// more than the rest of the decode).
+  /// The vector grows to tile capacity once and is never resized per
+  /// tile — the decoder writes through raw pointers (a push_back per
+  /// event costs more than the rest of the decode).
   std::vector<BranchRec> Branches;
   size_t NumBranches = 0;
   /// First-touch fetch records; [0, NumFetches). Bounded by the
@@ -177,52 +198,41 @@ struct DecodedChunk {
   uint64_t ColdStubBranches = 0;
 };
 
-/// Per-layout decoder: owns the SoA scratch (allocated once, reused
-/// across tiles), the fallback state machine, and the first-touch
-/// bitmaps — all pure functions of (layout, events), carried once per
-/// group instead of once per member.
+/// Per-layout decoder: owns the fallback state machine and the
+/// first-touch bitmaps — pure functions of (layout, events), carried
+/// once per group instead of once per member. The decoded output lands
+/// in caller-owned chunks (ring slots, per-thread scratch).
 class GroupDecoder {
 public:
-  GroupDecoder(const DispatchProgram &Layout, size_t ChunkCapacity)
-      : Layout(Layout), Capacity(ChunkCapacity),
-        Slim(TraceReplayer::isSlimLayout(Layout)) {
+  explicit GroupDecoder(const DispatchProgram &Layout)
+      : Layout(Layout), Slim(TraceReplayer::isSlimLayout(Layout)) {
     SeenPiece.assign(Layout.numPieces(), 0);
     if (Layout.hasFallbacks())
       SeenFallback.assign(Layout.numPieces(), 0);
+    // A piece enters the fetch stream once per first-touch map, with
+    // at most two fetches (code and extra fetch).
+    MaxFetches = 2 * (SeenPiece.size() + SeenFallback.size());
   }
 
-  const DecodedChunk &chunk() const { return D; }
-
-  /// A DecodedChunk sized for this decoder's layout and tile capacity
-  /// (external decodeInto storage — the parallel tile ring allocates
-  /// one per slot).
-  DecodedChunk makeChunk() const {
-    DecodedChunk C;
-    C.reserve(Capacity, Layout.numPieces());
-    return C;
+  /// Grows \p Out to hold a tile of up to \p Events events decoded
+  /// against this layout.
+  void fit(DecodedChunk &Out, size_t Events) const {
+    Out.reserve(Events, MaxFetches);
   }
 
-  /// Decodes one tile of events into \p Out. The fallback state
-  /// machine and the first-touch bitmaps live in the decoder, so calls
-  /// MUST cover the event stream in strict tile order regardless of
-  /// where the output lands (the single decoder thread of a parallel
-  /// run preserves this).
+  /// Decodes one tile of events into \p Out, growing it to fit. The
+  /// fallback state machine and the first-touch bitmaps live in the
+  /// decoder, so calls MUST cover the event stream in strict tile
+  /// order regardless of where the output lands: one decoder thread
+  /// decodes a shared group, and a group of one is decoded by its
+  /// member's owner of the tile, whom the scheduler's per-member tile
+  /// order already serializes.
   void decodeInto(const EventSpan &Span, DecodedChunk &Out) {
+    fit(Out, Span.size());
     if (Slim)
       decodeSpan<false>(Span, Out);
     else
       decodeSpan<true>(Span, Out);
-  }
-
-  void decode(const EventSpan &Span) {
-    // The internal scratch exists only for the serial path; parallel
-    // runs decode into ring slots, so allocate it lazily rather than
-    // carrying dead tile-capacity buffers per group.
-    if (!ScratchReady) {
-      D.reserve(Capacity, Layout.numPieces());
-      ScratchReady = true;
-    }
-    decodeInto(Span, D);
   }
 
 private:
@@ -310,9 +320,8 @@ private:
   }
 
   const DispatchProgram &Layout;
-  size_t Capacity;
   bool Slim;
-  bool ScratchReady = false;
+  size_t MaxFetches;
   bool InFallback = false;
   uint32_t FallbackUntil = 0;
   /// First-touch bitmaps: a piece's fetch footprint is constant for
@@ -321,7 +330,6 @@ private:
   /// same index fetch different pieces, hence two maps).
   std::vector<uint8_t> SeenPiece;
   std::vector<uint8_t> SeenFallback;
-  DecodedChunk D;
 };
 
 /// Structural identity of everything the tile decoder reads from a
@@ -403,54 +411,51 @@ template <class T> inline uint64_t modelStateBytes(const T &Model) {
     return sizeof(Model);
 }
 
+/// The exact model an optimistic predictor restarts on. Predictors
+/// without an optimistic form never overflow and map to themselves.
+template <class PredT> struct ExactModel {
+  using Type = PredT;
+};
+template <> struct ExactModel<NoEvictBTB> {
+  using Type = BTB;
+  static BTB make(const NoEvictBTB &Fast) { return BTB(Fast.config()); }
+};
+
 } // namespace gang
 
-/// One configuration riding a gang: replays tiles as the cursor hands
-/// them out, then finalizes (running its deferred exact-LRU fallback if
-/// its optimistic models overflowed mid-gang).
+/// One configuration riding a gang: replays tiles as the gang hands
+/// them out, then finalizes.
 class GangMember {
 public:
   virtual ~GangMember() = default;
 
-  /// Replays one tile of events. \returns false if this member's
-  /// optimistic models overflowed — it then drops out of the gang and
-  /// finish() re-runs it through the exact tier.
-  virtual bool runChunk(const EventSpan &Span) = 0;
-
-  /// The layout this member can share a GroupDecoder over, or nullptr
-  /// if it must decode fused (quickening members mutate their layout
-  /// mid-stream). When two or more members report the same layout, the
-  /// gang decodes each tile once for the group and drives
-  /// runChunkDecoded() instead of runChunk().
+  /// The layout this member's tiles decode against, or nullptr if the
+  /// member only reads raw events (quickening members mutate their
+  /// layout mid-stream). Members whose layouts decode identically
+  /// share one GroupDecoder; a member alone on its layout is a group
+  /// of one.
   virtual const DispatchProgram *soaLayout() const { return nullptr; }
 
-  /// Replays one decoded tile (same drop-out contract as runChunk).
-  /// Only called when soaLayout() returned non-null.
-  virtual bool runChunkDecoded(const gang::DecodedChunk &D) {
-    (void)D;
-    return true;
-  }
+  /// Whether the next tile must be decoded for this member: true from
+  /// the start for soaLayout() members, false for good once the member
+  /// restarted on the exact-LRU I-cache, which reads raw events.
+  virtual bool decodes() const { return false; }
 
-  /// Completes the member: deferred exact fallback if it dropped out,
-  /// fetch-baseline patching for predictor-only members, counter
-  /// finalization. \p Finished holds the results of all *earlier*
-  /// members (baseline references resolve in member order; a parallel
-  /// finish pass passes a full-size vector and guarantees only that
-  /// the finishDependency() entry is already populated). Deferred
-  /// re-runs read the whole stream again through \p Source — under a
-  /// streaming source each fallback opens its own cursor, so deferred
-  /// finishes stay O(tile) and may run concurrently.
-  virtual PerfCounters finish(const TraceSource &Source,
-                              const std::vector<PerfCounters> &Finished) = 0;
+  /// Replays tile \p Span; \p D is that tile decoded against
+  /// soaLayout() when decodes(), else null. A member whose optimistic
+  /// model overflows while crossing the tile restarts in place on its
+  /// exact tier and catches up on events [0, Span.End) from \p Source
+  /// before returning.
+  virtual void runTile(const EventSpan &Span, const gang::DecodedChunk *D,
+                       const TraceSource &Source) = 0;
 
-  /// Sentinel for finishDependency(): no earlier-member input needed.
-  static constexpr size_t NoFinishDependency = static_cast<size_t>(-1);
+  /// Whether the member restarted on an exact tier during the pass.
+  virtual bool restarted() const { return false; }
 
-  /// Index of the earlier gang member whose *finished* counters this
-  /// member's finish() reads (the fetch baseline of predictor-only
-  /// members), or NoFinishDependency. The parallel finish pass orders
-  /// and gates tasks on exactly this edge.
-  virtual size_t finishDependency() const { return NoFinishDependency; }
+  /// Finalizes the counters. \p Finished holds the results of all
+  /// *earlier* members (members finish in add order): predictor-only
+  /// members take their fetch counters from their baseline's entry.
+  virtual PerfCounters finish(const std::vector<PerfCounters> &Finished) = 0;
 
   /// Mutable per-member state (predictor + I-cache model + counters),
   /// excluding the (possibly shared) layout — the number the gang
@@ -460,291 +465,146 @@ public:
 
 namespace gang {
 
-/// Full replay under a BTB geometry: no-evict fast path, deferred
-/// exact fallback. Idealised configs (Entries == 0) keep the exact BTB
-/// and only run the I-cache optimistically, mirroring
-/// TraceReplayer::replayBtb.
-class BtbMember final : public GangMember {
-public:
-  BtbMember(std::shared_ptr<DispatchProgram> Layout, const CpuConfig &Cpu,
-            const BTBConfig &Config)
-      : Layout(std::move(Layout)), Cpu(Cpu), Config(Config),
-        Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {
-    if (Config.Entries != 0)
-      FastPred = std::make_unique<NoEvictBTB>(Config);
-    else
-      IdealPred = std::make_unique<BTB>(Config);
-  }
+/// A quicken-free member: a full replay (\p Fetches: the fetch and
+/// branch streams) or a predictor-only one (the branch stream; the
+/// fetch counters come from an earlier member's finished result). It
+/// starts on the optimistic models: NoEvictICache, and \p PredT itself
+/// — NoEvictBTB for sized BTB geometries; the exact BTB for idealised
+/// ones and any predictor without an optimistic form.
+///
+/// An overflow while crossing a tile restarts the member in place:
+/// each overflowed model is swapped for its exact one (ExactModel; the
+/// exact-LRU InstructionCache for the I-cache), all state starts
+/// fresh, and events [0, end of the tile) replay from the gang's
+/// TraceSource through the fused kernel. Later tiles run the new
+/// tiers: an exact BTB reads the decoded branch stream, while the
+/// exact I-cache cannot use the first-touch fetch stream, so the
+/// member steps the raw tile through sim::step and stops decoding.
+/// Every tier computes what the per-config TraceReplayer fallback
+/// computes, so counters stay bit-identical.
+template <class PredT, bool Fetches>
+class ReplayMember final : public GangMember {
+  using ExactPredT = typename ExactModel<PredT>::Type;
+  using FastStateT = sim::DispatchStateT<
+      std::conditional_t<Fetches, NoEvictICache, sim::NullICache>>;
+  static constexpr bool PredCanOverflow =
+      TraceReplayer::HasOverflowed<PredT>::value;
 
-  bool runChunk(const EventSpan &Span) override {
-    bool Ok = FastPred
-                  ? runSpanChecked(Span, *Layout, Slim, S, *FastPred)
-                  : runSpanChecked(Span, *Layout, Slim, S, *IdealPred);
-    if (!Ok)
-      ICacheOverflowed = S.ICache.overflowed();
-    return Ok;
-  }
+public:
+  /// \p FetchBaseline is the earlier member predictor-only members
+  /// take their fetch counters from (ignored for full members).
+  ReplayMember(std::shared_ptr<DispatchProgram> Layout, const CpuConfig &Cpu,
+               PredT Pred, size_t FetchBaseline)
+      : Layout(std::move(Layout)), Cpu(Cpu), FetchBaseline(FetchBaseline),
+        Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache),
+        Pred(std::move(Pred)) {}
 
   const DispatchProgram *soaLayout() const override { return Layout.get(); }
+  bool decodes() const override { return !ExactS; }
+  bool restarted() const override { return Restarted; }
 
-  bool runChunkDecoded(const DecodedChunk &D) override {
-    bool Ok = FastPred ? consumeDecoded(D, *FastPred)
-                       : consumeDecoded(D, *IdealPred);
-    if (!Ok)
-      ICacheOverflowed = S.ICache.overflowed();
-    return Ok;
+  void runTile(const EventSpan &Span, const DecodedChunk *D,
+               const TraceSource &Source) override {
+    withPredictor([&](auto &P) {
+      if (ExactS)
+        runFused(Span, *Layout, Slim, *ExactS, P);
+      else
+        consume(*D, P);
+    });
+    bool ICacheOverflowed = !ExactS && TraceReplayer::overflowed(S.ICache);
+    bool PredOverflowed = !ExactPred && TraceReplayer::overflowed(Pred);
+    if (ICacheOverflowed || PredOverflowed)
+      restart(ICacheOverflowed, PredOverflowed, Source, Span.End);
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &) override {
-    if (!Dropped())
-      return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
-    // Deferred per-member fallback on a fresh exact BTB. When only the
-    // no-evict BTB overflowed, the optimistic I-cache tier inside
-    // replay() still applies; a proven I-cache overflow is
-    // deterministic, so go straight to the exact-LRU models.
-    BTB Exact(Config);
-    if (ICacheOverflowed)
-      return TraceReplayer::replayExactNoQuicken(Source, *Layout, Cpu, Exact);
-    return TraceReplayer::replay(Source, *Layout, /*MutableProgram=*/nullptr,
-                                 Cpu, Exact);
+  PerfCounters finish(const std::vector<PerfCounters> &Finished) override {
+    PerfCounters C = ExactS ? ExactS->Counters : S.Counters;
+    if constexpr (!Fetches) {
+      assert(FetchBaseline < Finished.size() &&
+             "fetch baseline must be an earlier gang member");
+      C.ICacheMisses = Finished[FetchBaseline].ICacheMisses;
+    }
+    (void)Finished;
+    return TraceReplayer::finalize(C, *Layout, Cpu);
   }
 
   uint64_t stateBytes() const override {
-    return sizeof(*this) + modelStateBytes(S.ICache) +
-           (FastPred ? modelStateBytes(*FastPred)
-                     : modelStateBytes(*IdealPred));
+    uint64_t Bytes = sizeof(*this) + (ExactPred ? modelStateBytes(*ExactPred)
+                                                : modelStateBytes(Pred));
+    if constexpr (Fetches)
+      Bytes += ExactS ? modelStateBytes(ExactS->ICache)
+                      : modelStateBytes(S.ICache);
+    return Bytes;
   }
 
 private:
-  bool Dropped() const {
-    return ICacheOverflowed ||
-           (FastPred && FastPred->overflowed());
+  /// Calls \p F on the predictor the member currently runs.
+  template <class Fn> void withPredictor(Fn &&F) {
+    if constexpr (PredCanOverflow)
+      if (ExactPred)
+        return F(*ExactPred);
+    F(Pred);
   }
 
-  template <class PredictorT>
-  bool consumeDecoded(const DecodedChunk &D, PredictorT &MemberPred) {
-    // Stack-hoist the models (see runSpanChecked); the decoded fetch
-    // and branch streams are independent state machines, so each runs
-    // as its own tight loop.
-    NoEvictICache ICache = std::move(S.ICache);
-    PredictorT Pred = std::move(MemberPred);
-    uint64_t FetchMisses = runDecodedFetches(D, ICache);
-    uint64_t BranchMisses = runDecodedBranches(D, Pred);
-    bool Ok = !ICache.overflowed() && !TraceReplayer::overflowed(Pred);
-    S.ICache = std::move(ICache);
-    MemberPred = std::move(Pred);
-    S.Counters.ICacheMisses += FetchMisses;
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    return Ok;
-  }
-
-  std::shared_ptr<DispatchProgram> Layout;
-  CpuConfig Cpu;
-  BTBConfig Config;
-  bool Slim;
-  sim::DispatchStateT<NoEvictICache> S;
-  std::unique_ptr<NoEvictBTB> FastPred; // Entries != 0
-  std::unique_ptr<BTB> IdealPred;       // Entries == 0
-  bool ICacheOverflowed = false;
-};
-
-/// Branch-stream-only replay of a BTB geometry (capacity sweeps):
-/// fetch counters come from an earlier member's finished result.
-class BtbPredictorOnlyMember final : public GangMember {
-public:
-  BtbPredictorOnlyMember(std::shared_ptr<DispatchProgram> Layout,
-                         const CpuConfig &Cpu, const BTBConfig &Config,
-                         size_t FetchBaseline)
-      : Layout(std::move(Layout)), Cpu(Cpu), Config(Config),
-        FetchBaseline(FetchBaseline),
-        Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {
-    if (Config.Entries != 0)
-      FastPred = std::make_unique<NoEvictBTB>(Config);
-    else
-      IdealPred = std::make_unique<BTB>(Config);
-  }
-
-  bool runChunk(const EventSpan &Span) override {
-    if (FastPred) {
-      bool Ok = runSpanChecked(Span, *Layout, Slim, S, *FastPred);
-      Overflowed |= !Ok;
-      return Ok;
-    }
-    return runSpanChecked(Span, *Layout, Slim, S, *IdealPred);
-  }
-
-  const DispatchProgram *soaLayout() const override { return Layout.get(); }
-
-  bool runChunkDecoded(const DecodedChunk &D) override {
-    // Branch stream only: the fetch counters come from the baseline.
-    uint64_t BranchMisses;
-    bool Ok = true;
-    if (FastPred) {
-      NoEvictBTB Pred = std::move(*FastPred);
-      BranchMisses = runDecodedBranches(D, Pred);
-      Ok = !Pred.overflowed();
-      *FastPred = std::move(Pred);
-      Overflowed |= !Ok;
-    } else {
-      BTB Pred = std::move(*IdealPred);
-      BranchMisses = runDecodedBranches(D, Pred);
-      *IdealPred = std::move(Pred);
-    }
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    return Ok;
-  }
-
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &Finished) override {
-    assert(FetchBaseline < Finished.size() &&
-           "fetch baseline must be an earlier gang member");
-    if (Overflowed) {
-      BTB Exact(Config);
-      return TraceReplayer::replayPredictorOnly(Source, *Layout, Cpu, Exact,
-                                                Finished[FetchBaseline]);
-    }
-    S.Counters.ICacheMisses = Finished[FetchBaseline].ICacheMisses;
-    return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
-  }
-
-  size_t finishDependency() const override { return FetchBaseline; }
-
-  uint64_t stateBytes() const override {
-    return sizeof(*this) + (FastPred ? modelStateBytes(*FastPred)
-                                     : modelStateBytes(*IdealPred));
-  }
-
-private:
-  std::shared_ptr<DispatchProgram> Layout;
-  CpuConfig Cpu;
-  BTBConfig Config;
-  size_t FetchBaseline;
-  bool Slim;
-  sim::DispatchStateT<sim::NullICache> S;
-  std::unique_ptr<NoEvictBTB> FastPred;
-  std::unique_ptr<BTB> IdealPred;
-  bool Overflowed = false;
-};
-
-/// Full replay with an arbitrary concrete predictor type (two-level,
-/// case-block, oracle/null baselines): the optimistic I-cache tier of
-/// TraceReplayer::replay, chunk-major.
-template <class PredictorT> class PredictorMember final : public GangMember {
-public:
-  PredictorMember(std::shared_ptr<DispatchProgram> Layout,
-                  const CpuConfig &Cpu, PredictorT Pred)
-      : Layout(std::move(Layout)), Cpu(Cpu), Pred(std::move(Pred)),
-        Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {}
-
-  bool runChunk(const EventSpan &Span) override {
-    bool Ok = runSpanChecked(Span, *Layout, Slim, S, Pred);
-    Overflowed |= !Ok;
-    return Ok;
-  }
-
-  const DispatchProgram *soaLayout() const override { return Layout.get(); }
-
-  bool runChunkDecoded(const DecodedChunk &D) override {
-    NoEvictICache ICache = std::move(S.ICache);
-    PredictorT LocalPred = std::move(Pred);
-    uint64_t FetchMisses = runDecodedFetches(D, ICache);
+  /// One decoded tile on the optimistic I-cache. The fetch and branch
+  /// streams are independent state machines, so each runs as its own
+  /// tight loop over a stack-hoisted model (see runFused).
+  template <class P> void consume(const DecodedChunk &D, P &MemberPred) {
+    P LocalPred = std::move(MemberPred);
     uint64_t BranchMisses = runDecodedBranches(D, LocalPred);
-    bool Ok = !ICache.overflowed() && !TraceReplayer::overflowed(LocalPred);
-    S.ICache = std::move(ICache);
-    Pred = std::move(LocalPred);
-    S.Counters.ICacheMisses += FetchMisses;
+    MemberPred = std::move(LocalPred);
+    if constexpr (Fetches) {
+      NoEvictICache ICache = std::move(S.ICache);
+      S.Counters.ICacheMisses += runDecodedFetches(D, ICache);
+      S.ICache = std::move(ICache);
+    }
     addDecodedAggregates(D, S.Counters, BranchMisses);
-    Overflowed |= !Ok;
-    return Ok;
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &) override {
-    if (!Overflowed)
-      return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
-    Pred.reset(); // discard the overflowed attempt, as replay() does
-    return TraceReplayer::replayExactNoQuicken(Source, *Layout, Cpu, Pred);
-  }
-
-  uint64_t stateBytes() const override {
-    return sizeof(*this) + modelStateBytes(S.ICache) +
-           modelStateBytes(Pred);
-  }
-
-private:
-  std::shared_ptr<DispatchProgram> Layout;
-  CpuConfig Cpu;
-  PredictorT Pred;
-  bool Slim;
-  sim::DispatchStateT<NoEvictICache> S;
-  bool Overflowed = false;
-};
-
-/// Branch-stream-only replay with an arbitrary concrete predictor;
-/// fetch counters from an earlier member (the predictor-sweep tier).
-template <class PredictorT>
-class PredictorOnlyMember final : public GangMember {
-public:
-  PredictorOnlyMember(std::shared_ptr<DispatchProgram> Layout,
-                      const CpuConfig &Cpu, PredictorT Pred,
-                      size_t FetchBaseline)
-      : Layout(std::move(Layout)), Cpu(Cpu), Pred(std::move(Pred)),
-        FetchBaseline(FetchBaseline),
-        Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache) {}
-
-  bool runChunk(const EventSpan &Span) override {
-    bool Ok = runSpanChecked(Span, *Layout, Slim, S, Pred);
-    Overflowed |= !Ok;
-    return Ok;
-  }
-
-  const DispatchProgram *soaLayout() const override { return Layout.get(); }
-
-  bool runChunkDecoded(const DecodedChunk &D) override {
-    PredictorT LocalPred = std::move(Pred);
-    uint64_t BranchMisses = runDecodedBranches(D, LocalPred);
-    bool Ok = !TraceReplayer::overflowed(LocalPred);
-    Pred = std::move(LocalPred);
-    addDecodedAggregates(D, S.Counters, BranchMisses);
-    Overflowed |= !Ok;
-    return Ok;
-  }
-
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &Finished) override {
-    assert(FetchBaseline < Finished.size() &&
-           "fetch baseline must be an earlier gang member");
-    if (Overflowed) {
+  /// Restarts on the exact tier of every overflowed model and catches
+  /// up on events [0, \p End). The catch-up cannot overflow again: a
+  /// model that stays optimistic already crossed those events without
+  /// overflowing, and it sees the same streams again.
+  void restart(bool ICacheOverflowed, bool PredOverflowed,
+               const TraceSource &Source, size_t End) {
+    Restarted = true;
+    if constexpr (PredCanOverflow)
+      if (PredOverflowed)
+        ExactPred =
+            std::make_unique<ExactPredT>(ExactModel<PredT>::make(Pred));
+    if (ExactPred)
+      ExactPred->reset();
+    else
       Pred.reset();
-      return TraceReplayer::replayPredictorOnly(Source, *Layout, Cpu, Pred,
-                                                Finished[FetchBaseline]);
-    }
-    S.Counters.ICacheMisses = Finished[FetchBaseline].ICacheMisses;
-    return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
+    S = FastStateT(Cpu.ICache);
+    if constexpr (Fetches)
+      if (ICacheOverflowed || ExactS)
+        ExactS = std::make_unique<sim::DispatchState>(Cpu.ICache);
+    withPredictor([&](auto &P) {
+      if (ExactS)
+        replayPrefix(Source, End, *Layout, Slim, *ExactS, P);
+      else
+        replayPrefix(Source, End, *Layout, Slim, S, P);
+    });
   }
 
-  size_t finishDependency() const override { return FetchBaseline; }
-
-  uint64_t stateBytes() const override {
-    return sizeof(*this) + modelStateBytes(Pred);
-  }
-
-private:
   std::shared_ptr<DispatchProgram> Layout;
   CpuConfig Cpu;
-  PredictorT Pred;
   size_t FetchBaseline;
   bool Slim;
-  sim::DispatchStateT<sim::NullICache> S;
-  bool Overflowed = false;
+  FastStateT S;
+  PredT Pred;
+  /// The exact tiers, created by the first overflow of each model.
+  std::unique_ptr<sim::DispatchState> ExactS;
+  std::unique_ptr<ExactPredT> ExactPred;
+  bool Restarted = false;
 };
 
 /// JVM member: owns a fresh program copy and the layout built over it,
 /// re-applies the recorded quicken rewrites at their exact event
 /// positions while replaying on the exact-LRU models (quickening
-/// patches layout state, so the optimistic discard-and-retry tier can
-/// never apply — same rule as TraceReplayer::replay).
+/// patches layout state, so no optimistic tier that may need a restart
+/// can apply — same rule as TraceReplayer::replay).
 class QuickeningMember final : public GangMember {
 public:
   /// \p Quickens is the trace's quicken record stream (borrowed; the
@@ -760,12 +620,12 @@ public:
            "layout must be built over this member's program copy");
   }
 
-  bool runChunk(const EventSpan &Span) override {
+  void runTile(const EventSpan &Span, const DecodedChunk *,
+               const TraceSource &) override {
     const DispatchTrace::Event *Events = Span.Data;
     sim::NullObserver Obs;
-    // Hoist the models into stack locals for the tile (see
-    // runSpanChecked): heap member state cannot be registerized
-    // across the event loop.
+    // Hoist the models into stack locals for the tile (see runFused):
+    // heap member state cannot be registerized across the event loop.
     sim::DispatchState LocalS = std::move(S);
     BTB LocalPred = std::move(Pred);
     size_t LocalQIdx = QIdx;
@@ -789,13 +649,10 @@ public:
     Pred = std::move(LocalPred);
     QIdx = LocalQIdx;
     Done = LocalDone;
-    return true; // exact models never overflow
   }
 
-  PerfCounters finish(const TraceSource &Source,
-                      const std::vector<PerfCounters> &) override {
-    assert(QIdx == Source.numQuickens() && "unconsumed quicken records");
-    (void)Source;
+  PerfCounters finish(const std::vector<PerfCounters> &) override {
+    assert(QIdx == Quickens.size() && "unconsumed quicken records");
     return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
   }
 
@@ -853,8 +710,7 @@ public:
                 const BTBConfig &Config) {
     assert(Source.numQuickens() == 0 &&
            "quickening trace needs addQuickening members");
-    return adopt(std::make_unique<gang::BtbMember>(std::move(Layout), Cpu,
-                                                   Config));
+    return adoptBtb</*Fetches=*/true>(std::move(Layout), Cpu, Config, 0);
   }
 
   /// Branch-stream-only BTB member; fetch counters from gang member
@@ -866,8 +722,8 @@ public:
            "predictor-only members need a quicken-free trace");
     assert(FetchBaseline < Members.size() &&
            "fetch baseline must be an earlier gang member");
-    return adopt(std::make_unique<gang::BtbPredictorOnlyMember>(
-        std::move(Layout), Cpu, Config, FetchBaseline));
+    return adoptBtb</*Fetches=*/false>(std::move(Layout), Cpu, Config,
+                                       FetchBaseline);
   }
 
   /// Full replay with a concrete predictor (moved into the member).
@@ -876,8 +732,8 @@ public:
                       const CpuConfig &Cpu, PredictorT Pred) {
     assert(Source.numQuickens() == 0 &&
            "quickening trace needs addQuickening members");
-    return adopt(std::make_unique<gang::PredictorMember<PredictorT>>(
-        std::move(Layout), Cpu, std::move(Pred)));
+    return adopt(std::make_unique<gang::ReplayMember<PredictorT, true>>(
+        std::move(Layout), Cpu, std::move(Pred), 0));
   }
 
   /// Branch-stream-only member with a concrete predictor; fetch
@@ -890,7 +746,7 @@ public:
            "predictor-only members need a quicken-free trace");
     assert(FetchBaseline < Members.size() &&
            "fetch baseline must be an earlier gang member");
-    return adopt(std::make_unique<gang::PredictorOnlyMember<PredictorT>>(
+    return adopt(std::make_unique<gang::ReplayMember<PredictorT, false>>(
         std::move(Layout), Cpu, std::move(Pred), FetchBaseline));
   }
 
@@ -935,14 +791,14 @@ public:
   const std::vector<uint64_t> &finalCosts() const { return FinalCostNs; }
 
   /// Pool accounting of one run(): who replayed how much, who waited,
-  /// who stole, and what the finish tail cost. Workers is empty for
+  /// who stole, and how many members restarted. Workers is empty for
   /// serial runs (no pool to account). The sweep layers aggregate this
   /// across gangs (merge) and sweep_driver --verify renders it as the
   /// `:loadbalance` timing line.
   struct Stats {
     struct Worker {
       /// Member-events this worker replayed (tile span summed per
-      /// member execution, drop-outs included up to their drop tile).
+      /// member execution; a restart's catch-up is not counted).
       uint64_t EventsReplayed = 0;
       /// Tiles where the worker stalled waiting for the decoder to
       /// publish (decode-bound or arrived early).
@@ -959,13 +815,13 @@ public:
     /// pooled (every member rides the whole trace once) — what the
     /// sweep [timing] line reports as replayed events.
     uint64_t MemberEvents = 0;
-    /// Members that dropped out and re-ran through the exact tier.
+    /// Members whose optimistic model overflowed and that restarted on
+    /// the exact tier (a member that restarted twice counts once). Kept
+    /// under this name because perfbench/specbench.cpp reads it.
     uint64_t DeferredFinishes = 0;
-    /// Wall clock of the completion pass (deferred fallbacks,
-    /// baseline patching, finalization).
+    /// Wall clock of the completion pass (baseline patching and
+    /// finalization, in add order).
     double FinishSeconds = 0;
-    /// Whether the finish pass drained on the worker pool.
-    bool ParallelFinish = false;
     /// Whether this run decoded its tiles from the trace file
     /// (streaming TraceSource) rather than a materialized arena.
     bool StreamedDecode = false;
@@ -994,7 +850,6 @@ public:
       MemberEvents += O.MemberEvents;
       DeferredFinishes += O.DeferredFinishes;
       FinishSeconds += O.FinishSeconds;
-      ParallelFinish |= O.ParallelFinish;
       StreamedDecode |= O.StreamedDecode;
       SourceReadSeconds += O.SourceReadSeconds;
       SourceEvents += O.SourceEvents;
@@ -1007,30 +862,27 @@ public:
   /// much cache the gang competes for next to one trace tile.
   uint64_t stateBytes() const {
     uint64_t Bytes = 0;
-    for (const Slot &M : Members)
-      Bytes += M.Member->stateBytes();
+    for (const std::unique_ptr<GangMember> &M : Members)
+      Bytes += M->stateBytes();
     return Bytes;
   }
 
-  /// One chunk-tiled pass over the trace, then per-member completion
-  /// (deferred exact fallbacks, baseline patching). \returns one
-  /// finalized PerfCounters per member, in add order. The gang is
-  /// spent afterwards; build a new one for another pass.
+  /// One chunk-tiled pass over the trace (overflowing members restart
+  /// in place), then per-member completion in add order (baseline
+  /// patching, finalization). \returns one finalized PerfCounters per
+  /// member, in add order. The gang is spent afterwards; build a new
+  /// one for another pass.
   ///
-  /// \p Threads <= 1 is the serial pass, finishing members in add
-  /// order. Threads > 1 runs the shared-tile worker pool: the calling
-  /// thread decodes each tile once into a small ring and publishes a
+  /// \p Threads <= 1 is the serial pass. Threads > 1 runs the
+  /// shared-tile worker pool: the calling thread reads each tile into
+  /// a small ring, decodes it once per shared group and publishes a
   /// cost-weighted owner table with it (LPT over per-member replay cost
   /// measured on earlier tiles, or seeded by seedMemberCost); a worker
   /// first claims its planned members, then *steals* any member another
-  /// worker has not claimed yet. Claims are per (member, tile) —
-  /// exactly one owner per member per tile, serialized against the
-  /// member's previous tile — so any steal schedule observes the serial
-  /// event order. The finish tail (deferred exact-LRU fallbacks,
-  /// baseline patching) then drains on the same pool as a
-  /// dependency-ordered task list: baseline members before the
-  /// predictor-only members that read their counters, deferred
-  /// (expensive) re-runs first within a rank.
+  /// worker has not claimed yet, decoding a group of one into its own
+  /// scratch. Claims are per (member, tile) — exactly one owner per
+  /// member per tile, serialized against the member's previous tile —
+  /// so any steal schedule observes the serial event order.
   ///
   /// Counters are bit-identical for every thread count. \p StatsOut,
   /// when non-null, receives the pool accounting of this run.
@@ -1039,18 +891,26 @@ public:
 
 private:
   size_t adopt(std::unique_ptr<GangMember> Member) {
-    Members.push_back({std::move(Member), true});
+    Members.push_back(std::move(Member));
     return Members.size() - 1;
   }
 
-  struct Slot {
-    std::unique_ptr<GangMember> Member;
-    bool Active;
-  };
+  /// Sized BTB geometries start on the no-evict model; idealised ones
+  /// (Entries == 0) have none and run the exact BTB from the start.
+  template <bool Fetches>
+  size_t adoptBtb(std::shared_ptr<DispatchProgram> Layout,
+                  const CpuConfig &Cpu, const BTBConfig &Config,
+                  size_t FetchBaseline) {
+    if (Config.Entries == 0)
+      return adopt(std::make_unique<gang::ReplayMember<BTB, Fetches>>(
+          std::move(Layout), Cpu, BTB(Config), FetchBaseline));
+    return adopt(std::make_unique<gang::ReplayMember<NoEvictBTB, Fetches>>(
+        std::move(Layout), Cpu, NoEvictBTB(Config), FetchBaseline));
+  }
 
   TraceSource Source;
   size_t ChunkEvents;
-  std::vector<Slot> Members;
+  std::vector<std::unique_ptr<GangMember>> Members;
   std::vector<uint64_t> SeedCostNs;
   std::vector<uint64_t> FinalCostNs;
 };

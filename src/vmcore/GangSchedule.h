@@ -3,10 +3,10 @@
 /// \file
 /// The `schedule static|dynamic` token older spec files declare. It
 /// selects nothing: every gang with threads > 1 runs GangReplayer's one
-/// pooled scheduler (cost-planned tiles, work stealing, parallel finish
-/// tail), and serial gangs stay serial. The token still parses so those
-/// files keep loading, and the type stays declared because external
-/// drivers assign SweepSpec::Schedule.
+/// pooled scheduler (cost-planned tiles, work stealing), and serial
+/// gangs stay serial. The token still parses so those files keep
+/// loading, and the type stays declared because external drivers
+/// assign SweepSpec::Schedule.
 ///
 //===----------------------------------------------------------------------===//
 

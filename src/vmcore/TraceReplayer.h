@@ -30,6 +30,12 @@
 /// layout; callers hand in a fresh program copy and a layout built over
 /// it, exactly as they would for a direct run.
 ///
+/// These calls take a materialized DispatchTrace. Replay over a
+/// streaming TraceSource goes through GangReplayer (a one-member gang
+/// is a per-config replay), whose members run the same tiers tile by
+/// tile and restart an overflowing model in place instead of
+/// discarding the whole attempt.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VMIB_VMCORE_TRACEREPLAYER_H
@@ -37,7 +43,6 @@
 
 #include "vmcore/DispatchSim.h"
 #include "vmcore/DispatchTrace.h"
-#include "vmcore/TraceSource.h"
 
 #include <cassert>
 
@@ -166,8 +171,7 @@ public:
 
   /// Exact-LRU quicken-free replay (also the tail of the optimistic
   /// fallback when the fast attempt's I-cache overflowed and a
-  /// re-attempt is deterministically doomed). GangReplayer members use
-  /// it as their deferred per-member fallback.
+  /// re-attempt is deterministically doomed).
   template <class PredictorT, class ObserverT = sim::NullObserver>
   static PerfCounters replayExactNoQuicken(const DispatchTrace &Trace,
                                            DispatchProgram &Layout,
@@ -187,94 +191,6 @@ public:
     return finalize(S.Counters, Layout, Cpu);
   }
 
-  //===--- TraceSource overloads (materialized OR streaming input) --------===//
-  //
-  // The same replay tiers over a TraceSource: a materialized source
-  // delegates to the DispatchTrace overloads above (identical codegen,
-  // zero-copy), a streaming source runs the identical step kernels
-  // over cursor tiles — one 64K-event decode buffer of working memory
-  // regardless of trace length. Both orders are the plain stream
-  // order, so counters are bit-identical by construction. These are
-  // what GangReplayer members call from their deferred finish()
-  // fallbacks, which must not re-materialize a multi-GB trace.
-
-  /// replay() over a TraceSource; see the DispatchTrace overload.
-  template <class PredictorT, class ObserverT = sim::NullObserver>
-  static PerfCounters replay(const TraceSource &Source,
-                             DispatchProgram &Layout,
-                             VMProgram *MutableProgram, const CpuConfig &Cpu,
-                             PredictorT &Pred, const ObserverT &Obs = {}) {
-    if (!Source.streaming())
-      return replay(Source.trace(), Layout, MutableProgram, Cpu, Pred, Obs);
-    assert((Source.numQuickens() == 0 || MutableProgram != nullptr) &&
-           "quickening trace needs the mutable program");
-    const bool Slim = isSlimLayout(Layout);
-    if (Source.numQuickens() == 0 && !Obs.active()) {
-      sim::DispatchStateT<NoEvictICache> S(Cpu.ICache);
-      bool Ok = Slim ? runChunkedStream<false>(Source, Layout, S, Pred, Obs)
-                     : runChunkedStream<true>(Source, Layout, S, Pred, Obs);
-      if (Ok)
-        return finalize(S.Counters, Layout, Cpu);
-      Pred.reset(); // discard the overflowed attempt
-    }
-    if (Source.numQuickens() == 0)
-      return replayExactNoQuicken(Source, Layout, Cpu, Pred, Obs);
-    sim::DispatchState S(Cpu.ICache);
-    replayQuickeningStream(Source, Layout, *MutableProgram, S, Pred, Obs);
-    return finalize(S.Counters, Layout, Cpu);
-  }
-
-  /// replayExactNoQuicken() over a TraceSource.
-  template <class PredictorT, class ObserverT = sim::NullObserver>
-  static PerfCounters replayExactNoQuicken(const TraceSource &Source,
-                                           DispatchProgram &Layout,
-                                           const CpuConfig &Cpu,
-                                           PredictorT &Pred,
-                                           const ObserverT &Obs = {}) {
-    if (!Source.streaming())
-      return replayExactNoQuicken(Source.trace(), Layout, Cpu, Pred, Obs);
-    sim::DispatchState S(Cpu.ICache);
-    const bool Slim = isSlimLayout(Layout);
-    TraceSource::Cursor Cur = Source.cursor(StreamChunkEvents);
-    std::vector<DispatchTrace::Event> Raw;
-    EventSpan Span;
-    while (Cur.nextInto(Raw, Span)) {
-      if (Slim)
-        stepSpan<false>(Span, Layout, S, Pred, Obs);
-      else
-        stepSpan<true>(Span, Layout, S, Pred, Obs);
-    }
-    return finalize(S.Counters, Layout, Cpu);
-  }
-
-  /// replayPredictorOnly() over a TraceSource.
-  template <class PredictorT>
-  static PerfCounters replayPredictorOnly(const TraceSource &Source,
-                                          DispatchProgram &Layout,
-                                          const CpuConfig &Cpu,
-                                          PredictorT &Pred,
-                                          const PerfCounters &FetchBaseline) {
-    if (!Source.streaming())
-      return replayPredictorOnly(Source.trace(), Layout, Cpu, Pred,
-                                 FetchBaseline);
-    assert(Source.numQuickens() == 0 &&
-           "predictor-only replay needs a quicken-free trace");
-    sim::DispatchStateT<sim::NullICache> S(Cpu.ICache);
-    sim::NullObserver Obs;
-    const bool Slim = isSlimLayout(Layout);
-    TraceSource::Cursor Cur = Source.cursor(StreamChunkEvents);
-    std::vector<DispatchTrace::Event> Raw;
-    EventSpan Span;
-    while (Cur.nextInto(Raw, Span)) {
-      if (Slim)
-        stepSpan<false>(Span, Layout, S, Pred, Obs);
-      else
-        stepSpan<true>(Span, Layout, S, Pred, Obs);
-    }
-    S.Counters.ICacheMisses = FetchBaseline.ICacheMisses;
-    return finalize(S.Counters, Layout, Cpu);
-  }
-
   /// Detects an overflowed() probe on optimistic model types; exact
   /// models (and NullICache) report false. Shared with GangReplayer.
   template <class T, class = void> struct HasOverflowed : std::false_type {};
@@ -290,71 +206,6 @@ public:
   }
 
 private:
-  /// Streaming tile size: matches runChunked's strip-mining AND the trace
-  /// frame granularity, so the optimistic tier probes overflow at the
-  /// same boundaries on both paths and each tile read decodes exactly
-  /// one frame.
-  static constexpr size_t StreamChunkEvents = size_t{1} << 16;
-
-  /// Runs sim::step over every event of \p Span.
-  template <bool Full, class StateT, class PredictorT, class ObserverT>
-  static void stepSpan(const EventSpan &Span, DispatchProgram &Layout,
-                       StateT &S, PredictorT &Pred, const ObserverT &Obs) {
-    for (size_t I = 0, N = Span.size(); I < N; ++I)
-      sim::step<Full>(Layout, S, Pred, Obs, DispatchTrace::cur(Span.Data[I]),
-                      DispatchTrace::next(Span.Data[I]));
-  }
-
-  /// runChunked() over a streaming source: identical overflow-probe
-  /// boundaries (64K events), one decode buffer of working memory.
-  template <bool Full, class StateT, class PredictorT, class ObserverT>
-  static bool runChunkedStream(const TraceSource &Source,
-                               DispatchProgram &Layout, StateT &S,
-                               PredictorT &Pred, const ObserverT &Obs) {
-    TraceSource::Cursor Cur = Source.cursor(StreamChunkEvents);
-    std::vector<DispatchTrace::Event> Raw;
-    EventSpan Span;
-    while (Cur.nextInto(Raw, Span)) {
-      stepSpan<Full>(Span, Layout, S, Pred, Obs);
-      if (overflowed(S.ICache) || overflowed(Pred))
-        return false;
-    }
-    return true;
-  }
-
-  /// replayQuickening() over a streaming source: quickens are resident
-  /// (TraceSource materializes them at open), only events stream.
-  template <class PredictorT, class ObserverT>
-  static void replayQuickeningStream(const TraceSource &Source,
-                                     DispatchProgram &Layout,
-                                     VMProgram &MutableProgram,
-                                     sim::DispatchState &S, PredictorT &Pred,
-                                     const ObserverT &Obs) {
-    const std::vector<DispatchTrace::QuickenRecord> &Quickens =
-        Source.quickens();
-    size_t QIdx = 0;
-    uint64_t Done = 0;
-    TraceSource::Cursor Cur = Source.cursor(StreamChunkEvents);
-    std::vector<DispatchTrace::Event> Raw;
-    EventSpan Span;
-    while (Cur.nextInto(Raw, Span)) {
-      for (size_t I = 0, N = Span.size(); I < N; ++I) {
-        DispatchTrace::Event E = Span.Data[I];
-        sim::step(Layout, S, Pred, Obs, DispatchTrace::cur(E),
-                  DispatchTrace::next(E));
-        ++Done;
-        while (QIdx < Quickens.size() &&
-               Quickens[QIdx].AfterEvents == Done) {
-          const DispatchTrace::QuickenRecord &Q = Quickens[QIdx];
-          MutableProgram.Code[Q.Index] = Q.NewInstr;
-          Layout.onQuicken(Q.Index);
-          ++QIdx;
-        }
-      }
-    }
-    assert(QIdx == Quickens.size() && "unconsumed quicken records");
-  }
-
   /// Quicken-free replay over an optimistic state; strip-mined so a
   /// cache or predictor overflow aborts within one 64K-event chunk
   /// instead of wasting the whole trace. \returns false if either

@@ -75,8 +75,9 @@ uint64_t traceDecodeBudgetBytes();
 /// The replay input handle: either a borrowed materialized trace or a
 /// validated streaming view of a trace file. Copyable (copies share
 /// the quicken vector); each cursor() opens its own file descriptor,
-/// so concurrent cursors — the gang decoder thread plus any deferred
-/// finish replays — never contend on shared read state.
+/// so concurrent cursors — the gang decoder thread plus the catch-up
+/// replay of any member that restarted on an exact tier — never
+/// contend on shared read state.
 class TraceSource {
 public:
   /// An empty source behaves as a zero-event materialized trace.

@@ -2,10 +2,10 @@
 ///
 /// The contract of the gang replay engine: counters produced by one
 /// chunk-tiled GangReplayer pass — SoA group decode, first-touch fetch
-/// streams, baseline-linked predictor-only members, deferred
-/// exact-LRU fallbacks — must be *bit-identical* to per-config
+/// streams, baseline-linked predictor-only members, in-place restarts
+/// on the exact tiers — must be *bit-identical* to per-config
 /// TraceReplayer calls, across both suites, all variants, BTB capacity
-/// sweeps (including overflow fallbacks) and the quickening tier. Also
+/// sweeps (including overflow restarts) and the quickening tier. Also
 /// covers the trace chunk cursor, binary trace serialization (save →
 /// load → replay round trip, hash rejection), the labs' serialized
 /// trace cache (VMIB_TRACE_CACHE) and the capture/replay pipeline
@@ -205,8 +205,8 @@ TEST(GangReplay, MixedPredictorGangSharedLayouts) {
 
 TEST(GangReplay, BtbCapacitySweepWithOverflowFallback) {
   // The ablation_btb_sweep shape, with capacities small enough that
-  // the no-evict members overflow and take the deferred per-member
-  // exact-LRU fallback (both the full and the predictor-only tiers).
+  // the no-evict members overflow and restart in place on the exact
+  // BTB (both the full and the predictor-only tiers).
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
@@ -241,8 +241,8 @@ TEST(GangReplay, BtbCapacitySweepWithOverflowFallback) {
 
 TEST(GangReplay, ICacheOverflowFallbackBitIdentical) {
   // Celeron: small I-cache plus code growth overflows the no-evict
-  // fast path on a replicating variant; the gang member defers to the
-  // exact-LRU rerun, like replay()'s fallback.
+  // fast path on a replicating variant; the gang member restarts on
+  // the exact-LRU I-cache, like replay()'s fallback.
   ForthLab &Lab = forthLab();
   CpuConfig Cel = makeCeleron800();
   std::vector<VariantSpec> Variants = {
@@ -273,7 +273,8 @@ TEST(GangReplay, ChunkSizeInvariance) {
     expectEqualCounters(Expected, R[1], "chunked full (decoded, second)");
     GangReplayer Single(Lab.trace("gray"), Chunk);
     Single.addDefault(Lab.buildLayout("gray", Threaded), P4);
-    expectEqualCounters(Expected, Single.run()[0], "chunked full (fused)");
+    expectEqualCounters(Expected, Single.run()[0],
+                        "chunked full (group of one)");
   }
 }
 
@@ -516,8 +517,8 @@ namespace {
 /// Builds the mixed-tier Forth gang of the thread-invariance matrix
 /// over \p Trace and runs it: full members on two CPUs (separately
 /// built layouts — fingerprint-grouped), a tiny-BTB member that
-/// overflows into the deferred exact-LRU fallback, baseline-linked
-/// predictor-only members, and a fused singleton.
+/// overflows and restarts on the exact BTB, baseline-linked
+/// predictor-only members, and a group of one decoded on its worker.
 std::vector<PerfCounters>
 runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
                    GangReplayer::Stats *StatsOut = nullptr) {
@@ -534,14 +535,14 @@ runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
   BTBConfig Tiny;
   Tiny.Entries = 16;
   Tiny.Ways = 2;
-  Gang.addBtb(L, P4, Tiny); // overflows -> deferred exact-LRU fallback
+  Gang.addBtb(L, P4, Tiny); // overflows -> restarts on the exact BTB
   BTBConfig TwoBit = P4.Btb;
   TwoBit.TwoBitCounters = true;
   Gang.addBtbPredictorOnly(L, P4, TwoBit, Base);
   TwoLevelConfig TL;
   Gang.addPredictorOnly(L, P4, TwoLevelPredictor(TL), Base);
   Gang.addPredictor(Lab.buildLayout("gray", Switch), P4,
-                    CaseBlockTable(1024)); // singleton -> fused kernel
+                    CaseBlockTable(1024)); // group of one
   return Gang.run(Threads, StatsOut);
 }
 
@@ -571,8 +572,9 @@ runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads) {
 
 TEST(GangReplay, ForthThreadCountInvarianceMatrix) {
   // The parallel-replay contract: any (threads, chunk) combination is
-  // bit-identical to the serial gang — including the overflow/exact-LRU
-  // fallback member and the fingerprint-shared cross-CPU group.
+  // bit-identical to the serial gang — including the member that
+  // restarts on the exact BTB and the fingerprint-shared cross-CPU
+  // group.
   // Chunk=1 over a 60K-event prefix gives the scheduler tens of
   // thousands of tiny tiles, so the claim/steal machinery is exercised
   // under maximal contention (a forced-steal schedule, not a lucky
@@ -617,55 +619,139 @@ TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
     }
 }
 
-TEST(GangReplay, ParallelFinishBitIdenticalWithDeferredMembers) {
-  // The parallel-finish contract: a gang whose finish tail mixes
-  // deferred exact-LRU re-runs (several overflowing tiny-BTB members),
-  // baseline members and predictor-only dependents — including a
-  // dependent whose fetch baseline is itself a *deferred* member —
-  // produces bit-identical counters whether the tail drains serially
-  // (serial gang) or on the dependency-ordered worker pool, and the
-  // stats confirm the parallel pass ran.
+namespace {
+
+/// Where the optimistic models of one configuration first overflow:
+/// the 1-based count of events replayed when the flag rose, 0 if it
+/// never does. Found by stepping the fused kernel event by event, so
+/// the restart matrix can pin which tile each restart lands in.
+struct OverflowAt {
+  size_t Btb = 0;
+  size_t ICache = 0;
+};
+
+OverflowAt firstOverflows(const DispatchTrace &Trace, DispatchProgram &Layout,
+                          const CpuConfig &Cpu, const BTBConfig &Btb) {
+  sim::DispatchStateT<NoEvictICache> S(Cpu.ICache);
+  NoEvictBTB Pred(Btb);
+  sim::NullObserver Obs;
+  OverflowAt At;
+  for (size_t I = 0; I < Trace.numEvents(); ++I) {
+    sim::step(Layout, S, Pred, Obs, DispatchTrace::cur(Trace.events()[I]),
+              DispatchTrace::next(Trace.events()[I]));
+    if (At.Btb == 0 && Pred.overflowed())
+      At.Btb = I + 1;
+    if (At.ICache == 0 && S.ICache.overflowed())
+      At.ICache = I + 1;
+  }
+  return At;
+}
+
+/// The tile (of \p Chunk events) holding the \p At-th event.
+size_t tileOf(size_t At, size_t Chunk) { return (At - 1) / Chunk; }
+
+} // namespace
+
+TEST(GangReplay, RestartMatrixBitIdenticalToPerConfigReplay) {
+  // Every optimistic member type overflows, once inside tile 0 (64K
+  // tiles) and once at a later tile (1K tiles), and restarts in place
+  // on its exact tier: the counters equal the per-config TraceReplayer
+  // calls for every thread count, on materialized and streaming
+  // sources, and the stats count each restarted member once.
   ForthLab &Lab = forthLab();
-  CpuConfig P4 = makePentium4Northwood();
-  VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
-  DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 60000);
-  std::shared_ptr<DispatchProgram> L = Lab.buildLayout("gray", Threaded);
+  CpuConfig Cel = makeCeleron800();
+  DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 150000);
+  ASSERT_EQ(Prefix.numEvents(), 150000u);
+  std::shared_ptr<DispatchProgram> LPlain =
+      Lab.buildLayout("gray", makeVariant(DispatchStrategy::Threaded));
+  std::shared_ptr<DispatchProgram> LRepl =
+      Lab.buildLayout("gray", makeVariant(DispatchStrategy::StaticRepl));
+  VariantSpec RandomRepl = makeVariant(DispatchStrategy::StaticRepl, 400, 1200);
+  RandomRepl.Config.Policy = ReplicaPolicy::Random;
+  std::shared_ptr<DispatchProgram> LRandom =
+      Lab.buildLayout("gray", RandomRepl);
+  BTBConfig Tiny;
+  Tiny.Entries = 128;
+  Tiny.Ways = 2;
+  BTBConfig Ideal;
+  Ideal.Entries = 0; // the exact BTB from the start
+  Ideal.Ways = 4;
+  TwoLevelConfig TL;
 
-  auto BuildAndRun = [&](unsigned Threads, GangReplayer::Stats *St) {
-    GangReplayer Gang(Prefix, /*Chunk=*/4096);
-    size_t Base = Gang.addDefault(L, P4);
-    std::vector<size_t> TinyIdx;
-    for (uint32_t Entries : {8u, 16u, 32u}) {
-      BTBConfig Tiny;
-      Tiny.Entries = Entries;
-      Tiny.Ways = 2;
-      TinyIdx.push_back(Gang.addBtb(L, P4, Tiny)); // all overflow
-    }
-    BTBConfig TwoBit = P4.Btb;
-    TwoBit.TwoBitCounters = true;
-    Gang.addBtbPredictorOnly(L, P4, TwoBit, Base);
-    // Dependent on a deferred member: its finish must wait for the
-    // tiny member's whole-trace exact re-run, not just any result.
-    BTBConfig Mid = P4.Btb;
-    Mid.Entries = 128;
-    Gang.addBtbPredictorOnly(L, P4, Mid, TinyIdx[0]);
-    return Gang.run(Threads, St);
+  // Pin where each restart lands: inside tile 0 of 64K tiles, and at
+  // least two tiles in with 1K tiles.
+  constexpr size_t Big = 65536, Small = 1024;
+  auto ExpectRestartTiles = [&](size_t At, const char *What) {
+    ASSERT_NE(At, 0u) << What << " never overflows";
+    EXPECT_EQ(tileOf(At, Big), 0u) << What;
+    EXPECT_GE(tileOf(At, Small), 2u) << What;
   };
+  OverflowAt PlainTiny = firstOverflows(Prefix, *LPlain, Cel, Tiny);
+  ExpectRestartTiles(PlainTiny.Btb, "plain/tiny BTB");
+  EXPECT_EQ(PlainTiny.ICache, 0u);
+  OverflowAt ReplDefault = firstOverflows(Prefix, *LRepl, Cel, Cel.Btb);
+  ExpectRestartTiles(ReplDefault.Btb, "static repl/default BTB");
+  ExpectRestartTiles(ReplDefault.ICache, "static repl/Celeron I-cache");
+  // BTB first, I-cache later: two restarts with 1K tiles.
+  EXPECT_LT(tileOf(ReplDefault.Btb, Small), tileOf(ReplDefault.ICache, Small));
+  ExpectRestartTiles(firstOverflows(Prefix, *LRandom, Cel, Cel.Btb).ICache,
+                     "random repl/Celeron I-cache");
 
-  GangReplayer::Stats SerialSt;
-  std::vector<PerfCounters> Serial = BuildAndRun(1, &SerialSt);
-  EXPECT_FALSE(SerialSt.ParallelFinish);
-  EXPECT_GE(SerialSt.DeferredFinishes, 3u)
-      << "tiny BTBs must overflow for this test to bite";
+  // Per-config references.
+  std::vector<PerfCounters> Ref;
+  Ref.push_back(TraceReplayer::replayBtb(Prefix, *LPlain, nullptr, Cel, Tiny));
+  Ref.push_back(TraceReplayer::replayDefault(Prefix, *LRepl, nullptr, Cel));
+  Ref.push_back(TraceReplayer::replayBtb(Prefix, *LRepl, nullptr, Cel, Ideal));
+  Ref.push_back(TraceReplayer::replayBtbPredictorOnly(Prefix, *LRepl, Cel,
+                                                      Cel.Btb, Ref[1]));
+  {
+    TwoLevelPredictor Pred(TL);
+    Ref.push_back(
+        TraceReplayer::replayPredictorOnly(Prefix, *LRepl, Cel, Pred, Ref[1]));
+    CaseBlockTable Cbt(4096);
+    Ref.push_back(TraceReplayer::replay(Prefix, *LRandom, nullptr, Cel, Cbt));
+  }
+  const char *Names[] = {"tiny BTB (BTB restart, group of one)",
+                         "default BTB (BTB then I-cache restart)",
+                         "idealised BTB (I-cache restart)",
+                         "BTB predictor-only (restarted baseline)",
+                         "two-level predictor-only (restarted baseline)",
+                         "case-block (I-cache restart, group of one)"};
+  constexpr uint64_t Restarted = 5; // all but the two-level member
 
-  GangReplayer::Stats PoolSt;
-  std::vector<PerfCounters> Pooled = BuildAndRun(4, &PoolSt);
-  EXPECT_TRUE(PoolSt.ParallelFinish);
-  EXPECT_EQ(PoolSt.DeferredFinishes, SerialSt.DeferredFinishes);
-  ASSERT_EQ(Pooled.size(), Serial.size());
-  for (size_t I = 0; I < Serial.size(); ++I)
-    expectEqualCounters(Serial[I], Pooled[I],
-                        "pooled member " + std::to_string(I));
+  const std::string Path = "/tmp/vmib-restart-matrix-" +
+                           std::to_string(::getpid()) + ".vmibtrace";
+  constexpr uint64_t WorkloadHash = 0x5eed5eedULL;
+  ASSERT_TRUE(Prefix.save(Path, WorkloadHash));
+  TraceSource Streamed;
+  std::string Diag;
+  ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, Streamed, &Diag))
+      << Diag;
+  TraceSource Materialized(Prefix);
+
+  for (const TraceSource *Src : {&Materialized, &Streamed})
+    for (size_t Chunk : {Big, Small})
+      for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+        GangReplayer Gang(*Src, Chunk);
+        Gang.addBtb(LPlain, Cel, Tiny);
+        size_t Base = Gang.addDefault(LRepl, Cel);
+        Gang.addBtb(LRepl, Cel, Ideal);
+        Gang.addBtbPredictorOnly(LRepl, Cel, Cel.Btb, Base);
+        Gang.addPredictorOnly(LRepl, Cel, TwoLevelPredictor(TL), Base);
+        Gang.addPredictor(LRandom, Cel, CaseBlockTable(4096));
+        GangReplayer::Stats St;
+        std::vector<PerfCounters> R = Gang.run(Threads, &St);
+        std::string Shape =
+            std::string(Src->streaming() ? "streamed" : "materialized") +
+            " chunk " + std::to_string(Chunk) + " threads " +
+            std::to_string(Threads);
+        ASSERT_EQ(R.size(), Ref.size()) << Shape;
+        for (size_t I = 0; I < R.size(); ++I)
+          expectEqualCounters(Ref[I], R[I],
+                              std::string(Names[I]) + ", " + Shape);
+        EXPECT_EQ(St.DeferredFinishes, Restarted) << Shape;
+      }
+  std::remove(Path.c_str());
 }
 
 TEST(GangReplay, SchedulerStatsAccountGangWork) {

@@ -416,8 +416,8 @@ TEST(SweepSpec, ShardedJavaSweepIsBitIdenticalToInProcess) {
 TEST(SweepSpec, ThreadedExecutionIsBitIdenticalBothSuites) {
   // The spec-level threads knob: runAll and every shard slice replay
   // their gangs on the shared-tile worker pool (work-stealing member
-  // replay + parallel deferred-fallback finish) bit-identical to the
-  // serial spec, including the two-level (shards x threads) shape and
+  // replay, overflowing members restarting in place) bit-identical to
+  // the serial spec, including the two-level (shards x threads) shape and
   // the auto-detected (threads 0) worker count.
   for (bool Java : {false, true}) {
     SweepSpec Serial = Java ? javaRunSpec() : forthRunSpec();

@@ -38,8 +38,8 @@
 ///
 /// --threads=N overrides the spec's `threads` field everywhere: each
 /// gang replays on GangReplayer's shared-tile worker pool (one decoder
-/// feeding N workers, cost-planned tiles, work stealing and a parallel
-/// deferred-fallback finish), bit-identical to the serial gang. N=0
+/// feeding N workers, cost-planned tiles, work stealing, overflowing
+/// members restarting in place), bit-identical to the serial gang. N=0
 /// auto-detects the host's core count at executor level. Fan-out is
 /// two-level — `--shards=S --threads=N` runs S worker processes × N
 /// intra-gang threads each, so a multi-core worker host uses its cores
@@ -504,8 +504,8 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
                 Wall > 0 ? InProcStats.ReplaySeconds / Wall : 0.0);
 
     // The load-balance line: how evenly the pool kept its workers busy,
-    // how many members were stolen off slow workers, and what the
-    // deferred finish tail cost.
+    // how many members were stolen off slow workers, how many members
+    // restarted on an exact tier, and what the finish pass cost.
     const GangReplayer::Stats &Load = ThreadedStats.Load;
     uint64_t Steals = 0;
     std::string Busy, Waits;
@@ -517,7 +517,7 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
                       (unsigned long long)Load.Workers[W].TilesWaited);
     }
     std::printf("[timing] bench=%s:loadbalance threads=%u steals=%llu "
-                "deferred=%llu finish_s=%.3f busy=%s waits=%s\n",
+                "restarts=%llu finish_s=%.3f busy=%s waits=%s\n",
                 Spec.Name.c_str(), GangThreads, (unsigned long long)Steals,
                 (unsigned long long)Load.DeferredFinishes,
                 Load.FinishSeconds, Busy.c_str(), Waits.c_str());
