@@ -2,8 +2,10 @@
 ///
 /// \file
 /// Small shared pieces for the per-figure/per-table bench binaries:
-/// banner printing and the toy "A B A GOTO" loop machinery used by the
-/// Table I-IV walkthrough benches.
+/// banner printing, the machine-readable emitters, the declarative
+/// sweep runner every paper-number bench goes through
+/// (runDeclaredSweep), and the toy "A B A GOTO" loop machinery used by
+/// the Table I-IV walkthrough benches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,13 +27,14 @@
 #include "vmcore/DispatchSim.h"
 #include "vmcore/GangReplayer.h"
 
-#include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vmib {
@@ -41,6 +44,28 @@ namespace bench {
 inline void banner(const std::string &Id, const std::string &What) {
   std::printf("=== %s ===\n%s\n\n", Id.c_str(), What.c_str());
 }
+
+/// Reads the count flag \p Name through OptionParser::getCount (decimal
+/// digits only, at most \p Max) into \p Out, which keeps its value when
+/// the flag is absent. \returns false with \p ExitCode set and the
+/// diagnostic on stderr on a malformed value.
+template <class T>
+bool readCountOption(const OptionParser &Opts, const char *Name, uint64_t Max,
+                     T &Out, int &ExitCode) {
+  uint64_t N = Out;
+  std::string Error;
+  if (!Opts.getCount(Name, Max, N, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    ExitCode = 1;
+    return false;
+  }
+  Out = static_cast<T>(N);
+  return true;
+}
+
+/// Upper bound of the fan-out counts (--threads, --shards): larger
+/// values are typos, not plans.
+inline constexpr uint64_t MaxFanOut = 1024;
 
 //===--- machine-readable emitters ----------------------------------------===//
 //
@@ -170,18 +195,7 @@ inline bool applyAuditOptions(const OptionParser &Opts, AuditPlan &Plan,
       return false;
     }
   }
-  if (Opts.has("audit-seed")) {
-    std::string V = Opts.get("audit-seed");
-    if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr,
-                   "error: bad --audit-seed '%s' (expected a number >= 0)\n",
-                   V.c_str());
-      ExitCode = 1;
-      return false;
-    }
-    Plan.Seed = std::strtoull(V.c_str(), nullptr, 10);
-  }
-  return true;
+  return readCountOption(Opts, "audit-seed", UINT64_MAX, Plan.Seed, ExitCode);
 }
 
 /// Minimal JSON string escape for the report writer: quotes,
@@ -303,33 +317,11 @@ inline bool applyReplayPathOptions(const OptionParser &Opts, int &ExitCode) {
 /// when the caller should exit.
 inline bool applySpecOverrides(const OptionParser &Opts, SweepSpec &Spec,
                                int &ExitCode) {
-  // Digits only, like the spec parser's numeric fields: getInt would
-  // quietly turn "--threads=foo" into 0 = auto-detect, and a typo'd
-  // count must diagnose, not silently fan out.
-  auto ParseCount = [&](const char *Name, const char *Meaning,
-                        unsigned long long &Out) {
-    std::string V = Opts.get(Name);
-    if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr,
-                   "error: bad --%s '%s' (expected a number >= 0; %s)\n",
-                   Name, V.c_str(), Meaning);
-      ExitCode = 1;
-      return false;
-    }
-    Out = std::strtoull(V.c_str(), nullptr, 10);
-    return true;
-  };
-  unsigned long long N = 0;
-  if (Opts.has("threads")) {
-    if (!ParseCount("threads", "0 = auto-detect", N))
-      return false;
-    Spec.Threads = static_cast<unsigned>(std::min(N, 0xFFFFFFFFull));
-  }
-  if (Opts.has("chunk")) {
-    if (!ParseCount("chunk", "0 = default tile", N))
-      return false;
-    Spec.ChunkEvents = static_cast<size_t>(N);
-  }
+  // Strict counts, like the spec parser's numeric fields: a typo'd
+  // "--threads=foo" must diagnose, not silently become 0 = auto-detect.
+  if (!readCountOption(Opts, "threads", MaxFanOut, Spec.Threads, ExitCode) ||
+      !readCountOption(Opts, "chunk", SIZE_MAX, Spec.ChunkEvents, ExitCode))
+    return false;
   if (Opts.has("decode") &&
       !traceDecodeModeFromId(Opts.get("decode"), Spec.Decode)) {
     std::fprintf(stderr,
@@ -356,28 +348,14 @@ inline bool applySpecOverrides(const OptionParser &Opts, SweepSpec &Spec,
 inline bool applyWorkerFaultOptions(const OptionParser &Opts,
                                     SweepWorkerOptions &W, int &ExitCode,
                                     bool AllowPartialOk = false) {
-  auto ParseU = [&](const char *Name, unsigned &Out) {
-    if (!Opts.has(Name))
-      return true;
-    // Digits only: getInt would quietly turn a typo into a default,
-    // and a misspelled retry budget must diagnose, not fail fast.
-    std::string V = Opts.get(Name);
-    if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr, "error: bad --%s '%s' (expected a number >= 0)\n",
-                   Name, V.c_str());
+  // A misspelled retry budget must diagnose, not fail fast.
+  const std::pair<const char *, unsigned *> Counts[] = {
+      {"retries", &W.Retries},         {"backoff-ms", &W.BackoffMs},
+      {"job-timeout", &W.JobTimeoutMs}, {"kill-grace", &W.KillGraceMs},
+      {"hedge", &W.HedgeLast}};
+  for (const auto &[Name, Field] : Counts)
+    if (!readCountOption(Opts, Name, UINT32_MAX, *Field, ExitCode))
       return false;
-    }
-    Out = static_cast<unsigned>(
-        std::min<unsigned long long>(std::strtoull(V.c_str(), nullptr, 10),
-                                     0xFFFFFFFFull));
-    return true;
-  };
-  if (!ParseU("retries", W.Retries) || !ParseU("backoff-ms", W.BackoffMs) ||
-      !ParseU("job-timeout", W.JobTimeoutMs) ||
-      !ParseU("kill-grace", W.KillGraceMs) || !ParseU("hedge", W.HedgeLast)) {
-    ExitCode = 1;
-    return false;
-  }
   if (Opts.has("partial-ok")) {
     if (!AllowPartialOk) {
       // Benches render full tables by cell position; a zero-filled
@@ -511,6 +489,9 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
   // pool without editing the spec.
   if (!applySpecOverrides(Opts, Spec, ExitCode))
     return false;
+  unsigned Shards = 0;
+  if (!readCountOption(Opts, "shards", MaxFanOut, Shards, ExitCode))
+    return false;
   if (Opts.has("emit-spec")) {
     std::fputs(printSweepSpec(Spec).c_str(), stdout);
     ExitCode = 0;
@@ -522,11 +503,10 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
   AuditPlan Audit;
   if (!applyAuditOptions(Opts, Audit, ExitCode))
     return false;
-  long Shards = Opts.getInt("shards", 0);
   SweepRunStats Stats;
   if (Shards > 1 || Opts.has("worker-cmd")) {
     SweepWorkerOptions W;
-    W.Shards = static_cast<unsigned>(Shards < 1 ? 1 : Shards);
+    W.Shards = Shards < 1 ? 1 : Shards;
     W.Threads = Spec.Threads; // two-level: shards × intra-gang threads
     W.CommandTemplate = Opts.get("worker-cmd");
     W.SpecPath = Opts.get("spec"); // reuse the file workers can read
@@ -562,17 +542,10 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
   return true;
 }
 
-template <class LabT>
-SpeedupMatrix replayMatrix(LabT &Lab, const std::string &BenchId,
-                           const std::vector<std::string> &Benchmarks,
-                           const std::vector<VariantSpec> &Variants,
-                           const CpuConfig &Cpu, bool PerConfig = false);
-
-/// Shared main body of the fig07/08/09-style variant-matrix benches:
-/// the --per-config PR-1 fallback, otherwise the declarative sweep,
-/// rendered as a (benchmark × variant) SpeedupMatrix. \p LabT is
-/// ForthLab or JavaLab. \returns false when the bench should exit with
-/// \p Exit (--emit-spec, or an error).
+/// Shared main body of the variant-matrix benches (figs. 7-13): the
+/// declarative sweep rendered as a (benchmark × variant)
+/// SpeedupMatrix. \p LabT is ForthLab or JavaLab. \returns false when
+/// the bench should exit with \p Exit (--emit-spec, or an error).
 template <class LabT>
 bool runMatrixBench(const OptionParser &Opts, const std::string &Id,
                     const std::string &Suite, const std::string &CpuId,
@@ -580,18 +553,6 @@ bool runMatrixBench(const OptionParser &Opts, const std::string &Id,
                     std::vector<VariantSpec> Variants,
                     const std::string &Banner, LabT &Lab, SpeedupMatrix &M,
                     int &Exit) {
-  if (Opts.has("per-config")) {
-    CpuConfig Cpu;
-    if (!cpuConfigById(CpuId, Cpu)) {
-      std::fprintf(stderr, "error: unknown cpu model '%s'\n", CpuId.c_str());
-      Exit = 1;
-      return false;
-    }
-    std::printf("%s", Banner.c_str());
-    M = replayMatrix(Lab, Id, Benchmarks, Variants, Cpu,
-                     /*PerConfig=*/true);
-    return true;
-  }
   SweepSpec Spec = suiteSpec(Id, Suite, std::move(Benchmarks),
                              std::move(Variants), CpuId);
   std::vector<PerfCounters> Cells;
@@ -627,126 +588,60 @@ inline std::vector<std::string> javaBenchNames(bool Quick = false) {
   return Names;
 }
 
-/// Replays \p Variants over one benchmark's cached trace as a single
-/// chunk-tiled gang (the trace streams once for the whole batch) and
-/// prints the standard timing line. \p LabT is ForthLab or JavaLab
-/// (Java replays include the runtime overhead, like run()).
-template <class LabT>
-std::vector<PerfCounters>
-replayConfigs(LabT &Lab, const std::string &BenchId,
-              const std::string &Benchmark,
-              const std::vector<VariantSpec> &Variants,
-              const CpuConfig &Cpu) {
-  WallTimer CaptureTimer;
-  Lab.warmup(Benchmark, Cpu);
-  uint64_t Events = Lab.trace(Benchmark).numEvents();
-  double CaptureSeconds = CaptureTimer.seconds();
+/// The superinstruction shares (percent of the budget) each total
+/// budget of the Figs. 14-16 static-mix sweeps is split at.
+inline constexpr uint32_t MixPercents[] = {0, 25, 50, 75, 100};
 
-  WallTimer ReplayTimer;
-  std::vector<PerfCounters> Results = Lab.replayGang(Benchmark, Variants,
-                                                     Cpu);
-  emitTiming(BenchId, CaptureSeconds, ReplayTimer.seconds(),
-             Events * Variants.size(), Variants.size());
-  return Results;
-}
-
-/// Gang-replay (benchmark x variant) matrix on one CPU. Default mode
-/// is the trace-chunk-major pipeline: jobs are grouped by trace (one
-/// gang per benchmark covering every variant, so each workload's event
-/// stream crosses the memory bus once per tile for the whole row) and
-/// workload i+1 is captured on the pipeline's producer thread while
-/// workload i's gang replays. \p PerConfig re-runs the PR-1
-/// configuration-major path — serial capture phase, then one full
-/// trace pass per (benchmark x variant) cell — for equivalence checks
-/// and speedup measurement. Prints the standard timing line (capture_s
-/// is producer-thread busy time; in pipeline mode it overlaps
-/// replay_s).
-template <class LabT>
-SpeedupMatrix replayMatrix(LabT &Lab, const std::string &BenchId,
-                           const std::vector<std::string> &Benchmarks,
-                           const std::vector<VariantSpec> &Variants,
-                           const CpuConfig &Cpu, bool PerConfig) {
-  SpeedupMatrix M;
-  M.Benchmarks = Benchmarks;
-  for (const VariantSpec &V : Variants)
-    M.Variants.push_back(V.Name);
-
-  if (PerConfig) {
-    WallTimer CaptureTimer;
-    uint64_t EventsPerPass = 0;
-    for (const std::string &B : Benchmarks) {
-      Lab.warmup(B, Cpu);
-      EventsPerPass += Lab.trace(B).numEvents();
+/// The Figs. 14-16 static replication/superinstruction mix sweep over
+/// one workload: one variant per grid point, each total budget of
+/// \p Totals additional static instructions split at every
+/// MixPercents share into superinstructions and replicas (the
+/// zero-budget row is one plain-threaded cell).
+inline SweepSpec mixSpec(const std::string &Name, const std::string &Suite,
+                         const std::string &Benchmark,
+                         const std::string &CpuId,
+                         const std::vector<uint32_t> &Totals,
+                         bool ReplicateSupers) {
+  std::vector<VariantSpec> Variants;
+  for (uint32_t Total : Totals)
+    for (uint32_t Pct : MixPercents) {
+      VariantSpec V;
+      V.Name = format("total %u, %u%% super", Total, Pct);
+      V.Config.Kind = Total == 0 ? DispatchStrategy::Threaded
+                                 : DispatchStrategy::StaticBoth;
+      V.SuperCount = Total * Pct / 100;
+      V.ReplicaCount = Total - V.SuperCount;
+      V.ReplicateSupers = ReplicateSupers;
+      V.Config.SuperCount = V.SuperCount;
+      V.Config.ReplicaCount = V.ReplicaCount;
+      Variants.push_back(V);
+      if (Total == 0)
+        break;
     }
-    double CaptureSeconds = CaptureTimer.seconds();
-
-    struct Cell {
-      const std::string *Benchmark;
-      const VariantSpec *Variant;
-    };
-    std::vector<Cell> Cells;
-    for (const std::string &B : Benchmarks)
-      for (const VariantSpec &V : Variants)
-        Cells.push_back({&B, &V});
-
-    WallTimer ReplayTimer;
-    std::vector<PerfCounters> Results = runSweep<PerfCounters>(
-        Cells.size(), defaultSweepThreads(), [&](size_t I) {
-          return Lab.replay(*Cells[I].Benchmark, *Cells[I].Variant, Cpu);
-        });
-    for (size_t I = 0; I < Cells.size(); ++I)
-      M.Counters[*Cells[I].Benchmark][Cells[I].Variant->Name] = Results[I];
-
-    emitTiming(BenchId, CaptureSeconds, ReplayTimer.seconds(),
-               EventsPerPass * Variants.size(), Cells.size());
-    return M;
-  }
-
-  // Trace-affine gang pipeline: one gang per benchmark, captures
-  // overlapped with the previous benchmark's replay.
-  double CaptureBusy = 0; // producer thread only; no lock needed
-  std::atomic<uint64_t> EventsPerPass{0};
-  std::vector<std::vector<PerfCounters>> Rows(Benchmarks.size());
-  WallTimer PipelineTimer;
-  pipelineSweep(
-      Benchmarks.size(), defaultSweepThreads(),
-      [&](size_t B) {
-        WallTimer T;
-        Lab.warmup(Benchmarks[B], Cpu);
-        CaptureBusy += T.seconds();
-      },
-      [&](size_t B) {
-        EventsPerPass.fetch_add(Lab.trace(Benchmarks[B]).numEvents(),
-                                std::memory_order_relaxed);
-        Rows[B] = Lab.replayGang(Benchmarks[B], Variants, Cpu);
-      });
-  double PipelineSeconds = PipelineTimer.seconds();
-
-  for (size_t B = 0; B < Benchmarks.size(); ++B)
-    for (size_t V = 0; V < Variants.size(); ++V)
-      M.Counters[Benchmarks[B]][Variants[V].Name] = Rows[B][V];
-
-  emitTiming(BenchId, CaptureBusy, PipelineSeconds,
-             EventsPerPass.load() * Variants.size(),
-             Benchmarks.size() * Variants.size());
-  return M;
+  return suiteSpec(Name, Suite, {Benchmark}, std::move(Variants), CpuId);
 }
 
-/// One cell of the Figs. 14-16 static replication/superinstruction mix
-/// sweeps: \p Total additional static instructions, \p Supers of them
-/// superinstructions (zero budget degrades to plain threaded).
-inline VariantSpec mixVariant(uint32_t Total, uint32_t Supers,
-                              bool ReplicateSupers = false) {
-  VariantSpec V;
-  V.Name = "mix";
-  V.Config.Kind = Total == 0 ? DispatchStrategy::Threaded
-                             : DispatchStrategy::StaticBoth;
-  V.SuperCount = Supers;
-  V.ReplicaCount = Total - Supers;
-  V.ReplicateSupers = ReplicateSupers;
-  V.Config.SuperCount = V.SuperCount;
-  V.Config.ReplicaCount = V.ReplicaCount;
-  return V;
+/// Renders a mix sweep's cells (mixSpec order) as the figures' (total
+/// budget × %super) table, one \p Cell(counters) string per point.
+template <class CellFn>
+std::string renderMixTable(const std::vector<uint32_t> &Totals,
+                           const std::vector<PerfCounters> &Cells,
+                           CellFn Cell) {
+  std::vector<std::string> Header = {"total \\ %super"};
+  for (uint32_t Pct : MixPercents)
+    Header.push_back(std::to_string(Pct) + "%");
+  TextTable T(Header);
+  size_t I = 0;
+  for (uint32_t Total : Totals) {
+    std::vector<std::string> Row = {std::to_string(Total)};
+    size_t Points = Total == 0 ? 1 : std::size(MixPercents);
+    for (size_t P = 0; P < Points; ++P)
+      Row.push_back(Cell(Cells[I++]));
+    while (Row.size() < Header.size())
+      Row.push_back("-");
+    T.addRow(Row);
+  }
+  return T.render();
 }
 
 /// A 3-opcode toy VM (A, B, GOTO) for the paper's worked examples.

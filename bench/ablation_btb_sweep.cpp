@@ -13,10 +13,7 @@
 /// declarative runner: one chunk-tiled gang over the captured trace,
 /// every member a self-contained full replay (which is what makes the
 /// spec shardable: --shards=N / --spec / --emit-spec / --worker-cmd
-/// come for free). --per-config re-runs the PR-1 two-phase path
-/// (baseline replay per variant + predictor-only cells, one trace pass
-/// each) for equivalence checks — counters are bit-identical because
-/// the fetch stream is predictor-independent.
+/// come for free).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,78 +25,35 @@ using namespace vmib;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  bool PerConfig = Opts.has("per-config");
-  const std::string Banner = format(
-      "=== Ablation: BTB capacity sweep (§6 simulator study)%s ===\n\n",
-      PerConfig ? " [per-config mode]" : "");
   ForthLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
 
   const std::vector<uint32_t> Capacities = {64,   128,  256,  512,
                                             1024, 4096, 16384};
   const std::vector<DispatchStrategy> Kinds = {DispatchStrategy::Threaded,
                                                DispatchStrategy::StaticRepl,
                                                DispatchStrategy::DynamicBoth};
-  size_t Jobs = Capacities.size() * Kinds.size();
-  // Results indexed [capacity][kind], as the table prints them.
-  std::vector<PerfCounters> Results(Jobs);
-
-  if (PerConfig) {
-    std::printf("%s", Banner.c_str());
-    WallTimer CaptureTimer;
-    Lab.warmup("bench-gc", Cpu);
-    uint64_t Events = Lab.trace("bench-gc").numEvents();
-    double CaptureSeconds = CaptureTimer.seconds();
-
-    // One full replay per variant establishes the fetch counters; every
-    // (capacity x variant) cell then replays the branch stream only.
-    // Two parallel phases so the cell sweep uses all workers instead of
-    // being capped at one thread per variant.
-    WallTimer ReplayTimer;
-    std::vector<PerfCounters> Baselines(Kinds.size());
-    parallelFor(Kinds.size(), defaultSweepThreads(), [&](size_t K) {
-      Baselines[K] = Lab.replay("bench-gc", makeVariant(Kinds[K]), Cpu);
-    });
-    parallelFor(Jobs, defaultSweepThreads(), [&](size_t I) {
-      size_t C = I / Kinds.size(), K = I % Kinds.size();
-      BTBConfig Cfg;
-      Cfg.Entries = Capacities[C];
-      Cfg.Ways = 4;
-      Results[I] = Lab.replayBtbPredictorOnly(
-          "bench-gc", makeVariant(Kinds[K]), Cpu, Cfg, Baselines[K]);
-    });
-    // Every cell and every baseline streams the whole trace.
-    bench::emitTiming("ablation_btb_sweep:per-config", CaptureSeconds,
-                      ReplayTimer.seconds(),
-                      Events * (Jobs + Kinds.size()), Jobs);
-  } else {
-    // Declarative path: (variant × geometry) cross product, one gang.
-    SweepSpec Spec;
-    Spec.Name = "ablation_btb_sweep";
-    Spec.Suite = "forth";
-    Spec.Benchmarks = {"bench-gc"};
-    Spec.Cpus = {"p4northwood"};
-    for (DispatchStrategy K : Kinds)
-      Spec.Variants.push_back(makeVariant(K));
-    for (uint32_t C : Capacities) {
-      PredictorGeometry G;
-      G.PredKind = PredictorGeometry::Kind::Btb;
-      G.Btb.Entries = C;
-      G.Btb.Ways = 4;
-      Spec.Predictors.push_back(G);
-    }
-    std::vector<PerfCounters> Cells;
-    int Exit = 0;
-    if (!bench::runDeclaredSweep(Opts, Spec, Banner, &Lab, nullptr, Cells,
-                                 Exit))
-      return Exit;
-    // Canonical member order is variant-major; the table is
-    // capacity-major.
-    for (size_t C = 0; C < Capacities.size(); ++C)
-      for (size_t K = 0; K < Kinds.size(); ++K)
-        Results[C * Kinds.size() + K] =
-            Cells[Spec.cellIndex(0, Spec.memberIndex(0, K, C))];
+  // The (variant × geometry) cross product, one gang.
+  SweepSpec Spec;
+  Spec.Name = "ablation_btb_sweep";
+  Spec.Suite = "forth";
+  Spec.Benchmarks = {"bench-gc"};
+  Spec.Cpus = {"p4northwood"};
+  for (DispatchStrategy K : Kinds)
+    Spec.Variants.push_back(makeVariant(K));
+  for (uint32_t C : Capacities) {
+    PredictorGeometry G;
+    G.PredKind = PredictorGeometry::Kind::Btb;
+    G.Btb.Entries = C;
+    G.Btb.Ways = 4;
+    Spec.Predictors.push_back(G);
   }
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Ablation: BTB capacity sweep (§6 simulator study) ===\n\n",
+          &Lab, nullptr, Cells, Exit))
+    return Exit;
 
   TextTable T({"BTB entries", "plain", "static repl", "dynamic both"});
   for (size_t C = 0; C < Capacities.size(); ++C) {
@@ -107,7 +61,8 @@ int main(int argc, char **argv) {
     for (size_t K = 0; K < Kinds.size(); ++K)
       Row.push_back(format(
           "%.1f%%",
-          100 * Results[C * Kinds.size() + K].mispredictRate()));
+          100 * Cells[Spec.cellIndex(0, Spec.memberIndex(0, K, C))]
+                    .mispredictRate()));
     T.addRow(Row);
   }
   std::printf("%s\n", T.render().c_str());

@@ -6,233 +6,72 @@
 /// interpreter branches), and Kaeli & Emma's case block table under
 /// switch dispatch (near-perfect for switch).
 ///
-/// Default mode declares the sweep as a SweepSpec — {plain, switch} ×
-/// four predictor geometries — and routes through the shared
-/// declarative runner: one chunk-tiled gang per benchmark, every
-/// member a self-contained full replay (the spec is shardable, so the
-/// bench gains --emit-spec / --spec / --shards / --worker-cmd). The
-/// table prints the five (variant, predictor) pairs the paper
-/// discusses. Flags:
-///
-///   --per-config  the PR-1 replay path: one full trace pass per cell
-///                 (the spec path's equivalence/speedup baseline)
-///   --direct      the legacy pipeline: one full interpretation plus
-///                 virtual predictor calls per cell
-///   --compare     runs --per-config then the spec gang, asserts the
-///                 five table cells are bit-identical, and prints the
-///                 gang's wall-clock and per-member-event throughput
-///                 speedups (exit 1 on divergence)
-///   --quick       first two benchmarks only (CI smoke)
+/// The sweep is declared as a SweepSpec — {plain, switch} × four
+/// predictor geometries — and routed through the shared declarative
+/// runner: one chunk-tiled gang per benchmark, every member a
+/// self-contained full replay (the spec is shardable, so the bench
+/// gains --emit-spec / --spec / --shards / --worker-cmd). The table
+/// prints the five (variant, predictor) pairs the paper discusses.
+/// --quick: first two benchmarks only (CI smoke).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "uarch/CaseBlockTable.h"
-#include "uarch/TwoLevelPredictor.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace vmib;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  bool Direct = Opts.has("direct");
-  bool PerConfig = Opts.has("per-config");
-  bool Compare = Opts.has("compare");
-  const char *ModeTag = Direct ? " [direct mode]"
-                        : PerConfig ? " [per-config mode]"
-                        : Compare ? " [compare mode]"
-                                  : "";
-  const std::string Banner = format(
-      "=== Ablation: indirect branch predictors (§3, §8)%s ===\n\n",
-      ModeTag);
   ForthLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
-
-  std::vector<std::string> Benchmarks =
-      bench::forthBenchNames(Opts.has("quick"));
-  VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
-  VariantSpec Switch = makeVariant(DispatchStrategy::Switch);
-  BTBConfig TwoBit = Cpu.Btb;
-  TwoBit.TwoBitCounters = true;
-  TwoLevelConfig TL;
-
-  // The five table cells; [0]/[3] are the full replays whose fetch
-  // counters the per-config predictor-only cells reuse.
-  constexpr size_t Configs = 5;
 
   // The declarative sweep: {plain, switch} × {default BTB, two-bit
   // BTB, two-level, case-block}. Predictor index order below.
-  auto makeSpec = [&] {
-    SweepSpec Spec;
-    Spec.Name = "ablation_predictors";
-    Spec.Suite = "forth";
-    Spec.Benchmarks = Benchmarks;
-    Spec.Cpus = {"p4northwood"};
-    Spec.Variants = {Threaded, Switch};
-    PredictorGeometry Default; // the CPU's own BTB
-    PredictorGeometry Btb2;
-    Btb2.PredKind = PredictorGeometry::Kind::Btb;
-    Btb2.Btb = TwoBit;
-    PredictorGeometry TwoLevel;
-    TwoLevel.PredKind = PredictorGeometry::Kind::TwoLevel;
-    TwoLevel.TwoLevel = TL;
-    PredictorGeometry CaseBlock;
-    CaseBlock.PredKind = PredictorGeometry::Kind::CaseBlock;
-    CaseBlock.CaseBlockEntries = 4096;
-    Spec.Predictors = {Default, Btb2, TwoLevel, CaseBlock};
-    return Spec;
-  };
-  // (variant, predictor) members backing the five table columns.
-  const std::pair<size_t, size_t> TableCells[Configs] = {
+  SweepSpec Spec;
+  Spec.Name = "ablation_predictors";
+  Spec.Suite = "forth";
+  Spec.Benchmarks = bench::forthBenchNames(Opts.has("quick"));
+  Spec.Cpus = {"p4northwood"};
+  Spec.Variants = {makeVariant(DispatchStrategy::Threaded),
+                   makeVariant(DispatchStrategy::Switch)};
+  PredictorGeometry Default; // the CPU's own BTB
+  PredictorGeometry Btb2;
+  Btb2.PredKind = PredictorGeometry::Kind::Btb;
+  Btb2.Btb = makePentium4Northwood().Btb;
+  Btb2.Btb.TwoBitCounters = true;
+  PredictorGeometry TwoLevel;
+  TwoLevel.PredKind = PredictorGeometry::Kind::TwoLevel;
+  PredictorGeometry CaseBlock;
+  CaseBlock.PredKind = PredictorGeometry::Kind::CaseBlock;
+  CaseBlock.CaseBlockEntries = 4096;
+  Spec.Predictors = {Default, Btb2, TwoLevel, CaseBlock};
+
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Ablation: indirect branch predictors (§3, §8) ===\n\n", &Lab,
+          nullptr, Cells, Exit))
+    return Exit;
+
+  // (variant, predictor) members backing the five table columns,
+  // projected out of the canonical (variant × predictor) cross product.
+  const std::pair<size_t, size_t> TableCells[] = {
       {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 3}};
-
-  auto runDirect = [&](const std::string &Bench,
-                       std::vector<PerfCounters> &Out) {
-    // Legacy path: full interpretation, virtual predictor per cell.
-    Out[0] = Lab.runWithPredictor(Bench, Threaded, Cpu,
-                                  std::make_unique<BTB>(Cpu.Btb));
-    Out[1] = Lab.runWithPredictor(Bench, Threaded, Cpu,
-                                  std::make_unique<BTB>(TwoBit));
-    Out[2] = Lab.runWithPredictor(
-        Bench, Threaded, Cpu, std::make_unique<TwoLevelPredictor>(TL));
-    Out[3] = Lab.runWithPredictor(Bench, Switch, Cpu,
-                                  std::make_unique<BTB>(Cpu.Btb));
-    Out[4] = Lab.runWithPredictor(Bench, Switch, Cpu,
-                                  std::make_unique<CaseBlockTable>(4096));
-  };
-
-  auto runPerConfig = [&](const std::string &Bench,
-                          std::vector<PerfCounters> &Out) {
-    // PR-1 replay path: devirtualized kernels, but every cell streams
-    // the whole trace independently.
-    Out[0] = Lab.replayBtb(Bench, Threaded, Cpu, Cpu.Btb);
-    Out[1] = Lab.replayBtbPredictorOnly(Bench, Threaded, Cpu, TwoBit, Out[0]);
-    TwoLevelPredictor TwoLevel(TL);
-    Out[2] = Lab.replayPredictorOnly(Bench, Threaded, Cpu, TwoLevel, Out[0]);
-    Out[3] = Lab.replayBtb(Bench, Switch, Cpu, Cpu.Btb);
-    CaseBlockTable Cbt(4096);
-    Out[4] = Lab.replayPredictorOnly(Bench, Switch, Cpu, Cbt, Out[3]);
-  };
-
-  // Runs one per-cell sweep mode over every benchmark and prints its
-  // timing line. Captures hit the lab's trace cache after the first
-  // mode, so --compare times both replay paths against warm traces.
-  struct SweepRun {
-    std::vector<PerfCounters> Results;
-    double Seconds = 0;
-    uint64_t MemberEvents = 0;
-  };
-  auto sweep = [&](const char *Mode) {
-    WallTimer CaptureTimer;
-    uint64_t Events = 0;
-    if (std::strcmp(Mode, "direct") != 0)
-      for (const std::string &B : Benchmarks)
-        Events += Lab.trace(B).numEvents();
-    double CaptureSeconds = CaptureTimer.seconds();
-
-    WallTimer ReplayTimer;
-    std::vector<PerfCounters> Results(Benchmarks.size() * Configs);
-    bool Serial = std::strcmp(Mode, "direct") == 0;
-    parallelFor(Benchmarks.size(), Serial ? 1 : defaultSweepThreads(),
-                [&](size_t B) {
-                  std::vector<PerfCounters> Out(Configs);
-                  if (std::strcmp(Mode, "per-config") == 0)
-                    runPerConfig(Benchmarks[B], Out);
-                  else
-                    runDirect(Benchmarks[B], Out);
-                  for (size_t Cfg = 0; Cfg < Configs; ++Cfg)
-                    Results[B * Configs + Cfg] = Out[Cfg];
-                });
-    double ReplaySeconds = ReplayTimer.seconds();
-    // Separator-free bench id: the [timing] artifact is parsed as
-    // whitespace-split key=value tokens.
-    bench::emitTiming(format("ablation_predictors:%s", Mode),
-                      CaptureSeconds, ReplaySeconds, Events * Configs,
-                      Benchmarks.size() * Configs);
-    return SweepRun{std::move(Results), ReplaySeconds, Events * Configs};
-  };
-
-  // Runs the declarative spec path and projects the five table cells
-  // out of the canonical (variant × predictor) cross product.
-  auto specSweep = [&](int &Exit, SweepRunStats &Stats,
-                       std::vector<PerfCounters> &Results,
-                       const std::string &BannerText,
-                       bool RequireSameBenchmarks) {
-    SweepSpec Spec = makeSpec();
-    std::vector<PerfCounters> Cells;
-    if (!bench::runDeclaredSweep(Opts, Spec, BannerText, &Lab, nullptr,
-                                 Cells, Exit, &Stats))
-      return false;
-    if (RequireSameBenchmarks && Spec.Benchmarks != Benchmarks) {
-      std::fprintf(stderr,
-                   "error: --spec with a different workload list cannot "
-                   "be compared against the per-config baseline\n");
-      Exit = 1;
-      return false;
-    }
-    // A substituted --spec may change the workload list; the table
-    // must follow the spec that actually ran.
-    Benchmarks = Spec.Benchmarks;
-    Results.resize(Benchmarks.size() * Configs);
-    for (size_t B = 0; B < Benchmarks.size(); ++B)
-      for (size_t Cfg = 0; Cfg < Configs; ++Cfg)
-        Results[B * Configs + Cfg] = Cells[Spec.cellIndex(
-            B, Spec.memberIndex(0, TableCells[Cfg].first,
-                                TableCells[Cfg].second))];
-    return true;
-  };
-
-  std::vector<PerfCounters> Results;
-  if (Compare) {
-    std::printf("%s", Banner.c_str());
-    SweepRun Base = sweep("per-config");
-    SweepRunStats GangStats;
-    int Exit = 0;
-    std::vector<PerfCounters> Gang;
-    if (!specSweep(Exit, GangStats, Gang, "",
-                   /*RequireSameBenchmarks=*/true))
-      return Exit;
-    for (size_t I = 0; I < Base.Results.size(); ++I) {
-      if (std::memcmp(&Base.Results[I], &Gang[I], sizeof(PerfCounters)) !=
-          0) {
-        std::printf("FAIL: gang counters diverge from per-config replay at "
-                    "%s config %zu\n",
-                    Benchmarks[I / Configs].c_str(), I % Configs);
-        return 1;
-      }
-    }
-    // The gang runs the full 8-member cross product while per-config
-    // replays only the five table cells, so compare wall clock AND
-    // per-member-event throughput (the kernel-efficiency invariant).
-    double BaseTput = Base.MemberEvents / Base.Seconds;
-    double GangTput = GangStats.ReplayedEvents / GangStats.ReplaySeconds;
-    std::printf("gang vs per-config: counters bit-identical, wall %.2fx "
-                "(%zu vs %zu configs), per-event throughput %.2fx\n\n",
-                Base.Seconds / GangStats.ReplaySeconds,
-                Benchmarks.size() * Configs, GangStats.Configs,
-                GangTput / BaseTput);
-    Results = Gang;
-  } else if (Direct || PerConfig) {
-    std::printf("%s", Banner.c_str());
-    Results = sweep(Direct ? "direct" : "per-config").Results;
-  } else {
-    int Exit = 0;
-    SweepRunStats Stats;
-    if (!specSweep(Exit, Stats, Results, Banner,
-                   /*RequireSameBenchmarks=*/false))
-      return Exit;
-  }
-
   TextTable T({"benchmark", "btb (threaded)", "btb-2bit (threaded)",
                "two-level (threaded)", "btb (switch)",
                "case-block (switch)"});
-  for (size_t B = 0; B < Benchmarks.size(); ++B) {
-    std::vector<std::string> Row = {Benchmarks[B]};
-    for (size_t Cfg = 0; Cfg < Configs; ++Cfg)
+  // A substituted --spec may change the workload list; the table
+  // follows the spec that actually ran.
+  for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
+    std::vector<std::string> Row = {Spec.Benchmarks[B]};
+    for (const auto &[Variant, Predictor] : TableCells)
       Row.push_back(format(
-          "%.1f%%", 100.0 * Results[B * Configs + Cfg].mispredictRate()));
+          "%.1f%%",
+          100.0 * Cells[Spec.cellIndex(
+                            B, Spec.memberIndex(0, Variant, Predictor))]
+                      .mispredictRate()));
     T.addRow(Row);
   }
   std::printf("%s\n", T.render().c_str());

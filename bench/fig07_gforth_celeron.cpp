@@ -6,8 +6,7 @@
 /// a SweepSpec and routes through the shared declarative runner: the
 /// default mode is the trace-affine in-process gang pipeline, and the
 /// bench gains --emit-spec / --spec=FILE / --shards=N / --worker-cmd
-/// for free (--quick: first two benchmarks only; --per-config: the
-/// configuration-major PR-1 path for equivalence checks).
+/// for free (--quick: first two benchmarks only).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,8 +6,7 @@
 /// shine (paper: up to 4.55x with static super over plain). Declares
 /// the sweep as a SweepSpec and routes through the shared declarative
 /// runner (gang pipeline in-process; --emit-spec / --spec / --shards /
-/// --worker-cmd for sharded execution; --quick: first two benchmarks;
-/// --per-config: the configuration-major PR-1 path).
+/// --worker-cmd for sharded execution; --quick: first two benchmarks).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,7 @@
 /// chunk-tiled trace pass, each member re-applying the quickenings to
 /// its own fresh program copy (--emit-spec / --spec / --shards /
 /// --worker-cmd for sharded execution; --quick: first two benchmarks
-/// only; --per-config: the configuration-major PR-1 path).
+/// only).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,7 +3,10 @@
 /// Regenerates Figure 10: performance-counter breakdown (cycles,
 /// instructions, indirect branches, mispredictions, I-cache misses,
 /// miss cycles, generated code bytes) for bench-gc on the Pentium 4.
-/// Captures the dispatch trace once and replays all nine variants.
+/// Declared as a SweepSpec — the bench-gc row of Figure 8 — and run
+/// through the shared declarative runner: one gang replays all nine
+/// variants over the captured trace (--emit-spec / --spec / --shards /
+/// --threads / --result-store / --audit like every spec bench).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,15 +16,17 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf(
-      "=== Figure 10: performance counters, bench-gc (Gforth, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   ForthLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
-
-  SpeedupMatrix M =
-      bench::replayMatrix(Lab, "fig10_counters_benchgc", {"bench-gc"},
-                          gforthVariants(), Cpu);
+  SpeedupMatrix M;
+  int Exit = 0;
+  if (!bench::runMatrixBench(
+          Opts, "fig10_counters_benchgc", "forth", "p4northwood", {"bench-gc"},
+          gforthVariants(),
+          "=== Figure 10: performance counters, bench-gc (Gforth, P4) ===\n\n",
+          Lab, M, Exit))
+    return Exit;
 
   std::printf("%s\n",
               M.renderCounterBars("Figure 10", "bench-gc").c_str());

@@ -1,8 +1,11 @@
 //===- bench/fig11_counters_brew.cpp - Paper Figure 11 --------------------===//
 ///
 /// Regenerates Figure 11: performance-counter breakdown for brew on the
-/// Pentium 4. Captures the dispatch trace once and replays all nine
-/// variants.
+/// Pentium 4. Declared as a SweepSpec — the brew row of Figure 8 — and
+/// run through the shared declarative runner: one gang replays all
+/// nine variants over the captured trace (--emit-spec / --spec /
+/// --shards / --threads / --result-store / --audit like every spec
+/// bench).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,14 +15,17 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf(
-      "=== Figure 11: performance counters, brew (Gforth, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   ForthLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
-
-  SpeedupMatrix M = bench::replayMatrix(Lab, "fig11_counters_brew",
-                                        {"brew"}, gforthVariants(), Cpu);
+  SpeedupMatrix M;
+  int Exit = 0;
+  if (!bench::runMatrixBench(
+          Opts, "fig11_counters_brew", "forth", "p4northwood", {"brew"},
+          gforthVariants(),
+          "=== Figure 11: performance counters, brew (Gforth, P4) ===\n\n",
+          Lab, M, Exit))
+    return Exit;
 
   std::printf("%s\n", M.renderCounterBars("Figure 11", "brew").c_str());
   std::printf(

@@ -1,8 +1,11 @@
 //===- bench/fig12_counters_mpeg.cpp - Paper Figure 12 --------------------===//
 ///
 /// Regenerates Figure 12: performance-counter breakdown for mpegaudio
-/// (Java) on the Pentium 4. Captures the dispatch trace (with its
-/// quickening rewrites) once and replays all nine variants.
+/// (Java) on the Pentium 4. Declared as a SweepSpec — the mpeg row of
+/// Figure 9 — and run through the shared declarative runner: one
+/// quickening gang replays all nine variants over the captured trace
+/// and its rewrites (--emit-spec / --spec / --shards / --threads /
+/// --result-store / --audit like every spec bench).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,14 +15,17 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf(
-      "=== Figure 12: performance counters, mpegaudio (Java, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
-
-  SpeedupMatrix M = bench::replayMatrix(Lab, "fig12_counters_mpeg",
-                                        {"mpeg"}, jvmVariants(), Cpu);
+  SpeedupMatrix M;
+  int Exit = 0;
+  if (!bench::runMatrixBench(
+          Opts, "fig12_counters_mpeg", "java", "p4northwood", {"mpeg"},
+          jvmVariants(),
+          "=== Figure 12: performance counters, mpegaudio (Java, P4) ===\n\n",
+          Lab, M, Exit))
+    return Exit;
 
   std::printf("%s\n", M.renderCounterBars("Figure 12", "mpeg").c_str());
   std::printf(

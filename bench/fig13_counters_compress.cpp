@@ -3,6 +3,10 @@
 /// Regenerates Figure 13: performance-counter breakdown for compress
 /// (Java) on the Pentium 4. In the paper, dynamic replication is almost
 /// 3x faster than plain here, entirely from eliminated mispredictions.
+/// Declared as a SweepSpec — the compress row of Figure 9 — and run
+/// through the shared declarative runner (--emit-spec / --spec /
+/// --shards / --threads / --result-store / --audit like every spec
+/// bench).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,14 +16,17 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf(
-      "=== Figure 13: performance counters, compress (Java, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
-
-  SpeedupMatrix M = bench::replayMatrix(Lab, "fig13_counters_compress",
-                                        {"compress"}, jvmVariants(), Cpu);
+  SpeedupMatrix M;
+  int Exit = 0;
+  if (!bench::runMatrixBench(
+          Opts, "fig13_counters_compress", "java", "p4northwood", {"compress"},
+          jvmVariants(),
+          "=== Figure 13: performance counters, compress (Java, P4) ===\n\n",
+          Lab, M, Exit))
+    return Exit;
 
   std::printf("%s\n",
               M.renderCounterBars("Figure 13", "compress").c_str());

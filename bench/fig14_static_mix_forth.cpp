@@ -4,8 +4,11 @@
 /// budget of additional static VM instructions is split between
 /// replicas and superinstructions. One row per total budget
 /// {0,25,50,100,200,400,800,1600}, sweeping %superinstructions across
-/// the columns. The 36-configuration sweep replays one captured trace
-/// in parallel.
+/// the columns. The 36 grid points are the variants of one declared
+/// SweepSpec (bench::mixSpec), replayed as one gang over the captured
+/// trace through the shared declarative runner (--emit-spec / --spec /
+/// --shards / --threads / --result-store / --audit like every spec
+/// bench).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,47 +18,26 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== Figure 14: static replication/superinstruction mix,\n"
-              "    bench-gc (Gforth) on Celeron-800 ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   ForthLab Lab;
-  CpuConfig Cpu = makeCeleron800();
+  const std::vector<uint32_t> Totals = {0, 25, 50, 100, 200, 400, 800, 1600};
+  SweepSpec Spec =
+      bench::mixSpec("fig14_static_mix_forth", "forth", "bench-gc",
+                     "celeron800", Totals, /*ReplicateSupers=*/true);
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Figure 14: static replication/superinstruction mix,\n"
+          "    bench-gc (Gforth) on Celeron-800 ===\n\n",
+          &Lab, nullptr, Cells, Exit))
+    return Exit;
 
-  const uint32_t Totals[] = {0, 25, 50, 100, 200, 400, 800, 1600};
-  const uint32_t Percents[] = {0, 25, 50, 75, 100};
-
-  // Flatten the grid into one replay sweep (zero-budget row: one cell).
-  std::vector<VariantSpec> Cells;
-  for (uint32_t Total : Totals)
-    for (uint32_t Pct : Percents) {
-      Cells.push_back(bench::mixVariant(Total, Total * Pct / 100,
-                                        /*ReplicateSupers=*/true));
-      if (Total == 0)
-        break;
-    }
-  std::vector<PerfCounters> Results = bench::replayConfigs(
-      Lab, "fig14_static_mix_forth", "bench-gc", Cells, Cpu);
-
-  std::vector<std::string> Header = {"total \\ %super"};
-  for (uint32_t Pct : Percents)
-    Header.push_back(std::to_string(Pct) + "%");
-  TextTable T(Header);
-
-  size_t Cell = 0;
-  for (uint32_t Total : Totals) {
-    std::vector<std::string> Row = {std::to_string(Total)};
-    for (uint32_t Pct : Percents) {
-      (void)Pct;
-      Row.push_back(format("%.1fM", double(Results[Cell++].Cycles) / 1e6));
-      if (Total == 0)
-        break;
-    }
-    while (Row.size() < Header.size())
-      Row.push_back("-");
-    T.addRow(Row);
-  }
-
-  std::printf("%s\n", T.render().c_str());
+  std::printf("%s\n",
+              bench::renderMixTable(Totals, Cells, [](const PerfCounters &C) {
+                return format("%.1fM", double(C.Cycles) / 1e6);
+              }).c_str());
   std::printf(
       "Paper shape: performance improves with the total budget and\n"
       "approaches a floor; away from the extreme points the exact\n"

@@ -1,8 +1,12 @@
 //===- bench/fig15_static_mix_java.cpp - Paper Figure 15 ------------------===//
 ///
 /// Regenerates Figure 15: cycles for mpegaudio (Java) on the Pentium 4
-/// over the static replication/superinstruction mix sweep. The
-/// 26-configuration sweep replays one captured trace in parallel.
+/// over the static replication/superinstruction mix sweep. The 26 grid
+/// points are the variants of one declared SweepSpec (bench::mixSpec),
+/// replayed as one quickening gang through the shared declarative
+/// runner (--emit-spec / --spec / --shards / --threads /
+/// --result-store / --audit like every spec bench). Figure 16 declares
+/// the same sweep under its own name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,44 +16,26 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== Figure 15: static replication/superinstruction mix,\n"
-              "    mpegaudio (Java) on Pentium 4 — cycles ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
+  const std::vector<uint32_t> Totals = {0, 50, 100, 200, 300, 400};
+  SweepSpec Spec =
+      bench::mixSpec("fig15_static_mix_java", "java", "mpeg", "p4northwood",
+                     Totals, /*ReplicateSupers=*/false);
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Figure 15: static replication/superinstruction mix,\n"
+          "    mpegaudio (Java) on Pentium 4 — cycles ===\n\n",
+          nullptr, &Lab, Cells, Exit))
+    return Exit;
 
-  const uint32_t Totals[] = {0, 50, 100, 200, 300, 400};
-  const uint32_t Percents[] = {0, 25, 50, 75, 100};
-
-  std::vector<VariantSpec> Cells;
-  for (uint32_t Total : Totals)
-    for (uint32_t Pct : Percents) {
-      Cells.push_back(bench::mixVariant(Total, Total * Pct / 100));
-      if (Total == 0)
-        break;
-    }
-  std::vector<PerfCounters> Results = bench::replayConfigs(
-      Lab, "fig15_static_mix_java", "mpeg", Cells, Cpu);
-
-  std::vector<std::string> Header = {"total \\ %super"};
-  for (uint32_t Pct : Percents)
-    Header.push_back(std::to_string(Pct) + "%");
-  TextTable T(Header);
-
-  size_t Cell = 0;
-  for (uint32_t Total : Totals) {
-    std::vector<std::string> Row = {std::to_string(Total)};
-    for (uint32_t Pct : Percents) {
-      (void)Pct;
-      Row.push_back(format("%.1fM", double(Results[Cell++].Cycles) / 1e6));
-      if (Total == 0)
-        break;
-    }
-    while (Row.size() < Header.size())
-      Row.push_back("-");
-    T.addRow(Row);
-  }
-  std::printf("%s\n", T.render().c_str());
+  std::printf("%s\n",
+              bench::renderMixTable(Totals, Cells, [](const PerfCounters &C) {
+                return format("%.1fM", double(C.Cycles) / 1e6);
+              }).c_str());
   std::printf("Paper shape: for the JVM, superinstructions dominate —\n"
               "moving budget to replicas buys little or hurts (§7.5).\n");
   return 0;

@@ -4,7 +4,10 @@
 /// (Java) over the same static replica/superinstruction sweep as
 /// Figure 15. The paper's key observation: *small* numbers of replicas
 /// can increase mispredictions (Table III's effect at scale, §7.5).
-/// The sweep replays one captured trace in parallel.
+/// The sweep is Figure 15's SweepSpec under this bench's name, run
+/// through the shared declarative runner (--emit-spec / --spec /
+/// --shards / --threads / --result-store / --audit like every spec
+/// bench).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,45 +17,26 @@
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== Figure 16: indirect branch mispredictions over the\n"
-              "    static mix sweep, mpegaudio (Java, P4) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
+  const std::vector<uint32_t> Totals = {0, 50, 100, 200, 300, 400};
+  SweepSpec Spec =
+      bench::mixSpec("fig16_static_mix_mispredicts", "java", "mpeg",
+                     "p4northwood", Totals, /*ReplicateSupers=*/false);
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Figure 16: indirect branch mispredictions over the\n"
+          "    static mix sweep, mpegaudio (Java, P4) ===\n\n",
+          nullptr, &Lab, Cells, Exit))
+    return Exit;
 
-  const uint32_t Totals[] = {0, 50, 100, 200, 300, 400};
-  const uint32_t Percents[] = {0, 25, 50, 75, 100};
-
-  std::vector<VariantSpec> Cells;
-  for (uint32_t Total : Totals)
-    for (uint32_t Pct : Percents) {
-      Cells.push_back(bench::mixVariant(Total, Total * Pct / 100));
-      if (Total == 0)
-        break;
-    }
-  std::vector<PerfCounters> Results = bench::replayConfigs(
-      Lab, "fig16_static_mix_mispredicts", "mpeg", Cells, Cpu);
-
-  std::vector<std::string> Header = {"total \\ %super"};
-  for (uint32_t Pct : Percents)
-    Header.push_back(std::to_string(Pct) + "%");
-  TextTable T(Header);
-
-  size_t Cell = 0;
-  for (uint32_t Total : Totals) {
-    std::vector<std::string> Row = {std::to_string(Total)};
-    for (uint32_t Pct : Percents) {
-      (void)Pct;
-      Row.push_back(
-          format("%.2fM", double(Results[Cell++].Mispredictions) / 1e6));
-      if (Total == 0)
-        break;
-    }
-    while (Row.size() < Header.size())
-      Row.push_back("-");
-    T.addRow(Row);
-  }
-  std::printf("%s\n", T.render().c_str());
+  std::printf("%s\n",
+              bench::renderMixTable(Totals, Cells, [](const PerfCounters &C) {
+                return format("%.2fM", double(C.Mispredictions) / 1e6);
+              }).c_str());
   std::printf("Paper shape: at 100%% replicas with a small budget the\n"
               "misprediction count can exceed configurations with more\n"
               "superinstructions; superinstructions need ~60%% of the\n"

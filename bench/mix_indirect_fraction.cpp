@@ -4,47 +4,69 @@
 /// threaded code, indirect branches are ~16.5% of executed instructions
 /// for Gforth but only ~6% for the JVM (whose instructions do more work
 /// per dispatch), which is why the same optimizations buy more on
-/// Forth.
+/// Forth. The plain cells are two declared SweepSpecs, one per suite
+/// (the plain columns of Figures 8 and 9), each run through the shared
+/// declarative runner (--emit-spec prints both, Forth first; --shards /
+/// --threads / --result-store / --audit apply to both). --spec is
+/// rejected: it substitutes one sweep, and this bench declares two.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "harness/ForthLab.h"
-#include "harness/JavaLab.h"
-#include "support/Format.h"
-#include "support/Statistics.h"
-#include "support/Table.h"
+#include "BenchUtil.h"
 
 #include <cstdio>
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== §7.2.2: indirect branches as a fraction of executed "
-              "instructions (plain) ===\n\n");
-  CpuConfig Cpu = makePentium4Northwood();
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   VariantSpec Plain = makeVariant(DispatchStrategy::Threaded);
+  ForthLab FLab;
+  JavaLab JLab;
+  SweepSpec ForthSpec =
+      bench::suiteSpec("mix_indirect_fraction_forth", "forth",
+                       bench::forthBenchNames(), {Plain}, "p4northwood");
+  SweepSpec JavaSpec =
+      bench::suiteSpec("mix_indirect_fraction_java", "java",
+                       bench::javaBenchNames(), {Plain}, "p4northwood");
+  if (Opts.has("spec")) {
+    std::fprintf(stderr, "error: --spec substitutes one sweep and this "
+                         "bench declares two; run substituted specs "
+                         "through sweep_driver instead\n");
+    return 1;
+  }
+  std::vector<PerfCounters> ForthCells, JavaCells;
+  int Exit = 0;
+  bool RanForth = bench::runDeclaredSweep(
+      Opts, ForthSpec,
+      "=== §7.2.2: indirect branches as a fraction of executed "
+      "instructions (plain) ===\n\n",
+      &FLab, nullptr, ForthCells, Exit);
+  if (!RanForth && Exit != 0)
+    return Exit;
+  // Under --emit-spec neither sweep runs: print the Java spec too.
+  if (!bench::runDeclaredSweep(Opts, JavaSpec, "", nullptr, &JLab, JavaCells,
+                               Exit) ||
+      !RanForth)
+    return Exit;
 
   TextTable T({"VM", "benchmark", "instructions", "indirect branches",
                "fraction"});
   std::vector<double> ForthFracs, JavaFracs;
-
-  ForthLab FLab;
-  for (const ForthBenchmark &B : forthSuite()) {
-    PerfCounters C = FLab.run(B.Name, Plain, Cpu);
-    ForthFracs.push_back(C.indirectBranchFraction());
-    T.addRow({"Gforth", B.Name, withThousands(C.Instructions),
-              withThousands(C.IndirectBranches),
-              format("%.2f%%", 100 * C.indirectBranchFraction())});
-  }
+  auto AddRows = [&](const char *VM, const SweepSpec &Spec,
+                     const std::vector<PerfCounters> &Cells,
+                     std::vector<double> &Fracs) {
+    for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
+      const PerfCounters &C = Cells[Spec.cellIndex(B, 0)];
+      Fracs.push_back(C.indirectBranchFraction());
+      T.addRow({VM, Spec.Benchmarks[B], withThousands(C.Instructions),
+                withThousands(C.IndirectBranches),
+                format("%.2f%%", 100 * C.indirectBranchFraction())});
+    }
+  };
+  AddRows("Gforth", ForthSpec, ForthCells, ForthFracs);
   T.addRule();
-  JavaLab JLab;
-  for (const JavaBenchmark &B : javaSuite()) {
-    PerfCounters C = JLab.run(B.Name, Plain, Cpu);
-    JavaFracs.push_back(C.indirectBranchFraction());
-    T.addRow({"JVM", B.Name, withThousands(C.Instructions),
-              withThousands(C.IndirectBranches),
-              format("%.2f%%", 100 * C.indirectBranchFraction())});
-  }
+  AddRows("JVM", JavaSpec, JavaCells, JavaFracs);
   std::printf("%s\n", T.render().c_str());
   std::printf("averages: Gforth %.2f%% (paper: 16.54%%), JVM %.2f%% "
               "(paper: 6.08%%)\n",

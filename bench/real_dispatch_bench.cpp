@@ -11,11 +11,11 @@
 /// gap, but the instruction-count savings of superinstructions remain
 /// visible.
 ///
-/// The BM_Replay* benchmarks regression-track *simulator* throughput
-/// (events/sec, items_per_second): one per replay tier — full replay,
-/// predictor-only, and a five-member gang (per member-event) — so a
-/// kernel regression shows up here, not just in the [timing] lines of
-/// the sweep benches. BM_GangReplayMixedThreaded additionally tracks
+/// The *Replay* benchmarks regression-track *simulator* throughput
+/// (events/sec, items_per_second): a one-member gang (a per-config
+/// replay) and a five-member gang (per member-event), so a kernel
+/// regression shows up here, not just in the [timing] lines of the
+/// sweep benches. BM_GangReplayMixedThreaded additionally tracks
 /// the threaded pool on a mixed-cost gang and surfaces
 /// GangReplayer::Stats — per-worker events replayed, tiles
 /// waited, steals, busy time — as a `[timing]` histogram line, so
@@ -92,27 +92,12 @@ void BM_ReplayFull(benchmark::State &State) {
   ForthLab &Lab = lab();
   CpuConfig Cpu = makePentium4Northwood();
   const DispatchTrace &Trace = Lab.trace(ReplayBench);
-  auto Layout = Lab.buildLayout(ReplayBench,
-                                makeVariant(DispatchStrategy::Threaded));
+  std::shared_ptr<DispatchProgram> Layout =
+      Lab.buildLayout(ReplayBench, makeVariant(DispatchStrategy::Threaded));
   for (auto _ : State) {
-    PerfCounters C = TraceReplayer::replayBtb(Trace, *Layout, nullptr, Cpu,
-                                              Cpu.Btb);
-    benchmark::DoNotOptimize(C.Cycles);
-  }
-  State.SetItemsProcessed(State.iterations() * Trace.numEvents());
-}
-
-void BM_ReplayPredictorOnly(benchmark::State &State) {
-  ForthLab &Lab = lab();
-  CpuConfig Cpu = makePentium4Northwood();
-  const DispatchTrace &Trace = Lab.trace(ReplayBench);
-  VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
-  auto Layout = Lab.buildLayout(ReplayBench, Threaded);
-  PerfCounters Baseline = Lab.replay(ReplayBench, Threaded, Cpu);
-  for (auto _ : State) {
-    TwoLevelPredictor Pred((TwoLevelConfig()));
-    PerfCounters C = TraceReplayer::replayPredictorOnly(Trace, *Layout, Cpu,
-                                                        Pred, Baseline);
+    GangReplayer Gang(Trace);
+    Gang.addDefault(Layout, Cpu);
+    PerfCounters C = Gang.run()[0];
     benchmark::DoNotOptimize(C.Cycles);
   }
   State.SetItemsProcessed(State.iterations() * Trace.numEvents());
@@ -247,7 +232,6 @@ BENCHMARK(BM_SwitchDispatch)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_ThreadedDispatch)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_SuperDispatch)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_ReplayFull)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplayPredictorOnly)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangReplay5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GangReplayMixedThreaded)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);

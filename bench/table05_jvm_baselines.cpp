@@ -5,32 +5,44 @@
 /// interpreter, Kaffe's naive interpreter, HotSpot mixed mode and the
 /// Kaffe JIT. The external JVMs are simulated cost-model proxies
 /// (DESIGN.md substitutions); times are cycles scaled to seconds at the
-/// paper's 3GHz P4.
+/// paper's 3GHz P4. The plain cells are a declared SweepSpec (the plain
+/// column of Figure 9) run through the shared declarative runner
+/// (--emit-spec / --spec / --shards / --threads / --result-store /
+/// --audit like every spec bench).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "harness/Baselines.h"
-#include "harness/JavaLab.h"
-#include "support/Format.h"
-#include "support/Table.h"
 
 #include <cstdio>
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== Table V: base interpreter vs other JVMs (simulated "
-              "proxies) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
+  SweepSpec Spec = bench::suiteSpec(
+      "table05_jvm_baselines", "java", bench::javaBenchNames(),
+      {makeVariant(DispatchStrategy::Threaded)}, "p4northwood");
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Table V: base interpreter vs other JVMs (simulated "
+          "proxies) ===\n\n",
+          nullptr, &Lab, Cells, Exit))
+    return Exit;
+  CpuConfig Cpu; // the spec that ran: --spec may substitute it
+  cpuConfigById(Spec.Cpus[0], Cpu);
   const double Hz = 3e9;
 
   TextTable T({"benchmark", "our base", "HotSpot interp*",
                "Kaffe interp*", "HotSpot mixed*", "Kaffe JIT*"});
-  for (const JavaBenchmark &B : javaSuite()) {
-    PerfCounters Plain =
-        Lab.run(B.Name, makeVariant(DispatchStrategy::Threaded), Cpu);
-    uint64_t Overhead = Lab.runtimeOverhead(B.Name, Cpu);
+  for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
+    const std::string &Name = Spec.Benchmarks[B];
+    const PerfCounters &Plain = Cells[Spec.cellIndex(B, 0)];
+    uint64_t Overhead = Lab.runtimeOverhead(Name, Cpu);
     // Plain.Cycles already includes the CVM runtime overhead; proxies
     // pay their own runtime's share.
     PerfCounters Interp = Plain;
@@ -43,7 +55,7 @@ int main() {
              static_cast<uint64_t>(M.RuntimeFactor *
                                    static_cast<double>(Overhead));
     };
-    T.addRow({B.Name, Secs(Plain.Cycles),
+    T.addRow({Name, Secs(Plain.Cycles),
               Secs(Proxy(hotspotInterpreterProxy())),
               Secs(Proxy(kaffeInterpreterProxy())),
               Secs(Proxy(hotspotMixedProxy())),

@@ -35,7 +35,10 @@ int main(int argc, char **argv) {
                                Exit))
     return Exit;
 
-  bool Sharded = Opts.getInt("shards", 0) > 1 || Opts.has("worker-cmd");
+  unsigned Shards = 0; // runDeclaredSweep already validated the flag
+  (void)bench::readCountOption(Opts, "shards", bench::MaxFanOut, Shards,
+                               Exit);
+  bool Sharded = Shards > 1 || Opts.has("worker-cmd");
   TextTable T({"program", "lines", "VM instrs", "description", "steps",
                "output hash"});
   for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {

@@ -4,39 +4,48 @@
 /// techniques (run-time generated native code) per Java benchmark,
 /// against a HotSpot-mixed-mode proxy estimate. The paper's point:
 /// dynamic super is competitive with a JIT's code cache; the
-/// replication-based variants cost several times more.
+/// replication-based variants cost several times more. The three
+/// variants are a declared SweepSpec (columns of Figure 9) run through
+/// the shared declarative runner (--emit-spec / --spec / --shards /
+/// --threads / --result-store / --audit like every spec bench).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "harness/JavaLab.h"
-#include "support/Format.h"
-#include "support/Table.h"
+#include "BenchUtil.h"
 
 #include <cstdio>
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== Table VIII: peak dynamic code memory per benchmark "
-              "===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
+  SweepSpec Spec = bench::suiteSpec(
+      "table08_memory", "java", bench::javaBenchNames(),
+      {makeVariant(DispatchStrategy::DynamicSuper),
+       makeVariant(DispatchStrategy::AcrossBB),
+       makeVariant(DispatchStrategy::WithStaticSuperAcross)},
+      "p4northwood");
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Table VIII: peak dynamic code memory per benchmark ===\n\n",
+          nullptr, &Lab, Cells, Exit))
+    return Exit;
 
   TextTable T({"benchmark", "HotSpot mixed*", "dynamic super",
                "across bb", "w/static across"});
-  for (const JavaBenchmark &B : javaSuite()) {
-    PerfCounters Super =
-        Lab.run(B.Name, makeVariant(DispatchStrategy::DynamicSuper), Cpu);
-    PerfCounters Across =
-        Lab.run(B.Name, makeVariant(DispatchStrategy::AcrossBB), Cpu);
-    PerfCounters WithAcross = Lab.run(
-        B.Name, makeVariant(DispatchStrategy::WithStaticSuperAcross), Cpu);
+  for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
+    const PerfCounters &Super = Cells[Spec.cellIndex(B, 0)];
+    const PerfCounters &Across = Cells[Spec.cellIndex(B, 1)];
+    const PerfCounters &WithAcross = Cells[Spec.cellIndex(B, 2)];
     // HotSpot-mixed proxy: JIT code for the hot subset, roughly the
     // size of the shared dynamic-superinstruction code (paper Table
     // VIII finds them in the same range).
     uint64_t Jit = Super.CodeBytes + Super.CodeBytes / 2;
-    T.addRow({B.Name, humanBytes(Jit), humanBytes(Super.CodeBytes),
-              humanBytes(Across.CodeBytes),
+    T.addRow({Spec.Benchmarks[B], humanBytes(Jit),
+              humanBytes(Super.CodeBytes), humanBytes(Across.CodeBytes),
               humanBytes(WithAcross.CodeBytes)});
   }
   std::printf("%s\n", T.render().c_str());

@@ -2,39 +2,50 @@
 ///
 /// Regenerates Table IX: speedups of across-bb and two native-code
 /// Forth compilers (simulated proxies; see DESIGN.md) over plain, on
-/// the Athlon-1200, for tscp, brainless and brew.
+/// the Athlon-1200, for tscp, brainless and brew. The plain and
+/// across-bb cells are a declared SweepSpec run through the shared
+/// declarative runner (--emit-spec / --spec / --shards / --threads /
+/// --result-store / --audit like every spec bench).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "harness/Baselines.h"
-#include "harness/ForthLab.h"
-#include "support/Format.h"
-#include "support/Table.h"
 
 #include <cstdio>
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== Table IX: Gforth across-bb vs native-code compilers "
-              "(Athlon-1200) ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   ForthLab Lab;
-  CpuConfig Cpu = makeAthlon1200();
+  SweepSpec Spec = bench::suiteSpec(
+      "table09_forth_native", "forth", {"tscp", "brainless", "brew"},
+      {makeVariant(DispatchStrategy::Threaded),
+       makeVariant(DispatchStrategy::AcrossBB)},
+      "athlon1200");
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Table IX: Gforth across-bb vs native-code compilers "
+          "(Athlon-1200) ===\n\n",
+          &Lab, nullptr, Cells, Exit))
+    return Exit;
+  CpuConfig Cpu; // the spec that ran: --spec may substitute it
+  cpuConfigById(Spec.Cpus[0], Cpu);
 
   TextTable T({"benchmark", "across bb", "bigForth*", "iForth*"});
-  for (const char *Name : {"tscp", "brainless", "brew"}) {
-    PerfCounters Plain =
-        Lab.run(Name, makeVariant(DispatchStrategy::Threaded), Cpu);
-    PerfCounters Across =
-        Lab.run(Name, makeVariant(DispatchStrategy::AcrossBB), Cpu);
-
+  for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
+    const PerfCounters &Plain = Cells[Spec.cellIndex(B, 0)];
+    const PerfCounters &Across = Cells[Spec.cellIndex(B, 1)];
     double SAcross = double(Plain.Cycles) / double(Across.Cycles);
     double SBig = double(Plain.Cycles) /
                   double(baselineCycles(Plain, Cpu, bigForthProxy()));
     double SIfo = double(Plain.Cycles) /
                   double(baselineCycles(Plain, Cpu, iForthProxy()));
-    T.addRow({Name, formatDouble(SAcross, 2), formatDouble(SBig, 2),
-              formatDouble(SIfo, 2)});
+    T.addRow({Spec.Benchmarks[B], formatDouble(SAcross, 2),
+              formatDouble(SBig, 2), formatDouble(SIfo, 2)});
   }
   std::printf("%s\n", T.render().c_str());
   std::printf(

@@ -2,35 +2,48 @@
 ///
 /// Regenerates Table X: speedups over plain of w/static super across,
 /// the Kaffe JIT, the HotSpot interpreter and HotSpot mixed mode
-/// (simulated proxies; DESIGN.md) for the Java suite.
+/// (simulated proxies; DESIGN.md) for the Java suite. The plain and
+/// w/static super across cells are a declared SweepSpec (columns of
+/// Figure 9) run through the shared declarative runner (--emit-spec /
+/// --spec / --shards / --threads / --result-store / --audit like every
+/// spec bench).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "harness/Baselines.h"
-#include "harness/JavaLab.h"
-#include "support/Format.h"
-#include "support/Statistics.h"
-#include "support/Table.h"
 
 #include <cstdio>
 
 using namespace vmib;
 
-int main() {
-  std::printf("=== Table X: JVM speedups over plain vs native-code "
-              "systems ===\n\n");
+int main(int argc, char **argv) {
+  OptionParser Opts(argc, argv);
   JavaLab Lab;
-  CpuConfig Cpu = makePentium4Northwood();
+  SweepSpec Spec = bench::suiteSpec(
+      "table10_java_native", "java", bench::javaBenchNames(),
+      {makeVariant(DispatchStrategy::Threaded),
+       makeVariant(DispatchStrategy::WithStaticSuperAcross)},
+      "p4northwood");
+  std::vector<PerfCounters> Cells;
+  int Exit = 0;
+  if (!bench::runDeclaredSweep(
+          Opts, Spec,
+          "=== Table X: JVM speedups over plain vs native-code "
+          "systems ===\n\n",
+          nullptr, &Lab, Cells, Exit))
+    return Exit;
+  CpuConfig Cpu; // the spec that ran: --spec may substitute it
+  cpuConfigById(Spec.Cpus[0], Cpu);
 
   TextTable T({"benchmark", "w/static across", "Kaffe JIT*",
                "HotSpot interp*", "HotSpot mixed*"});
   std::vector<double> Ours, Kaffe, HsInt, HsMix;
-  for (const JavaBenchmark &B : javaSuite()) {
-    PerfCounters Plain =
-        Lab.run(B.Name, makeVariant(DispatchStrategy::Threaded), Cpu);
-    PerfCounters Across = Lab.run(
-        B.Name, makeVariant(DispatchStrategy::WithStaticSuperAcross), Cpu);
-    uint64_t Overhead = Lab.runtimeOverhead(B.Name, Cpu);
+  for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
+    const std::string &Name = Spec.Benchmarks[B];
+    const PerfCounters &Plain = Cells[Spec.cellIndex(B, 0)];
+    const PerfCounters &Across = Cells[Spec.cellIndex(B, 1)];
+    uint64_t Overhead = Lab.runtimeOverhead(Name, Cpu);
     PerfCounters Interp = Plain;
     Interp.Cycles -= Overhead;
     auto Proxy = [&](const BaselineModel &M) {
@@ -48,7 +61,7 @@ int main() {
     Kaffe.push_back(SKaffe);
     HsInt.push_back(SHsInt);
     HsMix.push_back(SHsMix);
-    T.addRow({B.Name, formatDouble(SOurs, 2), formatDouble(SKaffe, 2),
+    T.addRow({Name, formatDouble(SOurs, 2), formatDouble(SKaffe, 2),
               formatDouble(SHsInt, 2), formatDouble(SHsMix, 2)});
   }
   T.addRule();

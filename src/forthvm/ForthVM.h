@@ -55,7 +55,7 @@ public:
   /// executed VM instruction. \p ExecCounts, if non-null, is resized to
   /// the program and incremented per instruction index (training runs).
   /// \p Capture, if non-null, records the (Cur, Next) dispatch stream
-  /// for later TraceReplayer runs (capture-once/replay-many sweeps);
+  /// for later GangReplayer runs (capture-once/replay-many sweeps);
   /// capturing needs no Sim.
   Result run(const ForthUnit &Unit, DispatchSim *Sim = nullptr,
              uint64_t MaxSteps = 1ull << 33,

@@ -422,14 +422,6 @@ TraceSource ForthLab::traceSource(const std::string &Benchmark,
   return TraceSource(T);
 }
 
-PerfCounters ForthLab::replay(const std::string &Benchmark,
-                              const VariantSpec &Variant,
-                              const CpuConfig &Cpu) {
-  auto Layout = buildLayout(Benchmark, Variant);
-  return TraceReplayer::replayDefault(trace(Benchmark), *Layout,
-                                      /*MutableProgram=*/nullptr, Cpu);
-}
-
 std::vector<PerfCounters>
 ForthLab::replayGang(const std::string &Benchmark,
                      const std::vector<VariantSpec> &Variants,
@@ -439,33 +431,4 @@ ForthLab::replayGang(const std::string &Benchmark,
   for (const VariantSpec &V : Variants)
     Gang.addDefault(buildLayout(Benchmark, V), Cpu);
   return Gang.run(Threads, StatsOut);
-}
-
-PerfCounters
-ForthLab::replayWithPredictor(const std::string &Benchmark,
-                              const VariantSpec &Variant,
-                              const CpuConfig &Cpu,
-                              IndirectBranchPredictor &Predictor) {
-  auto Layout = buildLayout(Benchmark, Variant);
-  return TraceReplayer::replayVirtual(trace(Benchmark), *Layout,
-                                      /*MutableProgram=*/nullptr, Cpu,
-                                      Predictor);
-}
-
-PerfCounters ForthLab::replayBtb(const std::string &Benchmark,
-                                 const VariantSpec &Variant,
-                                 const CpuConfig &Cpu,
-                                 const BTBConfig &Config) {
-  auto Layout = buildLayout(Benchmark, Variant);
-  return TraceReplayer::replayBtb(trace(Benchmark), *Layout,
-                                  /*MutableProgram=*/nullptr, Cpu, Config);
-}
-
-PerfCounters ForthLab::replayBtbPredictorOnly(
-    const std::string &Benchmark, const VariantSpec &Variant,
-    const CpuConfig &Cpu, const BTBConfig &Config,
-    const PerfCounters &FetchBaseline) {
-  auto Layout = buildLayout(Benchmark, Variant);
-  return TraceReplayer::replayBtbPredictorOnly(trace(Benchmark), *Layout,
-                                               Cpu, Config, FetchBaseline);
 }

@@ -8,13 +8,15 @@
 /// (superCount, replicaCount) configuration.
 ///
 /// Two execution paths produce bit-identical counters:
-///  - run(): interpret the workload with a DispatchSim attached
-///    (capture-per-config; the legacy baseline).
-///  - replay(): interpret once into a cached DispatchTrace, then
-///    re-drive any number of (variant x predictor x CPU) configurations
-///    through the devirtualized TraceReplayer kernels.
-/// The caches are mutex-guarded, so replay() calls may be sharded
-/// across SweepRunner workers.
+///  - replayGang(), and SweepExecutor's gangs: interpret once into a
+///    cached DispatchTrace, then re-drive any number of (variant x
+///    predictor x CPU) configurations through one GangReplayer pass.
+///    Every printed paper number comes this way.
+///  - run()/runWithPredictor(): interpret the workload with a
+///    DispatchSim attached — the direct path, kept as the tests'
+///    oracle and for the examples.
+/// The caches are mutex-guarded, so gangs over different workloads
+/// may run on concurrent sweep workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +28,6 @@
 #include "vmcore/DispatchBuilder.h"
 #include "vmcore/DispatchTrace.h"
 #include "vmcore/GangReplayer.h"
-#include "vmcore/TraceReplayer.h"
 #include "workloads/ForthSuite.h"
 
 #include <atomic>
@@ -134,73 +135,19 @@ public:
   /// into the cached trace. Call only between sweep phases.
   void dropTrace(const std::string &Benchmark);
 
-  /// Replays the cached trace of \p Benchmark under (Variant, Cpu) with
-  /// the CPU's default BTB through the devirtualized kernel. Counters
-  /// are bit-identical to run(). Thread-safe.
-  PerfCounters replay(const std::string &Benchmark,
-                      const VariantSpec &Variant, const CpuConfig &Cpu);
-
   /// Batch replay: one chunk-tiled GangReplayer pass over the cached
   /// trace covering every variant (default BTB), so the trace streams
   /// from memory once for the whole batch instead of once per variant.
-  /// Results are in variant order, bit-identical to replay() per cell.
-  /// Thread-safe; intended as the per-workload job of a trace-affine
-  /// sweep (one gang per SweepRunner worker). \p Threads > 1 replays
-  /// the gang on the shared-tile worker pool (bit-identical for any
-  /// thread count); \p StatsOut receives the pool accounting when
-  /// non-null.
+  /// Results are in variant order, bit-identical to run() per cell (a
+  /// one-variant gang is a per-config replay). Thread-safe. With
+  /// \p Threads > 1 the gang replays on the shared-tile worker pool
+  /// (bit-identical for any thread count); \p StatsOut receives the
+  /// pool accounting when non-null.
   std::vector<PerfCounters>
   replayGang(const std::string &Benchmark,
              const std::vector<VariantSpec> &Variants, const CpuConfig &Cpu,
              unsigned Threads = 1, GangReplayer::Stats *StatsOut = nullptr,
              TraceDecodeMode Decode = TraceDecodeMode::Auto);
-
-  /// Replay with a concrete predictor type: predict()/update() inline
-  /// into the replay loop (devirtualized predictor sweeps).
-  /// Thread-safe; \p Predictor must be fresh (stateful across events).
-  template <class PredictorT>
-  PerfCounters replayWith(const std::string &Benchmark,
-                          const VariantSpec &Variant, const CpuConfig &Cpu,
-                          PredictorT &Predictor) {
-    auto Layout = buildLayout(Benchmark, Variant);
-    return TraceReplayer::replay(trace(Benchmark), *Layout,
-                                 /*MutableProgram=*/nullptr, Cpu, Predictor);
-  }
-
-  /// Type-erased replay for predictors assembled at run time.
-  PerfCounters replayWithPredictor(const std::string &Benchmark,
-                                   const VariantSpec &Variant,
-                                   const CpuConfig &Cpu,
-                                   IndirectBranchPredictor &Predictor);
-
-  /// Replay with a custom BTB geometry (capacity sweeps): no-evict
-  /// fast path with exact LRU fallback. Thread-safe.
-  PerfCounters replayBtb(const std::string &Benchmark,
-                         const VariantSpec &Variant, const CpuConfig &Cpu,
-                         const BTBConfig &Config);
-
-  /// Predictor-only BTB-geometry replay: branch stream only, fetch
-  /// counters from \p FetchBaseline. Thread-safe.
-  PerfCounters replayBtbPredictorOnly(const std::string &Benchmark,
-                                      const VariantSpec &Variant,
-                                      const CpuConfig &Cpu,
-                                      const BTBConfig &Config,
-                                      const PerfCounters &FetchBaseline);
-
-  /// Predictor-sweep tier: re-simulates only the dispatch branch
-  /// stream, reusing the predictor-independent fetch counters of
-  /// \p FetchBaseline (any run()/replay() of the same (benchmark,
-  /// variant, CPU)). Thread-safe.
-  template <class PredictorT>
-  PerfCounters replayPredictorOnly(const std::string &Benchmark,
-                                   const VariantSpec &Variant,
-                                   const CpuConfig &Cpu,
-                                   PredictorT &Predictor,
-                                   const PerfCounters &FetchBaseline) {
-    auto Layout = buildLayout(Benchmark, Variant);
-    return TraceReplayer::replayPredictorOnly(trace(Benchmark), *Layout,
-                                              Cpu, Predictor, FetchBaseline);
-  }
 
   /// Builds the dispatch layout of (Benchmark, Variant) — the static
   /// construction a replay or direct run simulates over. Thread-safe.

@@ -214,13 +214,13 @@ uint64_t JavaLab::plainInterpCycles(const std::string &Benchmark,
     if (It != PlainCycleCache.end())
       return It->second;
   }
-  // Replay-based: the plain-threaded counters are bit-identical to a
-  // direct run and reuse the cached trace. Computed outside the lock —
-  // this is a full trace replay, and holding the cache mutex through
-  // it would serialize every sweep worker behind the first one.
-  // Concurrent first calls just compute the same value twice.
-  PerfCounters C = replayNoOverhead(
-      Benchmark, makeVariant(DispatchStrategy::Threaded), Cpu);
+  // A one-member gang: the plain-threaded counters are bit-identical
+  // to a direct run and reuse the cached trace. Computed outside the
+  // lock — this is a full trace replay, and holding the cache mutex
+  // through it would serialize every sweep worker behind the first
+  // one. Concurrent first calls just compute the same value twice.
+  PerfCounters C = replayGangNoOverhead(
+      Benchmark, {makeVariant(DispatchStrategy::Threaded)}, Cpu)[0];
   std::lock_guard<std::mutex> Lock(CacheMutex);
   return PlainCycleCache.emplace(Key, C.Cycles).first->second;
 }
@@ -415,25 +415,6 @@ TraceSource JavaLab::traceSource(const std::string &Benchmark,
                  "materialized\n",
                  Benchmark.c_str());
   return TraceSource(T);
-}
-
-PerfCounters JavaLab::replay(const std::string &Benchmark,
-                             const VariantSpec &Variant,
-                             const CpuConfig &Cpu) {
-  PerfCounters C = replayNoOverhead(Benchmark, Variant, Cpu);
-  C.Cycles += runtimeOverhead(Benchmark, Cpu);
-  return C;
-}
-
-PerfCounters JavaLab::replayNoOverhead(const std::string &Benchmark,
-                                       const VariantSpec &Variant,
-                                       const CpuConfig &Cpu) {
-  // Fresh pristine copy per replay: the recorded quickenings mutate it
-  // mid-replay exactly as the engine did during capture.
-  JavaProgram Copy = program(Benchmark);
-  auto Layout = buildLayout(Benchmark, Variant, Copy.Program);
-  return TraceReplayer::replayDefault(trace(Benchmark), *Layout,
-                                      &Copy.Program, Cpu);
 }
 
 std::vector<PerfCounters>

@@ -8,6 +8,11 @@
 /// (leave-one-out), favouring shorter sequences. Quickening mutates the
 /// program, so every run works on a fresh copy.
 ///
+/// Sweep counters come from one GangReplayer pass over the captured
+/// trace (replayGang, SweepExecutor); run() interprets the workload
+/// with a DispatchSim attached — the direct path the tests use as the
+/// oracle.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VMIB_HARNESS_JAVALAB_H
@@ -19,7 +24,6 @@
 #include "vmcore/DispatchBuilder.h"
 #include "vmcore/DispatchTrace.h"
 #include "vmcore/GangReplayer.h"
-#include "vmcore/TraceReplayer.h"
 #include "vmcore/TraceSource.h"
 #include "workloads/JavaSuite.h"
 
@@ -138,28 +142,18 @@ public:
       (void)profileOf(B.Name);
   }
 
-  /// Replays the cached trace under (Variant, Cpu) over a fresh program
-  /// copy, re-applying the recorded quickenings; counters are
-  /// bit-identical to run() (runtime overhead included). Thread-safe.
-  PerfCounters replay(const std::string &Benchmark,
-                      const VariantSpec &Variant, const CpuConfig &Cpu);
-
-  /// replay() without the runtime-system overhead cycles.
-  PerfCounters replayNoOverhead(const std::string &Benchmark,
-                                const VariantSpec &Variant,
-                                const CpuConfig &Cpu);
-
   /// Batch replay: one chunk-tiled GangReplayer pass covering every
   /// variant, each member owning a fresh program copy whose recorded
   /// quickenings are re-applied at their exact event positions.
-  /// Results are in variant order, bit-identical to replay() per cell
-  /// (runtime overhead included). Thread-safe. \p Threads > 1 replays
-  /// the gang on the shared-tile worker pool (each quickening member
-  /// has one owner per tile, so results stay bit-identical for any
-  /// thread count); \p StatsOut receives the pool accounting when
-  /// non-null. \p SeedCostNs, when non-null, seeds the pool
-  /// scheduler's per-member cost EWMAs (variant order, 0 = unknown —
-  /// see GangReplayer::seedMemberCost); \p FinalCostNs, when non-null,
+  /// Results are in variant order, bit-identical to run() per cell
+  /// (runtime overhead included; a one-variant gang is a per-config
+  /// replay). Thread-safe. With \p Threads > 1 the gang replays on the
+  /// shared-tile worker pool (each quickening member has one owner per
+  /// tile, so results stay bit-identical for any thread count);
+  /// \p StatsOut receives the pool accounting when non-null.
+  /// \p SeedCostNs, when non-null, seeds the pool scheduler's
+  /// per-member cost EWMAs (variant order, 0 = unknown — see
+  /// GangReplayer::seedMemberCost); \p FinalCostNs, when non-null,
   /// receives the end-of-run EWMAs a pooled pass measured (empty
   /// otherwise). Both steer scheduling only, never counters.
   std::vector<PerfCounters>
@@ -185,7 +179,8 @@ private:
   /// selection sees: quick forms, §5.4).
   const SequenceProfile &profileOf(const std::string &Benchmark);
 
-  /// Interpreter-only cycles of the plain variant (overhead basis).
+  /// Interpreter-only cycles of the plain variant (overhead basis),
+  /// from a one-member quickening gang; cached per (benchmark, CPU).
   uint64_t plainInterpCycles(const std::string &Benchmark,
                              const CpuConfig &Cpu);
 

@@ -10,6 +10,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 using namespace vmib;
 
@@ -17,47 +18,6 @@ unsigned vmib::defaultSweepThreads() {
   unsigned HW = std::thread::hardware_concurrency();
   return static_cast<unsigned>(
       envCount("VMIB_THREADS", HW == 0 ? 1 : HW, UINT_MAX));
-}
-
-void vmib::parallelFor(size_t N, unsigned Threads,
-                       const std::function<void(size_t)> &Body) {
-  if (N == 0)
-    return;
-  if (Threads > N)
-    Threads = static_cast<unsigned>(N);
-
-  std::exception_ptr FirstError;
-  std::mutex ErrorMutex;
-  std::atomic<size_t> Cursor{0};
-
-  auto Worker = [&] {
-    for (;;) {
-      size_t I = Cursor.fetch_add(1, std::memory_order_relaxed);
-      if (I >= N)
-        return;
-      try {
-        Body(I);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(ErrorMutex);
-        if (!FirstError)
-          FirstError = std::current_exception();
-      }
-    }
-  };
-
-  if (Threads <= 1) {
-    Worker();
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
-    for (unsigned T = 0; T < Threads; ++T)
-      Pool.emplace_back(Worker);
-    for (std::thread &T : Pool)
-      T.join();
-  }
-
-  if (FirstError)
-    std::rethrow_exception(FirstError);
 }
 
 void vmib::pipelineSweep(size_t N, unsigned Threads,

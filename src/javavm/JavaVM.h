@@ -44,7 +44,7 @@ public:
   /// built over \p Program's VMProgram). \p ExecCounts, if non-null,
   /// collects per-instruction execution counts (training runs).
   /// \p Capture, if non-null, records the (Cur, Next) dispatch stream
-  /// plus the quickening rewrites so TraceReplayer can re-drive any
+  /// plus the quickening rewrites so GangReplayer can re-drive any
   /// layout over a fresh program copy; capturing needs no Sim/Layout.
   Result run(JavaProgram &Program, DispatchSim *Sim = nullptr,
              DispatchProgram *Layout = nullptr,

@@ -11,6 +11,24 @@
 
 using namespace vmib;
 
+namespace {
+
+/// The one count grammar: decimal digits only, no overflow, at most
+/// \p Max.
+bool parseCount(const std::string &Text, uint64_t Max, uint64_t &Out) {
+  if (Text.empty() ||
+      Text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  errno = 0;
+  unsigned long long N = std::strtoull(Text.c_str(), nullptr, 10);
+  if (errno != 0 || N > Max)
+    return false;
+  Out = N;
+  return true;
+}
+
+} // namespace
+
 OptionParser::OptionParser(int Argc, const char *const *Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -44,19 +62,27 @@ int64_t OptionParser::getInt(const std::string &Name, int64_t Default) const {
   return std::strtoll(It->second.c_str(), nullptr, 0);
 }
 
+bool OptionParser::getCount(const std::string &Name, uint64_t Max,
+                            uint64_t &Out, std::string &Error) const {
+  auto It = Options.find(Name);
+  if (It == Options.end())
+    return true;
+  if (parseCount(It->second, Max, Out))
+    return true;
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, Max);
+  Error = "bad --" + Name + " '" + It->second +
+          "' (expected a whole number from 0 to " + Buf + ")";
+  return false;
+}
+
 uint64_t vmib::envCount(const char *Name, uint64_t Default, uint64_t Max) {
   const char *Env = std::getenv(Name);
   if (Env == nullptr || Env[0] == '\0')
     return Default;
-  bool Digits = true;
-  for (const char *P = Env; *P != '\0'; ++P)
-    Digits &= *P >= '0' && *P <= '9';
-  if (Digits) {
-    errno = 0;
-    unsigned long long N = std::strtoull(Env, nullptr, 10);
-    if (errno == 0 && N >= 1 && N <= Max)
-      return N;
-  }
+  uint64_t N = 0;
+  if (parseCount(Env, Max, N) && N >= 1)
+    return N;
   static std::mutex Mutex;
   static std::set<std::string> Warned;
   std::lock_guard<std::mutex> Lock(Mutex);

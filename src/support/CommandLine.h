@@ -2,9 +2,9 @@
 ///
 /// \file
 /// Minimal --name=value / --flag option parsing for the examples and the
-/// bench binaries, plus the strict count parser for the VMIB_* sizing
-/// variables. Not a general library; just enough to select benchmarks,
-/// variants and CPU models from the command line.
+/// bench binaries, plus the strict count parsers for count flags and
+/// the VMIB_* sizing variables. Not a general library; just enough to
+/// select benchmarks, variants and CPU models from the command line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +28,15 @@ public:
   std::string get(const std::string &Name,
                   const std::string &Default = "") const;
   int64_t getInt(const std::string &Name, int64_t Default) const;
+
+  /// Reads option \p Name as a count: decimal digits only (no sign,
+  /// space, base prefix or suffix), no overflow, at most \p Max.
+  /// \returns true with \p Out set — left alone when the option is
+  /// absent — or false with \p Error naming the flag and its value, so
+  /// "--shards=4x", "--shards=0x10" or "--shards=foo" diagnose instead
+  /// of quietly becoming 4, 16 or 0.
+  bool getCount(const std::string &Name, uint64_t Max, uint64_t &Out,
+                std::string &Error) const;
 
   const std::vector<std::string> &positional() const { return Positional; }
 

@@ -17,6 +17,5 @@ void DispatchSim::setPredictor(
 }
 
 void DispatchSim::finish() {
-  State.Counters.CodeBytes = Prog.generatedCodeBytes();
-  finalizeCycles(Cpu, State.Counters);
+  State.Counters = sim::finalize(State.Counters, Prog, Cpu);
 }

@@ -10,8 +10,10 @@
 /// The accounting itself lives in the sim::step kernel, templated over
 /// the predictor and observer types. DispatchSim instantiates it with
 /// the type-erased IndirectBranchPredictor for interpretation-driven
-/// runs; the TraceReplayer instantiates it with concrete predictor
-/// types so predict()/update() inline into the replay loop.
+/// runs — the direct path, which the tests use as the oracle for
+/// replay; GangReplayer instantiates it with concrete predictor types
+/// so predict()/update() inline into the replay loop. Both finish
+/// through sim::finalize.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,7 +131,7 @@ struct HasFusedPredictUpdate<
 /// \tparam Full compile out the Fig. 6 side-entry fallback tracking and
 /// the pre-quickening cold-stub accounting. Instantiating with
 /// Full = false is exact for layouts where no piece has a fallback
-/// region or a cold stub (the replayer checks); both code paths are
+/// region or a cold stub (gang::isSlimLayout checks); both code paths are
 /// no-ops there.
 template <bool Full = true, class StateT, class PredictorT, class ObserverT>
 inline void step(DispatchProgram &Prog, StateT &S, PredictorT &Pred,
@@ -225,6 +227,16 @@ inline void step(DispatchProgram &Prog, StateT &S, PredictorT &Pred,
 
   if (Obs.active())
     Obs({Cur, Next, P.BranchSite, Predicted, Target, true, Mispredicted});
+}
+
+/// Derives the cycle and code-size counters of a finished run of
+/// \p Prog on \p Cpu: what DispatchSim::finish and every replay
+/// member apply to their accumulated counters.
+inline PerfCounters finalize(PerfCounters C, const DispatchProgram &Prog,
+                             const CpuConfig &Cpu) {
+  C.CodeBytes = Prog.generatedCodeBytes();
+  finalizeCycles(Cpu, C);
+  return C;
 }
 
 } // namespace sim

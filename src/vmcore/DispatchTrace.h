@@ -5,7 +5,7 @@
 /// The paper's §7.3 metrics depend only on the per-step (Cur, Next)
 /// stream — which is a property of the *program*, not of the layout,
 /// predictor or CPU being evaluated — so a workload is interpreted once
-/// into a DispatchTrace and then replayed (TraceReplayer) over every
+/// into a DispatchTrace and then replayed (GangReplayer) over every
 /// (layout x predictor x CPU) configuration of a sweep.
 ///
 /// Each event packs (Cur, Next) into one 64-bit word. JVM quickening

@@ -2,34 +2,32 @@
 ///
 /// \file
 /// Executes a *gang* of replay configurations over one DispatchTrace in
-/// a single chunk-tiled pass. The PR-1 sweep model was
-/// configuration-major: every (variant x predictor x CPU) cell streamed
-/// the whole multi-hundred-MB event buffer from DRAM independently, so
-/// an N-configuration sweep read the trace N times and the replay
-/// kernels were memory-bandwidth-bound. Ertl & Gregg's counters depend
-/// only on the shared (Cur, Next) stream, so one pass can feed every
-/// configuration: the gang advances a DispatchTrace::ChunkCursor and,
-/// for each ~64K-event tile, runs every member over that tile before
-/// moving on. Each trace byte then crosses the memory bus once per
-/// tile instead of once per configuration, while every member still
-/// observes the exact sequential event order — counters stay
-/// bit-identical to per-config TraceReplayer calls (asserted by
-/// tests/GangReplayTest.cpp).
+/// a single chunk-tiled pass. This is the one replay engine: every
+/// sweep cell, and every per-config replay (a one-member gang), goes
+/// through it. Ertl & Gregg's counters depend only on the shared
+/// (Cur, Next) stream, so one pass can feed every configuration: the
+/// gang advances a DispatchTrace::ChunkCursor and, for each ~64K-event
+/// tile, runs every member over that tile before moving on. Each trace
+/// byte then crosses the memory bus once per tile instead of once per
+/// configuration, while every member still observes the exact
+/// sequential event order — counters stay bit-identical to a direct
+/// interpretation-driven DispatchSim run (asserted against Lab.run and
+/// an exact-LRU step oracle by tests/GangReplayTest.cpp and
+/// tests/ReplayTest.cpp).
 ///
-/// Members carry the same tiered state the per-config replayer uses:
+/// Members run tiered state, fastest first:
 ///
 ///  - addBtb()/addDefault()/addPredictor(): full replay on the
 ///    optimistic models (NoEvictICache; NoEvictBTB for sized BTB
 ///    geometries), with predict()/update() of any concrete predictor
-///    type devirtualized into the tile loop exactly as in
-///    TraceReplayer. A member whose optimistic model overflows while
-///    crossing tile T *restarts in place*: fresh state with each
-///    overflowed model swapped for its exact one, caught up by
-///    replaying events [0, end of T) from the gang's TraceSource, then
-///    on with tile T+1. Overflows are the rare case — tiny BTBs,
-///    replication blowing a small I-cache — so the gang never pays LRU
-///    bookkeeping for the common case, and they mostly happen in the
-///    first tiles, where the catch-up is short.
+///    type devirtualized into the tile loop. A member whose optimistic
+///    model overflows while crossing tile T *restarts in place*: fresh
+///    state with each overflowed model swapped for its exact one,
+///    caught up by replaying events [0, end of T) from the gang's
+///    TraceSource, then on with tile T+1. Overflows are the rare case —
+///    tiny BTBs, replication blowing a small I-cache — so the gang
+///    never pays LRU bookkeeping for the common case, and they mostly
+///    happen in the first tiles, where the catch-up is short.
 ///  - addBtbPredictorOnly()/addPredictorOnly(): branch-stream-only
 ///    members (NullICache) that take the predictor-independent fetch
 ///    counters from an *earlier gang member's* finished result —
@@ -62,7 +60,7 @@
 #ifndef VMIB_VMCORE_GANGREPLAYER_H
 #define VMIB_VMCORE_GANGREPLAYER_H
 
-#include "vmcore/TraceReplayer.h"
+#include "vmcore/DispatchSim.h"
 #include "vmcore/TraceSource.h"
 
 #include <cassert>
@@ -73,6 +71,31 @@
 namespace vmib {
 
 namespace gang {
+
+/// Whether the fallback/cold-stub kernel paths are provably no-ops for
+/// \p Layout, making the slim (Full = false) sim::step exact.
+inline bool isSlimLayout(const DispatchProgram &Layout) {
+  if (Layout.hasFallbacks())
+    return false;
+  for (uint32_t I = 0, N = Layout.numPieces(); I < N; ++I)
+    if (Layout.piece(I).ColdStubBranch)
+      return false;
+  return true;
+}
+
+/// Detects an overflowed() probe on optimistic model types; exact
+/// models (and NullICache) report false.
+template <class T, class = void> struct HasOverflowed : std::false_type {};
+template <class T>
+struct HasOverflowed<
+    T, std::void_t<decltype(std::declval<const T &>().overflowed())>>
+    : std::true_type {};
+template <class T> inline bool overflowed(const T &Model) {
+  if constexpr (HasOverflowed<T>::value)
+    return Model.overflowed();
+  else
+    return (void)Model, false;
+}
 
 /// Replays one tile of events through the devirtualized kernel. The
 /// span may alias a materialized trace arena or a streaming decode
@@ -96,9 +119,9 @@ inline void runSpan(const EventSpan &Span, DispatchProgram &Layout,
 /// storing counters through `this` cannot keep them in registers (any
 /// u64 store into the model tables may alias them). Hoisting the
 /// models into non-escaping stack locals for the duration of the tile
-/// restores the per-config replayer's codegen — the moves are pointer
-/// swaps, paid once per ~64K events. Without this the lean
-/// predictor-only kernels run ~2.6x slower in a gang than per-config.
+/// restores the codegen of a plain loop over local state — the moves
+/// are pointer swaps, paid once per ~64K events. Without this the lean
+/// predictor-only kernels run ~2.6x slower.
 template <class StateT, class PredictorT>
 inline void runFused(const EventSpan &Span, DispatchProgram &Layout,
                      bool Slim, StateT &MemberS, PredictorT &MemberPred) {
@@ -205,7 +228,7 @@ struct DecodedChunk {
 class GroupDecoder {
 public:
   explicit GroupDecoder(const DispatchProgram &Layout)
-      : Layout(Layout), Slim(TraceReplayer::isSlimLayout(Layout)) {
+      : Layout(Layout), Slim(isSlimLayout(Layout)) {
     SeenPiece.assign(Layout.numPieces(), 0);
     if (Layout.hasFallbacks())
       SeenFallback.assign(Layout.numPieces(), 0);
@@ -480,15 +503,15 @@ namespace gang {
 /// tiers: an exact BTB reads the decoded branch stream, while the
 /// exact I-cache cannot use the first-touch fetch stream, so the
 /// member steps the raw tile through sim::step and stops decoding.
-/// Every tier computes what the per-config TraceReplayer fallback
-/// computes, so counters stay bit-identical.
+/// Every tier computes what the exact-LRU sim::step over the whole
+/// stream computes, so counters stay bit-identical to a direct run.
 template <class PredT, bool Fetches>
 class ReplayMember final : public GangMember {
   using ExactPredT = typename ExactModel<PredT>::Type;
   using FastStateT = sim::DispatchStateT<
       std::conditional_t<Fetches, NoEvictICache, sim::NullICache>>;
   static constexpr bool PredCanOverflow =
-      TraceReplayer::HasOverflowed<PredT>::value;
+      HasOverflowed<PredT>::value;
 
 public:
   /// \p FetchBaseline is the earlier member predictor-only members
@@ -496,7 +519,7 @@ public:
   ReplayMember(std::shared_ptr<DispatchProgram> Layout, const CpuConfig &Cpu,
                PredT Pred, size_t FetchBaseline)
       : Layout(std::move(Layout)), Cpu(Cpu), FetchBaseline(FetchBaseline),
-        Slim(TraceReplayer::isSlimLayout(*this->Layout)), S(Cpu.ICache),
+        Slim(isSlimLayout(*this->Layout)), S(Cpu.ICache),
         Pred(std::move(Pred)) {}
 
   const DispatchProgram *soaLayout() const override { return Layout.get(); }
@@ -511,8 +534,8 @@ public:
       else
         consume(*D, P);
     });
-    bool ICacheOverflowed = !ExactS && TraceReplayer::overflowed(S.ICache);
-    bool PredOverflowed = !ExactPred && TraceReplayer::overflowed(Pred);
+    bool ICacheOverflowed = !ExactS && overflowed(S.ICache);
+    bool PredOverflowed = !ExactPred && overflowed(Pred);
     if (ICacheOverflowed || PredOverflowed)
       restart(ICacheOverflowed, PredOverflowed, Source, Span.End);
   }
@@ -525,7 +548,7 @@ public:
       C.ICacheMisses = Finished[FetchBaseline].ICacheMisses;
     }
     (void)Finished;
-    return TraceReplayer::finalize(C, *Layout, Cpu);
+    return sim::finalize(C, *Layout, Cpu);
   }
 
   uint64_t stateBytes() const override {
@@ -604,7 +627,7 @@ private:
 /// re-applies the recorded quicken rewrites at their exact event
 /// positions while replaying on the exact-LRU models (quickening
 /// patches layout state, so no optimistic tier that may need a restart
-/// can apply — same rule as TraceReplayer::replay).
+/// can apply).
 class QuickeningMember final : public GangMember {
 public:
   /// \p Quickens is the trace's quicken record stream (borrowed; the
@@ -653,7 +676,7 @@ public:
 
   PerfCounters finish(const std::vector<PerfCounters> &) override {
     assert(QIdx == Quickens.size() && "unconsumed quicken records");
-    return TraceReplayer::finalize(S.Counters, *Layout, Cpu);
+    return sim::finalize(S.Counters, *Layout, Cpu);
   }
 
   uint64_t stateBytes() const override {
@@ -677,7 +700,8 @@ private:
 /// The gang replay engine: collect members, then run() makes one
 /// chunk-tiled pass over the trace and returns one finalized
 /// PerfCounters per member, in add order. Counters are bit-identical
-/// to the corresponding per-config TraceReplayer calls.
+/// to a direct DispatchSim run of each member's configuration; a
+/// one-member gang is a per-config replay.
 ///
 /// run(1) is strictly single-threaded — trace-affine sweep scheduling
 /// hands one (trace, gang) pair to each SweepRunner worker, so workers

@@ -3,13 +3,15 @@
 /// The contract of the gang replay engine: counters produced by one
 /// chunk-tiled GangReplayer pass — SoA group decode, first-touch fetch
 /// streams, baseline-linked predictor-only members, in-place restarts
-/// on the exact tiers — must be *bit-identical* to per-config
-/// TraceReplayer calls, across both suites, all variants, BTB capacity
-/// sweeps (including overflow restarts) and the quickening tier. Also
-/// covers the trace chunk cursor, binary trace serialization (save →
-/// load → replay round trip, hash rejection), the labs' serialized
-/// trace cache (VMIB_TRACE_CACHE) and the capture/replay pipeline
-/// stage.
+/// on the exact tiers — must be *bit-identical* to direct
+/// interpretation (Lab.run / ForthLab::runWithPredictor) over whole
+/// workloads, and to a test-local exact oracle (sim::step over the
+/// events on the exact-LRU models) over prefix traces, across both
+/// suites, all variants, BTB capacity sweeps (including overflow
+/// restarts), the quickening tier and any thread count. Also covers the
+/// trace chunk cursor, binary trace serialization (save → load → replay
+/// round trip, hash rejection), the labs' serialized trace cache
+/// (VMIB_TRACE_CACHE) and the capture/replay pipeline stage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <utility>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -82,6 +86,44 @@ DispatchTrace prefixTrace(const DispatchTrace &Full, size_t MaxEvents) {
   return T;
 }
 
+/// The exact oracle for traces with no interpretation behind them (a
+/// prefix): what a direct DispatchSim run computes — sim::step over
+/// every event on the exact-LRU I-cache and \p Pred, the recorded
+/// quickenings applied to \p Program (the one \p Layout was built
+/// over; null for quicken-free traces) at their positions — with none
+/// of the gang's optimistic tiers, decoding or tiling.
+template <class PredictorT>
+PerfCounters exactOracle(const DispatchTrace &Trace, DispatchProgram &Layout,
+                         VMProgram *Program, const CpuConfig &Cpu,
+                         PredictorT Pred) {
+  sim::DispatchState S(Cpu.ICache);
+  sim::NullObserver Obs;
+  const std::vector<DispatchTrace::QuickenRecord> &Quickens =
+      Trace.quickens();
+  size_t Q = 0;
+  for (size_t I = 0; I < Trace.numEvents(); ++I) {
+    DispatchTrace::Event E = Trace.events()[I];
+    sim::step(Layout, S, Pred, Obs, DispatchTrace::cur(E),
+              DispatchTrace::next(E));
+    for (; Q < Quickens.size() && Quickens[Q].AfterEvents == I + 1; ++Q) {
+      Program->Code[Quickens[Q].Index] = Quickens[Q].NewInstr;
+      Layout.onQuicken(Quickens[Q].Index);
+    }
+  }
+  EXPECT_EQ(Q, Quickens.size()) << "unconsumed quicken records";
+  return sim::finalize(S.Counters, Layout, Cpu);
+}
+
+/// The oracle over a fresh Forth layout of (\p Benchmark, \p Variant).
+template <class PredictorT>
+PerfCounters exactOracle(const DispatchTrace &Trace,
+                         const std::string &Benchmark,
+                         const VariantSpec &Variant, const CpuConfig &Cpu,
+                         PredictorT Pred) {
+  auto Layout = forthLab().buildLayout(Benchmark, Variant);
+  return exactOracle(Trace, *Layout, nullptr, Cpu, std::move(Pred));
+}
+
 } // namespace
 
 TEST(ChunkCursor, TilesTheStreamExactly) {
@@ -114,40 +156,6 @@ TEST(ChunkCursor, TilesTheStreamExactly) {
   EXPECT_EQ(D.end(), 1000u);
 }
 
-TEST(GangReplay, ForthAllVariantsBitIdentical) {
-  // One gang per benchmark covering the full variant matrix (fig07/08
-  // shape) vs per-config replays.
-  ForthLab &Lab = forthLab();
-  CpuConfig P4 = makePentium4Northwood();
-  std::vector<VariantSpec> Variants = gforthVariants();
-  Variants.push_back(makeVariant(DispatchStrategy::Switch));
-  for (const std::string &Bench : {std::string("gray"),
-                                   std::string("vmgen")}) {
-    std::vector<PerfCounters> Gang = Lab.replayGang(Bench, Variants, P4);
-    ASSERT_EQ(Gang.size(), Variants.size());
-    for (size_t I = 0; I < Variants.size(); ++I)
-      expectEqualCounters(Lab.replay(Bench, Variants[I], P4), Gang[I],
-                          Bench + "/" + Variants[I].Name);
-  }
-}
-
-TEST(GangReplay, JavaAllVariantsBitIdentical) {
-  // Quickening members: every variant re-applies the recorded rewrites
-  // to its own program copy, chunk-major; includes the Fig. 6
-  // side-entry fallback variant ("w/static super across").
-  JavaLab &Lab = javaLab();
-  CpuConfig P4 = makePentium4Northwood();
-  std::vector<VariantSpec> Variants = jvmVariants();
-  for (const std::string &Bench : {std::string("jess"),
-                                   std::string("javac")}) {
-    std::vector<PerfCounters> Gang = Lab.replayGang(Bench, Variants, P4);
-    ASSERT_EQ(Gang.size(), Variants.size());
-    for (size_t I = 0; I < Variants.size(); ++I)
-      expectEqualCounters(Lab.replay(Bench, Variants[I], P4), Gang[I],
-                          Bench + "/" + Variants[I].Name);
-  }
-}
-
 TEST(GangReplay, MixedPredictorGangSharedLayouts) {
   // The ablation_predictors shape: threaded and switch members share
   // their layouts (SoA group decode), predictor-only members take the
@@ -176,31 +184,31 @@ TEST(GangReplay, MixedPredictorGangSharedLayouts) {
   std::vector<PerfCounters> R = Gang.run();
   ASSERT_EQ(R.size(), 7u);
 
-  expectEqualCounters(Lab.replayBtb("gray", Threaded, P4, P4.Btb), R[0],
+  const DispatchTrace &Trace = Lab.trace("gray");
+  expectEqualCounters(Lab.run("gray", Threaded, P4), R[0],
                       "full btb threaded");
+  expectEqualCounters(Lab.runWithPredictor("gray", Threaded, P4,
+                                           std::make_unique<BTB>(TwoBit)),
+                      R[1], "two-bit predictor-only");
   expectEqualCounters(
-      Lab.replayBtbPredictorOnly("gray", Threaded, P4, TwoBit, R[0]), R[1],
-      "two-bit predictor-only");
-  TwoLevelPredictor TwoLevel(TL);
+      Lab.runWithPredictor("gray", Threaded, P4,
+                           std::make_unique<TwoLevelPredictor>(TL)),
+      R[2], "two-level predictor-only");
+  // The policy baselines have no virtual form for a direct run; the
+  // exact oracle steps them through the same templated kernel.
   expectEqualCounters(
-      Lab.replayPredictorOnly("gray", Threaded, P4, TwoLevel, R[0]), R[2],
-      "two-level predictor-only");
-  PerfectPredictor Oracle;
-  expectEqualCounters(
-      Lab.replayPredictorOnly("gray", Threaded, P4, Oracle, R[0]), R[3],
+      exactOracle(Trace, "gray", Threaded, P4, PerfectPredictor()), R[3],
       "oracle predictor-only");
   EXPECT_EQ(R[3].Mispredictions, 0u);
-  NullPredictor None;
-  expectEqualCounters(
-      Lab.replayPredictorOnly("gray", Threaded, P4, None, R[0]), R[4],
-      "null predictor-only");
+  expectEqualCounters(exactOracle(Trace, "gray", Threaded, P4,
+                                  NullPredictor()),
+                      R[4], "null predictor-only");
   EXPECT_EQ(R[4].Mispredictions, R[4].DispatchCount);
-  expectEqualCounters(Lab.replayBtb("gray", Switch, P4, P4.Btb), R[5],
-                      "full btb switch");
-  CaseBlockTable Cbt(4096);
+  expectEqualCounters(Lab.run("gray", Switch, P4), R[5], "full btb switch");
   expectEqualCounters(
-      Lab.replayPredictorOnly("gray", Switch, P4, Cbt, R[5]), R[6],
-      "case-block predictor-only");
+      Lab.runWithPredictor("gray", Switch, P4,
+                           std::make_unique<CaseBlockTable>(4096)),
+      R[6], "case-block predictor-only");
 }
 
 TEST(GangReplay, BtbCapacitySweepWithOverflowFallback) {
@@ -228,21 +236,23 @@ TEST(GangReplay, BtbCapacitySweepWithOverflowFallback) {
   size_t TinyFull = Gang.addBtb(Layout, P4, Tiny);
 
   std::vector<PerfCounters> R = Gang.run();
-  expectEqualCounters(Lab.replayBtb("gray", Threaded, P4, P4.Btb), R[Base],
+  auto Direct = [&](const BTBConfig &Cfg) {
+    return Lab.runWithPredictor("gray", Threaded, P4,
+                                std::make_unique<BTB>(Cfg));
+  };
+  expectEqualCounters(Lab.run("gray", Threaded, P4), R[Base],
                       "default baseline");
   for (size_t I = 0; I < Configs.size(); ++I)
-    expectEqualCounters(Lab.replayBtbPredictorOnly("gray", Threaded, P4,
-                                                   Configs[I], R[Base]),
-                        R[Base + 1 + I],
+    expectEqualCounters(Direct(Configs[I]), R[Base + 1 + I],
                         "capacity " + std::to_string(Configs[I].Entries));
-  expectEqualCounters(Lab.replayBtb("gray", Threaded, P4, Tiny), R[TinyFull],
-                      "tiny full member (overflow fallback)");
+  expectEqualCounters(Direct(Tiny), R[TinyFull],
+                      "tiny full member (overflow restart)");
 }
 
 TEST(GangReplay, ICacheOverflowFallbackBitIdentical) {
   // Celeron: small I-cache plus code growth overflows the no-evict
   // fast path on a replicating variant; the gang member restarts on
-  // the exact-LRU I-cache, like replay()'s fallback.
+  // the exact-LRU I-cache.
   ForthLab &Lab = forthLab();
   CpuConfig Cel = makeCeleron800();
   std::vector<VariantSpec> Variants = {
@@ -250,7 +260,7 @@ TEST(GangReplay, ICacheOverflowFallbackBitIdentical) {
       makeVariant(DispatchStrategy::DynamicBoth)};
   std::vector<PerfCounters> Gang = Lab.replayGang("bench-gc", Variants, Cel);
   for (size_t I = 0; I < Variants.size(); ++I)
-    expectEqualCounters(Lab.replay("bench-gc", Variants[I], Cel), Gang[I],
+    expectEqualCounters(Lab.run("bench-gc", Variants[I], Cel), Gang[I],
                         "celeron/" + Variants[I].Name);
 }
 
@@ -260,7 +270,7 @@ TEST(GangReplay, ChunkSizeInvariance) {
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
-  PerfCounters Expected = Lab.replay("gray", Threaded, P4);
+  PerfCounters Expected = Lab.run("gray", Threaded, P4);
 
   for (size_t Chunk : {size_t{1000}, size_t{1} << 30}) {
     GangReplayer Gang(Lab.trace("gray"), Chunk);
@@ -357,12 +367,12 @@ TEST(TraceSerialization, LabTraceCacheRoundTrip) {
   std::string Path = DispatchTrace::cachePathFor("forth-vmgen");
   struct stat St;
   ASSERT_EQ(::stat(Path.c_str(), &St), 0) << "capture did not save " << Path;
-  PerfCounters Captured = Lab.replay("vmgen", Threaded, P4);
+  auto Replay = [&] { return Lab.replayGang("vmgen", {Threaded}, P4)[0]; };
+  PerfCounters Captured = Replay();
 
   Lab.dropTrace("vmgen");
   (void)Lab.trace("vmgen"); // loads from the cache file
-  expectEqualCounters(Captured, Lab.replay("vmgen", Threaded, P4),
-                      "replay off cache-loaded trace");
+  expectEqualCounters(Captured, Replay(), "replay off cache-loaded trace");
 
   // A stale file for a different workload is rejected, not trusted:
   // loading under the wrong reference hash fails, and the lab
@@ -371,8 +381,7 @@ TEST(TraceSerialization, LabTraceCacheRoundTrip) {
   EXPECT_FALSE(Stale.load(Path, /*ExpectedWorkloadHash=*/1));
   unsetenv("VMIB_TRACE_CACHE");
   Lab.dropTrace("vmgen");
-  expectEqualCounters(Captured, Lab.replay("vmgen", Threaded, P4),
-                      "replay off re-captured trace");
+  expectEqualCounters(Captured, Replay(), "replay off re-captured trace");
   std::remove(Path.c_str());
 }
 
@@ -393,7 +402,7 @@ TEST(TraceSerialization, DecodeModeSelectsTheRequestedPath) {
   Lab.dropTrace("vmgen");
   (void)Lab.trace("vmgen"); // capture + save the streamable file
   std::string Path = DispatchTrace::cachePathFor("forth-vmgen");
-  PerfCounters Ref = Lab.replay("vmgen", Threaded, P4);
+  PerfCounters Ref = Lab.replayGang("vmgen", {Threaded}, P4)[0];
 
   Lab.dropTrace("vmgen"); // nothing materialized from here on
   TraceSource Streamed =
@@ -494,7 +503,7 @@ TEST(GangReplay, CrossCpuMembersShareDecodedStreamBitIdentical) {
   // Members that differ only in CPU I-cache geometry — with layout
   // objects built independently per CPU, as a per-CPU bench would —
   // group by fingerprint and share one decoded stream; counters still
-  // match the per-config replayer on every CPU.
+  // match the exact oracle on every CPU.
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   CpuConfig Cel = makeCeleron800();
@@ -507,9 +516,14 @@ TEST(GangReplay, CrossCpuMembersShareDecodedStreamBitIdentical) {
   Gang.addDefault(Lab.buildLayout("gray", Threaded), Athlon);
   std::vector<PerfCounters> R = Gang.run();
   ASSERT_EQ(R.size(), 3u);
-  expectEqualCounters(Lab.replay("gray", Threaded, P4), R[0], "p4");
-  expectEqualCounters(Lab.replay("gray", Threaded, Cel), R[1], "celeron");
-  expectEqualCounters(Lab.replay("gray", Threaded, Athlon), R[2], "athlon");
+  const DispatchTrace &Trace = Lab.trace("gray");
+  const std::pair<const char *, const CpuConfig *> Cpus[] = {
+      {"p4", &P4}, {"celeron", &Cel}, {"athlon", &Athlon}};
+  for (size_t I = 0; I < std::size(Cpus); ++I) {
+    const CpuConfig &Cpu = *Cpus[I].second;
+    expectEqualCounters(exactOracle(Trace, "gray", Threaded, Cpu, BTB(Cpu.Btb)),
+                        R[I], Cpus[I].first);
+  }
 }
 
 namespace {
@@ -549,17 +563,20 @@ runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
 /// The JVM quickening gang of the matrix: every member re-applies the
 /// recorded rewrites to its own program copy (fused members — the
 /// decoder ring still paces them tile by tile).
+const std::vector<VariantSpec> &javaMatrixVariants() {
+  static const std::vector<VariantSpec> Variants = {
+      makeVariant(DispatchStrategy::Threaded),
+      makeVariant(DispatchStrategy::DynamicSuper),
+      makeVariant(DispatchStrategy::Switch)};
+  return Variants;
+}
+
 std::vector<PerfCounters>
 runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads) {
   JavaLab &Lab = javaLab();
   CpuConfig P4 = makePentium4Northwood();
-  std::vector<VariantSpec> Variants = {
-      makeVariant(DispatchStrategy::Threaded),
-      makeVariant(DispatchStrategy::DynamicSuper),
-      makeVariant(DispatchStrategy::Switch)};
-
   GangReplayer Gang(Trace, Chunk);
-  for (const VariantSpec &V : Variants) {
+  for (const VariantSpec &V : javaMatrixVariants()) {
     auto Copy = std::make_shared<VMProgram>(Lab.program("jess").Program);
     auto Layout = Lab.buildLayout("jess", V, *Copy);
     Gang.addQuickening(std::shared_ptr<DispatchProgram>(std::move(Layout)),
@@ -607,6 +624,17 @@ TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
       << "prefix must cover quickening rewrites to exercise the tier";
   std::vector<PerfCounters> Serial =
       runJavaMatrixGang(Prefix, /*Chunk=*/4096, /*Threads=*/1);
+  // The serial gang itself equals the exact oracle, each member over
+  // its own fresh program copy with the rewrites applied in place.
+  CpuConfig P4 = makePentium4Northwood();
+  ASSERT_EQ(Serial.size(), javaMatrixVariants().size());
+  for (size_t I = 0; I < Serial.size(); ++I) {
+    VMProgram Copy = Lab.program("jess").Program;
+    auto Layout = Lab.buildLayout("jess", javaMatrixVariants()[I], Copy);
+    expectEqualCounters(exactOracle(Prefix, *Layout, &Copy, P4, BTB(P4.Btb)),
+                        Serial[I],
+                        "oracle/" + javaMatrixVariants()[I].Name);
+  }
   for (size_t Chunk : {size_t{1}, size_t{4096}, size_t{65536}})
     for (unsigned Threads : {1u, 2u, 3u, 8u}) {
       std::vector<PerfCounters> R = runJavaMatrixGang(Prefix, Chunk, Threads);
@@ -652,12 +680,12 @@ size_t tileOf(size_t At, size_t Chunk) { return (At - 1) / Chunk; }
 
 } // namespace
 
-TEST(GangReplay, RestartMatrixBitIdenticalToPerConfigReplay) {
+TEST(GangReplay, RestartMatrixBitIdenticalToExactOracle) {
   // Every optimistic member type overflows, once inside tile 0 (64K
   // tiles) and once at a later tile (1K tiles), and restarts in place
-  // on its exact tier: the counters equal the per-config TraceReplayer
-  // calls for every thread count, on materialized and streaming
-  // sources, and the stats count each restarted member once.
+  // on its exact tier: the counters equal the exact oracle for every
+  // thread count, on materialized and streaming sources, and the stats
+  // count each restarted member once.
   ForthLab &Lab = forthLab();
   CpuConfig Cel = makeCeleron800();
   DispatchTrace Prefix = prefixTrace(Lab.trace("gray"), 150000);
@@ -697,20 +725,15 @@ TEST(GangReplay, RestartMatrixBitIdenticalToPerConfigReplay) {
   ExpectRestartTiles(firstOverflows(Prefix, *LRandom, Cel, Cel.Btb).ICache,
                      "random repl/Celeron I-cache");
 
-  // Per-config references.
-  std::vector<PerfCounters> Ref;
-  Ref.push_back(TraceReplayer::replayBtb(Prefix, *LPlain, nullptr, Cel, Tiny));
-  Ref.push_back(TraceReplayer::replayDefault(Prefix, *LRepl, nullptr, Cel));
-  Ref.push_back(TraceReplayer::replayBtb(Prefix, *LRepl, nullptr, Cel, Ideal));
-  Ref.push_back(TraceReplayer::replayBtbPredictorOnly(Prefix, *LRepl, Cel,
-                                                      Cel.Btb, Ref[1]));
-  {
-    TwoLevelPredictor Pred(TL);
-    Ref.push_back(
-        TraceReplayer::replayPredictorOnly(Prefix, *LRepl, Cel, Pred, Ref[1]));
-    CaseBlockTable Cbt(4096);
-    Ref.push_back(TraceReplayer::replay(Prefix, *LRandom, nullptr, Cel, Cbt));
-  }
+  // Exact-oracle references (predictor-only members equal the full
+  // exact replay under their predictor).
+  std::vector<PerfCounters> Ref = {
+      exactOracle(Prefix, *LPlain, nullptr, Cel, BTB(Tiny)),
+      exactOracle(Prefix, *LRepl, nullptr, Cel, BTB(Cel.Btb)),
+      exactOracle(Prefix, *LRepl, nullptr, Cel, BTB(Ideal)),
+      exactOracle(Prefix, *LRepl, nullptr, Cel, BTB(Cel.Btb)),
+      exactOracle(Prefix, *LRepl, nullptr, Cel, TwoLevelPredictor(TL)),
+      exactOracle(Prefix, *LRandom, nullptr, Cel, CaseBlockTable(4096))};
   const char *Names[] = {"tiny BTB (BTB restart, group of one)",
                          "default BTB (BTB then I-cache restart)",
                          "idealised BTB (I-cache restart)",
@@ -795,9 +818,9 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
   EXPECT_TRUE(Serial.finalCosts().empty());
 }
 
-TEST(GangReplay, ThreadedFullTraceMatchesPerConfigReplay) {
-  // End to end on the full traces: the threaded lab gang equals the
-  // per-config TraceReplayer on both suites (not just the serial gang).
+TEST(GangReplay, ThreadedFullTraceMatchesDirectRun) {
+  // End to end on the full traces: the threaded lab gang equals direct
+  // interpretation on both suites (not just the serial gang).
   ForthLab &FLab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
   std::vector<VariantSpec> FVariants = {
@@ -808,7 +831,7 @@ TEST(GangReplay, ThreadedFullTraceMatchesPerConfigReplay) {
       FLab.replayGang("gray", FVariants, P4, /*Threads=*/4);
   ASSERT_EQ(FGang.size(), FVariants.size());
   for (size_t I = 0; I < FVariants.size(); ++I)
-    expectEqualCounters(FLab.replay("gray", FVariants[I], P4), FGang[I],
+    expectEqualCounters(FLab.run("gray", FVariants[I], P4), FGang[I],
                         "forth threaded gang/" + FVariants[I].Name);
 
   JavaLab &JLab = javaLab();
@@ -819,7 +842,7 @@ TEST(GangReplay, ThreadedFullTraceMatchesPerConfigReplay) {
       JLab.replayGang("jess", JVariants, P4, /*Threads=*/4);
   ASSERT_EQ(JGang.size(), JVariants.size());
   for (size_t I = 0; I < JVariants.size(); ++I)
-    expectEqualCounters(JLab.replay("jess", JVariants[I], P4), JGang[I],
+    expectEqualCounters(JLab.run("jess", JVariants[I], P4), JGang[I],
                         "java threaded gang/" + JVariants[I].Name);
 }
 

@@ -14,7 +14,9 @@
 #include <climits>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 
 using namespace vmib;
 
@@ -137,6 +139,72 @@ TEST(CommandLine, ParsesOptionsAndPositional) {
   ASSERT_EQ(P.positional().size(), 1u);
   EXPECT_EQ(P.positional()[0], "pos1");
 }
+
+//===--- getCount: count flags --------------------------------------------===//
+
+namespace {
+
+/// Parses one "--Name=Value" argument with OptionParser::getCount.
+bool countFlag(const char *Name, const std::string &Value, uint64_t Max,
+               uint64_t &Out, std::string &Error) {
+  std::string Arg = std::string("--") + Name + "=" + Value;
+  const char *Argv[] = {"prog", Arg.c_str()};
+  return OptionParser(2, Argv).getCount(Name, Max, Out, Error);
+}
+
+} // namespace
+
+TEST(OptionCount, AcceptsDecimalCountsAndKeepsAbsentValues) {
+  uint64_t N = 7;
+  std::string Error;
+  const char *Argv[] = {"prog"};
+  EXPECT_TRUE(OptionParser(1, Argv).getCount("shards", 1024, N, Error));
+  EXPECT_EQ(N, 7u) << "an absent flag keeps the caller's default";
+  for (const char *V : {"0", "4", "1024"}) {
+    ASSERT_TRUE(countFlag("shards", V, 1024, N, Error)) << V << ": " << Error;
+    EXPECT_EQ(N, std::strtoull(V, nullptr, 10)) << V;
+  }
+  // Leading zeros are decimal, not octal: "010" is ten, not eight.
+  ASSERT_TRUE(countFlag("shards", "010", 1024, N, Error)) << Error;
+  EXPECT_EQ(N, 10u);
+  ASSERT_TRUE(countFlag("audit-seed", "18446744073709551615", UINT64_MAX, N,
+                        Error))
+      << Error;
+  EXPECT_EQ(N, UINT64_MAX);
+}
+
+/// Every form getInt (strtoll, base 0, unchecked) used to accept with
+/// a surprising value — "0x10" as 16, "4x" as 4, "foo" as 0 (a bench
+/// silently in-process), "1x" as job 1 — plus signs, space, fractions,
+/// empty values, overflow, and values over the caller's bound.
+class OptionCountRejects
+    : public ::testing::TestWithParam<std::pair<const char *, const char *>> {
+};
+
+TEST_P(OptionCountRejects, DiagnosesFlagAndValue) {
+  const auto &[Name, Value] = GetParam();
+  uint64_t N = 3;
+  std::string Error;
+  EXPECT_FALSE(countFlag(Name, Value, 1024, N, Error));
+  EXPECT_EQ(N, 3u) << "a rejected value must not be stored";
+  EXPECT_NE(Error.find(std::string("bad --") + Name + " '" + Value + "'"),
+            std::string::npos)
+      << Error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Forms, OptionCountRejects,
+    ::testing::Values(std::make_pair("shards", "0x10"),
+                      std::make_pair("shards", "4x"),
+                      std::make_pair("shards", "foo"),
+                      std::make_pair("job", "1x"),
+                      std::make_pair("attempt", "-1"),
+                      std::make_pair("shards", "+8"),
+                      std::make_pair("shards", " 8"),
+                      std::make_pair("threads", "1.5"),
+                      std::make_pair("threads", ""),
+                      std::make_pair("threads", "1025"),
+                      std::make_pair("retries", "18446744073709551616")));
 
 //===--- envCount: the VMIB_* count variables ------------------------------===//
 

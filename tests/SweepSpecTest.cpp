@@ -673,6 +673,9 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
   ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", Base, 1));
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
+  auto Replay = [&](ForthLab &Lab) { // a one-member gang
+    return Lab.replayGang("gray", {Threaded}, P4)[0];
+  };
 
   // Cold lab: pays the reference + training interpretations once and
   // persists trace, meta sidecar and trained profile.
@@ -682,7 +685,7 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
     Cold.warmup("gray", P4);
     EXPECT_GE(Cold.referenceRunsPerformed(), 2u); // gray + brainless
     EXPECT_EQ(Cold.trainingRunsPerformed(), 1u);
-    Baseline = Cold.replay("gray", Threaded, P4);
+    Baseline = Replay(Cold);
   }
   struct stat St;
   ASSERT_EQ(0, ::stat(workloadMetaPath("forth-gray").c_str(), &St));
@@ -697,7 +700,7 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
     Warm.warmup("gray", P4);
     EXPECT_EQ(Warm.referenceRunsPerformed(), 0u);
     EXPECT_EQ(Warm.trainingRunsPerformed(), 0u);
-    expectSameCounters(Baseline, Warm.replay("gray", Threaded, P4),
+    expectSameCounters(Baseline, Replay(Warm),
                        "warm replay off cached trace + sidecars");
   }
 
@@ -712,7 +715,7 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
     (void)Recapture.trace("gray");
     EXPECT_EQ(Recapture.referenceRunsPerformed(), 0u)
         << "sidecar should have replaced the reference run";
-    expectSameCounters(Baseline, Recapture.replay("gray", Threaded, P4),
+    expectSameCounters(Baseline, Replay(Recapture),
                        "replay off re-captured trace");
   }
 
@@ -734,8 +737,7 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
     (void)ChangedWorkload.referenceHash("gray");
     EXPECT_GE(ChangedWorkload.referenceRunsPerformed(), 1u)
         << "wrong-binding sidecar must not replace the reference run";
-    expectSameCounters(Baseline, ChangedWorkload.replay("gray", Threaded,
-                                                        P4),
+    expectSameCounters(Baseline, Replay(ChangedWorkload),
                        "replay after wrong-binding sidecar rejection");
   }
 
@@ -750,7 +752,7 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
   ASSERT_TRUE(saveWorkloadMeta("forth-gray", Binding, Stale));
   {
     ForthLab Refreshed;
-    expectSameCounters(Baseline, Refreshed.replay("gray", Threaded, P4),
+    expectSameCounters(Baseline, Replay(Refreshed),
                        "replay after stale-sidecar refresh");
   }
   WorkloadMeta After;

@@ -741,10 +741,17 @@ int main(int argc, char **argv) {
   bool AuditExec = Opts.has("audit-exec");
   FaultOpts.Audit = Audit;
 
-  unsigned Shards =
-      static_cast<unsigned>(Opts.getInt("shards", 1) < 1
-                                ? 1
-                                : Opts.getInt("shards", 1));
+  unsigned Shards = 1;
+  size_t Job = 0;
+  unsigned Attempt = 0;
+  if (!bench::readCountOption(Opts, "shards", bench::MaxFanOut, Shards,
+                              OverrideExit) ||
+      !bench::readCountOption(Opts, "job", UINT32_MAX, Job, OverrideExit) ||
+      !bench::readCountOption(Opts, "attempt", UINT32_MAX, Attempt,
+                              OverrideExit))
+    return OverrideExit;
+  if (Shards < 1)
+    Shards = 1;
 
   // Mark the trace cache in use for the whole sweep (a concurrent
   // --cache-gc then skips it rather than evicting traces out from
@@ -761,10 +768,8 @@ int main(int argc, char **argv) {
 
   int Exit = 0;
   if (Opts.has("worker")) {
-    Exit = runWorker(Spec, Shards,
-                     static_cast<size_t>(Opts.getInt("job", 0)),
-                     static_cast<unsigned>(Opts.getInt("attempt", 0)),
-                     StoreOn ? &Store : nullptr, Audit, AuditExec);
+    Exit = runWorker(Spec, Shards, Job, Attempt, StoreOn ? &Store : nullptr,
+                     Audit, AuditExec);
   } else if (Opts.has("verify")) {
     Exit = runVerify(Spec, Shards, FaultOpts, Opts.get("worker-cmd"),
                      SpecPath);
