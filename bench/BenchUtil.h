@@ -262,49 +262,24 @@ inline bool writeOrchestratorReportJson(const std::string &Path,
   std::fprintf(F, "    \"shards\": %u,\n", R.AuditShardsLaunched);
   std::fprintf(F, "    \"tiebreaks\": %u,\n", R.AuditTiebreaksLaunched);
   std::fprintf(F, "    \"cells_audited\": %llu,\n",
-               (unsigned long long)R.CellsAudited);
+               (unsigned long long)R.Audit.CellsAudited);
   std::fprintf(F, "    \"mismatches\": %llu,\n",
-               (unsigned long long)R.AuditMismatches);
+               (unsigned long long)R.Audit.Mismatches);
   std::fprintf(F, "    \"store_corruption\": %llu,\n",
-               (unsigned long long)R.AuditStoreCorruptions);
+               (unsigned long long)R.Audit.StoreCorruptions);
   std::fprintf(F, "    \"compute_divergence\": %llu,\n",
-               (unsigned long long)R.AuditComputeDivergences);
+               (unsigned long long)R.Audit.ComputeDivergences);
   std::fprintf(F, "    \"nondeterminism\": %llu,\n",
-               (unsigned long long)R.AuditNondeterminism);
+               (unsigned long long)R.Audit.Nondeterminism);
   std::fprintf(F, "    \"quarantined\": %llu,\n",
-               (unsigned long long)R.CellsQuarantined);
+               (unsigned long long)R.Audit.CellsQuarantined);
   std::fprintf(F, "    \"requeued\": %llu,\n",
-               (unsigned long long)R.CellsRequeued);
+               (unsigned long long)R.Audit.CellsRequeued);
   std::fprintf(F, "    \"wall_s\": %.3f\n", R.AuditWallSeconds);
   std::fprintf(F, "  }\n");
   std::fprintf(F, "}\n");
   bool Ok = std::ferror(F) == 0;
   return std::fclose(F) == 0 && Ok;
-}
-
-/// Applies the replay-path knob every entry point shares —
-/// `--decode=materialize|stream|auto` (whole-trace in-memory decode vs
-/// O(tile) streaming from the trace cache file; auto streams past the
-/// VMIB_DECODE_BUDGET footprint) — and RE-EXPORTS the decision into
-/// the environment so orchestrated worker processes make the same
-/// choice. Bit-identity-neutral by contract; it only moves throughput
-/// and memory. \returns false with \p ExitCode set on a malformed
-/// value.
-inline bool applyReplayPathOptions(const OptionParser &Opts, int &ExitCode) {
-  if (Opts.has("decode")) {
-    std::string V = Opts.get("decode");
-    TraceDecodeMode Mode;
-    if (!traceDecodeModeFromId(V, Mode)) {
-      std::fprintf(stderr,
-                   "error: bad --decode '%s' (expected materialize, stream "
-                   "or auto)\n",
-                   V.c_str());
-      ExitCode = 1;
-      return false;
-    }
-    ::setenv("VMIB_TRACE_DECODE", traceDecodeModeId(Mode), 1);
-  }
-  return true;
 }
 
 //===--- declarative sweeps -----------------------------------------------===//
@@ -422,9 +397,9 @@ inline SpeedupMatrix matrixFromCells(const SweepSpec &Spec,
 ///                     for any value
 ///   --decode=M        replay input acquisition, `materialize` (whole
 ///                     trace in memory), `stream` (O(tile) decode from
-///                     the trace cache file) or `auto` (stream past
-///                     the VMIB_DECODE_BUDGET footprint); spec
-///                     `decode` override, bit-identical either way
+///                     the trace cache file) or `auto` (stream past a
+///                     256 MiB decoded footprint); spec `decode`
+///                     override, bit-identical either way
 ///   --retries=N       requeues per failed/timed-out/garbled worker
 ///                     job (exponential backoff, --backoff-ms=MS)
 ///   --job-timeout=MS  per-job wall-clock budget; over-budget workers

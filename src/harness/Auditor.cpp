@@ -3,6 +3,7 @@
 #include "harness/Auditor.h"
 
 #include "harness/SweepExecutor.h"
+#include "support/Format.h"
 #include "support/Random.h"
 #include "vmcore/DispatchTrace.h"
 
@@ -22,14 +23,29 @@ uint64_t fnv1aString(const std::string &S) {
   return H;
 }
 
+/// A prime tile size: audit tiles straddle the primary's tile
+/// boundaries and the trace file's frames, so a bug tied to either
+/// alignment cannot hit both executions the same way.
+constexpr size_t AuditChunkEvents = 20011;
+
 } // namespace
 
 bool vmib::parseAuditRate(const std::string &Text, AuditPlan &Plan,
                           std::string &Error) {
-  const char *C = Text.c_str();
-  char *End = nullptr;
-  double Rate = std::strtod(C, &End);
-  if (End == C || *End != '\0' || Rate < 0 || Rate > 1) {
+  // Plain decimal only. strtod alone would also take "nan" — which no
+  // range check rejects, and which then silently disables the audit —
+  // as well as "inf", hex floats, exponents and leading space.
+  size_t I = 0;
+  auto Digits = [&] {
+    size_t From = I;
+    while (I < Text.size() && Text[I] >= '0' && Text[I] <= '9')
+      ++I;
+    return I > From;
+  };
+  bool Plain = Digits() && (I == Text.size() ||
+                            (Text[I++] == '.' && Digits() && I == Text.size()));
+  double Rate = Plain ? std::strtod(Text.c_str(), nullptr) : -1;
+  if (Rate < 0 || Rate > 1) {
     Error = "bad audit rate '" + Text + "' (expected 0..1)";
     return false;
   }
@@ -81,10 +97,6 @@ AuditShape vmib::decorrelatedAuditShape(const SweepSpec &Spec) {
   S.Decode = Spec.Decode == TraceDecodeMode::Stream
                  ? TraceDecodeMode::Materialize
                  : TraceDecodeMode::Stream;
-  // A prime tile size: audit tiles straddle the primary's tile
-  // boundaries and the trace file's frames, so a bug tied to either
-  // alignment cannot hit both executions the same way.
-  constexpr size_t AuditChunkEvents = 20011;
   size_t PrimaryChunk = Spec.ChunkEvents != 0
                             ? Spec.ChunkEvents
                             : DispatchTrace::defaultChunkEvents();
@@ -96,6 +108,18 @@ AuditShape vmib::decorrelatedAuditShape(const SweepSpec &Spec) {
 
 AuditShape vmib::canonicalAuditShape() { return AuditShape(); }
 
+std::vector<AuditShape> vmib::verifyAuditShapes(unsigned SpecThreads) {
+  unsigned N = resolveGangThreads(SpecThreads);
+  if (N <= 1)
+    N = 2;
+  constexpr TraceDecodeMode Materialize = TraceDecodeMode::Materialize;
+  constexpr TraceDecodeMode Stream = TraceDecodeMode::Stream;
+  return {canonicalAuditShape(),
+          {Materialize, AuditChunkEvents, N},
+          {Stream, 0, N},
+          {Stream, AuditChunkEvents, 1}};
+}
+
 std::string vmib::auditShapeId(const AuditShape &S) {
   std::string Out = "decode:";
   Out += traceDecodeModeId(S.Decode);
@@ -105,10 +129,83 @@ std::string vmib::auditShapeId(const AuditShape &S) {
   return Out;
 }
 
+void vmib::printAuditSummary(const std::string &Sweep,
+                             const std::string &Scope, const AuditStats &S) {
+  std::printf("[audit] sweep=%s %s audited=%llu mismatches=%llu "
+              "store_corruption=%llu compute_divergence=%llu "
+              "nondeterminism=%llu quarantined=%llu requeued=%llu\n",
+              Sweep.c_str(), Scope.c_str(),
+              static_cast<unsigned long long>(S.CellsAudited),
+              static_cast<unsigned long long>(S.Mismatches),
+              static_cast<unsigned long long>(S.StoreCorruptions),
+              static_cast<unsigned long long>(S.ComputeDivergences),
+              static_cast<unsigned long long>(S.Nondeterminism),
+              static_cast<unsigned long long>(S.CellsQuarantined),
+              static_cast<unsigned long long>(S.CellsRequeued));
+}
+
+bool vmib::triageMismatch(const SweepSpec &Spec, size_t Workload,
+                          size_t Member, PerfCounters &Primary,
+                          const PerfCounters &Audit, const PerfCounters &Tie,
+                          ResultStore *Store, uint64_t TraceHash,
+                          AuditStats &Stats) {
+  // The canonical tiebreak is the authority whenever it confirms
+  // either side. Tie == Audit proves the primary wrong; Tie == Primary
+  // means the audit shape diverged and the primary stands; three
+  // different answers break the purity contract itself, and the cell
+  // is repaired toward the canonical shape.
+  AuditVerdict V = Tie == Audit || Tie == Primary
+                       ? AuditVerdict::ComputeDivergence
+                       : AuditVerdict::Nondeterminism;
+  bool Repair = Tie != Primary;
+  // The store is implicated iff it would serve a value other than the
+  // authoritative one — covers both a corrupt committed record and
+  // corruption injected at serve time.
+  bool Quarantined = false;
+  if (Repair && Store) {
+    StoreKey Key = cellStoreKey(Spec, Member, TraceHash);
+    Quarantined = Store->quarantineCell(Key, Primary, Tie);
+    if (Quarantined) {
+      Store->record(Key, Tie);
+      ++Stats.CellsQuarantined;
+      if (V == AuditVerdict::ComputeDivergence)
+        V = AuditVerdict::StoreCorruption;
+    }
+  }
+  switch (V) {
+  case AuditVerdict::StoreCorruption:
+    ++Stats.StoreCorruptions;
+    break;
+  case AuditVerdict::ComputeDivergence:
+    ++Stats.ComputeDivergences;
+    break;
+  case AuditVerdict::Nondeterminism:
+    ++Stats.Nondeterminism;
+    break;
+  case AuditVerdict::Match:
+    break;
+  }
+  // Detail line: fingerprints, not raw counters — enough to match
+  // evidence records and dedupe across shapes without 9 columns.
+  std::printf("[audit] sweep=%s workload=%zu member=%zu verdict=%s "
+              "primary_fp=%016llx audit_fp=%016llx tiebreak_fp=%016llx\n",
+              Spec.Name.c_str(), Workload, Member, auditVerdictId(V),
+              static_cast<unsigned long long>(Primary.fingerprint()),
+              static_cast<unsigned long long>(Audit.fingerprint()),
+              static_cast<unsigned long long>(Tie.fingerprint()));
+  if (Repair) {
+    // "Requeue for authoritative recompute": the tiebreak IS that
+    // recompute (canonical shape, store- and fault-free).
+    Primary = Tie;
+    ++Stats.CellsRequeued;
+  }
+  return Quarantined;
+}
+
 std::vector<PerfCounters>
 Auditor::replayShaped(const SweepSpec &Spec, size_t Workload,
                       const std::vector<size_t> &Members,
-                      const AuditShape &Shape) {
+                      const AuditShape &Shape, GangReplayer::Stats *LoadOut) {
   SweepSpec Shaped = Spec;
   Shaped.Decode = Shape.Decode;
   Shaped.ChunkEvents = Shape.ChunkEvents;
@@ -117,142 +214,73 @@ Auditor::replayShaped(const SweepSpec &Spec, size_t Workload,
   // very value under audit), no fault injection (the flip draws are
   // keyed on the cell, so an injected primary fault would reproduce
   // and mask itself).
-  return Executor.replayMembersDirect(Shaped, Workload, Members);
+  return Executor.replayMembersDirect(Shaped, Workload, Members, LoadOut);
 }
 
-bool Auditor::storeKeyFor(const SweepSpec &Spec, size_t Workload,
-                          size_t Member, StoreKey &Out) {
+bool Auditor::traceHashFor(const SweepSpec &Spec, size_t Workload,
+                           uint64_t &Out) {
   if (!StoreRef || !StoreRef->isOpen())
     return false;
   const std::string &B = Spec.Benchmarks[Workload];
-  uint64_t TraceHash = 0;
   if (!DispatchTrace::peekContentHash(
-          DispatchTrace::cachePathFor(Spec.Suite + "-" + B), TraceHash))
-    TraceHash = Spec.Suite == "java"
-                    ? Executor.java().trace(B).contentHash()
-                    : Executor.forth().trace(B).contentHash();
-  Out = cellStoreKey(Spec, Member, TraceHash);
+          DispatchTrace::cachePathFor(Spec.Suite + "-" + B), Out))
+    Out = Spec.Suite == "java" ? Executor.java().trace(B).contentHash()
+                               : Executor.forth().trace(B).contentHash();
   return true;
 }
 
 void Auditor::auditSlice(const SweepSpec &Spec, size_t Workload,
                          size_t MemberBegin, size_t MemberEnd,
                          std::vector<PerfCounters> &Slice) {
+  AuditStats Local = auditShape(Spec, Workload, MemberBegin, MemberEnd,
+                                Slice, decorrelatedAuditShape(Spec));
+  // Summary line with slice-local (summable) counters: what the
+  // orchestrator aggregates from worker stdout into its report.
+  if (Local.CellsAudited > 0)
+    printAuditSummary(Spec.Name, format("workload=%zu", Workload), Local);
+}
+
+AuditStats Auditor::auditShape(const SweepSpec &Spec, size_t Workload,
+                               size_t MemberBegin, size_t MemberEnd,
+                               std::vector<PerfCounters> &Slice,
+                               const AuditShape &Shape,
+                               GangReplayer::Stats *LoadOut) {
+  AuditStats Local;
   if (!Plan.enabled())
-    return;
+    return Local;
   std::vector<size_t> Sampled;
   for (size_t M = MemberBegin; M < MemberEnd; ++M)
     if (decideAudit(Plan, Spec, Workload, M))
       Sampled.push_back(M);
   if (Sampled.empty())
-    return;
+    return Local;
 
-  AuditStats Local;
   Local.CellsAudited = Sampled.size();
   std::vector<PerfCounters> AuditVals =
-      replayShaped(Spec, Workload, Sampled, decorrelatedAuditShape(Spec));
-
+      replayShaped(Spec, Workload, Sampled, Shape, LoadOut);
   std::vector<size_t> Mismatched; // indices into Sampled
+  std::vector<size_t> TieMembers;
   for (size_t K = 0; K < Sampled.size(); ++K)
-    if (AuditVals[K] != Slice[Sampled[K] - MemberBegin])
+    if (AuditVals[K] != Slice[Sampled[K] - MemberBegin]) {
       Mismatched.push_back(K);
+      TieMembers.push_back(Sampled[K]);
+    }
 
   if (!Mismatched.empty()) {
     Local.Mismatches = Mismatched.size();
-    std::vector<size_t> TieMembers;
-    TieMembers.reserve(Mismatched.size());
-    for (size_t K : Mismatched)
-      TieMembers.push_back(Sampled[K]);
-    std::vector<PerfCounters> TieVals =
-        replayShaped(Spec, Workload, TieMembers, canonicalAuditShape());
-
+    std::vector<PerfCounters> TieVals = replayShaped(
+        Spec, Workload, TieMembers, canonicalAuditShape(), nullptr);
+    uint64_t TraceHash = 0;
+    ResultStore *Keyed =
+        traceHashFor(Spec, Workload, TraceHash) ? StoreRef : nullptr;
     bool StoreDirty = false;
-    for (size_t J = 0; J < Mismatched.size(); ++J) {
-      size_t Member = TieMembers[J];
-      PerfCounters &Primary = Slice[Member - MemberBegin];
-      const PerfCounters &Audit = AuditVals[Mismatched[J]];
-      const PerfCounters &Tie = TieVals[J];
-
-      // The triage ladder (see header): the canonical tiebreak is the
-      // authority whenever it confirms either side.
-      AuditVerdict V;
-      bool Repair = false;
-      if (Tie == Audit) {
-        // Primary proven wrong. The store is implicated iff it would
-        // serve a value different from the authoritative one — covers
-        // both a corrupt committed record and corruption injected at
-        // serve time.
-        StoreKey Key;
-        bool Implicated = storeKeyFor(Spec, Workload, Member, Key) &&
-                          StoreRef->quarantineCell(Key, Primary, Tie);
-        if (Implicated) {
-          V = AuditVerdict::StoreCorruption;
-          ++Local.CellsQuarantined;
-          StoreRef->record(Key, Tie);
-          StoreDirty = true;
-        } else {
-          V = AuditVerdict::ComputeDivergence;
-        }
-        Repair = true;
-      } else if (Tie == Primary) {
-        // The audit shape diverged; the primary stands untouched.
-        V = AuditVerdict::ComputeDivergence;
-      } else {
-        // Three shapes, three answers: the purity contract itself is
-        // broken for this cell. Repair toward the canonical shape and
-        // retire any store value none of the shapes produced.
-        V = AuditVerdict::Nondeterminism;
-        StoreKey Key;
-        if (storeKeyFor(Spec, Workload, Member, Key) &&
-            StoreRef->quarantineCell(Key, Primary, Tie)) {
-          ++Local.CellsQuarantined;
-          StoreRef->record(Key, Tie);
-          StoreDirty = true;
-        }
-        Repair = true;
-      }
-      switch (V) {
-      case AuditVerdict::StoreCorruption:
-        ++Local.StoreCorruptions;
-        break;
-      case AuditVerdict::ComputeDivergence:
-        ++Local.ComputeDivergences;
-        break;
-      case AuditVerdict::Nondeterminism:
-        ++Local.Nondeterminism;
-        break;
-      case AuditVerdict::Match:
-        break;
-      }
-      // Detail line: fingerprints, not raw counters — enough to match
-      // evidence records and dedupe across shapes without 9 columns.
-      std::printf("[audit] sweep=%s workload=%zu member=%zu verdict=%s "
-                  "primary_fp=%016llx audit_fp=%016llx tiebreak_fp=%016llx\n",
-                  Spec.Name.c_str(), Workload, Member, auditVerdictId(V),
-                  static_cast<unsigned long long>(Primary.fingerprint()),
-                  static_cast<unsigned long long>(Audit.fingerprint()),
-                  static_cast<unsigned long long>(Tie.fingerprint()));
-      if (Repair) {
-        Primary = Tie;
-        ++Local.CellsRequeued;
-      }
-    }
-    if (StoreDirty && StoreRef)
+    for (size_t J = 0; J < Mismatched.size(); ++J)
+      StoreDirty |= triageMismatch(
+          Spec, Workload, TieMembers[J], Slice[TieMembers[J] - MemberBegin],
+          AuditVals[Mismatched[J]], TieVals[J], Keyed, TraceHash, Local);
+    if (StoreDirty)
       (void)StoreRef->flush(); // authoritative recomputes durable now
   }
-
-  // Summary line with slice-local (summable) counters: what the
-  // orchestrator aggregates from worker stdout into its report.
-  std::printf("[audit] sweep=%s workload=%zu audited=%llu mismatches=%llu "
-              "store_corruption=%llu compute_divergence=%llu "
-              "nondeterminism=%llu quarantined=%llu requeued=%llu\n",
-              Spec.Name.c_str(), Workload,
-              static_cast<unsigned long long>(Local.CellsAudited),
-              static_cast<unsigned long long>(Local.Mismatches),
-              static_cast<unsigned long long>(Local.StoreCorruptions),
-              static_cast<unsigned long long>(Local.ComputeDivergences),
-              static_cast<unsigned long long>(Local.Nondeterminism),
-              static_cast<unsigned long long>(Local.CellsQuarantined),
-              static_cast<unsigned long long>(Local.CellsRequeued));
   Stats.merge(Local);
+  return Local;
 }

@@ -1,30 +1,32 @@
 //===- harness/Auditor.h - Sampled redundant-execution audit ----*- C++ -*-===//
 ///
 /// \file
-/// The always-on silent-corruption audit layer. Every guarantee the
-/// sweep pipeline makes reduces to one contract: a cell's counters are
-/// a pure function of (trace content, member config), bit-identical
-/// across decode mode, tile size, thread count and shard count.
-/// `--verify` checks that contract when a human asks; the Auditor
-/// checks it *continuously*, on a deterministically sampled subset of
-/// real production cells:
+/// The silent-corruption audit layer, and the one engine behind
+/// `sweep_driver --verify`. Every guarantee the sweep pipeline makes
+/// reduces to one contract: a cell's counters are a pure function of
+/// (trace content, member config), bit-identical across decode mode,
+/// tile size, thread count and shard count. Production audits check it
+/// *continuously*, on a deterministically sampled subset of real
+/// cells; `--verify` is the same Auditor at rate 1.0 against the four
+/// fixed shapes of verifyAuditShapes():
 ///
 ///  1. **Sample** — each cell draws against `AuditPlan.Rate` with a
 ///     seeded hash of its content identity (suite, benchmark, member
 ///     config — nothing about execution shape), so re-runs audit the
 ///     same cells and sharding cannot dodge the sample.
-///  2. **Re-execute decorrelated** — the sampled cell replays through
-///     an execution shape that flips every axis relative to the
-///     primary: decode mode (stream<->materialize), gang tile size and
-///     thread count.
-///     A bug or bit flip tied to any one shape cannot corrupt both
-///     executions identically. Audit executions bypass the result
-///     store and run fault-injection-free: the store key ignores shape
-///     (caching across shapes is its point), so a store-served cell
-///     would otherwise just re-serve itself.
+///  2. **Re-execute in another shape** — production audits replay the
+///     sampled cell through a shape that flips every axis relative to
+///     the primary: decode mode (stream<->materialize), gang tile size
+///     and thread count. A bug or bit flip tied to any one shape
+///     cannot corrupt both executions identically. Audit executions
+///     bypass the result store and run fault-injection-free: the
+///     store key ignores shape (caching across shapes is its point),
+///     so a store-served cell would otherwise just re-serve itself.
 ///  3. **Tiebreak + triage** — on mismatch, a third execution through
 ///     the canonical clean shape (materialize, default tile, one
-///     thread) classifies the fault:
+///     thread) classifies the fault (triageMismatch, the one ladder
+///     the in-process Auditor and the orchestrator's tiebreak shards
+///     share):
 ///       tiebreak == audit  != primary : the primary was wrong. If the
 ///           store would serve that wrong value -> store-served
 ///           corruption (quarantine the cell, never delete); else
@@ -39,8 +41,8 @@
 ///     fault-free reference.
 ///
 /// Everything is reported through `[audit]` stdout lines (summary
-/// lines carry summable counters the orchestrator aggregates into
-/// `OrchestratorReport`) and `AuditStats`.
+/// lines carry summable counters the orchestrator folds into
+/// `OrchestratorReport::Audit`) and `AuditStats`.
 ///
 /// Proven by injection: `VMIB_FAULT="flipcounter=P,flipstore=P"`
 /// (harness/FaultInjection.h) plants seeded single-bit flips in
@@ -55,6 +57,7 @@
 
 #include "harness/ResultStore.h"
 #include "harness/SweepSpec.h"
+#include "vmcore/GangReplayer.h"
 
 #include <cstdint>
 #include <string>
@@ -75,7 +78,9 @@ struct AuditPlan {
   bool enabled() const { return Rate > 0; }
 };
 
-/// Parses the `--audit=RATE` value (a decimal in [0, 1]).
+/// Parses the `--audit=RATE` value: plain decimal digits with an
+/// optional fraction ("1", "0.25"), in [0, 1]. Signs, exponents, hex,
+/// spaces, "nan" and "inf" are rejected.
 bool parseAuditRate(const std::string &Text, AuditPlan &Plan,
                     std::string &Error);
 
@@ -119,12 +124,19 @@ AuditShape decorrelatedAuditShape(const SweepSpec &Spec);
 /// path, and the authority when primary and audit disagree.
 AuditShape canonicalAuditShape();
 
+/// The four shapes `--verify` audits every cell against, covering
+/// decode x tile x threads pairwise (every pair of axis values occurs
+/// in some shape): canonicalAuditShape(), {materialize, prime tile, N},
+/// {stream, default tile, N} and {stream, prime tile, 1}, where N is
+/// resolveGangThreads(\p SpecThreads), or 2 when that is 1.
+std::vector<AuditShape> verifyAuditShapes(unsigned SpecThreads);
+
 /// "decode:stream,chunk:20011,threads:2" for logs (chunk 0 renders as
 /// "default").
 std::string auditShapeId(const AuditShape &S);
 
 /// Counters the audit layer reports (summed across slices / workers /
-/// orchestrator in OrchestratorReport).
+/// orchestrator in OrchestratorReport::Audit).
 struct AuditStats {
   uint64_t CellsAudited = 0;
   uint64_t Mismatches = 0;         ///< audit != primary
@@ -146,12 +158,36 @@ struct AuditStats {
   }
 };
 
+/// Prints the `[audit]` summary line: `[audit] sweep=<Sweep> <Scope>
+/// audited=N mismatches=N store_corruption=N compute_divergence=N
+/// nondeterminism=N quarantined=N requeued=N`. The counter tokens are
+/// summable — the orchestrator folds them from committed workers'
+/// lines — so \p Scope ("workload=2", "shards=4 tiebreaks=1") must
+/// carry none of them.
+void printAuditSummary(const std::string &Sweep, const std::string &Scope,
+                       const AuditStats &S);
+
+/// The triage ladder (see the file comment) for one cell whose audit
+/// value \p Audit disagreed with \p Primary, given the canonical
+/// tiebreak value \p Tie. When the tiebreak proves the primary wrong,
+/// or all three differ, the cell is quarantined and re-recorded in
+/// \p Store if the store would serve a value other than \p Tie (null:
+/// no keyed store; \p TraceHash keys the cell), and \p Primary is
+/// repaired to \p Tie. Counts the verdict, quarantine and repair into
+/// \p Stats (not the mismatch itself: callers count that when they
+/// compare) and prints the `[audit]` detail line. \returns true when
+/// \p Store was written, so the caller flushes once per batch.
+bool triageMismatch(const SweepSpec &Spec, size_t Workload, size_t Member,
+                    PerfCounters &Primary, const PerfCounters &Audit,
+                    const PerfCounters &Tie, ResultStore *Store,
+                    uint64_t TraceHash, AuditStats &Stats);
+
 /// The in-process audit engine, shared by `runAll` (audits each
-/// workload row after the pipeline drains) and worker mode (audits the
-/// shard slice before emitting rows). NOT thread-safe: its counters,
-/// its `[audit]` lines and its store repairs are unsynchronized, so
-/// callers run one auditSlice() at a time. Shape re-execution itself
-/// touches no process-wide state.
+/// workload row after the pipeline drains), worker mode (audits the
+/// shard slice before emitting rows) and `--verify`. NOT thread-safe:
+/// its counters, its `[audit]` lines and its store repairs are
+/// unsynchronized, so callers run one audit at a time. Shape
+/// re-execution itself touches no process-wide state.
 class Auditor {
 public:
   /// \p Store (may be null) is consulted and repaired during triage;
@@ -160,16 +196,26 @@ public:
           ResultStore *Store = nullptr)
       : Plan(Plan), Executor(Executor), StoreRef(Store) {}
 
-  /// Audits the sampled members of [\p MemberBegin, \p MemberEnd) of
-  /// workload \p Workload. \p Slice holds the primary results in
-  /// member order and is repaired IN PLACE wherever the tiebreak
-  /// proves the primary wrong — after this returns, the slice is what
-  /// the caller should announce. Emits `[audit]` lines to stdout: one
-  /// detail line per mismatch, one summary line (with summable
-  /// counters) per slice that sampled anything.
+  /// The production audit: auditShape() against
+  /// decorrelatedAuditShape(\p Spec), then one summary line per slice
+  /// that sampled anything.
   void auditSlice(const SweepSpec &Spec, size_t Workload,
                   size_t MemberBegin, size_t MemberEnd,
                   std::vector<PerfCounters> &Slice);
+
+  /// Audits the sampled members of [\p MemberBegin, \p MemberEnd) of
+  /// workload \p Workload against \p Shape. \p Slice holds the primary
+  /// results in member order and is repaired IN PLACE wherever the
+  /// tiebreak proves the primary wrong — after this returns, the slice
+  /// is what the caller should announce. Prints one detail line per
+  /// mismatch. \p LoadOut, when non-null, accumulates the shaped
+  /// replay's gang stats (not the tiebreak's). \returns the
+  /// slice-local counters, which stats() has also absorbed.
+  AuditStats auditShape(const SweepSpec &Spec, size_t Workload,
+                        size_t MemberBegin, size_t MemberEnd,
+                        std::vector<PerfCounters> &Slice,
+                        const AuditShape &Shape,
+                        GangReplayer::Stats *LoadOut = nullptr);
 
   const AuditPlan &plan() const { return Plan; }
   const AuditStats &stats() const { return Stats; }
@@ -178,9 +224,10 @@ private:
   std::vector<PerfCounters> replayShaped(const SweepSpec &Spec,
                                          size_t Workload,
                                          const std::vector<size_t> &Members,
-                                         const AuditShape &Shape);
-  bool storeKeyFor(const SweepSpec &Spec, size_t Workload, size_t Member,
-                   StoreKey &Out);
+                                         const AuditShape &Shape,
+                                         GangReplayer::Stats *LoadOut);
+  bool traceHashFor(const SweepSpec &Spec, size_t Workload,
+                    uint64_t &Out);
 
   AuditPlan Plan;
   SweepExecutor &Executor;

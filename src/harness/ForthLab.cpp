@@ -376,8 +376,6 @@ void ForthLab::dropTrace(const std::string &Benchmark) {
 
 TraceSource ForthLab::traceSource(const std::string &Benchmark,
                                   TraceDecodeMode Mode) {
-  if (Mode == TraceDecodeMode::Auto)
-    Mode = traceDecodeMode(); // the VMIB_TRACE_DECODE override
   if (Mode != TraceDecodeMode::Stream) {
     // A trace this lab already materialized is free to borrow —
     // re-decoding it from disk would only add I/O.
@@ -391,7 +389,7 @@ TraceSource ForthLab::traceSource(const std::string &Benchmark,
   if (Mode == TraceDecodeMode::Materialize ||
       (Mode == TraceDecodeMode::Auto &&
        referenceSteps(Benchmark) * sizeof(DispatchTrace::Event) <=
-           traceDecodeBudgetBytes()))
+           AutoDecodeBudgetBytes))
     return TraceSource(trace(Benchmark));
   // Stream (explicit, or Auto over budget): needs a validated trace
   // cache file. referenceSteps above never materializes, so a

@@ -81,12 +81,11 @@ public:
   /// The replay input for \p Benchmark under \p Mode: a borrowed
   /// in-memory trace (zero-copy tiles) or a validated streaming view
   /// of the benchmark's trace cache file (O(tile) working memory).
-  /// Auto consults VMIB_TRACE_DECODE, then streams only when the
-  /// decoded footprint exceeds the decode budget AND a valid cache
-  /// file exists. An explicit Stream request with no streamable file
-  /// falls back to materializing with a warning — replay never fails
-  /// over a missing optimization. Counters are bit-identical either
-  /// way. Thread-safe.
+  /// Auto streams only when the decoded footprint exceeds
+  /// AutoDecodeBudgetBytes AND a valid cache file exists. An explicit
+  /// Stream request with no streamable file falls back to
+  /// materializing with a warning — replay never fails over a missing
+  /// optimization. Counters are bit-identical either way. Thread-safe.
   TraceSource traceSource(const std::string &Benchmark,
                           TraceDecodeMode Mode = TraceDecodeMode::Auto);
 

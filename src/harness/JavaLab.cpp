@@ -376,8 +376,6 @@ void JavaLab::dropTrace(const std::string &Benchmark) {
 
 TraceSource JavaLab::traceSource(const std::string &Benchmark,
                                  TraceDecodeMode Mode) {
-  if (Mode == TraceDecodeMode::Auto)
-    Mode = traceDecodeMode(); // the VMIB_TRACE_DECODE override
   if (Mode != TraceDecodeMode::Stream) {
     // Already materialized? Borrowing it is free, so streaming only to
     // save memory that is already spent would be pure loss.
@@ -391,7 +389,7 @@ TraceSource JavaLab::traceSource(const std::string &Benchmark,
   if (Mode == TraceDecodeMode::Materialize ||
       (Mode == TraceDecodeMode::Auto &&
        referenceSteps(Benchmark) * sizeof(DispatchTrace::Event) <=
-           traceDecodeBudgetBytes()))
+           AutoDecodeBudgetBytes))
     return TraceSource(trace(Benchmark));
   // Stream from the cache file, capturing it first if absent: trace()
   // saves to the same path, so one capture makes the file streamable

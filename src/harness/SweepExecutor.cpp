@@ -309,14 +309,15 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
 
 std::vector<PerfCounters>
 SweepExecutor::replayMembersDirect(const SweepSpec &Spec, size_t Workload,
-                                   const std::vector<size_t> &Members) {
+                                   const std::vector<size_t> &Members,
+                                   GangReplayer::Stats *LoadOut) {
   // Deliberately bypasses the store (whose shape-free key would
   // re-serve the very value under audit) and the flip injection (whose
   // cell-keyed draw would reproduce the primary's corruption and mask
   // it): the only inputs are the trace and the spec.
   return Spec.Suite == "java"
-             ? runJavaSlice(Spec, Workload, Members, nullptr)
-             : runForthSlice(Spec, Workload, Members, nullptr);
+             ? runJavaSlice(Spec, Workload, Members, LoadOut)
+             : runForthSlice(Spec, Workload, Members, LoadOut);
 }
 
 SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,

@@ -64,7 +64,7 @@ struct SweepRunStats {
   size_t Configs = 0;
   /// Gang worker-pool accounting summed over every gang this sweep
   /// replayed (per-worker events/waits/steals/busy time, restarted
-  /// member counts) — what the `:loadbalance` timing line renders.
+  /// member counts, streaming decode and tile-ring figures).
   GangReplayer::Stats Load;
 };
 
@@ -130,9 +130,12 @@ public:
   /// (ascending) of \p Workload exactly as specced, with NO result
   /// store consultation and NO fault injection — a clean, direct
   /// recompute whose only inputs are the trace and the spec.
+  /// \p LoadOut, when non-null, accumulates (merges) the gang's pool
+  /// accounting.
   std::vector<PerfCounters>
   replayMembersDirect(const SweepSpec &Spec, size_t Workload,
-                      const std::vector<size_t> &Members);
+                      const std::vector<size_t> &Members,
+                      GangReplayer::Stats *LoadOut = nullptr);
 
   /// Runs gang members [MemberBegin, MemberEnd) of workload \p Workload
   /// as one gang over the workload's trace; results in member order.

@@ -161,13 +161,7 @@ struct Attempt {
   uint64_t StoreFlushFailures = 0;
   // Staged [audit] accounting from worker self-audit summary lines
   // (committed attempts only, same rule).
-  uint64_t AuditAudited = 0;
-  uint64_t AuditMismatches = 0;
-  uint64_t AuditStoreCorruptions = 0;
-  uint64_t AuditComputeDivergences = 0;
-  uint64_t AuditNondeterminism = 0;
-  uint64_t AuditQuarantined = 0;
-  uint64_t AuditRequeued = 0;
+  AuditStats SelfAudit;
 };
 
 /// Per-job scheduling state.
@@ -223,7 +217,6 @@ private:
   void hedgeStragglers(TimePoint Now);
   void dispatchAudits(TimePoint Now);
   void finishAuditAttempt(Attempt &A, int Status);
-  void triageJob(size_t JobIdx, const std::vector<PerfCounters> &TieSlice);
   bool auditsSettled() const;
   void enforceDeadlines(TimePoint Now);
   int pollTimeoutMs(TimePoint Now) const;
@@ -517,13 +510,14 @@ void Orchestration::handleLine(Attempt &A, const std::string &Line) {
     // and shape-banner [audit] lines carry none of these tokens and
     // sum zero. Audit-exec shards never self-audit, so this only ever
     // stages on primary attempts.
-    A.AuditAudited += storeTokenOf(Line, " audited=");
-    A.AuditMismatches += storeTokenOf(Line, " mismatches=");
-    A.AuditStoreCorruptions += storeTokenOf(Line, " store_corruption=");
-    A.AuditComputeDivergences += storeTokenOf(Line, " compute_divergence=");
-    A.AuditNondeterminism += storeTokenOf(Line, " nondeterminism=");
-    A.AuditQuarantined += storeTokenOf(Line, " quarantined=");
-    A.AuditRequeued += storeTokenOf(Line, " requeued=");
+    AuditStats &S = A.SelfAudit;
+    S.CellsAudited += storeTokenOf(Line, " audited=");
+    S.Mismatches += storeTokenOf(Line, " mismatches=");
+    S.StoreCorruptions += storeTokenOf(Line, " store_corruption=");
+    S.ComputeDivergences += storeTokenOf(Line, " compute_divergence=");
+    S.Nondeterminism += storeTokenOf(Line, " nondeterminism=");
+    S.CellsQuarantined += storeTokenOf(Line, " quarantined=");
+    S.CellsRequeued += storeTokenOf(Line, " requeued=");
   }
 }
 
@@ -643,13 +637,7 @@ void Orchestration::commit(Attempt &A) {
   Rep.StoreRecovered += A.StoreRecovered;
   Rep.StoreQuarantined += A.StoreQuarantined;
   Rep.StoreFlushFailures += A.StoreFlushFailures;
-  Rep.CellsAudited += A.AuditAudited;
-  Rep.AuditMismatches += A.AuditMismatches;
-  Rep.AuditStoreCorruptions += A.AuditStoreCorruptions;
-  Rep.AuditComputeDivergences += A.AuditComputeDivergences;
-  Rep.AuditNondeterminism += A.AuditNondeterminism;
-  Rep.CellsQuarantined += A.AuditQuarantined;
-  Rep.CellsRequeued += A.AuditRequeued;
+  Rep.Audit.merge(A.SelfAudit);
   if (Opt.EchoWorkerTimings)
     for (const std::string &Line : A.TimingLines)
       std::printf("%s\n", Line.c_str());
@@ -703,7 +691,7 @@ void Orchestration::finishAuditAttempt(Attempt &A, int Status) {
   if (!A.Tiebreak) {
     // Decorrelated re-execution complete: bit-compare the whole shard
     // against the committed primary slice.
-    Rep.CellsAudited += Members;
+    Rep.Audit.CellsAudited += Members;
     J.AuditSlice = std::move(A.Slice);
     J.AuditMismatchSlots.clear();
     for (size_t Slot = 0; Slot < Members; ++Slot)
@@ -713,21 +701,14 @@ void Orchestration::finishAuditAttempt(Attempt &A, int Status) {
       J.AuditDone = true;
       return;
     }
-    Rep.AuditMismatches += J.AuditMismatchSlots.size();
+    Rep.Audit.Mismatches += J.AuditMismatchSlots.size();
     // dispatchAudits launches the tiebreak when a slot frees.
     return;
   }
-  triageJob(A.Job, A.Slice);
-  J.AuditDone = true;
-}
-
-/// The triage ladder over one job's mismatched cells, with the
-/// canonical tiebreak in hand (mirrors Auditor::auditSlice — see
-/// harness/Auditor.h for the ladder's rationale).
-void Orchestration::triageJob(size_t JobIdx,
-                              const std::vector<PerfCounters> &TieSlice) {
-  JobState &J = JobStates[JobIdx];
-  const ShardJob &Job = Jobs[JobIdx];
+  // Canonical tiebreak in hand: the one triage ladder repairs the
+  // committed slice before the final merge (the tiebreak IS the
+  // authoritative recompute, so no second dispatch is needed).
+  const ShardJob &Job = Jobs[A.Job];
   uint64_t TraceHash = 0;
   bool HaveKey = Opt.Store && Opt.Store->isOpen() &&
                  DispatchTrace::peekContentHash(
@@ -735,67 +716,14 @@ void Orchestration::triageJob(size_t JobIdx,
                          Spec.Suite + "-" + Spec.Benchmarks[Job.Workload]),
                      TraceHash);
   bool StoreDirty = false;
-  for (size_t Slot : J.AuditMismatchSlots) {
-    size_t Member = Job.MemberBegin + Slot;
-    PerfCounters &Primary = Slices[JobIdx][Slot];
-    const PerfCounters &Audit = J.AuditSlice[Slot];
-    const PerfCounters &Tie = TieSlice[Slot];
-    AuditVerdict V;
-    bool Repair = false;
-    bool Implicate = false;
-    if (Tie == Audit) {
-      // Primary proven wrong; the store is implicated iff it would
-      // serve something other than the authoritative value.
-      Implicate = true;
-      Repair = true;
-      V = AuditVerdict::ComputeDivergence; // upgraded below on quarantine
-    } else if (Tie == Primary) {
-      V = AuditVerdict::ComputeDivergence; // audit shape diverged
-    } else {
-      V = AuditVerdict::Nondeterminism;
-      Implicate = true;
-      Repair = true;
-    }
-    if (Implicate && HaveKey) {
-      StoreKey Key = cellStoreKey(Spec, Member, TraceHash);
-      if (Opt.Store->quarantineCell(Key, Primary, Tie)) {
-        Rep.CellsQuarantined++;
-        Opt.Store->record(Key, Tie);
-        StoreDirty = true;
-        if (V == AuditVerdict::ComputeDivergence)
-          V = AuditVerdict::StoreCorruption;
-      }
-    }
-    switch (V) {
-    case AuditVerdict::StoreCorruption:
-      Rep.AuditStoreCorruptions++;
-      break;
-    case AuditVerdict::ComputeDivergence:
-      Rep.AuditComputeDivergences++;
-      break;
-    case AuditVerdict::Nondeterminism:
-      Rep.AuditNondeterminism++;
-      break;
-    case AuditVerdict::Match:
-      break;
-    }
-    std::printf("[audit] sweep=%s workload=%zu member=%zu verdict=%s "
-                "primary_fp=%016llx audit_fp=%016llx tiebreak_fp=%016llx\n",
-                Spec.Name.c_str(), Job.Workload, Member, auditVerdictId(V),
-                static_cast<unsigned long long>(Primary.fingerprint()),
-                static_cast<unsigned long long>(Audit.fingerprint()),
-                static_cast<unsigned long long>(Tie.fingerprint()));
-    if (Repair) {
-      // "Requeue for authoritative recompute": the tiebreak IS that
-      // recompute (canonical shape, store- and fault-free), so the
-      // repair lands before the merge instead of a second dispatch of
-      // a job whose cells are pure functions anyway.
-      Primary = Tie;
-      Rep.CellsRequeued++;
-    }
-  }
+  for (size_t Slot : J.AuditMismatchSlots)
+    StoreDirty |= triageMismatch(Spec, Job.Workload, Job.MemberBegin + Slot,
+                                 Slices[A.Job][Slot], J.AuditSlice[Slot],
+                                 A.Slice[Slot], HaveKey ? Opt.Store : nullptr,
+                                 TraceHash, Rep.Audit);
   if (StoreDirty)
     (void)Opt.Store->flush();
+  J.AuditDone = true;
 }
 
 bool Orchestration::auditsSettled() const {
@@ -994,19 +922,10 @@ bool Orchestration::run(std::vector<PerfCounters> &Cells,
     // audit_wall_s is the idle-slot tail audit occupied, next to the
     // sweep's total wall so the artifact shows what audit did (not)
     // cost the critical path.
-    std::printf("[audit] sweep=%s shards=%u tiebreaks=%u audited=%llu "
-                "mismatches=%llu store_corruption=%llu "
-                "compute_divergence=%llu nondeterminism=%llu "
-                "quarantined=%llu requeued=%llu\n",
-                Spec.Name.c_str(), Rep.AuditShardsLaunched,
-                Rep.AuditTiebreaksLaunched,
-                static_cast<unsigned long long>(Rep.CellsAudited),
-                static_cast<unsigned long long>(Rep.AuditMismatches),
-                static_cast<unsigned long long>(Rep.AuditStoreCorruptions),
-                static_cast<unsigned long long>(Rep.AuditComputeDivergences),
-                static_cast<unsigned long long>(Rep.AuditNondeterminism),
-                static_cast<unsigned long long>(Rep.CellsQuarantined),
-                static_cast<unsigned long long>(Rep.CellsRequeued));
+    printAuditSummary(Spec.Name,
+                      format("shards=%u tiebreaks=%u", Rep.AuditShardsLaunched,
+                             Rep.AuditTiebreaksLaunched),
+                      Rep.Audit);
     std::printf("[timing] bench=%s:audit audit_shards=%u "
                 "audit_wall_s=%.3f sweep_wall_s=%.3f\n",
                 Spec.Name.c_str(), Rep.AuditShardsLaunched,
@@ -1068,10 +987,17 @@ bool vmib::orchestrateSweep(const SweepSpec &Spec,
                             SweepRunStats &Stats, std::string &Error,
                             OrchestratorReport *Report) {
   // Make the spec reachable by workers; a temp file unless the caller
-  // already has one on (shared) disk.
+  // already has one on (shared) disk that says the same thing. Workers
+  // see nothing but {spec}, so a file that predates an override of
+  // its chunk, decode or threads must not reach them. A path this
+  // process cannot read may be a remote-only one; it passes through.
   std::string SpecPath = Opt.SpecPath;
+  SweepSpec OnDisk;
+  std::string LoadError;
   bool OwnSpecFile = false;
-  if (SpecPath.empty()) {
+  if (SpecPath.empty() ||
+      (loadSweepSpecFile(SpecPath, OnDisk, LoadError) &&
+       printSweepSpec(OnDisk) != printSweepSpec(Spec))) {
     SpecPath = format("/tmp/vmib-%s-%ld.spec", Spec.Name.c_str(),
                       static_cast<long>(::getpid()));
     if (!writeSweepSpecFile(Spec, SpecPath, Error))

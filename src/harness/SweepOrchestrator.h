@@ -81,9 +81,14 @@ struct SweepWorkerOptions {
   /// command template): the second level of a shards × threads
   /// fan-out. 0 defers to the spec's own `threads` field.
   unsigned Threads = 0;
-  /// Spec file passed to workers as {spec}. Empty: the orchestrator
-  /// writes the spec to a temp file and removes it afterwards. For
-  /// remote templates this must be a path the remote side can read.
+  /// Spec file passed to workers as {spec}: the spec is the only
+  /// carrier of execution shape (chunk, decode, threads) to workers.
+  /// Empty, or a file that does not print to the same spec text as
+  /// the orchestrated spec (say, one a --chunk or --decode override
+  /// changed): the orchestrator writes the effective spec to a temp
+  /// file and removes it afterwards. For remote templates this must be
+  /// a path the remote side can read; a path this process cannot read
+  /// is passed through as is.
   std::string SpecPath;
   /// Shell command template; {driver}, {spec}, {shards}, {job},
   /// {threads} and {attempt} are substituted. Empty uses the default
@@ -198,15 +203,10 @@ struct OrchestratorReport {
   /// Canonical-shape tiebreak workers dispatched after a mismatch.
   unsigned AuditTiebreaksLaunched = 0;
   /// Cells bit-compared against a decorrelated re-execution (audit
-  /// shards compare their whole slice) plus cells worker self-audits
-  /// reported on committed `[audit]` lines.
-  uint64_t CellsAudited = 0;
-  uint64_t AuditMismatches = 0; ///< audited cells where audit != primary
-  uint64_t AuditStoreCorruptions = 0;   ///< triage verdict breakdown
-  uint64_t AuditComputeDivergences = 0;
-  uint64_t AuditNondeterminism = 0;
-  uint64_t CellsQuarantined = 0; ///< store cells retired during triage
-  uint64_t CellsRequeued = 0;    ///< cells repaired with the tiebreak value
+  /// shards compare their whole slice) plus what worker self-audits
+  /// reported on committed `[audit]` summary lines, with the triage
+  /// verdicts, quarantines and repairs of both.
+  AuditStats Audit;
   /// Wall clock from the first audit dispatch until audits settled —
   /// the `[timing]` evidence that audit rode idle slots instead of the
   /// critical path.

@@ -89,9 +89,8 @@ struct SweepSpec {
   /// it tile-by-tile from the trace cache file (working memory
   /// O(tile), independent of trace length), or Auto — the default,
   /// and what a spec without the field parses as — which streams only
-  /// when the decoded footprint would exceed the decode budget
-  /// (VMIB_DECODE_BUDGET, default 256 MiB). Cells are bit-identical
-  /// on every path.
+  /// when the decoded footprint would exceed the 256 MiB
+  /// AutoDecodeBudgetBytes. Cells are bit-identical on every path.
   TraceDecodeMode Decode = TraceDecodeMode::Auto;
 
   /// Gang members per workload: |Cpus| × |Variants| × max(1, |Predictors|),

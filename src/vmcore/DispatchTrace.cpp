@@ -54,7 +54,6 @@
 
 #include "vmcore/DispatchTrace.h"
 
-#include "support/CommandLine.h"
 #include "support/FileSync.h"
 #include "support/Format.h"
 
@@ -105,9 +104,9 @@ constexpr uint64_t FileVersion = 2;
 constexpr size_t PrefixWords = 6;
 constexpr size_t HeaderWords = 11;
 constexpr size_t WordsPerQuicken = 4;
-/// Frame granularity. Matches DispatchTrace::defaultChunkEvents()'s
-/// default so one decoded frame covers one gang tile, but is a file
-/// format constant: VMIB_GANG_CHUNK must never change what save()
+/// Frame granularity. Matches DispatchTrace::defaultChunkEvents() so
+/// one decoded frame covers one default gang tile, but is a file
+/// format constant: a spec's `chunk` must never change what save()
 /// writes (the encoding stays canonical per content).
 constexpr size_t FrameEvents = size_t{1} << 16;
 
@@ -235,10 +234,6 @@ bool decodeEventFrame(ByteReader &R, size_t NumEvents,
 }
 
 } // namespace
-
-size_t DispatchTrace::defaultChunkEvents() {
-  return static_cast<size_t>(envCount("VMIB_GANG_CHUNK", size_t{1} << 16));
-}
 
 uint64_t DispatchTrace::contentHash() const {
   if (Sealed && SealedEvents == Events.size() &&

@@ -121,12 +121,11 @@ public:
 
   //===--- chunk-tiled iteration (gang replay) ----------------------------===//
 
-  /// Events per gang tile: the VMIB_GANG_CHUNK environment variable if
-  /// set to a count (see envCount()), otherwise 64K events (512KB of
-  /// packed u64s — sized so one tile plus the gang's layouts and
-  /// predictor state stay cache-resident while every gang member
+  /// Events per gang tile when a spec's `chunk` is 0: 64K events
+  /// (512KB of packed u64s — sized so one tile plus the gang's layouts
+  /// and predictor state stay cache-resident while every gang member
   /// crosses it).
-  static size_t defaultChunkEvents();
+  static constexpr size_t defaultChunkEvents() { return size_t{1} << 16; }
 
   /// Walks [0, numEvents) in ChunkEvents-sized half-open ranges. The
   /// cursor is how GangReplayer tiles the stream: every gang member
@@ -223,7 +222,7 @@ public:
   /// sizes and the on-disk footprint. LogicalBytes is the decoded
   /// footprint — the bytes load() materializes for the event and
   /// quicken arrays — so LogicalBytes / FileBytes is the compression
-  /// ratio the cache reports and the :decodebandwidth line print.
+  /// ratio the `[cache-gc]` and trace_synth lines print.
   struct FileInfo {
     uint64_t NumEvents = 0;
     uint64_t NumQuickens = 0;

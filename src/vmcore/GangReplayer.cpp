@@ -104,8 +104,8 @@ struct TileSlot {
 std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                                             Stats *StatsOut) {
   // Scratch sizing: a tile never exceeds the trace, so clamp before
-  // the decode buffers are sized (a huge VMIB_GANG_CHUNK must degrade
-  // to one whole-trace tile, not a multi-GB zeroed buffer).
+  // the decode buffers are sized (a huge spec `chunk` must degrade to
+  // one whole-trace tile, not a multi-GB zeroed buffer).
   size_t ChunkCapacity =
       ChunkEvents == 0 ? DispatchTrace::defaultChunkEvents() : ChunkEvents;
   if (ChunkCapacity > Source.numEvents())

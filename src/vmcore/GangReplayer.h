@@ -717,8 +717,8 @@ public:
   /// TraceSource whose tiles are decoded on demand — the decoder
   /// thread then fills the tile ring straight from the trace file and
   /// working memory is O(tile x ring), independent of trace length.
-  /// \p ChunkEvents sizes the tile; 0 uses
-  /// DispatchTrace::defaultChunkEvents() (VMIB_GANG_CHUNK override).
+  /// \p ChunkEvents sizes the tile (a spec's `chunk`); 0 uses
+  /// DispatchTrace::defaultChunkEvents().
   explicit GangReplayer(TraceSource Source, size_t ChunkEvents = 0)
       : Source(std::move(Source)), ChunkEvents(ChunkEvents) {}
 
@@ -817,8 +817,8 @@ public:
   /// Pool accounting of one run(): who replayed how much, who waited,
   /// who stole, and how many members restarted. Workers is empty for
   /// serial runs (no pool to account). The sweep layers aggregate this
-  /// across gangs (merge) and sweep_driver --verify renders it as the
-  /// `:loadbalance` timing line.
+  /// across gangs (merge) and sweep_driver --verify renders it on its
+  /// per-shape `:verify` timing lines.
   struct Stats {
     struct Worker {
       /// Member-events this worker replayed (tile span summed per

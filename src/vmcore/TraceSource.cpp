@@ -2,9 +2,6 @@
 
 #include "vmcore/TraceSource.h"
 
-#include "support/CommandLine.h"
-
-#include <cstdlib>
 #include <stdexcept>
 
 using namespace vmib;
@@ -44,18 +41,6 @@ bool vmib::traceDecodeModeFromId(const std::string &Id,
     return true;
   }
   return false;
-}
-
-TraceDecodeMode vmib::traceDecodeMode() {
-  const char *Env = std::getenv("VMIB_TRACE_DECODE");
-  if (Env == nullptr || Env[0] == '\0')
-    return TraceDecodeMode::Auto;
-  TraceDecodeMode Mode;
-  return traceDecodeModeFromId(Env, Mode) ? Mode : TraceDecodeMode::Auto;
-}
-
-uint64_t vmib::traceDecodeBudgetBytes() {
-  return envCount("VMIB_DECODE_BUDGET", uint64_t{256} << 20);
 }
 
 TraceSource::TraceSource() = default;

@@ -16,12 +16,11 @@
 /// side-band metadata orders of magnitude smaller than the event
 /// stream, and replays need them resident across the whole pass.
 ///
-/// The `--decode=stream|materialize|auto` knob (VMIB_TRACE_DECODE in
-/// the environment, `decode` in a SweepSpec) picks the path; `auto`
-/// streams only when the decoded event footprint would exceed the
-/// decode budget (VMIB_DECODE_BUDGET, default 256 MiB) — small traces
-/// keep the zero-copy fast path, billion-event traces stop needing
-/// 8+ GB of RAM.
+/// The `decode` field of a SweepSpec (`--decode=stream|materialize|
+/// auto` overrides it) picks the path; `auto` streams only when the
+/// decoded event footprint would exceed AutoDecodeBudgetBytes — small
+/// traces keep the zero-copy fast path, billion-event traces stop
+/// needing 8+ GB of RAM.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,17 +59,9 @@ const char *traceDecodeModeId(TraceDecodeMode Mode);
 /// Parses a mode id. \returns false on anything unknown.
 bool traceDecodeModeFromId(const std::string &Id, TraceDecodeMode &Out);
 
-/// The process-wide decode-mode knob: VMIB_TRACE_DECODE
-/// ("stream"/"materialize"/"auto"); unset, empty or unknown -> Auto.
-/// sweep_driver's --decode flag re-exports its decision through the
-/// environment so forked shard workers agree with the orchestrator.
-TraceDecodeMode traceDecodeMode();
-
-/// Decoded-footprint budget for TraceDecodeMode::Auto: the
-/// VMIB_DECODE_BUDGET environment variable (bytes, a count per
-/// envCount()) if set, otherwise 256 MiB. Auto streams a trace whose
-/// decoded event bytes (numEvents * 8) exceed this.
-uint64_t traceDecodeBudgetBytes();
+/// Decoded-footprint budget for TraceDecodeMode::Auto: Auto streams a
+/// trace whose decoded event bytes (numEvents * 8) exceed 256 MiB.
+constexpr uint64_t AutoDecodeBudgetBytes = uint64_t{256} << 20;
 
 /// The replay input handle: either a borrowed materialized trace or a
 /// validated streaming view of a trace file. Copyable (copies share
@@ -141,7 +132,7 @@ public:
   };
 
   /// Opens a cursor over the stream tiled at \p ChunkEvents (0 =
-  /// defaultChunkEvents). \throws std::runtime_error when a streaming
+  /// DispatchTrace::defaultChunkEvents()). \throws std::runtime_error when a streaming
   /// source's file can no longer be opened/validated (it was validated
   /// once at openStreaming time; loss afterwards is an I/O fault, not
   /// a fall-back-silently condition).

@@ -23,7 +23,11 @@
 ///    repairs the slice, and a clean re-run converges with zero
 ///    mismatches;
 ///  - a fault-free audited sweep reports zero mismatches while still
-///    proving it audited something.
+///    proving it audited something;
+///  - `sweep_driver --verify` is the Auditor at rate 1.0: its four
+///    shapes cover decode x tile x threads pairwise, a clean run passes
+///    with the stream shapes really streaming, and flipped primary
+///    cells fail it with a detail line naming the member.
 ///
 /// Corruption seeds are searched in-test over the PURE draw functions
 /// (decideCounterFlip × decideAudit), so every assertion is
@@ -37,6 +41,7 @@
 #include "harness/SweepExecutor.h"
 #include "harness/SweepOrchestrator.h"
 #include "harness/SweepSpec.h"
+#include "support/Format.h"
 #include "uarch/PerfCounters.h"
 #include "vmcore/DispatchTrace.h"
 #include "workloads/ForthSuite.h"
@@ -48,8 +53,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
+#include <set>
 #include <string>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -182,6 +189,23 @@ protected:
     return Cells;
   }
 
+  /// Runs `sibling sweep_driver <Args>` (\p Env prefixed) and
+  /// returns its stdout; \p Exit receives the exit status.
+  std::string runDriver(const std::string &Env, const std::string &Args,
+                        int &Exit) {
+    std::string Cmd = Env + " " + defaultSweepDriverPath() + " " + Args;
+    std::FILE *P = ::popen(Cmd.c_str(), "r");
+    EXPECT_NE(nullptr, P) << Cmd;
+    std::string Out;
+    char Buf[4096];
+    size_t N;
+    while (P && (N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
+      Out.append(Buf, N);
+    int Status = P ? ::pclose(P) : -1;
+    Exit = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+    return Out;
+  }
+
   SweepWorkerOptions baseOptions(const std::string &SpecPath,
                                  unsigned Shards) {
     SweepWorkerOptions Opt;
@@ -216,6 +240,17 @@ TEST(AuditPlan, ParsesRates) {
   EXPECT_FALSE(parseAuditRate("banana", P, Error));
   EXPECT_FALSE(parseAuditRate("", P, Error));
   EXPECT_FALSE(parseAuditRate("0.5x", P, Error));
+  // Only plain decimals: strtod's other spellings are typos here, and
+  // "nan" would slip past the range check and disable the audit.
+  for (const char *Bad : {"nan", "NaN", "inf", " 0.5", "0x1p-1", "1e0"}) {
+    EXPECT_FALSE(parseAuditRate(Bad, P, Error)) << Bad;
+    EXPECT_NE(Error.find("audit rate"), std::string::npos) << Bad;
+  }
+  // What CI passes.
+  ASSERT_TRUE(parseAuditRate("1.0", P, Error)) << Error;
+  EXPECT_DOUBLE_EQ(P.Rate, 1.0);
+  ASSERT_TRUE(parseAuditRate("0.25", P, Error)) << Error;
+  EXPECT_DOUBLE_EQ(P.Rate, 0.25);
 }
 
 TEST(AuditPlan, SamplingIsDeterministicShapeFreeAndSeeded) {
@@ -300,6 +335,40 @@ TEST(AuditPlan, DecorrelatedShapeFlipsEveryAxis) {
                                  ",threads:1");
 }
 
+TEST(AuditPlan, VerifyShapesCoverEveryAxisPair) {
+  for (unsigned SpecThreads : {1u, 4u, 0u}) {
+    unsigned N = resolveGangThreads(SpecThreads);
+    if (N <= 1)
+      N = 2;
+    std::vector<AuditShape> Shapes = verifyAuditShapes(SpecThreads);
+    ASSERT_EQ(Shapes.size(), 4u) << SpecThreads;
+    EXPECT_EQ(auditShapeId(Shapes[0]), auditShapeId(canonicalAuditShape()));
+    // Each shape is a point on three two-valued axes: decode
+    // {materialize, stream}, tile {default, one prime size}, threads
+    // {1, N}.
+    size_t OtherTile = 0;
+    std::set<std::string> Pairs;
+    for (const AuditShape &S : Shapes) {
+      ASSERT_NE(S.Decode, TraceDecodeMode::Auto);
+      ASSERT_TRUE(S.Threads == 1 || S.Threads == N) << S.Threads;
+      if (S.ChunkEvents != 0) {
+        EXPECT_TRUE(OtherTile == 0 || OtherTile == S.ChunkEvents);
+        OtherTile = S.ChunkEvents;
+      }
+      int Axis[3] = {S.Decode == TraceDecodeMode::Stream, S.ChunkEvents != 0,
+                     S.Threads != 1};
+      for (int A = 0; A < 3; ++A)
+        for (int B = A + 1; B < 3; ++B)
+          Pairs.insert(format("%d%d:%d%d", A, B, Axis[A], Axis[B]));
+    }
+    EXPECT_NE(OtherTile, 0u);
+    EXPECT_NE(OtherTile, DispatchTrace::defaultChunkEvents());
+    // Three axis pairs x four value pairs: every one occurs, so both
+    // thread counts, both decodes and both tiles are covered too.
+    EXPECT_EQ(Pairs.size(), 12u) << "spec threads " << SpecThreads;
+  }
+}
+
 //===--- PerfCounters value identity --------------------------------------===//
 
 TEST(AuditPlan, FingerprintSeesEveryCounterAndFlipBitRoundTrips) {
@@ -367,14 +436,14 @@ TEST_F(AuditTest, OrchestratedAuditRepairsFlipcounterCorruptionBothSuites) {
 
     EXPECT_GE(Report.AuditShardsLaunched, 1u);
     EXPECT_GE(Report.AuditTiebreaksLaunched, 1u);
-    EXPECT_GE(Report.CellsAudited, 1u);
-    EXPECT_GE(Report.AuditMismatches, 1u);
+    EXPECT_GE(Report.Audit.CellsAudited, 1u);
+    EXPECT_GE(Report.Audit.Mismatches, 1u);
     // Storeless: every mismatch is a compute divergence, each repaired.
-    EXPECT_EQ(Report.AuditComputeDivergences, Report.AuditMismatches);
-    EXPECT_EQ(Report.CellsRequeued, Report.AuditMismatches);
-    EXPECT_EQ(Report.AuditStoreCorruptions, 0u);
-    EXPECT_EQ(Report.AuditNondeterminism, 0u);
-    EXPECT_EQ(Report.CellsQuarantined, 0u);
+    EXPECT_EQ(Report.Audit.ComputeDivergences, Report.Audit.Mismatches);
+    EXPECT_EQ(Report.Audit.CellsRequeued, Report.Audit.Mismatches);
+    EXPECT_EQ(Report.Audit.StoreCorruptions, 0u);
+    EXPECT_EQ(Report.Audit.Nondeterminism, 0u);
+    EXPECT_EQ(Report.Audit.CellsQuarantined, 0u);
     // Audit shards ride idle slots and never count as sweep attempts,
     // failures or timeouts.
     EXPECT_EQ(Report.WorkerFailures, 0u);
@@ -431,10 +500,10 @@ TEST_F(AuditTest, WorkerSelfAuditRepairsBeforeEmitAndFoldsCounters) {
   // orchestrator-dispatched audit shards.
   EXPECT_EQ(Report.AuditShardsLaunched, 0u);
   EXPECT_EQ(Report.AuditTiebreaksLaunched, 0u);
-  EXPECT_EQ(Report.CellsAudited, Spec.numCells());
-  EXPECT_GE(Report.AuditMismatches, 1u);
-  EXPECT_EQ(Report.AuditComputeDivergences, Report.AuditMismatches);
-  EXPECT_EQ(Report.CellsRequeued, Report.AuditMismatches);
+  EXPECT_EQ(Report.Audit.CellsAudited, Spec.numCells());
+  EXPECT_GE(Report.Audit.Mismatches, 1u);
+  EXPECT_EQ(Report.Audit.ComputeDivergences, Report.Audit.Mismatches);
+  EXPECT_EQ(Report.Audit.CellsRequeued, Report.Audit.Mismatches);
 }
 
 //===--- store corruption: flipstore, quarantine, convergence -------------===//
@@ -565,10 +634,10 @@ TEST_F(AuditTest, OrchestratedAuditQuarantinesServedStoreCorruption) {
   // Flipstore mass 1 corrupts EVERY served cell, so as long as the
   // store served anything the audit had something real to catch.
   EXPECT_GE(Report.JobsServedFromStore + Report.StoreHits, 1u);
-  EXPECT_GE(Report.AuditMismatches, 1u);
-  EXPECT_GE(Report.AuditStoreCorruptions, 1u);
-  EXPECT_GE(Report.CellsQuarantined, 1u);
-  EXPECT_EQ(Report.CellsRequeued, Report.AuditMismatches);
+  EXPECT_GE(Report.Audit.Mismatches, 1u);
+  EXPECT_GE(Report.Audit.StoreCorruptions, 1u);
+  EXPECT_GE(Report.Audit.CellsQuarantined, 1u);
+  EXPECT_EQ(Report.Audit.CellsRequeued, Report.Audit.Mismatches);
   EXPECT_TRUE(Report.complete());
   EXPECT_GE(countFiles(StoreDir, ".vmibtomb"), 1u);
 }
@@ -603,13 +672,61 @@ TEST_F(AuditTest, CleanAuditedSweepReportsZeroMismatches) {
       << Error;
   expectCellsEqual(Want, Cells);
   EXPECT_GE(Report.AuditShardsLaunched, 1u);
-  EXPECT_GE(Report.CellsAudited, 1u);
-  EXPECT_EQ(Report.AuditMismatches, 0u);
+  EXPECT_GE(Report.Audit.CellsAudited, 1u);
+  EXPECT_EQ(Report.Audit.Mismatches, 0u);
   EXPECT_EQ(Report.AuditTiebreaksLaunched, 0u);
-  EXPECT_EQ(Report.AuditStoreCorruptions, 0u);
-  EXPECT_EQ(Report.AuditComputeDivergences, 0u);
-  EXPECT_EQ(Report.AuditNondeterminism, 0u);
-  EXPECT_EQ(Report.CellsQuarantined, 0u);
-  EXPECT_EQ(Report.CellsRequeued, 0u);
+  EXPECT_EQ(Report.Audit.StoreCorruptions, 0u);
+  EXPECT_EQ(Report.Audit.ComputeDivergences, 0u);
+  EXPECT_EQ(Report.Audit.Nondeterminism, 0u);
+  EXPECT_EQ(Report.Audit.CellsQuarantined, 0u);
+  EXPECT_EQ(Report.Audit.CellsRequeued, 0u);
   EXPECT_TRUE(Report.complete());
+}
+
+//===--- --verify: the Auditor at rate 1.0 over four shapes ---------------===//
+
+TEST_F(AuditTest, VerifyAuditsEveryShapeAndFailsOnFlippedCells) {
+  SweepSpec Spec = auditForthSpec();
+  std::string SpecArg = "--spec=" + writeSpec(Spec) + " --verify --shards=2";
+
+  // Clean: one :verify line per shape, and the stream shapes really
+  // streamed from the trace cache the primary's workers filled.
+  int Exit = -1;
+  std::string Out = runDriver("", SpecArg, Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_NE(Out.find("bit-identical across the 2-worker primary and 4 "
+                     "in-process shapes"),
+            std::string::npos)
+      << Out;
+  for (const AuditShape &Shape : verifyAuditShapes(Spec.Threads)) {
+    std::string Tag = ":verify shape=" + auditShapeId(Shape) + " ";
+    size_t At = Out.find(Tag);
+    ASSERT_NE(At, std::string::npos) << Tag << "\n" << Out;
+    std::string Line = Out.substr(At, Out.find('\n', At) - At);
+    bool Streamed = Line.find("peak_ring_bytes=0") == std::string::npos;
+    EXPECT_EQ(Streamed, Shape.Decode == TraceDecodeMode::Stream) << Line;
+  }
+
+  // Flipped primary cells: the audit names the corrupted member and
+  // verify fails.
+  AuditPlan Every;
+  Every.Rate = 1.0;
+  uint64_t Seed = findCoveredFlipSeed(Spec, 0.3, Every);
+  ASSERT_NE(Seed, 0u);
+  FaultPlan Faults;
+  Faults.FlipCounter = 0.3;
+  Faults.Seed = Seed;
+  std::string Flipped;
+  for (size_t W = 0; W < Spec.Benchmarks.size() && Flipped.empty(); ++W)
+    for (size_t M = 0; M < Spec.membersPerWorkload() && Flipped.empty(); ++M) {
+      unsigned Word, Bit;
+      if (decideCounterFlip(Faults, W, M, Word, Bit))
+        Flipped = format("[audit] sweep=%s workload=%zu member=%zu verdict=",
+                         Spec.Name.c_str(), W, M);
+    }
+  Out = runDriver("VMIB_FAULT=flipcounter=0.3,seed=" + std::to_string(Seed),
+                  SpecArg, Exit);
+  EXPECT_NE(Exit, 0) << Out;
+  EXPECT_NE(Out.find(Flipped), std::string::npos) << Flipped << "\n" << Out;
+  EXPECT_EQ(Out.find("bit-identical"), std::string::npos) << Out;
 }

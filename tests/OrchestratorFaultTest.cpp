@@ -12,6 +12,8 @@
 ///    report while every surviving cell stays exact,
 ///  - straggler hedging re-dispatches outstanding jobs and the first
 ///    completion wins,
+///  - workers read the effective spec (shape overrides included), not
+///    a stale --spec file,
 ///  - under VMIB_FAULT chaos (worker crashes, hangs, protocol garbage)
 ///    the orchestrator still converges to bit-identical results on
 ///    both suites,
@@ -311,6 +313,52 @@ TEST_F(OrchestratorFaultTest, HedgingFirstCompletionWins) {
   EXPECT_GE(Report.HedgeWins, 1u);
   EXPECT_EQ(Report.RetriesScheduled, 0u); // hedging, not retrying
   EXPECT_TRUE(Report.complete());
+}
+
+//===--- the spec carries execution shape to workers ----------------------===//
+
+TEST_F(OrchestratorFaultTest, ShapeOverridesReachWorkersThroughTheSpec) {
+  // The file on disk says `chunk 0` and `decode auto`; the orchestrated
+  // spec was overridden in code, as --chunk and --decode do. Workers
+  // read nothing but {spec}, so that must be the effective spec.
+  SweepSpec Spec = faultForthSpec();
+  Spec.Benchmarks = {forthSuite()[0].Name};
+  std::string SpecPath = writeSpec(Spec);
+  std::vector<PerfCounters> Want = reference(Spec);
+  Spec.ChunkEvents = 16;
+  Spec.Decode = TraceDecodeMode::Stream;
+
+  std::string Log = std::string(Dir) + "/specs-read.log";
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  Opt.CommandTemplate = "cat {spec} >> " + Log + "; " + WorkerExec;
+
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  std::string Error;
+  OrchestratorReport Report;
+  ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+      << Error;
+  expectCellsEqual(Want, Cells);
+
+  std::string Read;
+  std::FILE *F = std::fopen(Log.c_str(), "r");
+  ASSERT_NE(nullptr, F);
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+    Read.append(Buf, N);
+  std::fclose(F);
+  auto Count = [&](const std::string &Line) {
+    size_t Hits = 0;
+    for (size_t At = Read.find(Line); At != std::string::npos;
+         At = Read.find(Line, At + 1))
+      ++Hits;
+    return Hits;
+  };
+  size_t Jobs = decomposeSweep(Spec, 2).size();
+  EXPECT_EQ(Count("\nchunk 16\n"), Jobs) << Read;
+  EXPECT_EQ(Count("\ndecode stream\n"), Jobs) << Read;
+  EXPECT_EQ(Count("\nchunk 0\n"), 0u) << Read;
 }
 
 //===--- chaos: VMIB_FAULT end to end -------------------------------------===//

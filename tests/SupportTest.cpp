@@ -6,8 +6,6 @@
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
-#include "vmcore/DispatchTrace.h"
-#include "vmcore/TraceSource.h"
 
 #include <gtest/gtest.h>
 
@@ -252,31 +250,16 @@ INSTANTIATE_TEST_SUITE_P(Forms, EnvCountRejects,
                                            "4294967296"));
 
 TEST(EnvCount, SizingVariablesParseStrictly) {
-  // The knobs behind the three sizing variables: a malformed value
-  // falls back to the default instead of its numeric prefix.
+  // The knob behind the sizing variable: a malformed value falls back
+  // to the default instead of its numeric prefix.
   ::testing::internal::CaptureStderr();
-  ::setenv("VMIB_GANG_CHUNK", "64k", 1);
-  EXPECT_EQ(DispatchTrace::defaultChunkEvents(), size_t{1} << 16);
-  ::setenv("VMIB_GANG_CHUNK", "4096", 1);
-  EXPECT_EQ(DispatchTrace::defaultChunkEvents(), 4096u);
-  ::unsetenv("VMIB_GANG_CHUNK");
-
   unsigned HW = std::thread::hardware_concurrency();
   ::setenv("VMIB_THREADS", "4x", 1);
   EXPECT_EQ(defaultSweepThreads(), HW == 0 ? 1u : HW);
   ::setenv("VMIB_THREADS", "3", 1);
   EXPECT_EQ(defaultSweepThreads(), 3u);
   ::unsetenv("VMIB_THREADS");
-
-  ::setenv("VMIB_DECODE_BUDGET", "1e9", 1);
-  EXPECT_EQ(traceDecodeBudgetBytes(), uint64_t{256} << 20);
-  ::setenv("VMIB_DECODE_BUDGET", "1000", 1);
-  EXPECT_EQ(traceDecodeBudgetBytes(), 1000u);
-  ::unsetenv("VMIB_DECODE_BUDGET");
   std::string Err = ::testing::internal::GetCapturedStderr();
-  for (const char *Var : {"VMIB_GANG_CHUNK", "VMIB_THREADS",
-                          "VMIB_DECODE_BUDGET"})
-    EXPECT_NE(Err.find(std::string("warning: ignoring ") + Var),
-              std::string::npos)
-        << Err;
+  EXPECT_NE(Err.find("warning: ignoring VMIB_THREADS"), std::string::npos)
+      << Err;
 }

@@ -6,7 +6,7 @@
 ///    boundaries, wild deltas, halt sentinels, quickens)
 ///    bit-identically, declares the FNV-1a hash of the logical stream,
 ///    and actually compresses walk-shaped dispatch streams (the ratio
-///    the :decodebandwidth line reports);
+///    the `[cache-gc]` lines report);
 ///  - streamed (FrameReader/TraceSource) and materialized (load())
 ///    decode hand out the identical event sequence;
 ///  - a file of the retired flat version 1 is rejected as a stale cache
@@ -238,8 +238,8 @@ TEST(TraceCodecTest, RoundTripShapes) {
 TEST(TraceCodecTest, WalkTraceCompressesAtLeastTwofold) {
   // A dispatch-shaped walk (straight-line runs broken by indirect
   // jumps, like every real and synthetic workload) must compress >= 2x
-  // against its decoded footprint — the floor the :decodebandwidth
-  // line is expected to show in CI.
+  // against its decoded footprint — the floor the `[cache-gc]`
+  // ratio= field is expected to show.
   DispatchTrace T;
   Xoroshiro128 Rng(0x77616c6bULL);
   uint32_t Ip = 0;

@@ -2,8 +2,8 @@
 ///
 /// Runs a declarative SweepSpec (see docs/simulation-pipeline.md,
 /// "Distributed sweeps" and "Failure model") either in-process or
-/// sharded over worker processes, and verifies that both produce
-/// bit-identical cells.
+/// sharded over worker processes, and verifies that every execution
+/// shape produces bit-identical cells.
 ///
 ///   sweep_driver --spec=F                      orchestrate (default:
 ///                [--shards=N] [--worker-cmd=T]  1 worker process)
@@ -11,30 +11,32 @@
 ///   sweep_driver --spec=F --worker              one shard job: replay its
 ///                --shards=N --job=I             gang slice, emit [result]
 ///                [--attempt=A]                  lines on stdout
-///   sweep_driver --spec=F --verify --shards=N   run in-process serial,
-///                                               threaded (when the
-///                                               threads knob is set),
-///                                               materialized and
-///                                               streamed, 1-worker and
-///                                               N-worker sharded;
-///                                               bit-compare all of
-///                                               them and report
-///                                               wall-clock scaling +
-///                                               the :loadbalance line
+///   sweep_driver --spec=F --verify [--shards=N] orchestrate, then audit
+///                                               every cell in-process
+///                                               against four shapes;
+///                                               exit 1 on any mismatch
 ///   sweep_driver --spec=F --emit-spec           parse + reprint the spec
 ///
 /// Replay-path knob (docs/simulation-pipeline.md, "Streaming decode"):
 /// `--decode=materialize|stream|auto` picks how replay acquires the
 /// event stream (whole trace in memory vs O(tile) streaming decode
-/// from the trace cache file; auto streams past the
-/// VMIB_DECODE_BUDGET footprint). It is bit-identity-neutral by
-/// contract, and `--verify` proves it: the decode axis reloads every
-/// trace through the cache file, re-runs the sweep materialized and
-/// streamed (serially, and threaded when the threads knob is set),
-/// bit-compares every run, and emits the `:decodebandwidth` [timing]
-/// line (load events/s, the on-disk compression ratio, the streaming
-/// tile-read rate and peak tile-ring bytes). The decision is
-/// re-exported via VMIB_TRACE_DECODE so forked workers agree.
+/// from the trace cache file; auto streams past a 256 MiB decoded
+/// footprint). Like `--chunk` and `--threads` it overrides the spec,
+/// and the spec alone carries it to orchestrated workers: when an
+/// override makes the effective spec differ from the --spec file,
+/// workers get a temp copy of the effective spec instead. Every such
+/// knob is bit-identity-neutral by contract, and `--verify` proves it.
+///
+/// Verify (docs/simulation-pipeline.md, "Audit model"): `--verify`
+/// runs the orchestrated primary exactly as the default mode does —
+/// under VMIB_FAULT chaos when that is set — then a clean in-process
+/// Auditor (no store, no fault injection) audits every cell at rate
+/// 1.0 against the four shapes of verifyAuditShapes(), which cover
+/// decode x tile x threads pairwise. Each shape prints one
+/// `[timing] bench=<sweep>:verify shape=<id>` line (replay wall clock,
+/// member events, steals, restarts, peak tile-ring bytes). Exit 1 on
+/// a mismatch, on a cell the primary did not cover, or on a stream
+/// shape that did not stream while VMIB_TRACE_CACHE is set.
 ///
 /// --threads=N overrides the spec's `threads` field everywhere: each
 /// gang replays on GangReplayer's shared-tile worker pool (one decoder
@@ -58,7 +60,8 @@
 /// (see harness/FaultInjection.h) makes workers misbehave with seeded
 /// probability, so every one of those paths is deterministically
 /// testable: with faults injected, merged results must still
-/// bit-match the in-process run — `--verify` asserts exactly that.
+/// bit-match a clean in-process re-execution — `--verify` asserts
+/// exactly that.
 ///
 /// Orchestrator mode spawns workers through a shell command template
 /// (--worker-cmd; default runs this binary as its own worker), so SSH
@@ -411,14 +414,13 @@ bool runSharded(const SweepSpec &Spec, unsigned Shards,
                 const SweepWorkerOptions &FaultOpts,
                 const std::string &WorkerCmd, const std::string &SpecPath,
                 std::vector<PerfCounters> &Cells, SweepRunStats &Stats,
-                OrchestratorReport *ReportOut = nullptr) {
+                OrchestratorReport &Report) {
   SweepWorkerOptions Opt = FaultOpts;
   Opt.Shards = Shards;
   Opt.Threads = Spec.Threads; // two-level: shards × intra-gang threads
   Opt.SpecPath = SpecPath;
   Opt.CommandTemplate = WorkerCmd;
   std::string Error;
-  OrchestratorReport Report;
   if (!orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
@@ -429,237 +431,79 @@ bool runSharded(const SweepSpec &Spec, unsigned Shards,
     bench::emitStoreReport(Spec.Name, Report);
   if (!Report.complete())
     printCoverageReport(Spec, Shards, Report);
-  if (ReportOut)
-    *ReportOut = std::move(Report);
   return true;
 }
 
+/// `--verify`: the orchestrated primary, then a clean in-process audit
+/// of every cell at rate 1.0 against each verifyAuditShapes() shape
+/// (see the file comment).
 int runVerify(const SweepSpec &Spec, unsigned Shards,
               const SweepWorkerOptions &FaultOpts,
               const std::string &WorkerCmd, const std::string &SpecPath) {
-  // Warm the capture caches up front (and, with VMIB_TRACE_CACHE set,
-  // the cache the workers will hit), so the timed passes below measure
-  // replay — the serial and threaded in-process runs then differ only
-  // in the intra-gang worker pool.
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  OrchestratorReport Report;
+  if (!runSharded(Spec, Shards, FaultOpts, WorkerCmd, SpecPath, Cells, Stats,
+                  Report))
+    return 1;
+  if (!Report.complete()) {
+    std::printf("FAIL: the primary left %zu of %zu cells uncovered\n",
+                Report.CellCovered.size() - Report.cellsCovered(),
+                Report.CellCovered.size());
+    return 1;
+  }
+
+  // No store and no fault injection: the executor's only inputs are
+  // the traces and the spec.
   SweepExecutor Executor;
-  WallTimer CaptureTimer;
-  for (const std::string &Benchmark : Spec.Benchmarks)
-    for (const std::string &CpuId : Spec.Cpus) {
-      CpuConfig Cpu;
-      if (!cpuConfigById(CpuId, Cpu))
-        continue;
-      if (Spec.Suite == "java")
-        Executor.java().warmup(Benchmark, Cpu);
-      else
-        Executor.forth().warmup(Benchmark, Cpu);
-    }
-  double CaptureSeconds = CaptureTimer.seconds();
+  AuditPlan Every;
+  Every.Rate = 1.0;
+  Auditor Audit(Every, Executor);
+  size_t M = Spec.membersPerWorkload();
+  std::vector<std::vector<PerfCounters>> Rows(Spec.Benchmarks.size());
+  for (size_t W = 0; W < Rows.size(); ++W)
+    for (size_t J = 0; J < M; ++J)
+      Rows[W].push_back(Cells[Spec.cellIndex(W, J)]);
 
-  // In-process serial reference sweep (threads=1, one pipeline worker:
-  // the scaling number must compare thread pools, not pipeline luck).
-  // VMIB_FAULT never touches this path — with chaos injected into the
-  // workers below, this run stays the ground truth the faulted fan-out
-  // has to reproduce bit for bit.
-  SweepSpec Serial = Spec;
-  Serial.Threads = 1;
-  std::vector<PerfCounters> InProc;
-  SweepRunStats InProcStats = Executor.runAll(Serial, 1, InProc);
-  bench::emitTiming(Spec.Name + ":inproc", CaptureSeconds,
-                    InProcStats.ReplaySeconds, InProcStats.ReplayedEvents,
-                    InProcStats.Configs);
-
-  auto Compare = [&](const std::vector<PerfCounters> &Got,
-                     const char *Mode) {
-    for (size_t I = 0; I < InProc.size(); ++I)
-      if (std::memcmp(&InProc[I], &Got[I], sizeof(PerfCounters)) != 0) {
-        std::printf("FAIL: %s cell %zu diverges from the in-process "
-                    "sweep\n",
-                    Mode, I);
-        return false;
-      }
-    return true;
-  };
-
-  // Thread invariance + measured intra-host scaling: the same gangs
-  // off the same cached traces, replayed on the shared-tile worker
-  // pool. Counters must be bit-identical to the serial sweep; the
-  // wall-clock ratio and the pool's per-worker busy fractions and
-  // steal counts land in the [timing] artifact.
-  unsigned GangThreads = resolveGangThreads(Spec.Threads);
-  if (GangThreads > 1) {
-    SweepSpec Threaded = Spec;
-    Threaded.Threads = GangThreads;
-    std::vector<PerfCounters> ThreadedCells;
-    SweepRunStats ThreadedStats = Executor.runAll(Threaded, 1, ThreadedCells);
-    bench::emitTiming(Spec.Name + format(":threads%u", GangThreads),
-                      ThreadedStats);
-    if (!Compare(ThreadedCells, "threaded in-process"))
-      return 1;
-
-    double Wall = ThreadedStats.ReplaySeconds;
-    std::printf("[timing] bench=%s:threadscaling threads=%u "
-                "wall_1thread_s=%.3f wall_%uthreads_s=%.3f scaling=%.2f\n",
-                Spec.Name.c_str(), GangThreads, InProcStats.ReplaySeconds,
-                GangThreads, Wall,
-                Wall > 0 ? InProcStats.ReplaySeconds / Wall : 0.0);
-
-    // The load-balance line: how evenly the pool kept its workers busy,
-    // how many members were stolen off slow workers, how many members
-    // restarted on an exact tier, and what the finish pass cost.
-    const GangReplayer::Stats &Load = ThreadedStats.Load;
+  bool Streamable = !DispatchTrace::cacheDir().empty();
+  bool Ok = true;
+  std::vector<AuditShape> Shapes = verifyAuditShapes(Spec.Threads);
+  for (const AuditShape &Shape : Shapes) {
+    GangReplayer::Stats Load;
+    WallTimer Timer;
+    for (size_t W = 0; W < Rows.size(); ++W)
+      Audit.auditShape(Spec, W, 0, M, Rows[W], Shape, &Load);
     uint64_t Steals = 0;
-    std::string Busy, Waits;
-    for (size_t W = 0; W < Load.Workers.size(); ++W) {
-      Steals += Load.Workers[W].MembersStolen;
-      Busy += format("%s%.2f", W == 0 ? "" : ",",
-                     Wall > 0 ? Load.Workers[W].BusySeconds / Wall : 0.0);
-      Waits += format("%s%llu", W == 0 ? "" : ",",
-                      (unsigned long long)Load.Workers[W].TilesWaited);
-    }
-    std::printf("[timing] bench=%s:loadbalance threads=%u steals=%llu "
-                "restarts=%llu finish_s=%.3f busy=%s waits=%s\n",
-                Spec.Name.c_str(), GangThreads, (unsigned long long)Steals,
+    for (const GangReplayer::Stats::Worker &Wk : Load.Workers)
+      Steals += Wk.MembersStolen;
+    std::string Id = auditShapeId(Shape);
+    std::printf("[timing] bench=%s:verify shape=%s replay_s=%.3f "
+                "member_events=%llu steals=%llu restarts=%llu "
+                "peak_ring_bytes=%llu\n",
+                Spec.Name.c_str(), Id.c_str(), Timer.seconds(),
+                (unsigned long long)Load.MemberEvents,
+                (unsigned long long)Steals,
                 (unsigned long long)Load.DeferredFinishes,
-                Load.FinishSeconds, Busy.c_str(), Waits.c_str());
-    std::printf("verify: %zu cells bit-identical across threads {1, %u} "
-                "in-process execution\n",
-                InProc.size(), GangThreads);
-  }
-
-  // Decode invariance + raw decode bandwidth: a FRESH executor loads
-  // every trace through the cache file and re-runs the sweep off the
-  // materialized arena and streamed tile by tile from the file —
-  // serially, and threaded when the threads knob is set. Every run must
-  // bit-match the reference cells; the decode measurements land in the
-  // [timing] artifact as :decodebandwidth. Needs the trace cache —
-  // without VMIB_TRACE_CACHE there are no trace files to stream.
-  if (!DispatchTrace::cacheDir().empty()) {
-    uint64_t DecodedEvents = 0, DecodedBytes = 0, FileBytes = 0;
-    double DecodeSeconds = 0;
-    for (const std::string &B : Spec.Benchmarks) {
-      const DispatchTrace &T = Spec.Suite == "java"
-                                   ? Executor.java().trace(B)
-                                   : Executor.forth().trace(B);
-      uint64_t WH = Spec.Suite == "java" ? Executor.java().referenceHash(B)
-                                         : Executor.forth().referenceHash(B);
-      std::string Path = DispatchTrace::cachePathFor(Spec.Suite + "-" + B);
-      DispatchTrace::FileInfo Info;
-      if (Path.empty() || !DispatchTrace::peekFileInfo(Path, Info)) {
-        std::printf("FAIL: no readable trace cache file for %s\n",
-                    B.c_str());
-        return 1;
-      }
-      FileBytes += Info.FileBytes;
-      DecodedBytes += Info.LogicalBytes;
-      WallTimer DecodeTimer;
-      DispatchTrace Reload;
-      std::string Diag;
-      if (!Reload.load(Path, WH, &Diag)) {
-        std::printf("FAIL: reload of %s: %s\n", B.c_str(), Diag.c_str());
-        return 1;
-      }
-      DecodeSeconds += DecodeTimer.seconds();
-      DecodedEvents += Reload.numEvents();
-      if (Reload.contentHash() != T.contentHash()) {
-        std::printf("FAIL: %s content hash changed across the cache file\n",
-                    B.c_str());
-        return 1;
-      }
+                (unsigned long long)Load.PeakTileRingBytes);
+    if (Shape.Decode == TraceDecodeMode::Stream && Streamable &&
+        !Load.StreamedDecode) {
+      std::printf("FAIL: shape %s did not stream from the trace cache\n",
+                  Id.c_str());
+      Ok = false;
     }
-    // Streaming-decode measurements off the serial streamed pass: tile
-    // read time, events streamed, and the peak tile-ring footprint that
-    // proves O(tile) memory.
-    double StreamReadSeconds = 0;
-    uint64_t StreamEvents = 0, PeakRingBytes = 0;
-    SweepExecutor Fresh; // loads the cache files, not memory
-    for (bool Streaming : {false, true}) {
-      SweepSpec Run = Serial;
-      Run.Decode =
-          Streaming ? TraceDecodeMode::Stream : TraceDecodeMode::Materialize;
-      std::string Label = Streaming ? "streaming" : "materialized";
-      std::vector<PerfCounters> DecCells;
-      SweepRunStats RunStats = Fresh.runAll(Run, 1, DecCells);
-      if (!Compare(DecCells, (Label + " in-process").c_str()))
-        return 1;
-      if (Streaming) {
-        StreamReadSeconds = RunStats.Load.SourceReadSeconds;
-        StreamEvents = RunStats.Load.SourceEvents;
-        PeakRingBytes = RunStats.Load.PeakTileRingBytes;
-      }
-      if (GangThreads > 1) {
-        SweepSpec Thr = Run; // keeps the decode mode
-        Thr.Threads = GangThreads;
-        std::vector<PerfCounters> ThrCells;
-        Fresh.runAll(Thr, 1, ThrCells);
-        if (!Compare(ThrCells, (Label + " threaded in-process").c_str()))
-          return 1;
-      }
-    }
-    std::printf("[timing] bench=%s:decodebandwidth events=%llu "
-                "file_bytes=%llu ratio=%.2f decode_s=%.3f "
-                "events_per_s=%.3g bytes_per_s=%.3g stream_decode_s=%.3f "
-                "stream_events_per_s=%.3g peak_ring_bytes=%llu\n",
-                Spec.Name.c_str(), (unsigned long long)DecodedEvents,
-                (unsigned long long)FileBytes,
-                FileBytes > 0 ? (double)DecodedBytes / (double)FileBytes
-                              : 0.0,
-                DecodeSeconds,
-                DecodeSeconds > 0 ? (double)DecodedEvents / DecodeSeconds
-                                  : 0.0,
-                DecodeSeconds > 0 ? (double)DecodedBytes / DecodeSeconds
-                                  : 0.0,
-                StreamReadSeconds,
-                StreamReadSeconds > 0
-                    ? (double)StreamEvents / StreamReadSeconds
-                    : 0.0,
-                (unsigned long long)PeakRingBytes);
-    std::printf("verify: %zu cells bit-identical across %s replay x "
-                "{materialized, streaming} decode\n",
-                InProc.size(),
-                GangThreads > 1 ? "{serial, threaded}" : "{serial}");
-  } else {
-    std::printf("note: VMIB_TRACE_CACHE unset; skipping the decode verify "
-                "axis\n");
   }
-
-  std::vector<PerfCounters> OneWorker;
-  SweepRunStats OneStats;
-  if (!runSharded(Spec, 1, FaultOpts, WorkerCmd, SpecPath, OneWorker,
-                  OneStats))
-    return 1;
-  if (!Compare(OneWorker, "1-worker"))
-    return 1;
-  if (Shards <= 1) {
-    // Nothing to scale against — the N-worker pass would just repeat
-    // the 1-worker sweep.
-    std::printf("verify: %zu cells bit-identical across in-process and "
-                "1-worker execution (pass --shards=N>1 for scaling)\n",
-                InProc.size());
-    printTables(Spec, InProc);
-    return 0;
+  if (uint64_t Mismatches = Audit.stats().Mismatches) {
+    std::printf("FAIL: %llu audited cells diverge from the primary (see "
+                "the [audit] lines above)\n",
+                (unsigned long long)Mismatches);
+    Ok = false;
   }
-
-  std::vector<PerfCounters> NWorker;
-  SweepRunStats NStats;
-  if (!runSharded(Spec, Shards, FaultOpts, WorkerCmd, SpecPath, NWorker,
-                  NStats))
+  if (!Ok)
     return 1;
-  if (!Compare(NWorker, "N-worker"))
-    return 1;
-
-  // The scaling line lands in the [timing] artifact: sharded wall
-  // clock with N workers vs 1 worker over the identical job list.
-  std::printf("[timing] bench=%s:scaling shards=%u wall_1worker_s=%.3f "
-              "wall_%uworkers_s=%.3f scaling=%.2f\n",
-              Spec.Name.c_str(), Shards, OneStats.ReplaySeconds, Shards,
-              NStats.ReplaySeconds,
-              NStats.ReplaySeconds > 0
-                  ? OneStats.ReplaySeconds / NStats.ReplaySeconds
-                  : 0.0);
-  std::printf("verify: %zu cells bit-identical across in-process, "
-              "1-worker and %u-worker sharded execution\n",
-              InProc.size(), Shards);
-  printTables(Spec, InProc);
+  std::printf("verify: %zu cells bit-identical across the %u-worker primary "
+              "and %zu in-process shapes\n",
+              Cells.size(), Shards, Shapes.size());
+  printTables(Spec, Cells);
   return 0;
 }
 
@@ -703,19 +547,13 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-  // --threads / --chunk override the spec's intra-gang knobs in every
-  // mode (the shared bench helper validates them like parsed fields;
-  // threads 0 = auto-detect at executor level). Orchestrated workers
-  // inherit the thread count through the {threads} command-template
-  // substitution — they re-parse the spec FILE, which a CLI override
-  // never touched.
+  // --threads / --chunk / --decode override the spec's execution
+  // shape in every mode (the shared bench helper validates them like
+  // parsed fields; threads 0 = auto-detect at executor level).
+  // Orchestrated workers read the effective spec: orchestrateSweep
+  // hands them a temp copy when an override changed it.
   int OverrideExit = 0;
   if (!bench::applySpecOverrides(Opts, Spec, OverrideExit))
-    return OverrideExit;
-  // --decode re-exports through the environment, so orchestrated
-  // workers (which see only the env) make the same choice this process
-  // does.
-  if (!bench::applyReplayPathOptions(Opts, OverrideExit))
     return OverrideExit;
   if (Opts.has("emit-spec")) {
     std::fputs(printSweepSpec(Spec).c_str(), stdout);
@@ -800,7 +638,7 @@ int main(int argc, char **argv) {
     SweepRunStats Stats;
     OrchestratorReport Report;
     if (!runSharded(Spec, Shards, FaultOpts, Opts.get("worker-cmd"),
-                    SpecPath, Cells, Stats, &Report)) {
+                    SpecPath, Cells, Stats, Report)) {
       Exit = 1;
     } else {
       if (Report.complete()) {
