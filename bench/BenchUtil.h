@@ -259,8 +259,6 @@ inline bool writeOrchestratorReportJson(const std::string &Path,
                (unsigned long long)R.StoreFlushFailures);
   std::fprintf(F, "  },\n");
   std::fprintf(F, "  \"audit\": {\n");
-  std::fprintf(F, "    \"shards\": %u,\n", R.AuditShardsLaunched);
-  std::fprintf(F, "    \"tiebreaks\": %u,\n", R.AuditTiebreaksLaunched);
   std::fprintf(F, "    \"cells_audited\": %llu,\n",
                (unsigned long long)R.Audit.CellsAudited);
   std::fprintf(F, "    \"mismatches\": %llu,\n",
@@ -273,9 +271,8 @@ inline bool writeOrchestratorReportJson(const std::string &Path,
                (unsigned long long)R.Audit.Nondeterminism);
   std::fprintf(F, "    \"quarantined\": %llu,\n",
                (unsigned long long)R.Audit.CellsQuarantined);
-  std::fprintf(F, "    \"requeued\": %llu,\n",
+  std::fprintf(F, "    \"requeued\": %llu\n",
                (unsigned long long)R.Audit.CellsRequeued);
-  std::fprintf(F, "    \"wall_s\": %.3f\n", R.AuditWallSeconds);
   std::fprintf(F, "  }\n");
   std::fprintf(F, "}\n");
   bool Ok = std::ferror(F) == 0;

@@ -129,6 +129,20 @@ std::string vmib::auditShapeId(const AuditShape &S) {
   return Out;
 }
 
+void vmib::printShapeTiming(const std::string &Bench, const AuditShape &S,
+                            double Seconds, const GangReplayer::Stats &Load) {
+  uint64_t Steals = 0;
+  for (const GangReplayer::Stats::Worker &W : Load.Workers)
+    Steals += W.MembersStolen;
+  std::printf("[timing] bench=%s shape=%s replay_s=%.3f member_events=%llu "
+              "steals=%llu restarts=%llu peak_ring_bytes=%llu\n",
+              Bench.c_str(), auditShapeId(S).c_str(), Seconds,
+              static_cast<unsigned long long>(Load.MemberEvents),
+              static_cast<unsigned long long>(Steals),
+              static_cast<unsigned long long>(Load.DeferredFinishes),
+              static_cast<unsigned long long>(Load.PeakTileRingBytes));
+}
+
 void vmib::printAuditSummary(const std::string &Sweep,
                              const std::string &Scope, const AuditStats &S) {
   std::printf("[audit] sweep=%s %s audited=%llu mismatches=%llu "
@@ -231,11 +245,11 @@ bool Auditor::traceHashFor(const SweepSpec &Spec, size_t Workload,
 
 void Auditor::auditSlice(const SweepSpec &Spec, size_t Workload,
                          size_t MemberBegin, size_t MemberEnd,
-                         std::vector<PerfCounters> &Slice) {
+                         std::vector<PerfCounters> &Slice,
+                         GangReplayer::Stats *LoadOut) {
   AuditStats Local = auditShape(Spec, Workload, MemberBegin, MemberEnd,
-                                Slice, decorrelatedAuditShape(Spec));
-  // Summary line with slice-local (summable) counters: what the
-  // orchestrator aggregates from worker stdout into its report.
+                                Slice, decorrelatedAuditShape(Spec), LoadOut);
+  // Summary line with slice-local counters, so a sweep's lines sum.
   if (Local.CellsAudited > 0)
     printAuditSummary(Spec.Name, format("workload=%zu", Workload), Local);
 }

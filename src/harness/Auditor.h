@@ -24,9 +24,7 @@
 ///     so a store-served cell would otherwise just re-serve itself.
 ///  3. **Tiebreak + triage** — on mismatch, a third execution through
 ///     the canonical clean shape (materialize, default tile, one
-///     thread) classifies the fault (triageMismatch, the one ladder
-///     the in-process Auditor and the orchestrator's tiebreak shards
-///     share):
+///     thread) classifies the fault (triageMismatch, the one ladder):
 ///       tiebreak == audit  != primary : the primary was wrong. If the
 ///           store would serve that wrong value -> store-served
 ///           corruption (quarantine the cell, never delete); else
@@ -40,9 +38,11 @@
 ///     re-recorded to the store, so final tables converge to the
 ///     fault-free reference.
 ///
-/// Everything is reported through `[audit]` stdout lines (summary
-/// lines carry summable counters the orchestrator folds into
-/// `OrchestratorReport::Audit`) and `AuditStats`.
+/// Everything is reported through `[audit]` stdout lines (one detail
+/// line per mismatch, one summary line per audited slice) and
+/// `AuditStats`. A sweep audits in the one process that owns it: the
+/// in-process executor after its pipeline drains, the orchestrator
+/// over its committed slices, or `--verify`.
 ///
 /// Proven by injection: `VMIB_FAULT="flipcounter=P,flipstore=P"`
 /// (harness/FaultInjection.h) plants seeded single-bit flips in
@@ -135,8 +135,15 @@ std::vector<AuditShape> verifyAuditShapes(unsigned SpecThreads);
 /// "default").
 std::string auditShapeId(const AuditShape &S);
 
-/// Counters the audit layer reports (summed across slices / workers /
-/// orchestrator in OrchestratorReport::Audit).
+/// Prints the replay line of one audited shape: `[timing]
+/// bench=<Bench> shape=<auditShapeId> replay_s=… member_events=…
+/// steals=… restarts=… peak_ring_bytes=…`, from the gang stats \p Load
+/// the shape's replays accumulated in \p Seconds.
+void printShapeTiming(const std::string &Bench, const AuditShape &S,
+                      double Seconds, const GangReplayer::Stats &Load);
+
+/// Counters the audit layer reports (summed across slices; an
+/// orchestrated sweep's are OrchestratorReport::Audit).
 struct AuditStats {
   uint64_t CellsAudited = 0;
   uint64_t Mismatches = 0;         ///< audit != primary
@@ -160,10 +167,9 @@ struct AuditStats {
 
 /// Prints the `[audit]` summary line: `[audit] sweep=<Sweep> <Scope>
 /// audited=N mismatches=N store_corruption=N compute_divergence=N
-/// nondeterminism=N quarantined=N requeued=N`. The counter tokens are
-/// summable — the orchestrator folds them from committed workers'
-/// lines — so \p Scope ("workload=2", "shards=4 tiebreaks=1") must
-/// carry none of them.
+/// nondeterminism=N quarantined=N requeued=N`. The counter tokens sum
+/// across a sweep's lines, so \p Scope ("workload=2") must carry none
+/// of them.
 void printAuditSummary(const std::string &Sweep, const std::string &Scope,
                        const AuditStats &S);
 
@@ -182,9 +188,9 @@ bool triageMismatch(const SweepSpec &Spec, size_t Workload, size_t Member,
                     const PerfCounters &Tie, ResultStore *Store,
                     uint64_t TraceHash, AuditStats &Stats);
 
-/// The in-process audit engine, shared by `runAll` (audits each
-/// workload row after the pipeline drains), worker mode (audits the
-/// shard slice before emitting rows) and `--verify`. NOT thread-safe:
+/// The audit engine, shared by `runAll` (audits each workload row
+/// after the pipeline drains), the orchestrator (audits each committed
+/// job's slice before the merge) and `--verify`. NOT thread-safe:
 /// its counters, its `[audit]` lines and its store repairs are
 /// unsynchronized, so callers run one audit at a time. Shape
 /// re-execution itself touches no process-wide state.
@@ -201,7 +207,8 @@ public:
   /// that sampled anything.
   void auditSlice(const SweepSpec &Spec, size_t Workload,
                   size_t MemberBegin, size_t MemberEnd,
-                  std::vector<PerfCounters> &Slice);
+                  std::vector<PerfCounters> &Slice,
+                  GangReplayer::Stats *LoadOut = nullptr);
 
   /// Audits the sampled members of [\p MemberBegin, \p MemberEnd) of
   /// workload \p Workload against \p Shape. \p Slice holds the primary

@@ -25,6 +25,7 @@
 
 #include "harness/ResultStore.h"
 
+#include "support/CommandLine.h"
 #include "support/FileSync.h"
 #include "vmcore/DispatchTrace.h"
 #include "vmcore/Strategy.h"
@@ -181,15 +182,13 @@ std::atomic<uint64_t> SegmentSerial{0};
 /// Kill-anywhere hook: VMIB_STORE_KILL_AFTER=N SIGKILLs the process
 /// the moment the Nth record (counted process-wide, across flushes)
 /// has been written to a temp segment — before that segment's fsync
-/// and rename, i.e. at the worst possible instant for durability.
-long storeKillAfter() {
-  static const long N = [] {
-    const char *E = std::getenv("VMIB_STORE_KILL_AFTER");
-    return E && *E ? std::atol(E) : 0;
-  }();
+/// and rename, i.e. at the worst possible instant for durability. 0
+/// (unset, or malformed after one warning) disables it.
+uint64_t storeKillAfter() {
+  static const uint64_t N = envCount("VMIB_STORE_KILL_AFTER", 0);
   return N;
 }
-std::atomic<long> RecordsEverWritten{0};
+std::atomic<uint64_t> RecordsEverWritten{0};
 
 bool readWordsAndSize(const std::string &Path, std::vector<uint64_t> &Words,
                       bool &WordAligned) {
@@ -568,7 +567,7 @@ bool ResultStore::writeSegment(
     return false;
   bool Ok = std::fwrite(Words.data(), sizeof(uint64_t), Words.size(), F) ==
             Words.size();
-  long KillAfter = storeKillAfter();
+  uint64_t KillAfter = storeKillAfter();
   for (size_t I = 0; Ok && I < WriteCount; ++I) {
     uint64_t RW[RecordWords];
     RW[0] = Recs[I].first.Hi;

@@ -13,10 +13,10 @@
 
 #include "harness/SweepOrchestrator.h"
 
+#include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
-#include "vmcore/DispatchTrace.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -95,11 +95,9 @@ uint64_t storeTokenOf(const std::string &Line, const char *Key) {
 /// worker's cells are durable in the result store, before the merged
 /// sweep is announced. A re-run must then serve exactly the committed
 /// jobs from the store and recompute only the rest, bit-identically.
-long orchKillAfterCommits() {
-  static long K = [] {
-    const char *E = std::getenv("VMIB_ORCH_KILL_AFTER_COMMITS");
-    return E && *E ? std::strtol(E, nullptr, 10) : 0L;
-  }();
+/// 0 (unset, or malformed after one warning) disables the drill.
+uint64_t orchKillAfterCommits() {
+  static const uint64_t K = envCount("VMIB_ORCH_KILL_AFTER_COMMITS", 0);
   return K;
 }
 
@@ -132,8 +130,6 @@ struct Attempt {
   size_t Job = 0;
   unsigned AttemptNo = 0;
   bool Hedge = false;
-  bool Audit = false;    ///< decorrelated-shape audit re-execution
-  bool Tiebreak = false; ///< canonical-shape third execution (Audit too)
   bool Cancelled = false; ///< another attempt already won this job
   bool TimedOut = false;
   bool TermSent = false;
@@ -159,9 +155,6 @@ struct Attempt {
   uint64_t StoreRecovered = 0;
   uint64_t StoreQuarantined = 0;
   uint64_t StoreFlushFailures = 0;
-  // Staged [audit] accounting from worker self-audit summary lines
-  // (committed attempts only, same rule).
-  AuditStats SelfAudit;
 };
 
 /// Per-job scheduling state.
@@ -175,17 +168,6 @@ struct JobState {
   bool FailedForGood = false;
   TimePoint ReadyAt = TimePoint::min(); ///< backoff gate while Queued
   std::string LastError;
-  // Audit lifecycle: Sampled at decomposition, Launched when the
-  // decorrelated shard dispatches, Done when the audit concluded (any
-  // way — match, triage complete, or audit worker lost). Mismatching
-  // slots (slice-relative) wait here between audit completion and the
-  // tiebreak dispatch.
-  bool AuditSampled = false;
-  bool AuditLaunched = false;
-  bool TiebreakLaunched = false;
-  bool AuditDone = false;
-  std::vector<PerfCounters> AuditSlice;
-  std::vector<size_t> AuditMismatchSlots;
 };
 
 /// The whole fan-out as a value: spawned once per orchestrateSweep.
@@ -208,16 +190,10 @@ public:
            std::string &Error, OrchestratorReport &Report);
 
 private:
-  bool spawn(size_t JobIdx, bool Hedge) {
-    return spawnImpl(JobIdx, Hedge, /*Shape=*/nullptr, /*Tiebreak=*/false);
-  }
-  bool spawnImpl(size_t JobIdx, bool Hedge, const AuditShape *Shape,
-                 bool Tiebreak);
+  bool spawn(size_t JobIdx, bool Hedge);
   void dispatchReady(TimePoint Now);
   void hedgeStragglers(TimePoint Now);
-  void dispatchAudits(TimePoint Now);
-  void finishAuditAttempt(Attempt &A, int Status);
-  bool auditsSettled() const;
+  void auditCommitted();
   void enforceDeadlines(TimePoint Now);
   int pollTimeoutMs(TimePoint Now) const;
   bool drain(Attempt &A);           ///< returns false on transient EAGAIN
@@ -248,34 +224,16 @@ private:
   std::string FailError;
   SweepRunStats RunStats;
   OrchestratorReport Rep;
-
-  // Redundant-execution audit (Opt.Audit): shapes are fixed per sweep.
-  bool AuditEnabled = false;
-  AuditShape DecorrShape;
-  AuditShape TieShape;
-  bool AuditStarted = false;
-  TimePoint AuditStart;
 };
 
-bool Orchestration::spawnImpl(size_t JobIdx, bool Hedge,
-                              const AuditShape *Shape, bool Tiebreak) {
+bool Orchestration::spawn(size_t JobIdx, bool Hedge) {
   JobState &J = JobStates[JobIdx];
   std::string Cmd = Template;
   substitute(Cmd, "{driver}", Driver);
   substitute(Cmd, "{spec}", SpecPath);
   substitute(Cmd, "{shards}", std::to_string(Opt.Shards));
   substitute(Cmd, "{job}", std::to_string(JobIdx));
-  if (Shape) {
-    // Audit shard: the decorrelated (or tiebreak) shape rides the
-    // {threads} placeholder; tile size and decode have none, so they
-    // append as flags, together with --audit-exec (clean re-execution:
-    // no store, no fault injection, no self-audit).
-    substitute(Cmd, "{threads}", std::to_string(Shape->Threads));
-    Cmd += format(" --chunk=%zu --decode=%s --audit-exec",
-                  Shape->ChunkEvents, traceDecodeModeId(Shape->Decode));
-  } else {
-    substitute(Cmd, "{threads}", std::to_string(WorkerThreads));
-  }
+  substitute(Cmd, "{threads}", std::to_string(WorkerThreads));
   substitute(Cmd, "{attempt}", std::to_string(J.NextAttemptNo));
 
   int OutPipe[2], ErrPipe[2];
@@ -321,8 +279,6 @@ bool Orchestration::spawnImpl(size_t JobIdx, bool Hedge,
   A.Job = JobIdx;
   A.AttemptNo = J.NextAttemptNo++;
   A.Hedge = Hedge;
-  A.Audit = Shape != nullptr;
-  A.Tiebreak = Tiebreak;
   for (int Fd : {A.OutFd, A.ErrFd}) {
     ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) | O_NONBLOCK);
     // Don't leak this pipe into later workers' shells.
@@ -337,10 +293,8 @@ bool Orchestration::spawnImpl(size_t JobIdx, bool Hedge,
   }
   J.Live++;
   J.Hedged += Hedge ? 1 : 0;
-  if (!A.Audit) {
-    Rep.AttemptsLaunched++;
-    Rep.HedgesLaunched += Hedge ? 1 : 0;
-  }
+  Rep.AttemptsLaunched++;
+  Rep.HedgesLaunched += Hedge ? 1 : 0;
   return true;
 }
 
@@ -383,46 +337,6 @@ void Orchestration::hedgeStragglers(TimePoint Now) {
   (void)Now;
 }
 
-/// Audit shards ride idle slots only, one rung below hedges: nothing
-/// launches while any primary job is queued (or could requeue), and
-/// hedgeStragglers runs first each tick, so audit work never delays a
-/// primary or a hedge — zero critical-path latency by construction.
-/// A job becomes eligible the moment it commits; with stragglers still
-/// running, committed jobs' audits overlap them in the idle slots.
-void Orchestration::dispatchAudits(TimePoint Now) {
-  if (!AuditEnabled || Failed)
-    return;
-  for (const JobState &J : JobStates)
-    if (J.Queued && !J.Committed && !J.FailedForGood)
-      return;
-  for (size_t I = 0; I < Jobs.size() && Pool.size() < Concurrent; ++I) {
-    JobState &J = JobStates[I];
-    if (!J.Committed || !J.AuditSampled || J.AuditDone)
-      continue;
-    if (!J.AuditLaunched) {
-      J.AuditLaunched = true;
-      if (!AuditStarted) {
-        AuditStarted = true;
-        AuditStart = Now;
-      }
-      Rep.AuditShardsLaunched++;
-      if (!spawnImpl(I, /*Hedge=*/false, &DecorrShape, /*Tiebreak=*/false)) {
-        Failed = true;
-        return;
-      }
-    } else if (!J.AuditMismatchSlots.empty() && !J.TiebreakLaunched) {
-      // The audit shard finished and disagreed somewhere: third
-      // execution through the canonical shape to break the tie.
-      J.TiebreakLaunched = true;
-      Rep.AuditTiebreaksLaunched++;
-      if (!spawnImpl(I, /*Hedge=*/false, &TieShape, /*Tiebreak=*/true)) {
-        Failed = true;
-        return;
-      }
-    }
-  }
-}
-
 void Orchestration::enforceDeadlines(TimePoint Now) {
   for (Attempt &A : Pool) {
     if (A.HasDeadline && !A.TermSent && Now >= A.Deadline) {
@@ -430,9 +344,7 @@ void Orchestration::enforceDeadlines(TimePoint Now) {
       A.TermSent = true;
       A.KillAt = Now + std::chrono::milliseconds(
                            Opt.KillGraceMs > 0 ? Opt.KillGraceMs : 1);
-      // Audit attempts are advisory; their timeouts are not job
-      // timeouts (they log through finishAuditAttempt instead).
-      Rep.Timeouts += (A.Cancelled || A.Audit) ? 0 : 1;
+      Rep.Timeouts += A.Cancelled ? 0 : 1;
       killAttempt(A, SIGTERM);
     }
     if (A.TermSent && !A.KillSent && Now >= A.KillAt) {
@@ -505,19 +417,6 @@ void Orchestration::handleLine(Attempt &A, const std::string &Line) {
     A.StoreRecovered += storeTokenOf(Line, " recovered=");
     A.StoreQuarantined += storeTokenOf(Line, " quarantined=");
     A.StoreFlushFailures += storeTokenOf(Line, " flush_failures=");
-  } else if (Line.compare(0, 7, "[audit]") == 0) {
-    // Worker self-audit summary lines (Auditor::auditSlice). Detail
-    // and shape-banner [audit] lines carry none of these tokens and
-    // sum zero. Audit-exec shards never self-audit, so this only ever
-    // stages on primary attempts.
-    AuditStats &S = A.SelfAudit;
-    S.CellsAudited += storeTokenOf(Line, " audited=");
-    S.Mismatches += storeTokenOf(Line, " mismatches=");
-    S.StoreCorruptions += storeTokenOf(Line, " store_corruption=");
-    S.ComputeDivergences += storeTokenOf(Line, " compute_divergence=");
-    S.Nondeterminism += storeTokenOf(Line, " nondeterminism=");
-    S.CellsQuarantined += storeTokenOf(Line, " quarantined=");
-    S.CellsRequeued += storeTokenOf(Line, " requeued=");
   }
 }
 
@@ -589,13 +488,6 @@ void Orchestration::finishAttempt(Attempt &A, int Status, TimePoint Now) {
   }
   JobState &J = JobStates[A.Job];
   J.Live--;
-  if (A.Audit) {
-    // Audit attempts run against an already-committed job, so they
-    // must branch BEFORE the committed-job discard below — and they
-    // can never fail the sweep.
-    finishAuditAttempt(A, Status);
-    return;
-  }
   if (A.Cancelled || J.Committed)
     return; // hedge/retry loser of an already-won job: discard
 
@@ -637,7 +529,6 @@ void Orchestration::commit(Attempt &A) {
   Rep.StoreRecovered += A.StoreRecovered;
   Rep.StoreQuarantined += A.StoreQuarantined;
   Rep.StoreFlushFailures += A.StoreFlushFailures;
-  Rep.Audit.merge(A.SelfAudit);
   if (Opt.EchoWorkerTimings)
     for (const std::string &Line : A.TimingLines)
       std::printf("%s\n", Line.c_str());
@@ -651,13 +542,13 @@ void Orchestration::commit(Attempt &A) {
       killAttempt(Other, SIGKILL);
     }
   // Crash drill: die mid-sweep, AFTER this worker flushed its cells.
-  if (long K = orchKillAfterCommits()) {
-    static long CommitsEver = 0;
+  if (uint64_t K = orchKillAfterCommits()) {
+    static uint64_t CommitsEver = 0;
     if (++CommitsEver >= K) {
       std::fprintf(stderr,
-                   "[orchestrator] VMIB_ORCH_KILL_AFTER_COMMITS=%ld reached; "
+                   "[orchestrator] VMIB_ORCH_KILL_AFTER_COMMITS=%llu reached; "
                    "raising SIGKILL\n",
-                   K);
+                   static_cast<unsigned long long>(K));
       std::fflush(stdout);
       std::fflush(stderr);
       ::raise(SIGKILL);
@@ -665,74 +556,26 @@ void Orchestration::commit(Attempt &A) {
   }
 }
 
-void Orchestration::finishAuditAttempt(Attempt &A, int Status) {
-  JobState &J = JobStates[A.Job];
-  if (A.Cancelled)
-    return; // sweep is being torn down; the audit is moot
-  size_t Members = Jobs[A.Job].MemberEnd - Jobs[A.Job].MemberBegin;
-  bool CleanExit = WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
-  bool Usable = !A.TimedOut && A.ProtocolError.empty() && CleanExit &&
-                A.SeenCount == Members;
-  if (!Usable) {
-    // An audit shard that cannot complete forfeits this job's audit;
-    // the committed primary stands. Never a sweep failure.
-    std::fprintf(stderr,
-                 "[orchestrator] %s shard for job %zu unusable "
-                 "(%s, %zu/%zu members)%s; audit of this job skipped\n",
-                 A.Tiebreak ? "audit-tiebreak" : "audit", A.Job,
-                 A.TimedOut ? "timed out"
-                 : !A.ProtocolError.empty()
-                     ? A.ProtocolError.c_str()
-                     : (CleanExit ? "short coverage" : "unclean exit"),
-                 A.SeenCount, Members, stderrSuffix(A.ErrTail).c_str());
-    J.AuditDone = true;
-    return;
-  }
-  if (!A.Tiebreak) {
-    // Decorrelated re-execution complete: bit-compare the whole shard
-    // against the committed primary slice.
-    Rep.Audit.CellsAudited += Members;
-    J.AuditSlice = std::move(A.Slice);
-    J.AuditMismatchSlots.clear();
-    for (size_t Slot = 0; Slot < Members; ++Slot)
-      if (J.AuditSlice[Slot] != Slices[A.Job][Slot])
-        J.AuditMismatchSlots.push_back(Slot);
-    if (J.AuditMismatchSlots.empty()) {
-      J.AuditDone = true;
-      return;
-    }
-    Rep.Audit.Mismatches += J.AuditMismatchSlots.size();
-    // dispatchAudits launches the tiebreak when a slot frees.
-    return;
-  }
-  // Canonical tiebreak in hand: the one triage ladder repairs the
-  // committed slice before the final merge (the tiebreak IS the
-  // authoritative recompute, so no second dispatch is needed).
-  const ShardJob &Job = Jobs[A.Job];
-  uint64_t TraceHash = 0;
-  bool HaveKey = Opt.Store && Opt.Store->isOpen() &&
-                 DispatchTrace::peekContentHash(
-                     DispatchTrace::cachePathFor(
-                         Spec.Suite + "-" + Spec.Benchmarks[Job.Workload]),
-                     TraceHash);
-  bool StoreDirty = false;
-  for (size_t Slot : J.AuditMismatchSlots)
-    StoreDirty |= triageMismatch(Spec, Job.Workload, Job.MemberBegin + Slot,
-                                 Slices[A.Job][Slot], J.AuditSlice[Slot],
-                                 A.Slice[Slot], HaveKey ? Opt.Store : nullptr,
-                                 TraceHash, Rep.Audit);
-  if (StoreDirty)
-    (void)Opt.Store->flush();
-  J.AuditDone = true;
-}
-
-bool Orchestration::auditsSettled() const {
-  if (!AuditEnabled)
-    return true;
-  for (const JobState &J : JobStates)
-    if (J.Committed && J.AuditSampled && !J.AuditDone)
-      return false;
-  return true;
+/// The one audit site of an orchestrated sweep: once every primary has
+/// settled, this process audits each committed job's slice through the
+/// same Auditor::auditSlice that SweepExecutor::runAll uses, on a clean
+/// executor (no store, no fault injection). So the sample, the
+/// decorrelated shape and the triage ladder are the in-process ones,
+/// and no worker template can drop the shape. Repairs land in Slices
+/// before the merge; triage quarantines in Opt.Store. A job lost under
+/// PartialOk has no slice, so nothing zero-filled is audited.
+void Orchestration::auditCommitted() {
+  SweepExecutor Clean;
+  Auditor Audit(Opt.Audit, Clean, Opt.Store);
+  GangReplayer::Stats Load;
+  WallTimer Timer;
+  for (size_t J = 0; J < Jobs.size(); ++J)
+    if (JobStates[J].Committed)
+      Audit.auditSlice(Spec, Jobs[J].Workload, Jobs[J].MemberBegin,
+                       Jobs[J].MemberEnd, Slices[J], &Load);
+  printShapeTiming(Spec.Name + ":audit", decorrelatedAuditShape(Spec),
+                   Timer.seconds(), Load);
+  Rep.Audit = Audit.stats();
 }
 
 unsigned Orchestration::backoffDelayMs(size_t JobIdx,
@@ -820,22 +663,6 @@ bool Orchestration::run(std::vector<PerfCounters> &Cells,
   WallTimer Wall;
   RunStats.Configs = Spec.numCells();
 
-  // Redundant-execution audit: the seeded draw marks each job whose
-  // shard contains at least one sampled cell. Audit shards re-execute
-  // the WHOLE shard (one worker either way) but the sampling decides
-  // which shards pay for one — and the draw is content-keyed, so the
-  // same logical cells are sampled under any decomposition.
-  if (Opt.Audit.enabled()) {
-    AuditEnabled = true;
-    DecorrShape = decorrelatedAuditShape(Spec);
-    TieShape = canonicalAuditShape();
-    for (size_t J = 0; J < Jobs.size(); ++J)
-      for (size_t M = Jobs[J].MemberBegin;
-           M < Jobs[J].MemberEnd && !JobStates[J].AuditSampled; ++M)
-        if (decideAudit(Opt.Audit, Spec, Jobs[J].Workload, M))
-          JobStates[J].AuditSampled = true;
-  }
-
   // Serve whole jobs from the result store before spawning anything: a
   // job whose workload has a cached trace (so its content hash is
   // knowable without capture) AND whose every member resolves by
@@ -859,16 +686,12 @@ bool Orchestration::run(std::vector<PerfCounters> &Cells,
     }
   }
 
-  while (!Failed &&
-         (!allJobsSettled() || !Pool.empty() || !auditsSettled())) {
+  while (!Failed && (!allJobsSettled() || !Pool.empty())) {
     TimePoint Now = Clock::now();
     dispatchReady(Now);
     if (Failed)
       break;
     hedgeStragglers(Now);
-    if (Failed)
-      break;
-    dispatchAudits(Now);
     if (Failed)
       break;
     enforceDeadlines(Now);
@@ -914,25 +737,9 @@ bool Orchestration::run(std::vector<PerfCounters> &Cells,
     }
   }
 
-  if (AuditStarted)
-    Rep.AuditWallSeconds =
-        std::chrono::duration<double>(Clock::now() - AuditStart).count();
-  if (AuditEnabled && !Failed) {
-    // Orchestrator-level audit summary + the [timing] evidence line:
-    // audit_wall_s is the idle-slot tail audit occupied, next to the
-    // sweep's total wall so the artifact shows what audit did (not)
-    // cost the critical path.
-    printAuditSummary(Spec.Name,
-                      format("shards=%u tiebreaks=%u", Rep.AuditShardsLaunched,
-                             Rep.AuditTiebreaksLaunched),
-                      Rep.Audit);
-    std::printf("[timing] bench=%s:audit audit_shards=%u "
-                "audit_wall_s=%.3f sweep_wall_s=%.3f\n",
-                Spec.Name.c_str(), Rep.AuditShardsLaunched,
-                Rep.AuditWallSeconds, Wall.seconds());
-  }
-
   abandonAll();
+  if (!Failed && Opt.Audit.enabled())
+    auditCommitted();
   Report = std::move(Rep);
   if (Failed) {
     Error = FailError;
@@ -998,11 +805,22 @@ bool vmib::orchestrateSweep(const SweepSpec &Spec,
   if (SpecPath.empty() ||
       (loadSweepSpecFile(SpecPath, OnDisk, LoadError) &&
        printSweepSpec(OnDisk) != printSweepSpec(Spec))) {
-    SpecPath = format("/tmp/vmib-%s-%ld.spec", Spec.Name.c_str(),
-                      static_cast<long>(::getpid()));
-    if (!writeSweepSpecFile(Spec, SpecPath, Error))
+    // The path reaches the workers' shell through {spec}, so it is
+    // made from a fixed pattern: no spec text ends up in it.
+    char Temp[] = "/tmp/vmib-spec-XXXXXX.spec";
+    int Fd = ::mkstemps(Temp, 5);
+    if (Fd < 0) {
+      Error = format("cannot create a temp spec file: %s",
+                     std::strerror(errno));
       return false;
+    }
+    ::close(Fd);
+    SpecPath = Temp;
     OwnSpecFile = true;
+    if (!writeSweepSpecFile(Spec, SpecPath, Error)) {
+      std::remove(SpecPath.c_str());
+      return false;
+    }
   }
 
   std::string Template = Opt.CommandTemplate.empty()

@@ -142,18 +142,16 @@ struct SweepWorkerOptions {
 
   //===--- redundant-execution audit ---------------------------------------===//
 
-  /// Sampled audit (harness/Auditor): committed shards whose cells the
-  /// seeded draw samples are re-dispatched — like hedges, only into
-  /// idle slots once the job queue has drained, so audit steals no
-  /// critical-path latency — as `--audit-exec` workers running the
-  /// fully decorrelated shape (decode/tile size/threads all flipped,
-  /// store and fault injection off). Mismatching cells get a
-  /// third canonical-shape tiebreak dispatch; the triage ladder then
-  /// classifies (store corruption / compute divergence /
-  /// nondeterminism), quarantines implicated store cells, and repairs
-  /// the committed slice with the authoritative tiebreak value before
-  /// the final merge. Audit attempts never fail the sweep — a dead
-  /// audit worker logs and forfeits that job's audit.
+  /// Sampled audit (harness/Auditor). Once every primary has settled,
+  /// this process audits each committed job's slice with
+  /// Auditor::auditSlice, exactly as the in-process executor does:
+  /// the cells the seeded draw samples replay through the decorrelated
+  /// shape on a clean executor (no store, no fault injection), and
+  /// mismatches go through the canonical tiebreak and the triage
+  /// ladder, which quarantines implicated cells in `Store` and repairs
+  /// the slice before the merge. The orchestrator therefore loads (or,
+  /// without VMIB_TRACE_CACHE, recaptures) the traces it audits.
+  /// Workers never audit.
   AuditPlan Audit;
 };
 
@@ -198,19 +196,9 @@ struct OrchestratorReport {
 
   //===--- audit accounting ------------------------------------------------===//
 
-  /// Decorrelated-shape audit workers dispatched into idle slots.
-  unsigned AuditShardsLaunched = 0;
-  /// Canonical-shape tiebreak workers dispatched after a mismatch.
-  unsigned AuditTiebreaksLaunched = 0;
-  /// Cells bit-compared against a decorrelated re-execution (audit
-  /// shards compare their whole slice) plus what worker self-audits
-  /// reported on committed `[audit]` summary lines, with the triage
-  /// verdicts, quarantines and repairs of both.
+  /// Sampled cells bit-compared against a decorrelated re-execution,
+  /// with the triage verdicts, quarantines and repairs.
   AuditStats Audit;
-  /// Wall clock from the first audit dispatch until audits settled —
-  /// the `[timing]` evidence that audit rode idle slots instead of the
-  /// critical path.
-  double AuditWallSeconds = 0;
 
   size_t cellsCovered() const {
     size_t N = 0;

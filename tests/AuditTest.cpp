@@ -11,17 +11,20 @@
 ///  - PerfCounters fingerprint/flipBit, the audit layer's value
 ///    identity and the fault injector's corruption primitive;
 ///  - end to end, with injected `flipcounter` corruption in primary
-///    workers and `--audit` sampling at the orchestrator: the audit
-///    shards catch every corrupted cell, the tiebreak classifies it as
-///    compute divergence, the cell is repaired ("requeued for
-///    authoritative recompute"), and the merged tables are
-///    bit-identical to a fault-free storeless reference — on BOTH
-///    suites;
+///    workers and `--audit` sampling at the orchestrator: the
+///    orchestrator's in-process Auditor catches every corrupted cell
+///    in the committed slices, the tiebreak classifies it as compute
+///    divergence, the cell is repaired ("requeued for authoritative
+///    recompute"), and the merged tables are bit-identical to a
+///    fault-free storeless reference — on BOTH suites, and under a
+///    worker template that wraps the worker in `sh -c '...'`;
+///  - an orchestrated sweep audits exactly the cells the draw samples,
+///    as many as the in-process sweep, never the zero-filled cells of
+///    a job lost under --partial-ok, and a worker rejects `--audit`;
 ///  - with `flipstore` serve-corruption under a populated ResultStore,
-///    the in-process auditor classifies store corruption, quarantines
-///    the cell (tombstones + quarantine/ evidence, nothing deleted),
-///    repairs the slice, and a clean re-run converges with zero
-///    mismatches;
+///    the auditor classifies store corruption, quarantines the cell
+///    (tombstones + quarantine/ evidence, nothing deleted), repairs the
+///    slice, and a clean re-run converges with zero mismatches;
 ///  - a fault-free audited sweep reports zero mismatches while still
 ///    proving it audited something;
 ///  - `sweep_driver --verify` is the Auditor at rate 1.0: its four
@@ -405,11 +408,11 @@ TEST(AuditPlan, FingerprintSeesEveryCounterAndFlipBitRoundTrips) {
 TEST_F(AuditTest, OrchestratedAuditRepairsFlipcounterCorruptionBothSuites) {
   // The acceptance scenario: primaries run under
   // VMIB_FAULT="flipcounter=P,seed=N" and corrupt some cells; the
-  // orchestrator audits a 25% sample through decorrelated shards, the
-  // tiebreak classifies every mismatch as compute divergence (no store
-  // is attached, so the store can never be implicated), repairs the
-  // cells, and the merged tables are bit-identical to the fault-free
-  // reference.
+  // orchestrator audits a 25% sample of its committed slices through
+  // the decorrelated shape, the tiebreak classifies every mismatch as
+  // compute divergence (no store is attached, so the store can never
+  // be implicated), repairs the cells, and the merged tables are
+  // bit-identical to the fault-free reference.
   for (bool Java : {false, true}) {
     SweepSpec Spec = Java ? auditJavaSpec() : auditForthSpec();
     std::string SpecPath = writeSpec(Spec);
@@ -434,8 +437,6 @@ TEST_F(AuditTest, OrchestratedAuditRepairsFlipcounterCorruptionBothSuites) {
     ::unsetenv("VMIB_FAULT");
     expectCellsEqual(Want, Cells);
 
-    EXPECT_GE(Report.AuditShardsLaunched, 1u);
-    EXPECT_GE(Report.AuditTiebreaksLaunched, 1u);
     EXPECT_GE(Report.Audit.CellsAudited, 1u);
     EXPECT_GE(Report.Audit.Mismatches, 1u);
     // Storeless: every mismatch is a compute divergence, each repaired.
@@ -444,48 +445,39 @@ TEST_F(AuditTest, OrchestratedAuditRepairsFlipcounterCorruptionBothSuites) {
     EXPECT_EQ(Report.Audit.StoreCorruptions, 0u);
     EXPECT_EQ(Report.Audit.Nondeterminism, 0u);
     EXPECT_EQ(Report.Audit.CellsQuarantined, 0u);
-    // Audit shards ride idle slots and never count as sweep attempts,
-    // failures or timeouts.
+    // Audits launch no worker, so they never count as sweep failures
+    // or timeouts.
     EXPECT_EQ(Report.WorkerFailures, 0u);
     EXPECT_EQ(Report.Timeouts, 0u);
     EXPECT_TRUE(Report.complete());
-    EXPECT_GE(Report.AuditWallSeconds, 0.0);
   }
 }
 
-//===--- worker self-audit (template-carried --audit) ---------------------===//
+//===--- the audit shape is a value, not flags on a worker template -------===//
 
-TEST_F(AuditTest, WorkerSelfAuditRepairsBeforeEmitAndFoldsCounters) {
-  // When the worker template itself carries --audit, each worker
-  // audits its slice BEFORE emitting rows: the orchestrator receives
-  // already-repaired results and folds the worker's [audit] counters
-  // into the report at commit (duplicates from retries or hedge losers
-  // never double-count).
+TEST_F(AuditTest, OrchestratedAuditKeepsItsShapeUnderAWrappingTemplate) {
+  // A template that wraps the worker in `sh -c '...'` ends in a quote:
+  // flags appended to it would become the shell's positional
+  // arguments. The audit shape never travels through the template —
+  // the orchestrator replays sampled cells in-process on a clean
+  // executor — so the flips planted in the primaries are still caught
+  // and repaired.
   SweepSpec Spec = auditForthSpec();
   std::string SpecPath = writeSpec(Spec);
   std::vector<PerfCounters> Want = reference(Spec);
 
-  // Rate 1: the worker audits every cell, so any fired flip is caught.
-  FaultPlan Faults;
-  Faults.FlipCounter = 0.3;
-  uint64_t Seed = 0;
-  for (uint64_t S = 1; S < 100000 && !Seed; ++S) {
-    Faults.Seed = S;
-    unsigned Word, Bit;
-    for (size_t W = 0; W < Spec.Benchmarks.size() && !Seed; ++W)
-      for (size_t M = 0; M < Spec.membersPerWorkload() && !Seed; ++M)
-        if (decideCounterFlip(Faults, W, M, Word, Bit))
-          Seed = S;
-  }
+  AuditPlan Audit;
+  Audit.Rate = 1.0;
+  uint64_t Seed = findCoveredFlipSeed(Spec, 0.3, Audit);
   ASSERT_NE(Seed, 0u);
   std::string Fault = "flipcounter=0.3,seed=" + std::to_string(Seed);
   ASSERT_EQ(0, ::setenv("VMIB_FAULT", Fault.c_str(), 1));
 
-  SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 4);
   Opt.CommandTemplate =
-      "exec {driver} --worker --spec={spec} --shards={shards} --job={job} "
-      "--threads={threads} --schedule={schedule} --attempt={attempt} "
-      "--audit=1.0";
+      "sh -c 'exec {driver} --worker --spec={spec} --shards={shards} "
+      "--job={job} --threads={threads} --attempt={attempt}'";
+  Opt.Audit = Audit;
 
   std::vector<PerfCounters> Cells;
   SweepRunStats Stats;
@@ -495,15 +487,123 @@ TEST_F(AuditTest, WorkerSelfAuditRepairsBeforeEmitAndFoldsCounters) {
       << Error;
   ::unsetenv("VMIB_FAULT");
   expectCellsEqual(Want, Cells);
-
-  // All counters came from worker self-audit lines, none from
-  // orchestrator-dispatched audit shards.
-  EXPECT_EQ(Report.AuditShardsLaunched, 0u);
-  EXPECT_EQ(Report.AuditTiebreaksLaunched, 0u);
-  EXPECT_EQ(Report.Audit.CellsAudited, Spec.numCells());
   EXPECT_GE(Report.Audit.Mismatches, 1u);
   EXPECT_EQ(Report.Audit.ComputeDivergences, Report.Audit.Mismatches);
-  EXPECT_EQ(Report.Audit.CellsRequeued, Report.Audit.Mismatches);
+}
+
+//===--- orchestrated and in-process sweeps audit the same sample --------===//
+
+TEST_F(AuditTest, OrchestratedAuditReplaysOnlyTheSampledCells) {
+  SweepSpec Spec = auditForthSpec();
+  std::string SpecPath = writeSpec(Spec);
+  std::vector<PerfCounters> Want = reference(Spec);
+  std::vector<ShardJob> Jobs = decomposeSweep(Spec, 2);
+
+  // A seed whose 25% sample is non-empty and leaves a sampled job with
+  // an unsampled cell, so counting cells and counting whole jobs
+  // disagree. The draw is pure: a fixed property of the seed.
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  Opt.Audit.Rate = 0.25;
+  size_t Sampled = 0, InSampledJobs = 0;
+  for (unsigned Tries = 0; Tries < 10000; ++Tries, ++Opt.Audit.Seed) {
+    Sampled = InSampledJobs = 0;
+    for (const ShardJob &J : Jobs) {
+      size_t Hits = 0;
+      for (size_t M = J.MemberBegin; M < J.MemberEnd; ++M)
+        Hits += decideAudit(Opt.Audit, Spec, J.Workload, M);
+      Sampled += Hits;
+      InSampledJobs += Hits ? J.MemberEnd - J.MemberBegin : 0;
+    }
+    if (Sampled > 0 && Sampled < InSampledJobs)
+      break;
+  }
+  ASSERT_GT(Sampled, 0u);
+  ASSERT_LT(Sampled, InSampledJobs);
+
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  std::string Error;
+  OrchestratorReport Report;
+  ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+      << Error;
+  expectCellsEqual(Want, Cells);
+  EXPECT_EQ(Report.Audit.CellsAudited, Sampled);
+  EXPECT_EQ(Report.Audit.Mismatches, 0u);
+
+  // The in-process sweep draws the same sample.
+  Auditor InProcess(Opt.Audit, Executor);
+  Executor.setAuditor(&InProcess);
+  Executor.runAll(Spec, 1, Cells);
+  Executor.setAuditor(nullptr);
+  expectCellsEqual(Want, Cells);
+  EXPECT_EQ(InProcess.stats().CellsAudited, Sampled);
+}
+
+TEST_F(AuditTest, OrchestratedAuditSkipsJobsLostUnderPartialOk) {
+  // A job that exhausts its retries under --partial-ok has no slice:
+  // its zero-filled cells are neither audited nor repaired, while the
+  // committed jobs on either side of it still are.
+  SweepSpec Spec = auditForthSpec();
+  std::string SpecPath = writeSpec(Spec);
+  std::vector<PerfCounters> Want = reference(Spec);
+  std::vector<ShardJob> Jobs = decomposeSweep(Spec, 4);
+  ASSERT_EQ(Jobs.size(), 4u);
+
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 4);
+  Opt.CommandTemplate =
+      "if [ {job} -eq 1 ]; then exit 7; fi; exec {driver} --worker "
+      "--spec={spec} --shards={shards} --job={job} --threads={threads} "
+      "--attempt={attempt}";
+  Opt.PartialOk = true;
+  Opt.Audit.Rate = 1.0;
+
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  std::string Error;
+  OrchestratorReport Report;
+  ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+      << Error;
+  ASSERT_EQ(Report.FailedJobs, std::vector<size_t>{1});
+  size_t Lost = Jobs[1].MemberEnd - Jobs[1].MemberBegin;
+  EXPECT_EQ(Report.Audit.CellsAudited, Spec.numCells() - Lost);
+  EXPECT_EQ(Report.Audit.Mismatches, 0u);
+  PerfCounters Zero{};
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    const PerfCounters &Expect = Report.CellCovered[I] ? Want[I] : Zero;
+    EXPECT_EQ(0, std::memcmp(&Cells[I], &Expect, sizeof(PerfCounters)))
+        << "cell " << I;
+  }
+}
+
+//===--- workers never audit ----------------------------------------------===//
+
+TEST_F(AuditTest, WorkerRejectsAuditFlag) {
+  // The orchestrator audits committed slices, so a worker told to
+  // audit exits 1 naming the orchestrator flag: a template that still
+  // asks for a self-audit fails the sweep loudly instead of silently
+  // auditing nothing.
+  SweepSpec Spec = auditForthSpec();
+  std::string SpecPath = writeSpec(Spec);
+  const std::string Rejection = "--audit is an orchestrator flag";
+
+  int Exit = -1;
+  std::string Out = runDriver(
+      "", "--spec=" + SpecPath + " --worker --shards=2 --job=0 --audit=1.0 2>&1",
+      Exit);
+  EXPECT_EQ(Exit, 1) << Out;
+  EXPECT_NE(Out.find(Rejection), std::string::npos) << Out;
+  EXPECT_EQ(Out.find("[result]"), std::string::npos) << Out;
+
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  Opt.CommandTemplate =
+      "exec {driver} --worker --spec={spec} --shards={shards} --job={job} "
+      "--threads={threads} --attempt={attempt} --audit=1.0";
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  std::string Error;
+  OrchestratorReport Report;
+  EXPECT_FALSE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report));
+  EXPECT_NE(Error.find(Rejection), std::string::npos) << Error;
 }
 
 //===--- store corruption: flipstore, quarantine, convergence -------------===//
@@ -595,8 +695,9 @@ TEST_F(AuditTest, FlipstoreIsClassifiedQuarantinedAndCleanRerunConverges) {
 TEST_F(AuditTest, OrchestratedAuditQuarantinesServedStoreCorruption) {
   // The sharded flavor of the same scenario: jobs are served whole
   // from the orchestrator's pre-dispatch store probe (no worker ever
-  // spawns for them), so only the audit shards stand between a
-  // flip-served store and the final tables.
+  // spawns for them), so only the orchestrator's audit of its
+  // committed slices stands between a flip-served store and the final
+  // tables.
   SweepSpec Spec = auditForthSpec();
   std::string SpecPath = writeSpec(Spec);
   std::vector<PerfCounters> Want = reference(Spec);
@@ -671,10 +772,8 @@ TEST_F(AuditTest, CleanAuditedSweepReportsZeroMismatches) {
   ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
       << Error;
   expectCellsEqual(Want, Cells);
-  EXPECT_GE(Report.AuditShardsLaunched, 1u);
   EXPECT_GE(Report.Audit.CellsAudited, 1u);
   EXPECT_EQ(Report.Audit.Mismatches, 0u);
-  EXPECT_EQ(Report.AuditTiebreaksLaunched, 0u);
   EXPECT_EQ(Report.Audit.StoreCorruptions, 0u);
   EXPECT_EQ(Report.Audit.ComputeDivergences, 0u);
   EXPECT_EQ(Report.Audit.Nondeterminism, 0u);

@@ -13,7 +13,10 @@
 ///  - straggler hedging re-dispatches outstanding jobs and the first
 ///    completion wins,
 ///  - workers read the effective spec (shape overrides included), not
-///    a stale --spec file,
+///    a stale --spec file, through a temp path that carries no spec
+///    text (a name with shell syntax or a slash is harmless),
+///  - malformed kill-drill counts warn once and leave the drill
+///    disarmed,
 ///  - under VMIB_FAULT chaos (worker crashes, hangs, protocol garbage)
 ///    the orchestrator still converges to bit-identical results on
 ///    both suites,
@@ -119,6 +122,25 @@ protected:
     std::vector<PerfCounters> Cells;
     Executor.runAll(Spec, 1, Cells);
     return Cells;
+  }
+
+  /// Runs `sibling sweep_driver <Args>` with \p Env prefixed and
+  /// returns its stdout and stderr; \p Exit receives the shell's exit
+  /// status (128 + N for a driver killed by signal N).
+  std::string runDriver(const std::string &Env, const std::string &Args,
+                        int &Exit) {
+    std::string Cmd =
+        Env + " " + defaultSweepDriverPath() + " " + Args + " 2>&1";
+    std::FILE *P = ::popen(Cmd.c_str(), "r");
+    EXPECT_NE(nullptr, P) << Cmd;
+    std::string Out;
+    char Buf[4096];
+    size_t N;
+    while (P && (N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
+      Out.append(Buf, N);
+    int Status = P ? ::pclose(P) : -1;
+    Exit = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+    return Out;
   }
 
   /// Options wired to the fixture: quiet, fast backoff.
@@ -359,6 +381,67 @@ TEST_F(OrchestratorFaultTest, ShapeOverridesReachWorkersThroughTheSpec) {
   EXPECT_EQ(Count("\nchunk 16\n"), Jobs) << Read;
   EXPECT_EQ(Count("\ndecode stream\n"), Jobs) << Read;
   EXPECT_EQ(Count("\nchunk 0\n"), 0u) << Read;
+}
+
+TEST_F(OrchestratorFaultTest, SpecNamesNeverReachTheWorkerShell) {
+  // An override makes workers read a temp copy of the effective spec,
+  // whose path the template's shell sees through {spec}. Spec names
+  // may hold shell syntax or a slash; neither may reach that path.
+  for (const char *Name : {"fig08;touch${IFS}INJECTED;x", "a/b"}) {
+    SweepSpec Spec = faultForthSpec();
+    Spec.Name = Name;
+    Spec.Benchmarks = {forthSuite()[0].Name};
+    std::string SpecPath = std::string(Dir) + "/named.spec";
+    std::string Error;
+    ASSERT_TRUE(writeSweepSpecFile(Spec, SpecPath, Error)) << Error;
+    std::vector<PerfCounters> Want = reference(Spec);
+    Spec.ChunkEvents = 4096;
+
+    SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+    Opt.CommandTemplate = "cd " + std::string(Dir) + " && " + WorkerExec;
+    std::vector<PerfCounters> Cells;
+    SweepRunStats Stats;
+    OrchestratorReport Report;
+    ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+        << Name << ": " << Error;
+    expectCellsEqual(Want, Cells);
+    EXPECT_NE(0, ::access((std::string(Dir) + "/INJECTED").c_str(), F_OK))
+        << Name << ": the spec name ran in the worker shell";
+  }
+}
+
+//===--- kill drills read strict counts -----------------------------------===//
+
+TEST_F(OrchestratorFaultTest, MalformedKillDrillCountsWarnOnceAndStayOff) {
+  // "-1" must not arm the orchestrator drill at its first commit, and
+  // "1x" must not arm the store drill at its first record: both break
+  // the env count rule, so they warn once and leave the drill off.
+  SweepSpec Spec = faultForthSpec();
+  std::string SpecPath = writeSpec(Spec);
+  reference(Spec); // warm the shared trace cache
+  auto Count = [](const std::string &Out, const std::string &Needle) {
+    size_t Hits = 0;
+    for (size_t At = Out.find(Needle); At != std::string::npos;
+         At = Out.find(Needle, At + 1))
+      ++Hits;
+    return Hits;
+  };
+
+  int Exit = -1;
+  std::string Out =
+      runDriver("VMIB_ORCH_KILL_AFTER_COMMITS=-1",
+                "--spec=" + SpecPath + " --shards=2 --no-result-store", Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_EQ(Count(Out, "warning: ignoring VMIB_ORCH_KILL_AFTER_COMMITS"), 1u)
+      << Out;
+  EXPECT_EQ(Out.find("raising SIGKILL"), std::string::npos) << Out;
+
+  Out = runDriver("VMIB_STORE_KILL_AFTER=1x",
+                  "--spec=" + SpecPath + " --in-process --store-dir=" +
+                      std::string(Dir) + "/results",
+                  Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_EQ(Count(Out, "warning: ignoring VMIB_STORE_KILL_AFTER"), 1u) << Out;
 }
 
 //===--- chaos: VMIB_FAULT end to end -------------------------------------===//

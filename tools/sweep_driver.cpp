@@ -28,11 +28,11 @@
 /// knob is bit-identity-neutral by contract, and `--verify` proves it.
 ///
 /// Verify (docs/simulation-pipeline.md, "Audit model"): `--verify`
-/// runs the orchestrated primary exactly as the default mode does —
-/// under VMIB_FAULT chaos when that is set — then a clean in-process
-/// Auditor (no store, no fault injection) audits every cell at rate
-/// 1.0 against the four shapes of verifyAuditShapes(), which cover
-/// decode x tile x threads pairwise. Each shape prints one
+/// runs the orchestrated primary as the default mode does, minus
+/// `--audit` (under VMIB_FAULT chaos when that is set), then a clean
+/// in-process Auditor (no store, no fault injection) audits every cell
+/// at rate 1.0 against the four shapes of verifyAuditShapes(), which
+/// cover decode x tile x threads pairwise. Each shape prints one
 /// `[timing] bench=<sweep>:verify shape=<id>` line (replay wall clock,
 /// member events, steals, restarts, peak tile-ring bytes). Exit 1 on
 /// a mismatch, on a cell the primary did not cover, or on a stream
@@ -89,12 +89,13 @@
 /// Audit model (docs/simulation-pipeline.md, "Audit model"):
 /// `--audit=RATE` re-executes a deterministically-sampled subset of
 /// cells through a fully decorrelated execution shape (decode, tile
-/// size and thread count all flipped) and bit-compares. In
-/// orchestrator mode the audits are dispatched like hedges — into idle
-/// worker slots, after the job queue drains — as `--audit-exec`
-/// workers (clean re-execution: VMIB_FAULT ignored, store off); in
-/// `--in-process` and `--worker` mode the Auditor runs in-process
-/// after the primary slice. A mismatch triggers a third,
+/// size and thread count all flipped) and bit-compares. One Auditor
+/// does it in the process that owns the sweep: `--in-process` audits
+/// each workload row after the pipeline drains, the orchestrator
+/// audits each committed job's slice once the workers have settled
+/// (clean executor: VMIB_FAULT ignored, store off) and prints one
+/// `[timing] bench=<sweep>:audit shape=<id>` line. `--worker` rejects
+/// `--audit`. A mismatch triggers a third,
 /// canonical-shape tiebreak that classifies the fault
 /// (store-served corruption / compute divergence / nondeterminism),
 /// quarantines implicated ResultStore cells (evidence preserved, never
@@ -142,16 +143,9 @@ void printTables(const SweepSpec &Spec,
 
 /// Runs one shard job and speaks the worker protocol on stdout.
 /// \p Attempt is the orchestrator's retry/hedge counter; it only
-/// seeds the (optional) VMIB_FAULT chaos draw. \p Audit turns on the
-/// worker self-audit (harness/Auditor) over the computed slice before
-/// its rows are announced; \p AuditExec marks this worker as an
-/// orchestrator-dispatched audit re-execution — VMIB_FAULT is ignored
-/// wholesale (an audit run must be clean, or cell-keyed flip draws
-/// would reproduce the primary's corruption and mask it) and the
-/// caller has already forced the store off.
+/// seeds the (optional) VMIB_FAULT chaos draw.
 int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
-              unsigned Attempt, ResultStore *Store, const AuditPlan &Audit,
-              bool AuditExec) {
+              unsigned Attempt, ResultStore *Store) {
   std::vector<ShardJob> Jobs = decomposeSweep(Spec, Shards);
   if (JobIdx >= Jobs.size()) {
     std::fprintf(stderr, "error: job %zu out of range (%zu jobs)\n", JobIdx,
@@ -159,24 +153,21 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
     return 1;
   }
   FaultPlan Plan;
-  FaultMode Fault = FaultMode::None;
-  if (!AuditExec) {
-    std::string FaultError;
-    if (!parseFaultPlan(std::getenv("VMIB_FAULT"), Plan, FaultError)) {
-      std::fprintf(stderr, "error: VMIB_FAULT: %s\n", FaultError.c_str());
-      return 1;
-    }
-    Fault = decideFault(Plan, JobIdx, Attempt);
-    if (Fault != FaultMode::None)
-      std::fprintf(stderr, "[chaos] job %zu attempt %u: injecting '%s'\n",
-                   JobIdx, Attempt, faultModeId(Fault));
+  std::string FaultError;
+  if (!parseFaultPlan(std::getenv("VMIB_FAULT"), Plan, FaultError)) {
+    std::fprintf(stderr, "error: VMIB_FAULT: %s\n", FaultError.c_str());
+    return 1;
   }
+  FaultMode Fault = decideFault(Plan, JobIdx, Attempt);
+  if (Fault != FaultMode::None)
+    std::fprintf(stderr, "[chaos] job %zu attempt %u: injecting '%s'\n",
+                 JobIdx, Attempt, faultModeId(Fault));
 
   const ShardJob &Job = Jobs[JobIdx];
   const std::string &Benchmark = Spec.Benchmarks[Job.Workload];
   SweepExecutor Executor;
   Executor.setResultStore(Store);
-  Executor.setFaultInjection(Plan); // flipcounter mass; zero for audit-exec
+  Executor.setFaultInjection(Plan); // the flipcounter mass
 
   // Store fast path: when EVERY member of the job is already durable
   // (keyed off the trace file header, no decode), skip warmup — the
@@ -206,25 +197,6 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
       Spec, Job.Workload, Job.MemberBegin, Job.MemberEnd, &Load);
   bench::emitTiming(Spec.Name + format(":job%zu", JobIdx), CaptureSeconds,
                     ReplayTimer.seconds(), Load.MemberEvents, Slice.size());
-
-  if (AuditExec) {
-    // Banner for the orchestrator's logs: which shape this shard
-    // re-executed. Deliberately carries NONE of the summable [audit]
-    // count tokens, so it stages zero everywhere.
-    AuditShape Shape;
-    Shape.Decode = Spec.Decode;
-    Shape.ChunkEvents = Spec.ChunkEvents;
-    Shape.Threads = resolveGangThreads(Spec.Threads);
-    std::printf("[audit] sweep=%s job=%zu role=shaped-replay shape=%s\n",
-                Spec.Name.c_str(), JobIdx, auditShapeId(Shape).c_str());
-  } else if (Audit.enabled()) {
-    // Worker self-audit: repair the slice BEFORE its rows go out, so
-    // what the orchestrator commits is already the audited truth. The
-    // summary [audit] line's counters feed the orchestrator report.
-    Auditor SelfAudit(Audit, Executor, Store);
-    SelfAudit.auditSlice(Spec, Job.Workload, Job.MemberBegin, Job.MemberEnd,
-                         Slice);
-  }
 
   // The emit loop doubles as the chaos stage: faults fire mid-stream
   // (after half the rows) so the orchestrator sees exactly what a
@@ -436,10 +408,12 @@ bool runSharded(const SweepSpec &Spec, unsigned Shards,
 
 /// `--verify`: the orchestrated primary, then a clean in-process audit
 /// of every cell at rate 1.0 against each verifyAuditShapes() shape
-/// (see the file comment).
+/// (see the file comment). The primary runs unaudited: every cell is
+/// audited four ways below anyway.
 int runVerify(const SweepSpec &Spec, unsigned Shards,
-              const SweepWorkerOptions &FaultOpts,
-              const std::string &WorkerCmd, const std::string &SpecPath) {
+              SweepWorkerOptions FaultOpts, const std::string &WorkerCmd,
+              const std::string &SpecPath) {
+  FaultOpts.Audit = AuditPlan();
   std::vector<PerfCounters> Cells;
   SweepRunStats Stats;
   OrchestratorReport Report;
@@ -473,22 +447,11 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
     WallTimer Timer;
     for (size_t W = 0; W < Rows.size(); ++W)
       Audit.auditShape(Spec, W, 0, M, Rows[W], Shape, &Load);
-    uint64_t Steals = 0;
-    for (const GangReplayer::Stats::Worker &Wk : Load.Workers)
-      Steals += Wk.MembersStolen;
-    std::string Id = auditShapeId(Shape);
-    std::printf("[timing] bench=%s:verify shape=%s replay_s=%.3f "
-                "member_events=%llu steals=%llu restarts=%llu "
-                "peak_ring_bytes=%llu\n",
-                Spec.Name.c_str(), Id.c_str(), Timer.seconds(),
-                (unsigned long long)Load.MemberEvents,
-                (unsigned long long)Steals,
-                (unsigned long long)Load.DeferredFinishes,
-                (unsigned long long)Load.PeakTileRingBytes);
+    printShapeTiming(Spec.Name + ":verify", Shape, Timer.seconds(), Load);
     if (Shape.Decode == TraceDecodeMode::Stream && Streamable &&
         !Load.StreamedDecode) {
       std::printf("FAIL: shape %s did not stream from the trace cache\n",
-                  Id.c_str());
+                  auditShapeId(Shape).c_str());
       Ok = false;
     }
   }
@@ -568,15 +531,20 @@ int main(int argc, char **argv) {
     return OverrideExit;
 
   // The redundant-execution audit knobs (--audit=RATE, --audit-seed=N)
-  // apply to every mode: orchestrating modes dispatch decorrelated
-  // audit shards, --in-process and --worker self-audit through the
-  // same Auditor. --audit-exec marks THIS process as one of those
-  // dispatched audit shards: clean re-execution, no store, no faults,
-  // no recursive self-audit.
+  // belong to the process that owns the sweep: --in-process audits its
+  // rows, an orchestrator its committed slices. A worker's slice is
+  // audited by its orchestrator, so a worker template that still asks
+  // for a self-audit fails here instead of silently auditing nothing.
   AuditPlan Audit;
   if (!bench::applyAuditOptions(Opts, Audit, OverrideExit))
     return OverrideExit;
-  bool AuditExec = Opts.has("audit-exec");
+  if (Opts.has("worker") && Opts.has("audit")) {
+    std::fprintf(stderr,
+                 "error: --audit is an orchestrator flag: workers do not "
+                 "audit; pass --audit=RATE to the orchestrating "
+                 "sweep_driver, which audits every committed slice\n");
+    return 1;
+  }
   FaultOpts.Audit = Audit;
 
   unsigned Shards = 1;
@@ -599,15 +567,12 @@ int main(int argc, char **argv) {
   // locks through ResultStore::open.
   DirUseLock CacheUse(DispatchTrace::cacheDir());
   ResultStore Store;
-  // An audit-exec shard must never consult the store: the store key is
-  // shape-free, so it would just re-serve the very cells under audit.
-  bool StoreOn = !AuditExec && bench::applyStoreOptions(Opts, Store);
+  bool StoreOn = bench::applyStoreOptions(Opts, Store);
   FaultOpts.Store = StoreOn ? &Store : nullptr;
 
   int Exit = 0;
   if (Opts.has("worker")) {
-    Exit = runWorker(Spec, Shards, Job, Attempt, StoreOn ? &Store : nullptr,
-                     Audit, AuditExec);
+    Exit = runWorker(Spec, Shards, Job, Attempt, StoreOn ? &Store : nullptr);
   } else if (Opts.has("verify")) {
     Exit = runVerify(Spec, Shards, FaultOpts, Opts.get("worker-cmd"),
                      SpecPath);
