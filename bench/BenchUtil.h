@@ -45,27 +45,67 @@ inline void banner(const std::string &Id, const std::string &What) {
   std::printf("=== %s ===\n%s\n\n", Id.c_str(), What.c_str());
 }
 
-/// Reads the count flag \p Name through OptionParser::getCount (decimal
-/// digits only, at most \p Max) into \p Out, which keeps its value when
-/// the flag is absent. \returns false with \p ExitCode set and the
-/// diagnostic on stderr on a malformed value.
-template <class T>
-bool readCountOption(const OptionParser &Opts, const char *Name, uint64_t Max,
-                     T &Out, int &ExitCode) {
-  uint64_t N = Out;
-  std::string Error;
-  if (!Opts.getCount(Name, Max, N, Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    ExitCode = 1;
-    return false;
-  }
-  Out = static_cast<T>(N);
-  return true;
-}
+//===--- declared options -------------------------------------------------===//
 
 /// Upper bound of the fan-out counts (--threads, --shards): larger
 /// values are typos, not plans.
 inline constexpr uint64_t MaxFanOut = 1024;
+
+/// `--quick`, on the benches that read it.
+inline const OptionDecl QuickOption = {
+    "quick", "run the first two suite benchmarks only"};
+
+/// The spec overrides applySpecOverrides reads: each execution-shape
+/// field of the spec, bit-identical for any value.
+inline OptionTable shapeOptions() {
+  return {{"threads",
+           "intra-gang worker threads per gang replay (spec `threads`; "
+           "0 = auto-detect)",
+           OptionDecl::Count, MaxFanOut},
+          {"chunk", "gang tile size in events (spec `chunk`; 0 = default)",
+           OptionDecl::Count, SIZE_MAX},
+          {"decode",
+           "materialize, stream (O(tile) from the trace cache) or auto "
+           "(stream past 256 MiB decoded; spec `decode`)",
+           OptionDecl::Value}};
+}
+
+/// The options every spec-driven entry point takes (runDeclaredSweep
+/// and sweep_driver; applySweepOptions reads them), then \p Extra.
+inline OptionTable sweepOptions(const OptionTable &Extra = {}) {
+  OptionTable T = shapeOptions();
+  T.insert(T.begin(),
+           {{"spec", "sweep spec file to run", OptionDecl::Value},
+            {"emit-spec", "print the effective sweep spec and exit"}});
+  T.insert(
+      T.end(),
+      {{"shards", "fan out over N sweep_driver worker processes",
+        OptionDecl::Count, MaxFanOut},
+       {"worker-cmd",
+        "worker shell template: {driver} {spec} {shards} {job} {threads} "
+        "{attempt} {store}",
+        OptionDecl::Value},
+       {"retries", "requeues per failed, timed-out or garbled worker job",
+        OptionDecl::Count, UINT32_MAX},
+       {"backoff-ms", "first requeue delay in ms, doubled per requeue",
+        OptionDecl::Count, UINT32_MAX},
+       {"job-timeout", "per-job wall clock budget in ms (0 = none)",
+        OptionDecl::Count, UINT32_MAX},
+       {"kill-grace", "ms from a timeout's SIGTERM to its SIGKILL",
+        OptionDecl::Count, UINT32_MAX},
+       {"hedge", "re-dispatch the last N outstanding jobs to idle slots",
+        OptionDecl::Count, UINT32_MAX},
+       {"result-store", "durable cell store at <VMIB_TRACE_CACHE>/results"},
+       {"store-dir", "result store at this directory", OptionDecl::Value},
+       {"no-result-store", "force the result store off"},
+       {"audit", "re-run this fraction (0..1) of cells in a decorrelated "
+                 "shape and bit-compare",
+        OptionDecl::Value},
+       {"audit-seed", "seed of the audit's cell sample", OptionDecl::Count,
+        UINT64_MAX}});
+  T.insert(T.end(), Extra.begin(), Extra.end());
+  return T;
+}
 
 //===--- machine-readable emitters ----------------------------------------===//
 //
@@ -151,20 +191,16 @@ inline void emitStoreReport(const std::string &SweepName,
               (unsigned long long)S.FlushFailures, Store.size());
 }
 
-/// Resolves and opens the durable result store per the shared flags —
+/// Resolves and opens the durable result store per the store flags —
 /// `--result-store` (default location), `--store-dir=D`,
-/// `--no-result-store` — and the VMIB_RESULT_STORE environment
-/// variable, then RE-EXPORTS the decision into the environment so
-/// orchestrated worker processes (which see only the env, not the
-/// flags) make the same choice. \returns true when \p Store is open;
-/// failures to open degrade to a warning and a disabled store — a
-/// cache must never fail a sweep.
+/// `--no-result-store`. \returns true when \p Store is open; failures
+/// to open degrade to a warning and a disabled store — a cache must
+/// never fail a sweep.
 inline bool applyStoreOptions(const OptionParser &Opts, ResultStore &Store) {
   std::string Why;
   std::string Dir = ResultStore::resolveDir(
       Opts.get("store-dir"), Opts.has("result-store"),
       Opts.has("no-result-store"), &Why);
-  ::setenv("VMIB_RESULT_STORE", Dir.empty() ? "off" : Dir.c_str(), 1);
   if (Dir.empty()) {
     if (!Why.empty())
       std::fprintf(stderr, "warning: %s\n", Why.c_str());
@@ -175,27 +211,9 @@ inline bool applyStoreOptions(const OptionParser &Opts, ResultStore &Store) {
     std::fprintf(stderr,
                  "warning: %s; continuing without the result store\n",
                  Diag.c_str());
-    ::setenv("VMIB_RESULT_STORE", "off", 1);
     return false;
   }
   return true;
-}
-
-/// Parses the redundant-execution audit knobs — `--audit=RATE` (the
-/// deterministic cell-sampling rate, 0..1) and `--audit-seed=N`
-/// (override the fixed default sample) — into \p Plan. \returns false
-/// with \p ExitCode set on a malformed value.
-inline bool applyAuditOptions(const OptionParser &Opts, AuditPlan &Plan,
-                              int &ExitCode) {
-  if (Opts.has("audit")) {
-    std::string Error;
-    if (!parseAuditRate(Opts.get("audit"), Plan, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      ExitCode = 1;
-      return false;
-    }
-  }
-  return readCountOption(Opts, "audit-seed", UINT64_MAX, Plan.Seed, ExitCode);
 }
 
 /// Minimal JSON string escape for the report writer: quotes,
@@ -281,66 +299,76 @@ inline bool writeOrchestratorReportJson(const std::string &Path,
 
 //===--- declarative sweeps -----------------------------------------------===//
 
-/// Applies the spec-override flags every spec-driven entry point
-/// shares — `--threads=N` (0 = auto-detect; negative rejected),
-/// `--chunk=N` (gang tile events; 0 = default) and
-/// `--decode=materialize|stream|auto` — then re-validates the spec.
-/// \returns false with \p ExitCode set (and a diagnostic on stderr)
-/// when the caller should exit.
+/// Applies `--threads`, `--chunk` and `--decode` to \p Spec and
+/// re-validates it, checking its own input for lenient parsers too.
+/// \returns false with \p ExitCode set and a diagnostic on stderr.
 inline bool applySpecOverrides(const OptionParser &Opts, SweepSpec &Spec,
                                int &ExitCode) {
   // Strict counts, like the spec parser's numeric fields: a typo'd
   // "--threads=foo" must diagnose, not silently become 0 = auto-detect.
-  if (!readCountOption(Opts, "threads", MaxFanOut, Spec.Threads, ExitCode) ||
-      !readCountOption(Opts, "chunk", SIZE_MAX, Spec.ChunkEvents, ExitCode))
-    return false;
-  if (Opts.has("decode") &&
-      !traceDecodeModeFromId(Opts.get("decode"), Spec.Decode)) {
-    std::fprintf(stderr,
-                 "error: unknown --decode '%s' (expected materialize, "
-                 "stream or auto)\n",
-                 Opts.get("decode").c_str());
-    ExitCode = 1;
-    return false;
-  }
+  uint64_t Threads = Spec.Threads, Chunk = Spec.ChunkEvents;
   std::string Error;
-  if (!validateSweepSpec(Spec, Error)) {
-    std::fprintf(stderr, "error: invalid sweep spec: %s\n", Error.c_str());
-    ExitCode = 1;
-    return false;
+  if (Opts.getCount("threads", MaxFanOut, Threads, Error) &&
+      Opts.getCount("chunk", SIZE_MAX, Chunk, Error)) {
+    Spec.Threads = static_cast<unsigned>(Threads);
+    Spec.ChunkEvents = static_cast<size_t>(Chunk);
+    if (Opts.has("decode") &&
+        !traceDecodeModeFromId(Opts.get("decode"), Spec.Decode))
+      Error = "unknown --decode '" + Opts.get("decode") +
+              "' (expected materialize, stream or auto)";
+    else if (validateSweepSpec(Spec, Error))
+      return true;
+    else
+      Error = "invalid sweep spec: " + Error;
   }
-  return true;
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  ExitCode = 1;
+  return false;
 }
 
-/// Applies the fault-tolerance flags every orchestrating entry point
-/// shares — `--retries=N`, `--backoff-ms=N`, `--job-timeout=MS`,
-/// `--kill-grace=MS`, `--hedge=K` and (sweep_driver only)
-/// `--partial-ok` — onto \p W. \returns false with \p ExitCode set
-/// (and a diagnostic on stderr) when the caller should exit.
-inline bool applyWorkerFaultOptions(const OptionParser &Opts,
-                                    SweepWorkerOptions &W, int &ExitCode,
-                                    bool AllowPartialOk = false) {
-  // A misspelled retry budget must diagnose, not fail fast.
+/// The apply step of sweepOptions() for runDeclaredSweep and
+/// sweep_driver: spec overrides onto \p Spec; shards, worker-cmd, the
+/// fault budgets, --partial-ok and the audit plan onto \p W;
+/// --emit-spec prints the spec; the store flags open \p Store (W.Store
+/// when open). \returns false to exit with \p Exit (0 after
+/// --emit-spec, 1 after a diagnostic).
+inline bool applySweepOptions(const OptionParser &Opts, SweepSpec &Spec,
+                              SweepWorkerOptions &W, ResultStore &Store,
+                              int &Exit) {
+  if (!applySpecOverrides(Opts, Spec, Exit))
+    return false;
+  std::string Error;
+  bool Ok = true;
   const std::pair<const char *, unsigned *> Counts[] = {
-      {"retries", &W.Retries},         {"backoff-ms", &W.BackoffMs},
-      {"job-timeout", &W.JobTimeoutMs}, {"kill-grace", &W.KillGraceMs},
-      {"hedge", &W.HedgeLast}};
-  for (const auto &[Name, Field] : Counts)
-    if (!readCountOption(Opts, Name, UINT32_MAX, *Field, ExitCode))
-      return false;
-  if (Opts.has("partial-ok")) {
-    if (!AllowPartialOk) {
-      // Benches render full tables by cell position; a zero-filled
-      // hole would print as a nonsense speedup. Degraded sweeps
-      // belong to sweep_driver, which reports the coverage.
-      std::fprintf(stderr,
-                   "error: --partial-ok is a sweep_driver flag (benches "
-                   "need full coverage to render their tables)\n");
-      ExitCode = 1;
-      return false;
-    }
-    W.PartialOk = true;
+      {"shards", &W.Shards},          {"retries", &W.Retries},
+      {"backoff-ms", &W.BackoffMs},   {"job-timeout", &W.JobTimeoutMs},
+      {"kill-grace", &W.KillGraceMs}, {"hedge", &W.HedgeLast}};
+  for (const auto &[Name, Field] : Counts) {
+    uint64_t N = *Field;
+    if (!(Ok = Opts.getCount(Name, UINT32_MAX, N, Error)))
+      break;
+    *Field = static_cast<unsigned>(N);
   }
+  if (Ok && Opts.has("audit"))
+    Ok = parseAuditRate(Opts.get("audit"), W.Audit, Error);
+  if (Ok)
+    Ok = Opts.getCount("audit-seed", UINT64_MAX, W.Audit.Seed, Error);
+  if (!Ok) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    Exit = 1;
+    return false;
+  }
+  if (Opts.has("emit-spec")) {
+    std::fputs(printSweepSpec(Spec).c_str(), stdout);
+    Exit = 0;
+    return false;
+  }
+  W.Shards = W.Shards < 1 ? 1 : W.Shards;
+  W.Threads = Spec.Threads; // two-level: shards × intra-gang threads
+  W.SpecPath = Opts.get("spec"); // reuse the file workers can read
+  W.CommandTemplate = Opts.get("worker-cmd");
+  W.PartialOk = Opts.has("partial-ok");
+  W.Store = applyStoreOptions(Opts, Store) ? &Store : nullptr;
   return true;
 }
 
@@ -375,51 +403,13 @@ inline SpeedupMatrix matrixFromCells(const SweepSpec &Spec,
   return M;
 }
 
-/// The declarative-sweep entry every spec-driven bench shares. Handles
-/// the flags the sweep layer gives benches for free:
-///
-///   --emit-spec       print the spec text (worker/CI input) and exit
-///   --spec=FILE       replace the declared spec with FILE
-///   --shards=N        fan out over N sweep_driver worker processes
-///   --worker-cmd=TPL  worker command template ({driver}, {spec},
-///                     {shards}, {job}, {threads}, {attempt}; e.g. an
-///                     ssh wrapper)
-///   --threads=N       intra-gang worker threads per gang replay
-///                     (spec `threads` override; default 1 = serial;
-///                     0 = auto-detect, resolved to the host's
-///                     hardware_concurrency at executor level;
-///                     composes with --shards into shards × threads)
-///   --chunk=N         gang tile size in events (spec `chunk`
-///                     override; 0 = the default tile), bit-identical
-///                     for any value
-///   --decode=M        replay input acquisition, `materialize` (whole
-///                     trace in memory), `stream` (O(tile) decode from
-///                     the trace cache file) or `auto` (stream past a
-///                     256 MiB decoded footprint); spec `decode`
-///                     override, bit-identical either way
-///   --retries=N       requeues per failed/timed-out/garbled worker
-///                     job (exponential backoff, --backoff-ms=MS)
-///   --job-timeout=MS  per-job wall-clock budget; over-budget workers
-///                     get SIGTERM, then SIGKILL after --kill-grace=MS
-///   --hedge=K         re-dispatch the last K outstanding jobs to
-///                     idle slots; first completion wins
-///   --result-store    durable per-cell result cache at the default
-///                     location (<VMIB_TRACE_CACHE>/results): cells
-///                     whose content keys are already stored are
-///                     served without replaying, fresh cells persist
-///                     crash-consistently (see harness/ResultStore.h)
-///   --store-dir=D     result store at D (implies --result-store)
-///   --no-result-store force the store off (overrides the env)
-///   --audit=RATE      deterministically-sampled redundant-execution
-///                     audit (harness/Auditor): sampled cells re-run
-///                     through a decorrelated shape and bit-compare;
-///                     mismatches tiebreak, classify, quarantine and
-///                     repair (--audit-seed=N for a fresh sample)
-///
-/// \returns true with \p Cells filled (canonical order) and the
-/// standard [timing] line emitted; false when the bench should exit
-/// immediately with \p ExitCode (--emit-spec, or a spec/worker error).
-/// \p Banner is printed only when a sweep actually runs, so
+/// The declarative-sweep entry every spec-driven bench shares: the
+/// sweepOptions() surface over \p Spec — in-process on the gang
+/// pipeline, or over sweep_driver workers with --shards or
+/// --worker-cmd. \returns true with \p Cells filled (canonical order)
+/// and the standard [timing] line emitted; false when the bench should
+/// exit immediately with \p ExitCode (--emit-spec, or a spec/worker
+/// error). \p Banner is printed only when a sweep actually runs, so
 /// --emit-spec output stays a clean spec file.
 inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
                              const std::string &Banner, ForthLab *FLab,
@@ -455,37 +445,13 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
     }
     Spec = std::move(Loaded);
   }
-  // --threads / --chunk override the spec's intra-gang knobs
-  // (validated like any other spec field; threads 0 = auto-detect), so
-  // any spec-driven bench can run its gangs on the shared-tile worker
-  // pool without editing the spec.
-  if (!applySpecOverrides(Opts, Spec, ExitCode))
-    return false;
-  unsigned Shards = 0;
-  if (!readCountOption(Opts, "shards", MaxFanOut, Shards, ExitCode))
-    return false;
-  if (Opts.has("emit-spec")) {
-    std::fputs(printSweepSpec(Spec).c_str(), stdout);
-    ExitCode = 0;
-    return false;
-  }
-  std::printf("%s", Banner.c_str());
   ResultStore Store;
-  bool StoreOn = applyStoreOptions(Opts, Store);
-  AuditPlan Audit;
-  if (!applyAuditOptions(Opts, Audit, ExitCode))
+  SweepWorkerOptions W;
+  if (!applySweepOptions(Opts, Spec, W, Store, ExitCode))
     return false;
+  std::printf("%s", Banner.c_str());
   SweepRunStats Stats;
-  if (Shards > 1 || Opts.has("worker-cmd")) {
-    SweepWorkerOptions W;
-    W.Shards = Shards < 1 ? 1 : Shards;
-    W.Threads = Spec.Threads; // two-level: shards × intra-gang threads
-    W.CommandTemplate = Opts.get("worker-cmd");
-    W.SpecPath = Opts.get("spec"); // reuse the file workers can read
-    W.Store = StoreOn ? &Store : nullptr;
-    W.Audit = Audit;
-    if (!applyWorkerFaultOptions(Opts, W, ExitCode))
-      return false;
+  if (W.Shards > 1 || Opts.has("worker-cmd")) {
     OrchestratorReport Report;
     if (!orchestrateSweep(Spec, W, Cells, Stats, Error, &Report)) {
       std::fprintf(stderr, "error: sweep orchestration failed: %s\n",
@@ -495,18 +461,17 @@ inline bool runDeclaredSweep(const OptionParser &Opts, SweepSpec &Spec,
     }
     emitTiming(Spec.Name + format(":shards%u", W.Shards), Stats);
     emitOrchestratorReport(Spec.Name, Report);
-    if (StoreOn)
+    if (W.Store)
       emitStoreReport(Spec.Name, Report);
   } else {
     SweepExecutor Executor(FLab, JLab);
-    if (StoreOn)
-      Executor.setResultStore(&Store);
-    Auditor InProcAudit(Audit, Executor, StoreOn ? &Store : nullptr);
-    if (Audit.enabled())
+    Executor.setResultStore(W.Store);
+    Auditor InProcAudit(W.Audit, Executor, W.Store);
+    if (W.Audit.enabled())
       Executor.setAuditor(&InProcAudit);
     Stats = Executor.runAll(Spec, 0, Cells);
     emitTiming(Spec.Name + ":gang", Stats);
-    if (StoreOn)
+    if (W.Store)
       emitStoreReport(Spec.Name, Store);
   }
   if (StatsOut)

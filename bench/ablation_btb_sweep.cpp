@@ -11,9 +11,7 @@
 /// The sweep is declared as a SweepSpec — variants × seven BTB
 /// geometries on the predictor axis — and routed through the shared
 /// declarative runner: one chunk-tiled gang over the captured trace,
-/// every member a self-contained full replay (which is what makes the
-/// spec shardable: --shards=N / --spec / --emit-spec / --worker-cmd
-/// come for free).
+/// every member a self-contained full replay, so the spec shards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +22,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   ForthLab Lab;
 
   const std::vector<uint32_t> Capacities = {64,   128,  256,  512,

@@ -8,8 +8,7 @@
 /// Declares the two-variant sweep as a SweepSpec and routes through
 /// the shared declarative gang/timing path (replay counters are
 /// bit-identical to the direct runs it used to do, one interpretation
-/// per benchmark instead of one per cell) — and gains --emit-spec /
-/// --spec / --shards / --worker-cmd / --quick like every spec bench.
+/// per benchmark instead of one per cell).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions({bench::QuickOption}));
   const std::string Banner =
       "=== Ablation: greedy vs optimal superinstruction parse "
       "(§5.1) ===\n\n";

@@ -9,10 +9,8 @@
 /// The sweep is declared as a SweepSpec — {plain, switch} × four
 /// predictor geometries — and routed through the shared declarative
 /// runner: one chunk-tiled gang per benchmark, every member a
-/// self-contained full replay (the spec is shardable, so the bench
-/// gains --emit-spec / --spec / --shards / --worker-cmd). The table
-/// prints the five (variant, predictor) pairs the paper discusses.
-/// --quick: first two benchmarks only (CI smoke).
+/// self-contained full replay, so the spec shards. The table prints
+/// the five (variant, predictor) pairs the paper discusses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +21,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions({bench::QuickOption}));
   ForthLab Lab;
 
   // The declarative sweep: {plain, switch} × {default BTB, two-bit

@@ -4,9 +4,7 @@
 /// variants over plain threaded code on the Celeron-800 (small BTB and
 /// I-cache, so code-growth effects are visible). Declares the sweep as
 /// a SweepSpec and routes through the shared declarative runner: the
-/// default mode is the trace-affine in-process gang pipeline, and the
-/// bench gains --emit-spec / --spec=FILE / --shards=N / --worker-cmd
-/// for free (--quick: first two benchmarks only).
+/// default mode is the trace-affine in-process gang pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +15,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions({bench::QuickOption}));
   ForthLab Lab;
   SpeedupMatrix M;
   int Exit = 0;

@@ -5,8 +5,7 @@
 /// 20-cycle misprediction penalty makes the replication-based methods
 /// shine (paper: up to 4.55x with static super over plain). Declares
 /// the sweep as a SweepSpec and routes through the shared declarative
-/// runner (gang pipeline in-process; --emit-spec / --spec / --shards /
-/// --worker-cmd for sharded execution; --quick: first two benchmarks).
+/// runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +16,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions({bench::QuickOption}));
   ForthLab Lab;
   SpeedupMatrix M;
   int Exit = 0;

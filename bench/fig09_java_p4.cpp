@@ -5,9 +5,7 @@
 /// SweepSpec and routes through the shared declarative runner: one
 /// quickening gang per benchmark replays all variants in a single
 /// chunk-tiled trace pass, each member re-applying the quickenings to
-/// its own fresh program copy (--emit-spec / --spec / --shards /
-/// --worker-cmd for sharded execution; --quick: first two benchmarks
-/// only).
+/// its own fresh program copy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +16,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions({bench::QuickOption}));
   JavaLab Lab;
   SpeedupMatrix M;
   int Exit = 0;

@@ -5,8 +5,7 @@
 /// miss cycles, generated code bytes) for bench-gc on the Pentium 4.
 /// Declared as a SweepSpec — the bench-gc row of Figure 8 — and run
 /// through the shared declarative runner: one gang replays all nine
-/// variants over the captured trace (--emit-spec / --spec / --shards /
-/// --threads / --result-store / --audit like every spec bench).
+/// variants over the captured trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +16,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   ForthLab Lab;
   SpeedupMatrix M;
   int Exit = 0;

@@ -3,9 +3,7 @@
 /// Regenerates Figure 11: performance-counter breakdown for brew on the
 /// Pentium 4. Declared as a SweepSpec — the brew row of Figure 8 — and
 /// run through the shared declarative runner: one gang replays all
-/// nine variants over the captured trace (--emit-spec / --spec /
-/// --shards / --threads / --result-store / --audit like every spec
-/// bench).
+/// nine variants over the captured trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +14,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   ForthLab Lab;
   SpeedupMatrix M;
   int Exit = 0;

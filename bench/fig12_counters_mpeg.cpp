@@ -4,8 +4,7 @@
 /// (Java) on the Pentium 4. Declared as a SweepSpec — the mpeg row of
 /// Figure 9 — and run through the shared declarative runner: one
 /// quickening gang replays all nine variants over the captured trace
-/// and its rewrites (--emit-spec / --spec / --shards / --threads /
-/// --result-store / --audit like every spec bench).
+/// and its rewrites.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +15,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   JavaLab Lab;
   SpeedupMatrix M;
   int Exit = 0;

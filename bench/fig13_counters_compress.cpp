@@ -4,9 +4,7 @@
 /// (Java) on the Pentium 4. In the paper, dynamic replication is almost
 /// 3x faster than plain here, entirely from eliminated mispredictions.
 /// Declared as a SweepSpec — the compress row of Figure 9 — and run
-/// through the shared declarative runner (--emit-spec / --spec /
-/// --shards / --threads / --result-store / --audit like every spec
-/// bench).
+/// through the shared declarative runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +15,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   JavaLab Lab;
   SpeedupMatrix M;
   int Exit = 0;

@@ -6,9 +6,7 @@
 /// {0,25,50,100,200,400,800,1600}, sweeping %superinstructions across
 /// the columns. The 36 grid points are the variants of one declared
 /// SweepSpec (bench::mixSpec), replayed as one gang over the captured
-/// trace through the shared declarative runner (--emit-spec / --spec /
-/// --shards / --threads / --result-store / --audit like every spec
-/// bench).
+/// trace through the shared declarative runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +17,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   ForthLab Lab;
   const std::vector<uint32_t> Totals = {0, 25, 50, 100, 200, 400, 800, 1600};
   SweepSpec Spec =

@@ -4,9 +4,7 @@
 /// over the static replication/superinstruction mix sweep. The 26 grid
 /// points are the variants of one declared SweepSpec (bench::mixSpec),
 /// replayed as one quickening gang through the shared declarative
-/// runner (--emit-spec / --spec / --shards / --threads /
-/// --result-store / --audit like every spec bench). Figure 16 declares
-/// the same sweep under its own name.
+/// runner. Figure 16 declares the same sweep under its own name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +15,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   JavaLab Lab;
   const std::vector<uint32_t> Totals = {0, 50, 100, 200, 300, 400};
   SweepSpec Spec =

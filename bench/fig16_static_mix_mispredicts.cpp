@@ -5,9 +5,7 @@
 /// Figure 15. The paper's key observation: *small* numbers of replicas
 /// can increase mispredictions (Table III's effect at scale, §7.5).
 /// The sweep is Figure 15's SweepSpec under this bench's name, run
-/// through the shared declarative runner (--emit-spec / --spec /
-/// --shards / --threads / --result-store / --audit like every spec
-/// bench).
+/// through the shared declarative runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +16,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   JavaLab Lab;
   const std::vector<uint32_t> Totals = {0, 50, 100, 200, 300, 400};
   SweepSpec Spec =

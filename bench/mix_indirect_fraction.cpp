@@ -6,9 +6,7 @@
 /// per dispatch), which is why the same optimizations buy more on
 /// Forth. The plain cells are two declared SweepSpecs, one per suite
 /// (the plain columns of Figures 8 and 9), each run through the shared
-/// declarative runner (--emit-spec prints both, Forth first; --shards /
-/// --threads / --result-store / --audit apply to both). --spec is
-/// rejected: it substitutes one sweep, and this bench declares two.
+/// declarative runner (--emit-spec prints both, Forth first).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +17,9 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  // No --spec: it substitutes one sweep, and this bench declares two.
+  OptionParser Opts(argc, argv,
+                    withoutOptions(bench::sweepOptions(), {"spec"}));
   VariantSpec Plain = makeVariant(DispatchStrategy::Threaded);
   ForthLab FLab;
   JavaLab JLab;
@@ -29,12 +29,6 @@ int main(int argc, char **argv) {
   SweepSpec JavaSpec =
       bench::suiteSpec("mix_indirect_fraction_java", "java",
                        bench::javaBenchNames(), {Plain}, "p4northwood");
-  if (Opts.has("spec")) {
-    std::fprintf(stderr, "error: --spec substitutes one sweep and this "
-                         "bench declares two; run substituted specs "
-                         "through sweep_driver instead\n");
-    return 1;
-  }
   std::vector<PerfCounters> ForthCells, JavaCells;
   int Exit = 0;
   bool RanForth = bench::runDeclaredSweep(

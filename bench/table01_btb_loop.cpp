@@ -12,7 +12,8 @@
 using namespace vmib;
 using namespace vmib::bench;
 
-int main() {
+int main(int argc, char **argv) {
+  OptionParser(argc, argv, {}); // no options; answers --help
   banner("Table I",
          "BTB predictions on a small VM program (label: A B A GOTO label),\n"
          "after the loop has executed at least once.");

@@ -11,7 +11,8 @@
 using namespace vmib;
 using namespace vmib::bench;
 
-int main() {
+int main(int argc, char **argv) {
+  OptionParser(argc, argv, {}); // no options; answers --help
   banner("Table II",
          "Improving BTB prediction accuracy by replicating VM instruction A\n"
          "on the loop 'label: A B A GOTO label' (threaded dispatch).");

@@ -12,7 +12,8 @@
 using namespace vmib;
 using namespace vmib::bench;
 
-int main() {
+int main(int argc, char **argv) {
+  OptionParser(argc, argv, {}); // no options; answers --help
   banner("Table III",
          "Increasing mispredictions through bad static replication on\n"
          "'label: A B A B A GOTO label'.");

@@ -11,7 +11,8 @@
 using namespace vmib;
 using namespace vmib::bench;
 
-int main() {
+int main(int argc, char **argv) {
+  OptionParser(argc, argv, {}); // no options; answers --help
   banner("Table IV",
          "Improving BTB prediction accuracy with superinstructions:\n"
          "B A combined into B_A on 'label: A B A GOTO label'.");

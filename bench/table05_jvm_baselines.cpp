@@ -6,9 +6,7 @@
 /// Kaffe JIT. The external JVMs are simulated cost-model proxies
 /// (DESIGN.md substitutions); times are cycles scaled to seconds at the
 /// paper's 3GHz P4. The plain cells are a declared SweepSpec (the plain
-/// column of Figure 9) run through the shared declarative runner
-/// (--emit-spec / --spec / --shards / --threads / --result-store /
-/// --audit like every spec bench).
+/// column of Figure 9) run through the shared declarative runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +18,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   JavaLab Lab;
   SweepSpec Spec = bench::suiteSpec(
       "table05_jvm_baselines", "java", bench::javaBenchNames(),

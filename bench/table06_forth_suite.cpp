@@ -5,11 +5,10 @@
 /// each program. The step column is declared as a one-variant (plain)
 /// SweepSpec routed through the shared declarative runner — the trace
 /// length *is* the step count (one event per interpreter step), so the
-/// table doubles as a consistency check on cached trace files, and the
-/// bench gains --emit-spec / --spec / --shards / --worker-cmd: with
+/// table doubles as a consistency check on cached trace files: with
 /// --shards=N and VMIB_TRACE_CACHE set, N worker processes capture and
-/// verify the suite's traces in parallel and populate the shared
-/// cache.
+/// verify the suite's traces in parallel and populate the shared cache,
+/// whose trace lengths this process then checks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions({bench::QuickOption}));
   const std::string Banner =
       "=== Table VI: benchmark programs used in Gforth ===\n\n";
   ForthLab Lab;
@@ -35,10 +34,6 @@ int main(int argc, char **argv) {
                                Exit))
     return Exit;
 
-  unsigned Shards = 0; // runDeclaredSweep already validated the flag
-  (void)bench::readCountOption(Opts, "shards", bench::MaxFanOut, Shards,
-                               Exit);
-  bool Sharded = Shards > 1 || Opts.has("worker-cmd");
   TextTable T({"program", "lines", "VM instrs", "description", "steps",
                "output hash"});
   for (size_t B = 0; B < Spec.Benchmarks.size(); ++B) {
@@ -52,8 +47,7 @@ int main(int argc, char **argv) {
                   Bench.Name.c_str());
       return 1;
     }
-    if (!Sharded &&
-        Lab.trace(Bench.Name).numEvents() != Lab.referenceSteps(Bench.Name)) {
+    if (Lab.trace(Bench.Name).numEvents() != Lab.referenceSteps(Bench.Name)) {
       std::printf("cached trace length / reference mismatch in %s\n",
                   Bench.Name.c_str());
       return 1;

@@ -3,8 +3,7 @@
 /// Regenerates Table VII: the Java benchmark inventory with sizes,
 /// quickening counts and reference execution checks. The step column
 /// is declared as a one-variant (plain) SweepSpec routed through the
-/// shared declarative runner, so the bench gains --emit-spec / --spec /
-/// --shards / --worker-cmd; sizes come from the cached assemblies and
+/// shared declarative runner; sizes come from the cached assemblies and
 /// the quickening counts from the captured dispatch traces (loaded
 /// from the VMIB_TRACE_CACHE when a verified file exists — under
 /// --shards the workers populate that cache).
@@ -18,7 +17,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions({bench::QuickOption}));
   const std::string Banner =
       "=== Table VII: SPECjvm98-analogue Java benchmarks ===\n\n";
   JavaLab Lab;

@@ -6,8 +6,7 @@
 /// dynamic super is competitive with a JIT's code cache; the
 /// replication-based variants cost several times more. The three
 /// variants are a declared SweepSpec (columns of Figure 9) run through
-/// the shared declarative runner (--emit-spec / --spec / --shards /
-/// --threads / --result-store / --audit like every spec bench).
+/// the shared declarative runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +17,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   JavaLab Lab;
   SweepSpec Spec = bench::suiteSpec(
       "table08_memory", "java", bench::javaBenchNames(),

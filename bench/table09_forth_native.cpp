@@ -4,8 +4,7 @@
 /// Forth compilers (simulated proxies; see DESIGN.md) over plain, on
 /// the Athlon-1200, for tscp, brainless and brew. The plain and
 /// across-bb cells are a declared SweepSpec run through the shared
-/// declarative runner (--emit-spec / --spec / --shards / --threads /
-/// --result-store / --audit like every spec bench).
+/// declarative runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +16,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   ForthLab Lab;
   SweepSpec Spec = bench::suiteSpec(
       "table09_forth_native", "forth", {"tscp", "brainless", "brew"},

@@ -4,9 +4,7 @@
 /// the Kaffe JIT, the HotSpot interpreter and HotSpot mixed mode
 /// (simulated proxies; DESIGN.md) for the Java suite. The plain and
 /// w/static super across cells are a declared SweepSpec (columns of
-/// Figure 9) run through the shared declarative runner (--emit-spec /
-/// --spec / --shards / --threads / --result-store / --audit like every
-/// spec bench).
+/// Figure 9) run through the shared declarative runner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +16,7 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionParser Opts(argc, argv, bench::sweepOptions());
   JavaLab Lab;
   SweepSpec Spec = bench::suiteSpec(
       "table10_java_native", "java", bench::javaBenchNames(),

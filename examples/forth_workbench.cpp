@@ -1,12 +1,7 @@
 //===- examples/forth_workbench.cpp - Variant/CPU explorer ---------------===//
 ///
-/// Command-line workbench over the Forth suite:
-///
-///   forth_workbench [--bench=gray] [--variant="across bb"]
-///                   [--cpu=celeron|p4|athlon] [--all]
-///
-/// With --all, runs every paper variant on the chosen benchmark and
-/// prints the full counter table.
+/// Command-line workbench over the Forth suite: one variant on one
+/// benchmark and CPU, or with --all every paper variant's counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +24,12 @@ static CpuConfig cpuByName(const std::string &Name) {
 }
 
 int main(int Argc, char **Argv) {
-  OptionParser Opts(Argc, Argv);
+  OptionParser Opts(
+      Argc, Argv,
+      {{"bench", "Forth suite benchmark (default gray)", OptionDecl::Value},
+       {"variant", "paper variant (default \"across bb\")", OptionDecl::Value},
+       {"cpu", "celeron, p4 or athlon (default p4)", OptionDecl::Value},
+       {"all", "run every paper variant; print all counters"}});
   std::string Bench = Opts.get("bench", "gray");
   std::string VariantName = Opts.get("variant", "across bb");
   CpuConfig Cpu = cpuByName(Opts.get("cpu", "p4"));

@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "javavm/JavaVM.h"
+#include "support/CommandLine.h"
 #include "support/Format.h"
 #include "vmcore/DispatchBuilder.h"
 
@@ -63,7 +64,8 @@ static void dumpLoopPieces(const JavaProgram &P,
   }
 }
 
-int main() {
+int main(int argc, char **argv) {
+  OptionParser(argc, argv, {}); // no options; answers --help
   JavaProgram P = assembleJava(Source, "quickening-demo");
   if (!P.ok()) {
     std::printf("assembly error: %s\n", P.Error.c_str());

@@ -20,7 +20,9 @@
 using namespace vmib;
 
 int main(int Argc, char **Argv) {
-  OptionParser Opts(Argc, Argv);
+  OptionParser Opts(Argc, Argv,
+                    {{"bench", "Forth suite benchmark (default tscp)",
+                      OptionDecl::Value}});
   std::string Bench = Opts.get("bench", "tscp");
 
   ForthLab Lab;

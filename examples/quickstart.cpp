@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "forthvm/ForthCompiler.h"
+#include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "vmcore/DispatchBuilder.h"
@@ -19,7 +20,8 @@
 
 using namespace vmib;
 
-int main() {
+int main(int argc, char **argv) {
+  OptionParser(argc, argv, {}); // no options; answers --help
   // 1. A Forth program with a real working set: naive Fibonacci (lots
   // of calls/returns and repeated VM instructions — the BTB's enemy).
   const char *Source = R"(

@@ -289,17 +289,7 @@ std::string ResultStore::resolveDir(const std::string &FlagDir,
     return std::string();
   if (!FlagDir.empty())
     return FlagDir;
-  const char *Env = std::getenv("VMIB_RESULT_STORE");
-  bool WantDefault = FlagEnable;
-  if (Env && *Env) {
-    std::string E(Env);
-    if (E == "off" || E == "0")
-      return std::string();
-    if (E != "on" && E != "1")
-      return E;
-    WantDefault = true;
-  }
-  if (!WantDefault)
+  if (!FlagEnable)
     return std::string();
   std::string Cache = DispatchTrace::cacheDir();
   if (Cache.empty()) {

@@ -3,7 +3,7 @@
 /// \file
 /// A persistent, crash-consistent store of per-cell `PerfCounters`,
 /// living beside the trace cache (default `<VMIB_TRACE_CACHE>/results`,
-/// or the `VMIB_RESULT_STORE` directory). Sweep cells are pure
+/// or the `--store-dir` directory). Sweep cells are pure
 /// functions of (trace, member configuration) — the bit-identity
 /// contract every execution mode is verified against — so a cell
 /// result can be cached *by content*: the store key is a 128-bit hash
@@ -123,14 +123,12 @@ public:
   ResultStore(const ResultStore &) = delete;
   ResultStore &operator=(const ResultStore &) = delete;
 
-  /// Resolves the store directory from flags + environment. Precedence:
+  /// Resolves the store directory from the store flags. Precedence:
   /// \p FlagDisable ("--no-result-store") forces "" (disabled);
-  /// \p FlagDir ("--store-dir=D") wins over the environment;
-  /// `VMIB_RESULT_STORE` = "off"/"0" disables, "1"/"on" requests the
-  /// default location, anything else is the directory; with nothing
-  /// set, \p FlagEnable ("--result-store") requests the default
-  /// location and otherwise the store stays off. The default location
-  /// is `<VMIB_TRACE_CACHE>/results`; when the trace cache is disabled
+  /// \p FlagDir ("--store-dir=D") is the directory; otherwise
+  /// \p FlagEnable ("--result-store") requests the default location
+  /// and without it the store stays off. The default location is
+  /// `<VMIB_TRACE_CACHE>/results`; when the trace cache is disabled
   /// too, "" is returned and \p Why (if non-null) says what to set.
   static std::string resolveDir(const std::string &FlagDir, bool FlagEnable,
                                 bool FlagDisable, std::string *Why = nullptr);

@@ -47,6 +47,24 @@ void substitute(std::string &S, const std::string &Key,
   }
 }
 
+/// {store}'s expansion: `--store-dir=<dir>` while \p Store is open,
+/// nothing otherwise. One shell word, single-quoted only when the dir
+/// holds a character outside [A-Za-z0-9_./:@%+=,-], so ordinary paths
+/// also survive a template that wraps the worker in `sh -c '...'`.
+std::string storeWorkerArg(const ResultStore *Store) {
+  if (!Store || !Store->isOpen())
+    return std::string();
+  std::string Arg = "--store-dir=" + Store->dir();
+  if (Arg.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                            "abcdefghijklmnopqrstuvwxyz"
+                            "0123456789_./:@%+=,-") == std::string::npos)
+    return Arg;
+  std::string Quoted = "'";
+  for (char C : Arg)
+    Quoted += C == '\'' ? std::string("'\\''") : std::string(1, C);
+  return Quoted + "'";
+}
+
 /// Decimal u64 at \p C; 0 on anything malformed — no leading digit
 /// (strtoull would accept "-1" as a huge wrapped value) or an
 /// out-of-range token. Worker accounting tokens are advisory, so a
@@ -175,9 +193,9 @@ class Orchestration {
 public:
   Orchestration(const SweepSpec &Spec, const SweepWorkerOptions &Opt,
                 const std::string &SpecPath, const std::string &Template,
-                const std::string &Driver)
+                const std::string &Driver, const std::string &StoreArg)
       : Spec(Spec), Opt(Opt), SpecPath(SpecPath), Template(Template),
-        Driver(Driver),
+        Driver(Driver), StoreArg(StoreArg),
         Jobs(decomposeSweep(Spec, Opt.Shards)), JobStates(Jobs.size()),
         Slices(Jobs.size()),
         WorkerThreads(Opt.Threads != 0 ? Opt.Threads : Spec.Threads) {
@@ -212,6 +230,7 @@ private:
   const std::string &SpecPath;
   const std::string &Template;
   const std::string &Driver;
+  const std::string &StoreArg; ///< {store}'s expansion
 
   std::vector<ShardJob> Jobs;
   std::vector<JobState> JobStates;
@@ -235,6 +254,7 @@ bool Orchestration::spawn(size_t JobIdx, bool Hedge) {
   substitute(Cmd, "{job}", std::to_string(JobIdx));
   substitute(Cmd, "{threads}", std::to_string(WorkerThreads));
   substitute(Cmd, "{attempt}", std::to_string(J.NextAttemptNo));
+  substitute(Cmd, "{store}", StoreArg); // last: a dir may hold "{job}"
 
   int OutPipe[2], ErrPipe[2];
   if (::pipe(OutPipe) != 0) {
@@ -793,6 +813,21 @@ bool vmib::orchestrateSweep(const SweepSpec &Spec,
                             std::vector<PerfCounters> &Cells,
                             SweepRunStats &Stats, std::string &Error,
                             OrchestratorReport *Report) {
+  std::string Template = Opt.CommandTemplate.empty()
+                             ? "{driver} --worker --spec={spec} "
+                               "--shards={shards} --job={job} "
+                               "--threads={threads} --attempt={attempt} "
+                               "{store}"
+                             : Opt.CommandTemplate;
+  // The command line is the workers' only way to the store: a template
+  // that drops {store} would run them storeless without a word.
+  std::string StoreArg = storeWorkerArg(Opt.Store);
+  if (!StoreArg.empty() && Template.find("{store}") == std::string::npos) {
+    Error = "the worker command template lacks {store} (--store-dir=<dir>) "
+            "while the result store is open";
+    return false;
+  }
+
   // Make the spec reachable by workers; a temp file unless the caller
   // already has one on (shared) disk that says the same thing. Workers
   // see nothing but {spec}, so a file that predates an override of
@@ -823,15 +858,10 @@ bool vmib::orchestrateSweep(const SweepSpec &Spec,
     }
   }
 
-  std::string Template = Opt.CommandTemplate.empty()
-                             ? "{driver} --worker --spec={spec} "
-                               "--shards={shards} --job={job} "
-                               "--threads={threads} --attempt={attempt}"
-                             : Opt.CommandTemplate;
   std::string Driver =
       Opt.DriverBinary.empty() ? defaultSweepDriverPath() : Opt.DriverBinary;
 
-  Orchestration Run(Spec, Opt, SpecPath, Template, Driver);
+  Orchestration Run(Spec, Opt, SpecPath, Template, Driver, StoreArg);
   OrchestratorReport LocalReport;
   bool Ok = Run.run(Cells, Stats, Error, LocalReport);
   if (Report)

@@ -16,14 +16,17 @@
 /// from the remote side):
 ///
 ///   {driver} --worker --spec={spec} --shards={shards} --job={job}
-///     --threads={threads} --attempt={attempt}
-///   ssh host 'VMIB_TRACE_CACHE=/shared/cache {driver} --worker ...'
+///     --threads={threads} --attempt={attempt} {store}
+///   ssh host 'VMIB_TRACE_CACHE=/shared/cache {driver} --worker ... {store}'
 ///
 /// `{attempt}` is the job's retry/hedge attempt number (0 for the
 /// first launch): workers only use it to seed deterministic fault
 /// injection (VMIB_FAULT), so templates without the placeholder still
-/// work. Older templates may still carry `--schedule={schedule}`; the
-/// placeholder is left as is and workers ignore the flag.
+/// work. `{store}` is `--store-dir=<dir>` while `Store` is open and
+/// empty otherwise; a template without it fails the sweep before any
+/// spawn while a store is open. Older templates may still carry
+/// `--schedule={schedule}`; the placeholder is left as is and workers
+/// ignore the flag.
 ///
 /// Fan-out is two-level: `Shards` worker processes × `Threads`
 /// intra-gang worker threads per process (GangReplayer shared decoded
@@ -91,8 +94,8 @@ struct SweepWorkerOptions {
   /// is passed through as is.
   std::string SpecPath;
   /// Shell command template; {driver}, {spec}, {shards}, {job},
-  /// {threads} and {attempt} are substituted. Empty uses the default
-  /// local-worker template above.
+  /// {threads}, {attempt} and {store} are substituted. Empty uses the
+  /// default local-worker template above.
   std::string CommandTemplate;
   /// Path substituted for {driver}; empty uses defaultSweepDriverPath().
   std::string DriverBinary;
@@ -135,9 +138,10 @@ struct SweepWorkerOptions {
   /// Open ResultStore (borrowed, may be null) probed BEFORE shard
   /// dispatch: a job whose every cell already resolves by content key
   /// is committed from the store without spawning a worker. Workers
-  /// additionally consult the same store (via VMIB_RESULT_STORE in
-  /// their environment) for partially-covered jobs, and report their
-  /// hit/miss accounting back on `[store]` lines.
+  /// additionally consult the same store (its directory reaches them
+  /// through {store} on their command line) for partially-covered
+  /// jobs, and report their hit/miss accounting back on `[store]`
+  /// lines.
   ResultStore *Store = nullptr;
 
   //===--- redundant-execution audit ---------------------------------------===//

@@ -2,10 +2,7 @@
 
 #include "harness/SweepRunner.h"
 
-#include "support/CommandLine.h"
-
 #include <atomic>
-#include <climits>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -16,8 +13,7 @@ using namespace vmib;
 
 unsigned vmib::defaultSweepThreads() {
   unsigned HW = std::thread::hardware_concurrency();
-  return static_cast<unsigned>(
-      envCount("VMIB_THREADS", HW == 0 ? 1 : HW, UINT_MAX));
+  return HW == 0 ? 1 : HW;
 }
 
 void vmib::pipelineSweep(size_t N, unsigned Threads,

@@ -22,9 +22,8 @@
 
 namespace vmib {
 
-/// Worker count for bench sweeps: the VMIB_THREADS environment variable
-/// if set to a count (see envCount()), otherwise
-/// std::thread::hardware_concurrency (min 1).
+/// Worker count for bench sweeps: std::thread::hardware_concurrency
+/// (min 1).
 unsigned defaultSweepThreads();
 
 /// Two-stage capture/replay pipeline over \p N workloads: a dedicated

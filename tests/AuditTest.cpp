@@ -165,11 +165,9 @@ protected:
     ASSERT_NE(nullptr, ::mkdtemp(Dir));
     ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", Dir, 1));
     ::unsetenv("VMIB_FAULT");
-    ::unsetenv("VMIB_RESULT_STORE");
   }
   void TearDown() override {
     ::unsetenv("VMIB_FAULT");
-    ::unsetenv("VMIB_RESULT_STORE");
     ::unsetenv("VMIB_TRACE_CACHE");
     std::system(("rm -rf " + std::string(Dir)).c_str());
   }
@@ -578,13 +576,13 @@ TEST_F(AuditTest, OrchestratedAuditSkipsJobsLostUnderPartialOk) {
 //===--- workers never audit ----------------------------------------------===//
 
 TEST_F(AuditTest, WorkerRejectsAuditFlag) {
-  // The orchestrator audits committed slices, so a worker told to
-  // audit exits 1 naming the orchestrator flag: a template that still
+  // The orchestrator audits committed slices, so the worker mode
+  // declares no --audit and exits 1 naming it: a template that still
   // asks for a self-audit fails the sweep loudly instead of silently
   // auditing nothing.
   SweepSpec Spec = auditForthSpec();
   std::string SpecPath = writeSpec(Spec);
-  const std::string Rejection = "--audit is an orchestrator flag";
+  const std::string Rejection = "unknown option '--audit'";
 
   int Exit = -1;
   std::string Out = runDriver(

@@ -124,6 +124,20 @@ PerfCounters exactOracle(const DispatchTrace &Trace,
   return exactOracle(Trace, *Layout, nullptr, Cpu, std::move(Pred));
 }
 
+/// A fresh mkdtemp directory, removed with its contents at scope exit,
+/// so concurrent runs of the suite share no path.
+struct ScratchDir {
+  ScratchDir() {
+    std::snprintf(Path, sizeof(Path), "/tmp/vmib-gang-test-XXXXXX");
+    EXPECT_NE(nullptr, ::mkdtemp(Path));
+  }
+  ~ScratchDir() { std::system(("rm -rf " + std::string(Path)).c_str()); }
+  std::string operator/(const std::string &Name) const {
+    return std::string(Path) + "/" + Name;
+  }
+  char Path[64];
+};
+
 } // namespace
 
 TEST(ChunkCursor, TilesTheStreamExactly) {
@@ -297,7 +311,8 @@ TEST(TraceSerialization, SaveLoadRoundTrip) {
   T.appendQuicken(9, VMInstr{1, 2, 3});
   uint64_t Hash = T.contentHash();
 
-  std::string Path = "/tmp/vmib-trace-roundtrip.vmibtrace";
+  ScratchDir Scratch;
+  std::string Path = Scratch / "roundtrip.vmibtrace";
   ASSERT_TRUE(T.save(Path, /*WorkloadHash=*/0xabcdefull));
 
   DispatchTrace L;
@@ -330,23 +345,24 @@ TEST(TraceSerialization, SaveLoadRoundTrip) {
   }
   DispatchTrace Cut;
   EXPECT_FALSE(Cut.load(Path, 0xabcdefull));
-  std::remove(Path.c_str());
 
   // Missing file.
   DispatchTrace Missing;
-  EXPECT_FALSE(Missing.load("/tmp/vmib-no-such-trace.vmibtrace", 1));
+  EXPECT_FALSE(Missing.load(Scratch / "no-such-trace.vmibtrace", 1));
 }
 
 TEST(TraceSerialization, CachePathRespectsEnvironment) {
   unsetenv("VMIB_TRACE_CACHE");
   EXPECT_EQ(DispatchTrace::cacheDir(), "");
   EXPECT_EQ(DispatchTrace::cachePathFor("forth-gray"), "");
-  setenv("VMIB_TRACE_CACHE", "/tmp/vmib-cache", 1);
+  ScratchDir Scratch; // cacheDir() creates the configured directory
+  std::string Cache = Scratch / "cache";
+  setenv("VMIB_TRACE_CACHE", Cache.c_str(), 1);
   EXPECT_EQ(DispatchTrace::cachePathFor("forth-gray"),
-            "/tmp/vmib-cache/forth-gray.vmibtrace");
-  setenv("VMIB_TRACE_CACHE", "/tmp/vmib-cache/", 1);
+            Cache + "/forth-gray.vmibtrace");
+  setenv("VMIB_TRACE_CACHE", (Cache + "/").c_str(), 1);
   EXPECT_EQ(DispatchTrace::cachePathFor("forth-gray"),
-            "/tmp/vmib-cache/forth-gray.vmibtrace");
+            Cache + "/forth-gray.vmibtrace");
   unsetenv("VMIB_TRACE_CACHE");
 }
 
@@ -354,9 +370,8 @@ TEST(TraceSerialization, LabTraceCacheRoundTrip) {
   // End to end: capture saves into VMIB_TRACE_CACHE, a later lab
   // consult loads the file instead of re-interpreting, and replays
   // off the loaded trace are bit-identical.
-  const char *Dir = "/tmp/vmib-trace-cache-test";
-  ::mkdir(Dir, 0755);
-  setenv("VMIB_TRACE_CACHE", Dir, 1);
+  ScratchDir Scratch;
+  setenv("VMIB_TRACE_CACHE", Scratch.Path, 1);
 
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
@@ -382,7 +397,6 @@ TEST(TraceSerialization, LabTraceCacheRoundTrip) {
   unsetenv("VMIB_TRACE_CACHE");
   Lab.dropTrace("vmgen");
   expectEqualCounters(Captured, Replay(), "replay off re-captured trace");
-  std::remove(Path.c_str());
 }
 
 TEST(TraceSerialization, DecodeModeSelectsTheRequestedPath) {
@@ -391,9 +405,8 @@ TEST(TraceSerialization, DecodeModeSelectsTheRequestedPath) {
   // openStreaming block when the arena was not yet cached), Stream
   // must stream when a cache file exists, and replays through both
   // sources stay bit-identical.
-  const char *Dir = "/tmp/vmib-decode-mode-test";
-  ::mkdir(Dir, 0755);
-  setenv("VMIB_TRACE_CACHE", Dir, 1);
+  ScratchDir Scratch;
+  setenv("VMIB_TRACE_CACHE", Scratch.Path, 1);
 
   ForthLab &Lab = forthLab();
   CpuConfig P4 = makePentium4Northwood();
@@ -429,7 +442,6 @@ TEST(TraceSerialization, DecodeModeSelectsTheRequestedPath) {
 
   unsetenv("VMIB_TRACE_CACHE");
   Lab.dropTrace("vmgen");
-  std::remove(Path.c_str());
 }
 
 TEST(PipelineSweep, OverlapsCaptureWithReplayInOrder) {
@@ -742,8 +754,8 @@ TEST(GangReplay, RestartMatrixBitIdenticalToExactOracle) {
                          "case-block (I-cache restart, group of one)"};
   constexpr uint64_t Restarted = 5; // all but the two-level member
 
-  const std::string Path = "/tmp/vmib-restart-matrix-" +
-                           std::to_string(::getpid()) + ".vmibtrace";
+  ScratchDir Scratch;
+  const std::string Path = Scratch / "restart-matrix.vmibtrace";
   constexpr uint64_t WorkloadHash = 0x5eed5eedULL;
   ASSERT_TRUE(Prefix.save(Path, WorkloadHash));
   TraceSource Streamed;
@@ -774,7 +786,6 @@ TEST(GangReplay, RestartMatrixBitIdenticalToExactOracle) {
                               std::string(Names[I]) + ", " + Shape);
         EXPECT_EQ(St.DeferredFinishes, Restarted) << Shape;
       }
-  std::remove(Path.c_str());
 }
 
 TEST(GangReplay, SchedulerStatsAccountGangWork) {

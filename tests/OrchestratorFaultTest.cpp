@@ -15,6 +15,10 @@
 ///  - workers read the effective spec (shape overrides included), not
 ///    a stale --spec file, through a temp path that carries no spec
 ///    text (a name with shell syntax or a slash is harmless),
+///  - the result store reaches workers on their command line through
+///    {store} — under a template that clears the environment too, and
+///    as one shell word for any directory — and a custom template
+///    without {store} fails while a store is open,
 ///  - malformed kill-drill counts warn once and leave the drill
 ///    disarmed,
 ///  - under VMIB_FAULT chaos (worker crashes, hangs, protocol garbage)
@@ -30,6 +34,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/FaultInjection.h"
+#include "harness/ResultStore.h"
 #include "harness/SweepExecutor.h"
 #include "harness/SweepOrchestrator.h"
 #include "harness/SweepSpec.h"
@@ -97,11 +102,9 @@ protected:
     // a worker attempt loads its trace instead of re-interpreting.
     ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", Dir, 1));
     ::unsetenv("VMIB_FAULT");
-    ::unsetenv("VMIB_RESULT_STORE");
   }
   void TearDown() override {
     ::unsetenv("VMIB_FAULT");
-    ::unsetenv("VMIB_RESULT_STORE");
     ::unsetenv("VMIB_TRACE_CACHE");
     std::system(("rm -rf " + std::string(Dir)).c_str());
   }
@@ -410,6 +413,97 @@ TEST_F(OrchestratorFaultTest, SpecNamesNeverReachTheWorkerShell) {
   }
 }
 
+//===--- the store reaches workers on their command line ------------------===//
+
+TEST_F(OrchestratorFaultTest, StoreReachesWorkersUnderAnEnvClearingTemplate) {
+  // An ssh hop or `env -i` keeps nothing of the orchestrator's
+  // environment, so the store must travel in the command: the second
+  // sweep serves every job from what the first one's workers stored.
+  SweepSpec Spec = faultForthSpec();
+  std::string SpecPath = writeSpec(Spec);
+  std::vector<PerfCounters> Want = reference(Spec);
+  std::string StoreDir = std::string(Dir) + "/results";
+
+  for (int Run = 0; Run < 2; ++Run) {
+    ResultStore Store;
+    std::string Diag;
+    ASSERT_TRUE(Store.open(StoreDir, &Diag)) << Diag;
+    SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+    Opt.Store = &Store;
+    Opt.CommandTemplate =
+        "exec env -i PATH=/usr/bin:/bin VMIB_TRACE_CACHE=" +
+        std::string(Dir) +
+        " {driver} --worker --spec={spec} --shards={shards} --job={job} "
+        "--threads={threads} --attempt={attempt} {store}";
+    std::vector<PerfCounters> Cells;
+    SweepRunStats Stats;
+    std::string Error;
+    OrchestratorReport Report;
+    ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+        << Error;
+    expectCellsEqual(Want, Cells);
+    size_t Jobs = decomposeSweep(Spec, 2).size();
+    if (Run == 0) {
+      EXPECT_EQ(Report.StoreMisses, Spec.numCells()) << "workers ran storeless";
+    } else {
+      EXPECT_EQ(Report.JobsServedFromStore, Jobs);
+      EXPECT_EQ(Report.StoreHits, Spec.numCells());
+    }
+  }
+}
+
+TEST_F(OrchestratorFaultTest, StoreDirIsOneShellWordInTheDefaultTemplate) {
+  // The default template splices the directory into a shell command:
+  // a space, a quote or shell syntax in it must neither split the
+  // argument nor run anything. The first sweep's workers store every
+  // cell in that directory; the second serves every cell from it.
+  SweepSpec Spec = faultForthSpec();
+  Spec.Benchmarks = {forthSuite()[0].Name};
+  std::string SpecPath = writeSpec(Spec);
+  std::vector<PerfCounters> Want = reference(Spec);
+  std::string Injected = std::string(Dir) + "/INJECTED";
+  std::string StoreDir =
+      std::string(Dir) + "/a b;touch " + Injected + ";'q'/st";
+
+  for (int Run = 0; Run < 2; ++Run) {
+    ResultStore Store;
+    std::string Diag;
+    ASSERT_TRUE(Store.open(StoreDir, &Diag)) << Diag;
+    SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+    Opt.Store = &Store;
+    std::vector<PerfCounters> Cells;
+    SweepRunStats Stats;
+    std::string Error;
+    OrchestratorReport Report;
+    ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+        << Error;
+    expectCellsEqual(Want, Cells);
+    EXPECT_EQ(Run == 0 ? Report.StoreMisses : Report.StoreHits,
+              Spec.numCells())
+        << "run " << Run;
+    EXPECT_NE(0, ::access(Injected.c_str(), F_OK))
+        << "the store dir ran in the worker shell";
+  }
+}
+
+TEST_F(OrchestratorFaultTest, TemplateWithoutStoreFailsWhileAStoreIsOpen) {
+  // Its workers would silently run storeless: fail before any spawn.
+  SweepSpec Spec = faultForthSpec();
+  std::string SpecPath = writeSpec(Spec);
+  std::string Log = std::string(Dir) + "/spawned.log";
+  ResultStore Store;
+  ASSERT_TRUE(Store.open(std::string(Dir) + "/results"));
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  Opt.Store = &Store;
+  Opt.CommandTemplate = "echo spawned >> " + Log + "; " + WorkerExec;
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  std::string Error;
+  EXPECT_FALSE(orchestrateSweep(Spec, Opt, Cells, Stats, Error));
+  EXPECT_NE(Error.find("{store}"), std::string::npos) << Error;
+  EXPECT_NE(0, ::access(Log.c_str(), F_OK)) << "a worker was spawned";
+}
+
 //===--- kill drills read strict counts -----------------------------------===//
 
 TEST_F(OrchestratorFaultTest, MalformedKillDrillCountsWarnOnceAndStayOff) {
@@ -536,10 +630,11 @@ TEST_F(OrchestratorFaultTest, WorkerSurvivesSigpipeAndFailsWithDiagnostic) {
 //===--- store open failure degrades to a storeless run -------------------===//
 
 TEST_F(OrchestratorFaultTest, UnopenableStoreDegradesToStorelessRun) {
-  // VMIB_RESULT_STORE points below a regular file — a directory that
-  // can never be created, for every uid (these tests often run as
-  // root, where permission-bit read-only dirs do not block). Workers
-  // must warn, run storeless, and still converge bit-identically.
+  // The template hands workers a store below a regular file — a
+  // directory that can never be created, for every uid (these tests
+  // often run as root, where permission-bit read-only dirs do not
+  // block). Workers must warn, run storeless, and still converge
+  // bit-identically.
   SweepSpec Spec = faultForthSpec();
   std::string SpecPath = writeSpec(Spec);
   std::vector<PerfCounters> Want = reference(Spec);
@@ -549,10 +644,10 @@ TEST_F(OrchestratorFaultTest, UnopenableStoreDegradesToStorelessRun) {
   ASSERT_NE(nullptr, F);
   std::fputs("not a directory\n", F);
   std::fclose(F);
-  ASSERT_EQ(0, ::setenv("VMIB_RESULT_STORE",
-                        (Blocker + "/results").c_str(), 1));
 
   SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  Opt.CommandTemplate =
+      std::string(WorkerExec) + " --store-dir=" + Blocker + "/results";
   std::vector<PerfCounters> Cells;
   SweepRunStats Stats;
   std::string Error;

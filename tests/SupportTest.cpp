@@ -1,6 +1,5 @@
 //===- tests/SupportTest.cpp - support library unit tests -----------------===//
 
-#include "harness/SweepRunner.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Random.h"
@@ -13,8 +12,8 @@
 #include <cstdlib>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
+#include <vector>
 
 using namespace vmib;
 
@@ -150,6 +149,31 @@ bool countFlag(const char *Name, const std::string &Value, uint64_t Max,
   return OptionParser(2, Argv).getCount(Name, Max, Out, Error);
 }
 
+/// A declared set with each kind, the count bounds as the sweep
+/// binaries declare them.
+const OptionTable Declared = {
+    {"shards", "worker processes", OptionDecl::Count, 1024},
+    {"threads", "gang threads", OptionDecl::Count, 1024},
+    {"job", "shard job", OptionDecl::Count, UINT32_MAX},
+    {"attempt", "attempt number", OptionDecl::Count, UINT32_MAX},
+    {"retries", "requeues per job", OptionDecl::Count, UINT32_MAX},
+    {"quick", "two benchmarks"},
+    {"spec", "spec file", OptionDecl::Value},
+};
+
+/// checkOptions over \p Args; \returns the error ("" when accepted).
+std::string checkArgs(std::vector<std::string> Args) {
+  Args.insert(Args.begin(), "prog");
+  std::vector<const char *> Argv;
+  for (const std::string &A : Args)
+    Argv.push_back(A.c_str());
+  std::string Error;
+  bool Ok = checkOptions(static_cast<int>(Argv.size()), Argv.data(),
+                         Declared, Error);
+  EXPECT_EQ(Ok, Error.empty()) << Error;
+  return Error;
+}
+
 } // namespace
 
 TEST(OptionCount, AcceptsDecimalCountsAndKeepsAbsentValues) {
@@ -185,9 +209,11 @@ TEST_P(OptionCountRejects, DiagnosesFlagAndValue) {
   std::string Error;
   EXPECT_FALSE(countFlag(Name, Value, 1024, N, Error));
   EXPECT_EQ(N, 3u) << "a rejected value must not be stored";
-  EXPECT_NE(Error.find(std::string("bad --") + Name + " '" + Value + "'"),
-            std::string::npos)
-      << Error;
+  std::string Diagnostic = std::string("bad --") + Name + " '" + Value + "'";
+  EXPECT_NE(Error.find(Diagnostic), std::string::npos) << Error;
+  // The declaration check rejects the same form, with its own bound.
+  Error = checkArgs({std::string("--") + Name + "=" + Value});
+  EXPECT_NE(Error.find(Diagnostic), std::string::npos) << Error;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -203,6 +229,57 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair("threads", ""),
                       std::make_pair("threads", "1025"),
                       std::make_pair("retries", "18446744073709551616")));
+
+//===--- the declaration check --------------------------------------------===//
+
+TEST(DeclaredOptions, AcceptsEveryDeclaredKind) {
+  EXPECT_EQ(checkArgs({}), "");
+  EXPECT_EQ(checkArgs({"--shards=4", "--threads=0", "--job=4294967295",
+                       "--quick", "--spec=a=b.spec", "--spec=", "--help"}),
+            "");
+}
+
+TEST(DeclaredOptions, RejectsWhatNoDeclarationTakes) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"--thraeds=4", "unknown option '--thraeds'"},
+      {"--audit-exec", "unknown option '--audit-exec'"},
+      {"--quick=1", "--quick takes no value"},
+      {"--help=1", "--help takes no value"},
+      {"--spec", "--spec needs a value"},
+      {"--shards", "--shards needs a value"},
+      {"fig08.spec", "unexpected argument 'fig08.spec'"},
+      {"-quick", "unexpected argument '-quick'"},
+      {"-", "unexpected argument '-'"},
+      {"--", "unexpected argument '--'"},
+  };
+  for (const auto &[Arg, Want] : Cases) {
+    std::string Error = checkArgs({"--quick", Arg, "--shards=2"});
+    EXPECT_NE(Error.find(Want), std::string::npos) << Arg << ": " << Error;
+    EXPECT_EQ(Error.find('\n'), std::string::npos) << "one line: " << Error;
+  }
+}
+
+TEST(DeclaredOptions, HelpListsEveryDeclaredName) {
+  std::string Help = renderOptions("prog", Declared);
+  EXPECT_EQ(Help.rfind("usage: prog", 0), 0u) << Help;
+  for (const OptionDecl &D : Declared) {
+    EXPECT_NE(Help.find(std::string("--") + D.Name), std::string::npos)
+        << D.Name;
+    EXPECT_NE(Help.find(D.Doc), std::string::npos) << D.Name;
+  }
+  EXPECT_NE(Help.find("--help"), std::string::npos);
+  EXPECT_NE(Help.find("--shards=N"), std::string::npos);
+  EXPECT_NE(Help.find("--spec=VALUE"), std::string::npos);
+}
+
+TEST(DeclaredOptions, WithoutOptionsDropsNamedEntries) {
+  OptionTable T = withoutOptions(Declared, {"spec", "quick", "absent"});
+  ASSERT_EQ(T.size(), Declared.size() - 2);
+  for (const OptionDecl &D : T) {
+    EXPECT_STRNE(D.Name, "spec");
+    EXPECT_STRNE(D.Name, "quick");
+  }
+}
 
 //===--- envCount: the VMIB_* count variables ------------------------------===//
 
@@ -248,18 +325,3 @@ INSTANTIATE_TEST_SUITE_P(Forms, EnvCountRejects,
                                            "8 ", "0", "1.5", "0x10",
                                            "18446744073709551616",
                                            "4294967296"));
-
-TEST(EnvCount, SizingVariablesParseStrictly) {
-  // The knob behind the sizing variable: a malformed value falls back
-  // to the default instead of its numeric prefix.
-  ::testing::internal::CaptureStderr();
-  unsigned HW = std::thread::hardware_concurrency();
-  ::setenv("VMIB_THREADS", "4x", 1);
-  EXPECT_EQ(defaultSweepThreads(), HW == 0 ? 1u : HW);
-  ::setenv("VMIB_THREADS", "3", 1);
-  EXPECT_EQ(defaultSweepThreads(), 3u);
-  ::unsetenv("VMIB_THREADS");
-  std::string Err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(Err.find("warning: ignoring VMIB_THREADS"), std::string::npos)
-      << Err;
-}

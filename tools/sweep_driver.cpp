@@ -1,109 +1,49 @@
 //===- tools/sweep_driver.cpp - Sharded sweep driver ----------------------===//
 ///
-/// Runs a declarative SweepSpec (see docs/simulation-pipeline.md,
-/// "Distributed sweeps" and "Failure model") either in-process or
-/// sharded over worker processes, and verifies that every execution
-/// shape produces bit-identical cells.
+/// Runs a declarative SweepSpec either in-process or sharded over worker
+/// processes, and verifies that every execution shape produces
+/// bit-identical cells (docs/simulation-pipeline.md: "Distributed
+/// sweeps", "Failure model", "Durability model", "Audit model").
 ///
-///   sweep_driver --spec=F                      orchestrate (default:
-///                [--shards=N] [--worker-cmd=T]  1 worker process)
+///   sweep_driver --spec=F [--shards=N]          orchestrate over worker
+///                                               processes (default 1)
 ///   sweep_driver --spec=F --in-process          single-process gang sweep
-///   sweep_driver --spec=F --worker              one shard job: replay its
-///                --shards=N --job=I             gang slice, emit [result]
-///                [--attempt=A]                  lines on stdout
+///   sweep_driver --spec=F --worker --shards=N   one shard job: replay its
+///                --job=I [--attempt=A]          gang slice, emit [result]
+///                                               lines on stdout
 ///   sweep_driver --spec=F --verify [--shards=N] orchestrate, then audit
 ///                                               every cell in-process
-///                                               against four shapes;
-///                                               exit 1 on any mismatch
+///                                               against four shapes
 ///   sweep_driver --spec=F --emit-spec           parse + reprint the spec
+///   sweep_driver --cache-gc=BYTES               evict caches, no sweep
 ///
-/// Replay-path knob (docs/simulation-pipeline.md, "Streaming decode"):
-/// `--decode=materialize|stream|auto` picks how replay acquires the
-/// event stream (whole trace in memory vs O(tile) streaming decode
-/// from the trace cache file; auto streams past a 256 MiB decoded
-/// footprint). Like `--chunk` and `--threads` it overrides the spec,
-/// and the spec alone carries it to orchestrated workers: when an
-/// override makes the effective spec differ from the --spec file,
-/// workers get a temp copy of the effective spec instead. Every such
-/// knob is bit-identity-neutral by contract, and `--verify` proves it.
+/// The mode flags exclude each other, and each mode declares only the
+/// options it reads (driverOptions; `[--worker] --help` lists them): an
+/// undeclared or malformed argument exits 1 before any work.
+/// Orchestrated workers get the shape overrides (--threads, --chunk,
+/// --decode) in the spec file they read — a temp copy when an override
+/// changed it — and the result store through `{store}` on their command
+/// line. The environment carries only VMIB_TRACE_CACHE (a shared
+/// directory captures each trace once per cluster) and the VMIB_FAULT
+/// chaos plan (harness/FaultInjection.h), which makes workers crash,
+/// hang, garble, tear store commits or flip counters with seeded
+/// probability, so every recovery path is deterministically testable.
 ///
-/// Verify (docs/simulation-pipeline.md, "Audit model"): `--verify`
-/// runs the orchestrated primary as the default mode does, minus
-/// `--audit` (under VMIB_FAULT chaos when that is set), then a clean
-/// in-process Auditor (no store, no fault injection) audits every cell
-/// at rate 1.0 against the four shapes of verifyAuditShapes(), which
-/// cover decode x tile x threads pairwise. Each shape prints one
-/// `[timing] bench=<sweep>:verify shape=<id>` line (replay wall clock,
-/// member events, steals, restarts, peak tile-ring bytes). Exit 1 on
+/// Verify: the orchestrated primary (under VMIB_FAULT when set), then a
+/// clean in-process Auditor (no store, no fault injection) audits every
+/// cell at rate 1.0 against the four shapes of verifyAuditShapes(),
+/// which cover decode x tile x threads pairwise, and prints one
+/// `[timing] bench=<sweep>:verify shape=<id>` line per shape. Exit 1 on
 /// a mismatch, on a cell the primary did not cover, or on a stream
 /// shape that did not stream while VMIB_TRACE_CACHE is set.
 ///
-/// --threads=N overrides the spec's `threads` field everywhere: each
-/// gang replays on GangReplayer's shared-tile worker pool (one decoder
-/// feeding N workers, cost-planned tiles, work stealing, overflowing
-/// members restarting in place), bit-identical to the serial gang. N=0
-/// auto-detects the host's core count at executor level. Fan-out is
-/// two-level — `--shards=S --threads=N` runs S worker processes × N
-/// intra-gang threads each, so a multi-core worker host uses its cores
-/// off one trace decode instead of S×N processes.
-///
-/// Fault tolerance (every orchestrating mode): a worker attempt that
-/// exits non-zero, hangs past `--job-timeout=MS` (SIGTERM, then
-/// SIGKILL after `--kill-grace=MS`), garbles its protocol, or exits
-/// short is discarded wholesale and its job requeued up to
-/// `--retries=N` times with exponential backoff (`--backoff-ms=MS`,
-/// deterministic jitter). `--hedge=K` re-dispatches the last K
-/// outstanding jobs to idle slots (first completion wins — cells are
-/// deterministic, so any winner is THE answer). `--partial-ok` turns
-/// a job that exhausts its retries into a per-cell coverage report
-/// instead of a sweep failure. The `VMIB_FAULT` environment variable
-/// (see harness/FaultInjection.h) makes workers misbehave with seeded
-/// probability, so every one of those paths is deterministically
-/// testable: with faults injected, merged results must still
-/// bit-match a clean in-process re-execution — `--verify` asserts
-/// exactly that.
-///
-/// Orchestrator mode spawns workers through a shell command template
-/// (--worker-cmd; default runs this binary as its own worker), so SSH
-/// or queue fan-out is one template away — see the docs for an
-/// example. Workers consult VMIB_TRACE_CACHE before re-interpreting a
-/// workload; set it to a shared directory so each trace is captured
-/// once per cluster, not once per worker.
-///
-/// Incremental results (docs/simulation-pipeline.md, "Durability
-/// model"): `--result-store` / `--store-dir=D` attach a persistent,
-/// crash-consistent per-cell result cache (harness/ResultStore.h).
-/// The orchestrator serves fully-covered jobs without spawning a
-/// worker, workers serve covered cells without replaying them, and
-/// every fresh cell is durable before its [result] row is announced —
-/// so killing the orchestrator anywhere mid-sweep and re-running
-/// recomputes only what had not finished, bit-identically. The
-/// `[store]` lines report hits/misses/recovery. `--no-result-store`
-/// forces the store off; VMIB_RESULT_STORE carries the same choice
-/// through the environment. `--cache-gc=BYTES` (standalone, or after
-/// a sweep) LRU-evicts traces, sidecars and store segments down to the
-/// byte budget, skipping anything a live sweep holds in use. Extra
-/// VMIB_FAULT masses `torn=P,nospace=P,renamefail=P` fault-inject the
-/// store's filesystem commits.
-///
-/// Audit model (docs/simulation-pipeline.md, "Audit model"):
-/// `--audit=RATE` re-executes a deterministically-sampled subset of
-/// cells through a fully decorrelated execution shape (decode, tile
-/// size and thread count all flipped) and bit-compares. One Auditor
-/// does it in the process that owns the sweep: `--in-process` audits
-/// each workload row after the pipeline drains, the orchestrator
-/// audits each committed job's slice once the workers have settled
-/// (clean executor: VMIB_FAULT ignored, store off) and prints one
-/// `[timing] bench=<sweep>:audit shape=<id>` line. `--worker` rejects
-/// `--audit`. A mismatch triggers a third,
-/// canonical-shape tiebreak that classifies the fault
-/// (store-served corruption / compute divergence / nondeterminism),
-/// quarantines implicated ResultStore cells (evidence preserved, never
-/// deleted) and repairs the cell with the authoritative recompute.
-/// `VMIB_FAULT="flipcounter=P,flipstore=P"` injects the seeded
-/// single-bit corruption that proves all of this end to end;
-/// `--report-json=PATH` dumps the full OrchestratorReport (including
-/// the audit counters) for CI.
+/// Audit: `--audit=RATE` runs in the process that owns the sweep —
+/// `--in-process` audits each workload row after the pipeline drains,
+/// the orchestrator each committed job's slice once the workers have
+/// settled — and prints one `[timing] bench=<sweep>:audit shape=<id>`
+/// line. A mismatch is tiebroken on the canonical shape, classified,
+/// quarantined in the store and repaired; `--report-json` records the
+/// counts for CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -321,23 +261,14 @@ void printTraceEncodingReport(const std::string &CacheDir) {
 }
 
 /// `--cache-gc=BYTES`: one LRU eviction pass over the trace cache and
-/// the result store (see harness/CacheGC.h). Runs standalone (no
-/// --spec) or after a sweep; directories in use by live sweeps are
-/// skipped, never evicted under.
-int runCacheGCMode(const OptionParser &Opts) {
-  uint64_t Budget = 0;
-  if (!parseByteSize(Opts.get("cache-gc"), Budget)) {
-    std::fprintf(stderr,
-                 "error: bad --cache-gc '%s' (expected BYTES with an "
-                 "optional K/M/G suffix)\n",
-                 Opts.get("cache-gc").c_str());
-    return 1;
-  }
+/// the result store (see harness/CacheGC.h) down to \p Budget. Runs
+/// standalone (no --spec) or after a sweep; directories in use by live
+/// sweeps are skipped, never evicted under.
+int runCacheGCMode(uint64_t Budget, std::string StoreDir) {
   std::string CacheDir = DispatchTrace::cacheDir();
   // The GC manages the store *location* whether or not this run would
   // use the store: an explicit --store-dir, else the default beside
   // the cache.
-  std::string StoreDir = Opts.get("store-dir");
   if (StoreDir.empty() && !CacheDir.empty())
     StoreDir = CacheDir + (CacheDir.back() == '/' ? "results"
                                                   : "/results");
@@ -382,43 +313,32 @@ void printCoverageReport(const SweepSpec &Spec, unsigned Shards,
   }
 }
 
-bool runSharded(const SweepSpec &Spec, unsigned Shards,
-                const SweepWorkerOptions &FaultOpts,
-                const std::string &WorkerCmd, const std::string &SpecPath,
+bool runSharded(const SweepSpec &Spec, const SweepWorkerOptions &Opt,
                 std::vector<PerfCounters> &Cells, SweepRunStats &Stats,
                 OrchestratorReport &Report) {
-  SweepWorkerOptions Opt = FaultOpts;
-  Opt.Shards = Shards;
-  Opt.Threads = Spec.Threads; // two-level: shards × intra-gang threads
-  Opt.SpecPath = SpecPath;
-  Opt.CommandTemplate = WorkerCmd;
   std::string Error;
   if (!orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
   }
-  bench::emitTiming(Spec.Name + format(":shards%u", Shards), Stats);
+  bench::emitTiming(Spec.Name + format(":shards%u", Opt.Shards), Stats);
   bench::emitOrchestratorReport(Spec.Name, Report);
-  if (FaultOpts.Store)
+  if (Opt.Store)
     bench::emitStoreReport(Spec.Name, Report);
   if (!Report.complete())
-    printCoverageReport(Spec, Shards, Report);
+    printCoverageReport(Spec, Opt.Shards, Report);
   return true;
 }
 
 /// `--verify`: the orchestrated primary, then a clean in-process audit
 /// of every cell at rate 1.0 against each verifyAuditShapes() shape
-/// (see the file comment). The primary runs unaudited: every cell is
+/// (see the file comment). The mode takes no --audit: every cell is
 /// audited four ways below anyway.
-int runVerify(const SweepSpec &Spec, unsigned Shards,
-              SweepWorkerOptions FaultOpts, const std::string &WorkerCmd,
-              const std::string &SpecPath) {
-  FaultOpts.Audit = AuditPlan();
+int runVerify(const SweepSpec &Spec, const SweepWorkerOptions &Opt) {
   std::vector<PerfCounters> Cells;
   SweepRunStats Stats;
   OrchestratorReport Report;
-  if (!runSharded(Spec, Shards, FaultOpts, WorkerCmd, SpecPath, Cells, Stats,
-                  Report))
+  if (!runSharded(Spec, Opt, Cells, Stats, Report))
     return 1;
   if (!Report.complete()) {
     std::printf("FAIL: the primary left %zu of %zu cells uncovered\n",
@@ -465,9 +385,56 @@ int runVerify(const SweepSpec &Spec, unsigned Shards,
     return 1;
   std::printf("verify: %zu cells bit-identical across the %u-worker primary "
               "and %zu in-process shapes\n",
-              Cells.size(), Shards, Shapes.size());
+              Cells.size(), Opt.Shards, Shapes.size());
   printTables(Spec, Cells);
   return 0;
+}
+
+/// sweep_driver's modes: the orchestrator unless a mode flag says
+/// otherwise.
+enum class Mode { Orchestrate, Worker, InProcess, Verify, EmitSpec };
+
+const std::pair<const char *, Mode> ModeFlags[] = {
+    {"worker", Mode::Worker}, {"in-process", Mode::InProcess},
+    {"verify", Mode::Verify}, {"emit-spec", Mode::EmitSpec}};
+
+/// What sweep_driver takes in mode \p M: the shared sweep options, the
+/// mode flags and the driver's own, minus what the mode would ignore.
+OptionTable driverOptions(Mode M) {
+  OptionTable All = bench::sweepOptions(
+      {{"worker", "run one shard job, print its [result] lines"},
+       {"in-process", "run the sweep in this process"},
+       {"verify", "orchestrate, then audit every cell in four shapes"},
+       {"partial-ok", "report lost jobs' cells instead of failing"},
+       {"report-json", "write the orchestrator report here",
+        OptionDecl::Value},
+       {"cache-gc", "evict caches down to BYTES[K|M|G] (spec optional)",
+        OptionDecl::Value},
+       {"job", "the worker's shard job", OptionDecl::Count, UINT32_MAX},
+       {"attempt", "the worker's attempt (seeds VMIB_FAULT draws)",
+        OptionDecl::Count, UINT32_MAX},
+       {"schedule", "retired; accepted and ignored", OptionDecl::Value}});
+  switch (M) {
+  case Mode::Worker:
+    return withoutOptions(All, {"worker-cmd", "retries", "backoff-ms",
+                                "job-timeout", "kill-grace", "hedge",
+                                "partial-ok", "report-json", "cache-gc",
+                                "audit", "audit-seed"});
+  case Mode::InProcess:
+    return withoutOptions(All, {"shards", "worker-cmd", "retries",
+                                "backoff-ms", "job-timeout", "kill-grace",
+                                "hedge", "partial-ok", "report-json", "job",
+                                "attempt", "schedule"});
+  case Mode::Verify:
+    return withoutOptions(All, {"audit", "audit-seed", "report-json", "job",
+                                "attempt", "schedule"});
+  case Mode::EmitSpec:
+    return withoutOptions(All, {"partial-ok", "report-json", "cache-gc",
+                                "job", "attempt", "schedule"});
+  case Mode::Orchestrate:
+    break;
+  }
+  return withoutOptions(All, {"job", "attempt", "schedule"});
 }
 
 } // namespace
@@ -479,121 +446,80 @@ int main(int argc, char **argv) {
   // turns the dead pipe into EPIPE, which runWorker reports and exits
   // nonzero on. Harmless for every other mode.
   std::signal(SIGPIPE, SIG_IGN);
-  OptionParser Opts(argc, argv);
-  std::string SpecPath = Opts.get("spec");
+  Mode M = Mode::Orchestrate;
+  const char *Picked = nullptr;
+  OptionParser Given(argc, argv); // only picks the mode; Opts checks
+  for (const auto &[Name, Flag] : ModeFlags)
+    if (Given.has(Name)) {
+      if (Picked) {
+        std::fprintf(stderr, "error: --%s and --%s are exclusive modes\n",
+                     Picked, Name);
+        return 1;
+      }
+      Picked = Name;
+      M = Flag;
+    }
+  OptionTable Declared = driverOptions(M);
+  OptionParser Opts(argc, argv, Declared);
+  uint64_t GCBudget = 0;
+  if (Opts.has("cache-gc") && !parseByteSize(Opts.get("cache-gc"), GCBudget)) {
+    std::fprintf(stderr,
+                 "error: bad --cache-gc '%s' (expected BYTES with an "
+                 "optional K/M/G suffix)\n",
+                 Opts.get("cache-gc").c_str());
+    return 1;
+  }
+  std::string SpecPath = Opts.get("spec"), Error;
   if (SpecPath.empty()) {
     if (Opts.has("cache-gc"))
       // Standalone GC: no spec, no sweep — just shrink the caches.
-      return runCacheGCMode(Opts);
-    std::fprintf(stderr,
-                 "usage: sweep_driver --spec=FILE [--shards=N] [--worker "
-                 "--job=I [--attempt=A] | --in-process | --verify | "
-                 "--emit-spec] [--worker-cmd=TEMPLATE] "
-                 "[--threads=N (0 = auto)] [--chunk=N] "
-                 "[--retries=N] [--backoff-ms=MS] [--job-timeout=MS] "
-                 "[--kill-grace=MS] [--hedge=K] [--partial-ok] "
-                 "[--decode=materialize|stream|auto] "
-                 "[--result-store | --store-dir=D | --no-result-store] "
-                 "[--audit=RATE] [--audit-seed=N] "
-                 "[--report-json=PATH] "
-                 "[--cache-gc=BYTES[K|M|G]]\n"
-                 "       sweep_driver --cache-gc=BYTES[K|M|G] "
-                 "[--store-dir=D]   (standalone eviction pass)\n"
-                 "  fault injection for tests: VMIB_FAULT=\"kill=P,hang=P,"
-                 "garble=P,trunc=P,dup=P,torn=P,nospace=P,renamefail=P,"
-                 "flipcounter=P,flipstore=P,seed=S\"\n");
+      return runCacheGCMode(GCBudget, Opts.get("store-dir"));
+    std::fputs(renderOptions("sweep_driver", Declared).c_str(), stderr);
     return 2;
   }
   SweepSpec Spec;
-  std::string Error;
   if (!loadSweepSpecFile(SpecPath, Spec, Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-  // --threads / --chunk / --decode override the spec's execution
-  // shape in every mode (the shared bench helper validates them like
-  // parsed fields; threads 0 = auto-detect at executor level).
-  // Orchestrated workers read the effective spec: orchestrateSweep
-  // hands them a temp copy when an override changed it.
-  int OverrideExit = 0;
-  if (!bench::applySpecOverrides(Opts, Spec, OverrideExit))
-    return OverrideExit;
-  if (Opts.has("emit-spec")) {
-    std::fputs(printSweepSpec(Spec).c_str(), stdout);
-    return 0;
-  }
-
-  // The fault-tolerance knobs apply to every orchestrating mode
-  // (plain, --verify, and through BenchUtil the spec-driven benches).
-  SweepWorkerOptions FaultOpts;
-  if (!bench::applyWorkerFaultOptions(Opts, FaultOpts, OverrideExit,
-                                      /*AllowPartialOk=*/true))
-    return OverrideExit;
-
-  // The redundant-execution audit knobs (--audit=RATE, --audit-seed=N)
-  // belong to the process that owns the sweep: --in-process audits its
-  // rows, an orchestrator its committed slices. A worker's slice is
-  // audited by its orchestrator, so a worker template that still asks
-  // for a self-audit fails here instead of silently auditing nothing.
-  AuditPlan Audit;
-  if (!bench::applyAuditOptions(Opts, Audit, OverrideExit))
-    return OverrideExit;
-  if (Opts.has("worker") && Opts.has("audit")) {
-    std::fprintf(stderr,
-                 "error: --audit is an orchestrator flag: workers do not "
-                 "audit; pass --audit=RATE to the orchestrating "
-                 "sweep_driver, which audits every committed slice\n");
-    return 1;
-  }
-  FaultOpts.Audit = Audit;
-
-  unsigned Shards = 1;
-  size_t Job = 0;
-  unsigned Attempt = 0;
-  if (!bench::readCountOption(Opts, "shards", bench::MaxFanOut, Shards,
-                              OverrideExit) ||
-      !bench::readCountOption(Opts, "job", UINT32_MAX, Job, OverrideExit) ||
-      !bench::readCountOption(Opts, "attempt", UINT32_MAX, Attempt,
-                              OverrideExit))
-    return OverrideExit;
-  if (Shards < 1)
-    Shards = 1;
-
-  // Mark the trace cache in use for the whole sweep (a concurrent
-  // --cache-gc then skips it rather than evicting traces out from
-  // under live replays), and open the durable result store per the
-  // flags/environment. Workers get the store decision through the env
-  // (applyStoreOptions re-exports it) and their own shared in-use
-  // locks through ResultStore::open.
-  DirUseLock CacheUse(DispatchTrace::cacheDir());
+  // Shape overrides apply in every mode (workers read the effective
+  // spec); workers get the store this opens through {store} and take
+  // their own shared in-use locks in ResultStore::open.
   ResultStore Store;
-  bool StoreOn = bench::applyStoreOptions(Opts, Store);
-  FaultOpts.Store = StoreOn ? &Store : nullptr;
-
+  SweepWorkerOptions W;
   int Exit = 0;
-  if (Opts.has("worker")) {
-    Exit = runWorker(Spec, Shards, Job, Attempt, StoreOn ? &Store : nullptr);
-  } else if (Opts.has("verify")) {
-    Exit = runVerify(Spec, Shards, FaultOpts, Opts.get("worker-cmd"),
-                     SpecPath);
-  } else if (Opts.has("in-process")) {
+  if (!bench::applySweepOptions(Opts, Spec, W, Store, Exit))
+    return Exit;
+  // Mark the trace cache in use for the whole sweep: a concurrent
+  // --cache-gc then skips it rather than evicting traces out from
+  // under live replays.
+  DirUseLock CacheUse(DispatchTrace::cacheDir());
+
+  if (M == Mode::Worker) {
+    // Both passed the declaration check against the same bound.
+    uint64_t Job = 0, Attempt = 0;
+    Opts.getCount("job", UINT32_MAX, Job, Error);
+    Opts.getCount("attempt", UINT32_MAX, Attempt, Error);
+    Exit = runWorker(Spec, W.Shards, Job, static_cast<unsigned>(Attempt),
+                     W.Store);
+  } else if (M == Mode::Verify) {
+    Exit = runVerify(Spec, W);
+  } else if (M == Mode::InProcess) {
     SweepExecutor Executor;
-    if (StoreOn)
-      Executor.setResultStore(&Store);
+    Executor.setResultStore(W.Store);
     FaultPlan FPlan;
-    std::string FaultError;
-    if (!parseFaultPlan(std::getenv("VMIB_FAULT"), FPlan, FaultError)) {
-      std::fprintf(stderr, "error: VMIB_FAULT: %s\n", FaultError.c_str());
+    if (!parseFaultPlan(std::getenv("VMIB_FAULT"), FPlan, Error)) {
+      std::fprintf(stderr, "error: VMIB_FAULT: %s\n", Error.c_str());
       return 1;
     }
     Executor.setFaultInjection(FPlan);
-    Auditor InProcAudit(Audit, Executor, StoreOn ? &Store : nullptr);
-    if (Audit.enabled())
+    Auditor InProcAudit(W.Audit, Executor, W.Store);
+    if (W.Audit.enabled())
       Executor.setAuditor(&InProcAudit);
     std::vector<PerfCounters> Cells;
     SweepRunStats Stats = Executor.runAll(Spec, 0, Cells);
     bench::emitTiming(Spec.Name + ":inproc", Stats);
-    if (StoreOn)
+    if (W.Store)
       bench::emitStoreReport(Spec.Name, Store);
     printTables(Spec, Cells);
   } else {
@@ -602,8 +528,7 @@ int main(int argc, char **argv) {
     std::vector<PerfCounters> Cells;
     SweepRunStats Stats;
     OrchestratorReport Report;
-    if (!runSharded(Spec, Shards, FaultOpts, Opts.get("worker-cmd"),
-                    SpecPath, Cells, Stats, Report)) {
+    if (!runSharded(Spec, W, Cells, Stats, Report)) {
       Exit = 1;
     } else {
       if (Report.complete()) {
@@ -633,7 +558,7 @@ int main(int argc, char **argv) {
   if (Opts.has("cache-gc")) {
     Store.close();
     CacheUse.release();
-    int GCExit = runCacheGCMode(Opts);
+    int GCExit = runCacheGCMode(GCBudget, Opts.get("store-dir"));
     if (Exit == 0)
       Exit = GCExit;
   }

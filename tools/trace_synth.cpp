@@ -3,14 +3,8 @@
 /// Generates a synthetic Markov dispatch trace (workloads/SynthSuite.h)
 /// straight into the trace cache, where every downstream consumer —
 /// sweep_driver, the labs, the result store — picks it up exactly like
-/// a captured one:
-///
-///   trace_synth --seed=S --events=N[k|m|g] --entropy=E
-///               [--out=PATH]              write here instead of the cache
-///   trace_synth --name=synth-markov-s1-n250m-e35   same, from the
-///               canonical benchmark name
-///   trace_synth ... --emit-spec    print a ready-to-run sweep spec for
-///               the workload (the CI smoke input) instead of generating
+/// a captured one (`--seed= --events= --entropy=`, or `--name=` of the
+/// same workload; `--emit-spec` prints a sweep spec for it instead).
 ///
 /// Generation is O(events) with no interpreter state, so this is how
 /// multi-hundred-million-event decode/replay-bandwidth inputs are made:
@@ -33,7 +27,17 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionParser Opts(argc, argv);
+  OptionTable Declared = bench::shapeOptions(); // under --emit-spec
+  Declared.insert(
+      Declared.begin(),
+      {{"seed", "generator seed (default 1)", OptionDecl::Value},
+       {"events", "trace length, k/m/g suffixes allowed", OptionDecl::Value},
+       {"entropy", "branch entropy 0..100 (default 50)", OptionDecl::Value},
+       {"name", "workload name synth-markov-s<seed>-n<events>-e<entropy>",
+        OptionDecl::Value},
+       {"out", "write here instead of the trace cache", OptionDecl::Value},
+       {"emit-spec", "print a sweep spec for the workload instead"}});
+  OptionParser Opts(argc, argv, Declared);
 
   // Both flag styles funnel through the one name grammar, so the
   // validation (suffix scaling, entropy range, overflow) lives in
@@ -46,12 +50,7 @@ int main(int argc, char **argv) {
            "-n" + Opts.get("events") + "-e" +
            (Opts.has("entropy") ? Opts.get("entropy") : "50");
   } else {
-    std::fprintf(stderr,
-                 "usage: trace_synth --seed=S --events=N[k|m|g] "
-                 "--entropy=0..100 [--out=PATH] "
-                 "[--emit-spec [--threads=N]]\n"
-                 "       trace_synth --name=synth-markov-s<seed>-"
-                 "n<events>[k|m|g]-e<entropy> [...]\n");
+    std::fputs(renderOptions("trace_synth", Declared).c_str(), stderr);
     return 2;
   }
   SynthWorkloadParams Params;
