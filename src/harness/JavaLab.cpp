@@ -6,6 +6,7 @@
 #include "support/Format.h"
 #include "vmcore/DispatchSim.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -203,33 +204,60 @@ double runtimeShareOf(const std::string &Benchmark) {
   return 1.0;
 }
 
-} // namespace
-
-uint64_t JavaLab::plainInterpCycles(const std::string &Benchmark,
-                                    const CpuConfig &Cpu) {
-  std::string Key = Benchmark + "@" + Cpu.Name;
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = PlainCycleCache.find(Key);
-    if (It != PlainCycleCache.end())
-      return It->second;
-  }
-  // A one-member gang: the plain-threaded counters are bit-identical
-  // to a direct run and reuse the cached trace. Computed outside the
-  // lock — this is a full trace replay, and holding the cache mutex
-  // through it would serialize every sweep worker behind the first
-  // one. Concurrent first calls just compute the same value twice.
-  PerfCounters C = replayGangNoOverhead(
-      Benchmark, {makeVariant(DispatchStrategy::Threaded)}, Cpu)[0];
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return PlainCycleCache.emplace(Key, C.Cycles).first->second;
+/// The runtime-overhead cycles of \p Benchmark given the plain
+/// interpreter's cycles (its basis).
+uint64_t overheadFrom(const std::string &Benchmark,
+                      uint64_t PlainInterpCycles) {
+  return static_cast<uint64_t>(runtimeShareOf(Benchmark) *
+                               static_cast<double>(PlainInterpCycles));
 }
+
+/// The key of the (benchmark, CPU) overhead basis.
+std::string basisKey(const std::string &Benchmark, const CpuConfig &Cpu) {
+  return Benchmark + "@" + Cpu.Name;
+}
+
+/// The variant whose interpreter cycles are the overhead basis.
+VariantSpec plainVariant() { return makeVariant(DispatchStrategy::Threaded); }
+
+/// Whether \p V builds the plain layout: every field but the name
+/// equals plainVariant()'s. The name is only a label (fig15 calls its
+/// plain cell "total 0, 0% super").
+bool buildsPlainLayout(const VariantSpec &V) {
+  const VariantSpec P = plainVariant();
+  const StrategyConfig &A = V.Config, &B = P.Config;
+  return A.Kind == B.Kind && A.ReplicaCount == B.ReplicaCount &&
+         A.SuperCount == B.SuperCount && A.Policy == B.Policy &&
+         A.Parse == B.Parse && A.Seed == B.Seed &&
+         V.SuperCount == P.SuperCount && V.ReplicaCount == P.ReplicaCount &&
+         V.ReplicateSupers == P.ReplicateSupers;
+}
+
+} // namespace
 
 uint64_t JavaLab::runtimeOverhead(const std::string &Benchmark,
                                   const CpuConfig &Cpu) {
-  return static_cast<uint64_t>(runtimeShareOf(Benchmark) *
-                               static_cast<double>(
-                                   plainInterpCycles(Benchmark, Cpu)));
+  {
+    std::lock_guard<std::mutex> Lock(CacheMutex);
+    auto It = PlainCycles.find(basisKey(Benchmark, Cpu));
+    if (It != PlainCycles.end())
+      return overheadFrom(Benchmark, It->second);
+  }
+  // No gang of this (benchmark, CPU) replayed in this lab yet — the
+  // direct-run oracle, or a bench reading overheads after an
+  // orchestrated sweep: a one-member plain gang supplies the basis.
+  // Replayed outside the lock, like every gang; concurrent first calls
+  // just compute the same value twice.
+  uint64_t Basis =
+      replayGangNoOverhead(Benchmark, {plainVariant()}, Cpu)[0].Cycles;
+  recordBasis(Benchmark, Cpu, Basis);
+  return overheadFrom(Benchmark, Basis);
+}
+
+void JavaLab::recordBasis(const std::string &Benchmark, const CpuConfig &Cpu,
+                          uint64_t PlainInterpCycles) {
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  PlainCycles.emplace(basisKey(Benchmark, Cpu), PlainInterpCycles);
 }
 
 PerfCounters JavaLab::run(const std::string &Benchmark,
@@ -423,10 +451,24 @@ JavaLab::replayGang(const std::string &Benchmark,
                     const std::vector<uint64_t> *SeedCostNs,
                     std::vector<uint64_t> *FinalCostNs,
                     TraceDecodeMode Decode) {
+  // The overhead basis is the plain member's interpreter cycles. A
+  // variant list without plain carries a hidden plain member at its
+  // end: unseeded, and its row and cost are dropped below.
+  std::vector<VariantSpec> Members = Variants;
+  size_t Plain = static_cast<size_t>(
+      std::find_if(Members.begin(), Members.end(), buildsPlainLayout) -
+      Members.begin());
+  if (Plain == Members.size())
+    Members.push_back(plainVariant());
   std::vector<PerfCounters> Results =
-      replayGangNoOverhead(Benchmark, Variants, Cpu, Threads, StatsOut,
+      replayGangNoOverhead(Benchmark, Members, Cpu, Threads, StatsOut,
                            SeedCostNs, FinalCostNs, Decode);
-  uint64_t Overhead = runtimeOverhead(Benchmark, Cpu);
+  uint64_t Basis = Results[Plain].Cycles;
+  recordBasis(Benchmark, Cpu, Basis);
+  Results.resize(Variants.size());
+  if (FinalCostNs && FinalCostNs->size() > Variants.size())
+    FinalCostNs->resize(Variants.size());
+  uint64_t Overhead = overheadFrom(Benchmark, Basis);
   for (PerfCounters &C : Results)
     C.Cycles += Overhead;
   return Results;
@@ -441,13 +483,17 @@ JavaLab::replayGangNoOverhead(const std::string &Benchmark,
                               std::vector<uint64_t> *FinalCostNs,
                               TraceDecodeMode Decode) {
   GangReplayer Gang(traceSource(Benchmark, Decode));
+  const VMProgram &Pristine = program(Benchmark).Program;
   for (const VariantSpec &V : Variants) {
-    // Each member owns its fresh program copy; the layout is built
-    // over exactly that copy so the recorded quickenings patch it.
-    auto Copy = std::make_shared<VMProgram>(program(Benchmark).Program);
-    auto Layout = buildLayout(Benchmark, V, *Copy);
-    size_t Member = Gang.addQuickening(std::move(Layout), std::move(Copy),
-                                       Cpu);
+    // Each member builds its layout over its own fresh copy of the
+    // pristine program, so the recorded quickenings patch it; a
+    // restart builds another one on the pool worker replaying it.
+    size_t Member = Gang.addQuickening(
+        Pristine,
+        [this, Benchmark, V](const VMProgram &Over) {
+          return buildLayout(Benchmark, V, Over);
+        },
+        Cpu);
     if (SeedCostNs && Member < SeedCostNs->size() &&
         (*SeedCostNs)[Member] != 0)
       Gang.seedMemberCost(Member, (*SeedCostNs)[Member]);

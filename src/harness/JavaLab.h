@@ -68,6 +68,11 @@ public:
   /// shares (jack/javac/mtrt runtime-bound, compress/mpeg loop-bound);
   /// added identically to every variant, so it dampens — but never
   /// reorders — the speedups, exactly as in the paper.
+  /// The plain cycles (the basis) are what a replayGang of
+  /// (\p Benchmark, \p Cpu) in this lab stored; only when no such gang
+  /// ran does this replay the plain variant as a one-member gang (the
+  /// direct-run oracle, benches reading overheads after an orchestrated
+  /// sweep). Thread-safe.
   uint64_t runtimeOverhead(const std::string &Benchmark,
                            const CpuConfig &Cpu);
 
@@ -125,18 +130,20 @@ public:
   void dropTrace(const std::string &Benchmark);
 
   /// Populates the caches a parallel sweep will hit — the benchmark's
-  /// trace, the runtime-overhead basis, and the post-quickening static
-  /// profiles of the whole suite (every leave-one-out resource
-  /// selection interprets them otherwise); called serially by the
-  /// bench capture phase so workers never run a whole-workload
-  /// interpretation under the cache lock.
+  /// trace and the post-quickening static profiles of the whole suite
+  /// (every leave-one-out resource selection interprets them
+  /// otherwise); called serially by the bench capture phase so workers
+  /// never run a whole-workload interpretation under the cache lock.
+  /// Replays nothing: the runtime-overhead basis comes from the sweep's
+  /// own gang (replayGang). \p Cpu is unused and kept for the callers'
+  /// per-CPU loop.
   /// \p Decode mirrors the sweep's decode mode: a streaming sweep
   /// only validates the trace cache file here (capturing it if
   /// absent) instead of pinning the whole event arena in memory.
   void warmup(const std::string &Benchmark, const CpuConfig &Cpu,
               TraceDecodeMode Decode = TraceDecodeMode::Auto) {
+    (void)Cpu;
     (void)traceSource(Benchmark, Decode);
-    (void)plainInterpCycles(Benchmark, Cpu);
     for (const JavaBenchmark &B : javaSuite())
       (void)profileOf(B.Name);
   }
@@ -146,9 +153,14 @@ public:
   /// quickenings are re-applied at their exact event positions.
   /// Results are in variant order, bit-identical to run() per cell
   /// (runtime overhead included; a one-variant gang is a per-config
-  /// replay). Thread-safe. With \p Threads > 1 the gang replays on the
-  /// shared-tile worker pool (each quickening member has one owner per
-  /// tile, so results stay bit-identical for any thread count);
+  /// replay). The overhead basis is the interpreter cycles of the
+  /// gang's own plain member — the variant whose every field but the
+  /// name builds the plain layout — or of a hidden plain member
+  /// appended when the list has none (its row is dropped, its cost
+  /// neither seeded nor returned); the basis is stored for
+  /// runtimeOverhead(). Thread-safe. With \p Threads > 1 the gang
+  /// replays on the shared-tile worker pool (each member has one owner
+  /// per tile, so results stay bit-identical for any thread count);
   /// \p StatsOut receives the pool accounting when non-null.
   /// \p SeedCostNs, when non-null, seeds the pool scheduler's
   /// per-member cost EWMAs (variant order, 0 = unknown — see
@@ -163,7 +175,13 @@ public:
              std::vector<uint64_t> *FinalCostNs = nullptr,
              TraceDecodeMode Decode = TraceDecodeMode::Auto);
 
-  /// replayGang() without the runtime-system overhead cycles.
+private:
+  /// Post-quickening static profile of one benchmark (the state static
+  /// selection sees: quick forms, §5.4).
+  const SequenceProfile &profileOf(const std::string &Benchmark);
+
+  /// replayGang() without the runtime-system overhead cycles and
+  /// without a hidden member.
   std::vector<PerfCounters>
   replayGangNoOverhead(const std::string &Benchmark,
                        const std::vector<VariantSpec> &Variants,
@@ -173,15 +191,11 @@ public:
                        std::vector<uint64_t> *FinalCostNs = nullptr,
                        TraceDecodeMode Decode = TraceDecodeMode::Auto);
 
-private:
-  /// Post-quickening static profile of one benchmark (the state static
-  /// selection sees: quick forms, §5.4).
-  const SequenceProfile &profileOf(const std::string &Benchmark);
-
-  /// Interpreter-only cycles of the plain variant (overhead basis),
-  /// from a one-member quickening gang; cached per (benchmark, CPU).
-  uint64_t plainInterpCycles(const std::string &Benchmark,
-                             const CpuConfig &Cpu);
+  /// Stores the overhead basis of (\p Benchmark, \p Cpu) for
+  /// runtimeOverhead(); the first value stored wins (every gang
+  /// computes the same one).
+  void recordBasis(const std::string &Benchmark, const CpuConfig &Cpu,
+                   uint64_t PlainInterpCycles);
 
   PerfCounters runNoOverhead(const std::string &Benchmark,
                              const VariantSpec &Variant,
@@ -213,7 +227,8 @@ private:
   std::atomic<uint64_t> ProfileRuns{0};
   std::map<std::string, SequenceProfile> Profiles;
   std::map<std::string, StaticResources> ResourceCache;
-  std::map<std::string, uint64_t> PlainCycleCache;
+  /// Plain interpreter cycles per "benchmark@cpu": the overhead basis.
+  std::map<std::string, uint64_t> PlainCycles;
   std::map<std::string, DispatchTrace> Traces;
   // Plain mutex on purpose: the *Locked helpers exist so nothing locks
   // re-entrantly; accidental re-entrancy should deadlock loudly, not

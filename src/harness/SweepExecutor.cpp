@@ -344,8 +344,8 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
   // Warm-store fast path: a workload whose every cell the store already
   // holds (keyed off the trace file header, nothing loaded) is served
   // here and never enters the pipeline — its warmup (trace load,
-  // training, Java's overhead-basis replay) exists only to enable
-  // replays this sweep will not perform.
+  // training, Java's suite profiles) exists only to enable replays this
+  // sweep will not perform.
   std::vector<size_t> Pending;
   for (size_t I = 0; I < W; ++I) {
     if (Store && Store->isOpen() &&
@@ -364,9 +364,9 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
           CpuConfig Cpu;
           if (!cpuConfigById(CpuId, Cpu))
             continue;
-          // Per-CPU warmup: the Java runtime-overhead basis is a
-          // (benchmark, CPU) cache; the trace/profile warmups behind it
-          // are idempotent.
+          // Trace load and training/profile warmups: idempotent, so the
+          // later CPUs cost lookups only. Java's runtime-overhead basis
+          // comes from the gang's own plain member, not from here.
           if (Spec.Suite == "java")
             java().warmup(B, Cpu, Spec.Decode);
           else

@@ -29,6 +29,7 @@
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
 
 using namespace vmib;
 
@@ -37,32 +38,56 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
-/// Replaces every occurrence of \p Key in \p S with \p Value.
-void substitute(std::string &S, const std::string &Key,
-                const std::string &Value) {
-  size_t Pos = 0;
-  while ((Pos = S.find(Key, Pos)) != std::string::npos) {
-    S.replace(Pos, Key.size(), Value);
-    Pos += Value.size();
-  }
+/// One shell word for a path the worker template splices in ({driver},
+/// {spec}, {store}'s directory): \p S itself when every character is
+/// in [A-Za-z0-9_./:@%+=,-], single-quoted otherwise — so a space, a
+/// quote or shell syntax neither splits the argument nor runs, and
+/// ordinary paths also survive a template that wraps the worker in
+/// `sh -c '...'`.
+std::string shellWord(const std::string &S) {
+  if (!S.empty() && S.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                        "abcdefghijklmnopqrstuvwxyz"
+                                        "0123456789_./:@%+=,-") ==
+                        std::string::npos)
+    return S;
+  std::string Quoted = "'";
+  for (char C : S)
+    Quoted += C == '\'' ? std::string("'\\''") : std::string(1, C);
+  return Quoted + "'";
 }
 
-/// {store}'s expansion: `--store-dir=<dir>` while \p Store is open,
-/// nothing otherwise. One shell word, single-quoted only when the dir
-/// holds a character outside [A-Za-z0-9_./:@%+=,-], so ordinary paths
-/// also survive a template that wraps the worker in `sh -c '...'`.
+/// Expands the worker template in one pass: each placeholder of
+/// \p Values becomes its value, any other text stays as written, and
+/// no value is rescanned (a path may hold "{job}").
+std::string
+expandTemplate(const std::string &Template,
+               const std::vector<std::pair<std::string, std::string>> &Values) {
+  std::string Out;
+  size_t Pos = 0;
+  while (Pos < Template.size()) {
+    const std::pair<std::string, std::string> *Hit = nullptr;
+    if (Template[Pos] == '{')
+      for (const auto &KV : Values)
+        if (Template.compare(Pos, KV.first.size(), KV.first) == 0) {
+          Hit = &KV;
+          break;
+        }
+    if (Hit) {
+      Out += Hit->second;
+      Pos += Hit->first.size();
+    } else {
+      Out += Template[Pos++];
+    }
+  }
+  return Out;
+}
+
+/// {store}'s expansion: `--store-dir=<dir>` as one shell word while
+/// \p Store is open, nothing otherwise.
 std::string storeWorkerArg(const ResultStore *Store) {
   if (!Store || !Store->isOpen())
     return std::string();
-  std::string Arg = "--store-dir=" + Store->dir();
-  if (Arg.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                            "abcdefghijklmnopqrstuvwxyz"
-                            "0123456789_./:@%+=,-") == std::string::npos)
-    return Arg;
-  std::string Quoted = "'";
-  for (char C : Arg)
-    Quoted += C == '\'' ? std::string("'\\''") : std::string(1, C);
-  return Quoted + "'";
+  return shellWord("--store-dir=" + Store->dir());
 }
 
 /// Decimal u64 at \p C; 0 on anything malformed — no leading digit
@@ -247,14 +272,14 @@ private:
 
 bool Orchestration::spawn(size_t JobIdx, bool Hedge) {
   JobState &J = JobStates[JobIdx];
-  std::string Cmd = Template;
-  substitute(Cmd, "{driver}", Driver);
-  substitute(Cmd, "{spec}", SpecPath);
-  substitute(Cmd, "{shards}", std::to_string(Opt.Shards));
-  substitute(Cmd, "{job}", std::to_string(JobIdx));
-  substitute(Cmd, "{threads}", std::to_string(WorkerThreads));
-  substitute(Cmd, "{attempt}", std::to_string(J.NextAttemptNo));
-  substitute(Cmd, "{store}", StoreArg); // last: a dir may hold "{job}"
+  std::string Cmd =
+      expandTemplate(Template, {{"{driver}", shellWord(Driver)},
+                                {"{spec}", shellWord(SpecPath)},
+                                {"{shards}", std::to_string(Opt.Shards)},
+                                {"{job}", std::to_string(JobIdx)},
+                                {"{threads}", std::to_string(WorkerThreads)},
+                                {"{attempt}", std::to_string(J.NextAttemptNo)},
+                                {"{store}", StoreArg}});
 
   int OutPipe[2], ErrPipe[2];
   if (::pipe(OutPipe) != 0) {

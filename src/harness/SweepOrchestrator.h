@@ -24,9 +24,12 @@
 /// injection (VMIB_FAULT), so templates without the placeholder still
 /// work. `{store}` is `--store-dir=<dir>` while `Store` is open and
 /// empty otherwise; a template without it fails the sweep before any
-/// spawn while a store is open. Older templates may still carry
-/// `--schedule={schedule}`; the placeholder is left as is and workers
-/// ignore the flag.
+/// spawn while a store is open. The paths behind `{driver}`, `{spec}`
+/// and `{store}` each reach the shell as one word (single-quoted when
+/// they hold anything beyond [A-Za-z0-9_./:@%+=,-]), and placeholders
+/// expand in one pass, so a path holding `{job}` stays as written.
+/// Older templates may still carry `--schedule={schedule}`; the
+/// placeholder is left as is and workers ignore the flag.
 ///
 /// Fan-out is two-level: `Shards` worker processes × `Threads`
 /// intra-gang worker threads per process (GangReplayer shared decoded

@@ -172,25 +172,28 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
                         std::memory_order_relaxed);
 
   /// Advances member \p I over the tile in \p Span; \p C is the tile
-  /// decoded for the member's group, or null when it reads raw events.
+  /// decoded for the member's group, or null when the gang decodes
+  /// nothing for it (\p Scratch is then the member's to decode into).
   /// An overflowing member restarts in place inside runTile(); once it
   /// runs the exact I-cache it stops decoding, and its group with it
   /// when it was the last decoding member.
   auto RunMemberTile = [&](size_t I, const gang::DecodedChunk *C,
-                           const EventSpan &Span) {
+                           gang::DecodedChunk &Scratch, const EventSpan &Span) {
     GangMember &Member = *Members[I];
-    Member.runTile(Span, C, Source);
+    Member.runTile(Span, C, Scratch, Source);
     if (C != nullptr && !Member.decodes())
       GroupAlive[GroupOf[I]].fetch_sub(1, std::memory_order_relaxed);
   };
 
   if (!Pooled) {
     // Serial chunk-major sweep: every member crosses the tile before
-    // the cursor advances — raw-event members first, then each group
-    // decodes once into the one scratch chunk and its members consume
-    // the SoA streams while they are cache-hot. A streaming source
-    // decodes each tile into Raw — the only resident event buffer —
-    // before the members consume it.
+    // the cursor advances — members the gang decodes nothing for first
+    // (raw-event members, and quickening members decoding their own
+    // stretches into the one scratch chunk), then each group decodes
+    // once into that chunk and its members consume the SoA streams
+    // while they are cache-hot. A streaming source decodes each tile
+    // into Raw — the only resident event buffer — before the members
+    // consume it.
     TraceSource::Cursor Cursor = Source.cursor(ChunkCapacity);
     std::vector<DispatchTrace::Event> Raw;
     gang::DecodedChunk Scratch;
@@ -210,19 +213,19 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
         if (Bytes > St.PeakTileRingBytes)
           St.PeakTileRingBytes = Bytes;
       }
-      // Raw-event members run first: a member that restarts onto the
-      // exact I-cache in its group's pass below stops decoding, and
-      // must not cross this tile a second time here.
+      // These run first: a member that restarts onto the exact I-cache
+      // in its group's pass below stops decoding, and must not cross
+      // this tile a second time here.
       for (size_t I = 0; I < M; ++I)
         if (!Members[I]->decodes())
-          RunMemberTile(I, nullptr, Span);
+          RunMemberTile(I, nullptr, Scratch, Span);
       for (size_t G = 0; G < Groups.size(); ++G) {
         if (GroupAlive[G].load(std::memory_order_relaxed) == 0)
           continue;
         Groups[G].Decoder->decodeInto(Span, Scratch);
         for (size_t I : Groups[G].MemberIdx)
           if (Members[I]->decodes())
-            RunMemberTile(I, &Scratch, Span);
+            RunMemberTile(I, &Scratch, Scratch, Span);
       }
     }
   } else {
@@ -267,16 +270,17 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
 
     const unsigned NumWorkers = Threads;
     St.Workers.assign(NumWorkers, Stats::Worker());
-    // Per-worker decode scratch for groups of one: resident decode
-    // buffers scale with the pool, not with the member count. Each
-    // grows on its worker's first decode, so a worker that never
-    // claims a group of one holds none.
+    // Per-worker decode scratch for groups of one and quickening
+    // members: resident decode buffers scale with the pool, not with
+    // the member count. Each grows on its worker's first decode, so a
+    // worker that never claims such a member holds none.
     std::vector<gang::DecodedChunk> Scratch(NumWorkers);
 
     /// Replays member \p I over the published tile in \p S on worker
     /// \p W and accounts it — a group of one decodes into the worker's
-    /// scratch first. \returns the measured nanoseconds (decode
-    /// included) — the planner's cost sample.
+    /// scratch first, a quickening member decodes into it itself.
+    /// \returns the measured nanoseconds (decode included) — the
+    /// planner's cost sample.
     auto ReplayMemberTile = [&](size_t I, TileSlot &S, unsigned W,
                                 Stats::Worker &WS) -> uint64_t {
       Clock::time_point T0 = Clock::now();
@@ -290,7 +294,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
           C = &Scratch[W];
         }
       }
-      RunMemberTile(I, C, S.Span);
+      RunMemberTile(I, C, Scratch[W], S.Span);
       uint64_t Ns = elapsedNs(T0);
       WS.BusySeconds += static_cast<double>(Ns) * 1e-9;
       WS.EventsReplayed += S.Span.size();

@@ -33,15 +33,20 @@
 ///    counters from an *earlier gang member's* finished result —
 ///    members finish in add order, so one gang can carry a full replay
 ///    and all its dependent predictor sweeps.
-///  - addQuickening(): JVM members own a fresh program copy + layout
-///    and re-apply the recorded quicken rewrites at their exact event
-///    positions (per-member record cursor), on the exact-LRU models.
+///  - addQuickening(): JVM members run the same tiers over their own
+///    fresh program copy and layout. The trace's quicken records are a
+///    schedule of layout rewrites known before replay (§5.4), so a
+///    member consumes each tile as decoded stretches split at its next
+///    record: decode, consume, apply the rewrite, go on. A restart
+///    catches up from a second fresh copy, re-applying the records.
 ///
-/// Every quicken-free member consumes SoA-decoded tiles (GroupDecoder).
-/// Such members only *read* their DispatchProgram, so members of the
-/// same variant share one layout via shared_ptr and one decode per
-/// tile; a member alone on its layout is a group of one, decoded by the
-/// thread that replays it. With the predictor state-size audit
+/// Every member on the optimistic I-cache consumes SoA-decoded tiles
+/// (GroupDecoder). Quicken-free members only *read* their
+/// DispatchProgram, so members of the same variant share one layout
+/// via shared_ptr and one decode per tile; a member alone on its
+/// layout — and every quickening member, whose layout mutates — is a
+/// group of one, decoded by the thread that replays it into that
+/// thread's scratch chunk. With the predictor state-size audit
 /// (stateBytes()) this is what lets a 20+-member gang pack into cache
 /// next to the tile.
 ///
@@ -63,7 +68,9 @@
 #include "vmcore/DispatchSim.h"
 #include "vmcore/TraceSource.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -135,24 +142,85 @@ inline void runFused(const EventSpan &Span, DispatchProgram &Layout,
   MemberPred = std::move(Pred);
 }
 
-/// The catch-up of a restarted member: replays events [0, \p End) of
-/// \p Source through the fused kernel. It reads through its own cursor,
-/// in 64K-event tiles (one trace frame each), so a streamed catch-up
-/// holds one tile of events however deep into the trace the restart
-/// happened, and never touches the gang's own cursor or tile ring.
-template <class StateT, class PredictorT>
-void replayPrefix(const TraceSource &Source, size_t End,
-                  DispatchProgram &Layout, bool Slim, StateT &S,
-                  PredictorT &Pred) {
+/// The walk of a restarted member's catch-up: hands events [0, \p End)
+/// of \p Source to \p Run tile by tile. It reads through its own
+/// cursor, in 64K-event tiles (one trace frame each), so a streamed
+/// catch-up holds one tile of events however deep into the trace the
+/// restart happened, and never touches the gang's own cursor or tile
+/// ring.
+template <class RunFn>
+void forEachPrefixTile(const TraceSource &Source, size_t End, RunFn &&Run) {
   TraceSource::Cursor Cursor = Source.cursor(size_t{1} << 16);
   std::vector<DispatchTrace::Event> Raw;
   EventSpan Span;
   while (Span.End < End && Cursor.nextInto(Raw, Span)) {
     if (Span.End > End)
       Span.End = End;
-    runFused(Span, Layout, Slim, S, Pred);
+    Run(Span);
   }
 }
+
+/// Builds a quickening member's layout over a program copy: the member
+/// builds its own at add time, and a restart builds one more for the
+/// catch-up. Restarts run on pool workers, so it must be thread-safe.
+using LayoutFactory =
+    std::function<std::unique_ptr<DispatchProgram>(const VMProgram &)>;
+
+/// What a JVM member replays besides the events: the trace's quicken
+/// records (borrowed from the gang's TraceSource) and what a restart
+/// needs to re-apply them from event 0 — the pristine program
+/// (borrowed; must outlive the gang) and the layout factory.
+struct QuickenSchedule {
+  const std::vector<DispatchTrace::QuickenRecord> *Records = nullptr;
+  const VMProgram *Pristine = nullptr;
+  LayoutFactory Build;
+};
+
+/// Walks \p Span in stretches split at the quicken records: \p Run
+/// consumes each stretch no rewrite interrupts, then every record due
+/// after its last event rewrites \p Program and patches \p Layout —
+/// engine order: the quickable routine runs once, then rewrites itself
+/// (§5.4) — and \p OnRewrite runs once for the batch. \p Next indexes
+/// the first record not applied yet and advances past the applied ones.
+template <class RunFn, class RewriteFn>
+void splitAtQuickens(const EventSpan &Span,
+                     const std::vector<DispatchTrace::QuickenRecord> &Records,
+                     size_t &Next, VMProgram &Program, DispatchProgram &Layout,
+                     RunFn &&Run, RewriteFn &&OnRewrite) {
+  size_t Pos = Span.Begin;
+  while (Pos < Span.End) {
+    size_t Stop = Span.End;
+    if (Next < Records.size() && Records[Next].AfterEvents > Pos)
+      Stop = std::min<size_t>(Stop, Records[Next].AfterEvents);
+    Run(EventSpan{Span.Data + (Pos - Span.Begin), Pos, Stop});
+    Pos = Stop;
+    bool Rewrote = false;
+    for (; Next < Records.size() && Records[Next].AfterEvents == Pos;
+         ++Next) {
+      Program.Code[Records[Next].Index] = Records[Next].NewInstr;
+      Layout.onQuicken(Records[Next].Index);
+      Rewrote = true;
+    }
+    if (Rewrote)
+      OnRewrite();
+  }
+}
+
+/// The exact-kernel walk of a quickening member — the catch-up loop of
+/// a restart and the raw tiles after an I-cache restart: runFused over
+/// each stretch between rewrites, redoing the slim-layout check after
+/// every rewrite (quickening retires cold stubs).
+template <class StateT, class PredictorT>
+void stepQuickening(const EventSpan &Span,
+                    const std::vector<DispatchTrace::QuickenRecord> &Records,
+                    size_t &Next, VMProgram &Program, DispatchProgram &Layout,
+                    bool &Slim, StateT &S, PredictorT &Pred) {
+  splitAtQuickens(
+      Span, Records, Next, Program, Layout,
+      [&](const EventSpan &Sub) { runFused(Sub, Layout, Slim, S, Pred); },
+      [&] { Slim = isSlimLayout(Layout); });
+}
+
 /// One tile of the event stream decoded against a layout, stored as
 /// structure-of-arrays: the per-event work that depends only on
 /// (layout, event) — piece lookup, fallback state machine, fetch
@@ -169,9 +237,9 @@ void replayPrefix(const TraceSource &Source, size_t End,
 /// piece (which hit by construction and update no state) are elided
 /// at decode time. This is what makes full members nearly as cheap as
 /// predictor-only members inside a group. The stream is therefore
-/// only valid for no-evict cache models; exact-LRU members (the
-/// quickening tier, members restarted on the exact I-cache) never
-/// consume it. Totals and the overflow flag stay bit-identical;
+/// only valid for no-evict cache models; members restarted on the
+/// exact I-cache never consume it. Totals and the overflow flag stay
+/// bit-identical;
 /// post-overflow state is garbage in *both* models and is discarded
 /// by the restart.
 ///
@@ -256,6 +324,20 @@ public:
       decodeSpan<false>(Span, Out);
     else
       decodeSpan<true>(Span, Out);
+  }
+
+  /// Re-reads the layout after a quicken rewrite patched it (a
+  /// quickening member decodes against its own mutating layout). A
+  /// rewrite can move code, so every first-touch mark is forgotten:
+  /// the pieces re-enter the fetch stream once, and a no-evict cache
+  /// that already holds their lines counts them as hits. A rewrite can
+  /// also retire cold stubs, so the slim check is redone. The fallback
+  /// state carries over: like sim::step's, it follows the events, not
+  /// the pieces.
+  void refresh() {
+    Slim = isSlimLayout(Layout);
+    std::fill(SeenPiece.begin(), SeenPiece.end(), uint8_t{0});
+    std::fill(SeenFallback.begin(), SeenFallback.end(), uint8_t{0});
   }
 
 private:
@@ -347,10 +429,10 @@ private:
   size_t MaxFetches;
   bool InFallback = false;
   uint32_t FallbackUntil = 0;
-  /// First-touch bitmaps: a piece's fetch footprint is constant for
-  /// the quicken-free layouts groups are built over, so it enters the
-  /// fetch stream exactly once (normal and fallback executions of the
-  /// same index fetch different pieces, hence two maps).
+  /// First-touch bitmaps: a piece's fetch footprint is constant
+  /// between rewrites (see refresh), so it enters the fetch stream
+  /// once (normal and fallback executions of the same index fetch
+  /// different pieces, hence two maps).
   std::vector<uint8_t> SeenPiece;
   std::vector<uint8_t> SeenFallback;
 };
@@ -452,24 +534,26 @@ class GangMember {
 public:
   virtual ~GangMember() = default;
 
-  /// The layout this member's tiles decode against, or nullptr if the
-  /// member only reads raw events (quickening members mutate their
-  /// layout mid-stream). Members whose layouts decode identically
-  /// share one GroupDecoder; a member alone on its layout is a group
-  /// of one.
+  /// The layout the gang decodes this member's tiles against, or
+  /// nullptr if the gang never decodes for it (quickening members
+  /// mutate their layout mid-tile and decode for themselves). Members
+  /// whose layouts decode identically share one GroupDecoder; a member
+  /// alone on its layout is a group of one.
   virtual const DispatchProgram *soaLayout() const { return nullptr; }
 
-  /// Whether the next tile must be decoded for this member: true from
-  /// the start for soaLayout() members, false for good once the member
-  /// restarted on the exact-LRU I-cache, which reads raw events.
+  /// Whether the gang must decode the next tile for this member: true
+  /// from the start for soaLayout() members, false for good once the
+  /// member restarted on the exact-LRU I-cache, which reads raw events.
   virtual bool decodes() const { return false; }
 
   /// Replays tile \p Span; \p D is that tile decoded against
-  /// soaLayout() when decodes(), else null. A member whose optimistic
-  /// model overflows while crossing the tile restarts in place on its
-  /// exact tier and catches up on events [0, Span.End) from \p Source
-  /// before returning.
+  /// soaLayout() when decodes(), else null. \p Scratch is the replaying
+  /// thread's decode chunk, which a member may fill while \p D is null.
+  /// A member whose optimistic model overflows while crossing the tile
+  /// restarts in place on its exact tier and catches up on events
+  /// [0, Span.End) from \p Source before returning.
   virtual void runTile(const EventSpan &Span, const gang::DecodedChunk *D,
+                       gang::DecodedChunk &Scratch,
                        const TraceSource &Source) = 0;
 
   /// Whether the member restarted on an exact tier during the pass.
@@ -488,11 +572,11 @@ public:
 
 namespace gang {
 
-/// A quicken-free member: a full replay (\p Fetches: the fetch and
-/// branch streams) or a predictor-only one (the branch stream; the
-/// fetch counters come from an earlier member's finished result). It
-/// starts on the optimistic models: NoEvictICache, and \p PredT itself
-/// — NoEvictBTB for sized BTB geometries; the exact BTB for idealised
+/// A gang member: a full replay (\p Fetches: the fetch and branch
+/// streams) or a predictor-only one (the branch stream; the fetch
+/// counters come from an earlier member's finished result). It starts
+/// on the optimistic models: NoEvictICache, and \p PredT itself —
+/// NoEvictBTB for sized BTB geometries; the exact BTB for idealised
 /// ones and any predictor without an optimistic form.
 ///
 /// An overflow while crossing a tile restarts the member in place:
@@ -505,6 +589,15 @@ namespace gang {
 /// member steps the raw tile through sim::step and stops decoding.
 /// Every tier computes what the exact-LRU sim::step over the whole
 /// stream computes, so counters stay bit-identical to a direct run.
+///
+/// A JVM member (full replays only) also carries a QuickenSchedule. It
+/// owns a fresh program copy, the layout built over it and a decoder
+/// of its own, and splits each tile at its next quicken record: it
+/// decodes the stretch before the record into the replaying thread's
+/// scratch chunk, consumes it, applies the rewrite and refreshes the
+/// decoder. Its restart catches up on a second fresh copy with the
+/// records re-applied in order; the member's own copy already stands
+/// where the catch-up ends, so it carries on with it.
 template <class PredT, bool Fetches>
 class ReplayMember final : public GangMember {
   using ExactPredT = typename ExactModel<PredT>::Type;
@@ -522,17 +615,45 @@ public:
         Slim(isSlimLayout(*this->Layout)), S(Cpu.ICache),
         Pred(std::move(Pred)) {}
 
-  const DispatchProgram *soaLayout() const override { return Layout.get(); }
-  bool decodes() const override { return !ExactS; }
+  /// A JVM member: builds its program copy and layout from \p Schedule.
+  ReplayMember(QuickenSchedule Schedule, const CpuConfig &Cpu, PredT Pred)
+      : Cpu(Cpu), FetchBaseline(0), S(Cpu.ICache), Pred(std::move(Pred)),
+        Q(std::make_unique<Quickening>(std::move(Schedule))) {
+    static_assert(Fetches, "quickening members are full replays");
+    Layout = Q->Schedule.Build(Q->Program);
+    assert(&Layout->program() == &Q->Program &&
+           "layout must be built over the member's program copy");
+    Slim = isSlimLayout(*Layout);
+    Q->Decoder = std::make_unique<GroupDecoder>(*Layout);
+  }
+
+  const DispatchProgram *soaLayout() const override {
+    return Q ? nullptr : Layout.get();
+  }
+  bool decodes() const override { return !Q && !ExactS; }
   bool restarted() const override { return Restarted; }
 
   void runTile(const EventSpan &Span, const DecodedChunk *D,
-               const TraceSource &Source) override {
+               DecodedChunk &Scratch, const TraceSource &Source) override {
     withPredictor([&](auto &P) {
-      if (ExactS)
-        runFused(Span, *Layout, Slim, *ExactS, P);
-      else
-        consume(*D, P);
+      if (!Q) {
+        if (ExactS)
+          runFused(Span, *Layout, Slim, *ExactS, P);
+        else
+          consume(*D, P);
+      } else if (ExactS) {
+        stepQuickening(Span, *Q->Schedule.Records, Q->Next, Q->Program,
+                       *Layout, Slim, *ExactS, P);
+      } else {
+        GroupDecoder &Decoder = *Q->Decoder;
+        splitAtQuickens(
+            Span, *Q->Schedule.Records, Q->Next, Q->Program, *Layout,
+            [&](const EventSpan &Sub) {
+              Decoder.decodeInto(Sub, Scratch);
+              consume(Scratch, P);
+            },
+            [&] { Decoder.refresh(); });
+      }
     });
     bool ICacheOverflowed = !ExactS && overflowed(S.ICache);
     bool PredOverflowed = !ExactPred && overflowed(Pred);
@@ -541,6 +662,8 @@ public:
   }
 
   PerfCounters finish(const std::vector<PerfCounters> &Finished) override {
+    assert((!Q || Q->Next == Q->Schedule.Records->size()) &&
+           "unconsumed quicken records");
     PerfCounters C = ExactS ? ExactS->Counters : S.Counters;
     if constexpr (!Fetches) {
       assert(FetchBaseline < Finished.size() &&
@@ -557,10 +680,24 @@ public:
     if constexpr (Fetches)
       Bytes += ExactS ? modelStateBytes(ExactS->ICache)
                       : modelStateBytes(S.ICache);
+    if (Q)
+      Bytes += Q->Program.Code.size() * sizeof(VMInstr);
     return Bytes;
   }
 
 private:
+  /// The JVM side of a member: the schedule, the program copy the
+  /// layout is built over, the member's own decoder (its layout
+  /// mutates, so it shares no group) and the next record to apply.
+  struct Quickening {
+    explicit Quickening(QuickenSchedule Schedule)
+        : Schedule(std::move(Schedule)), Program(*this->Schedule.Pristine) {}
+    QuickenSchedule Schedule;
+    VMProgram Program;
+    std::unique_ptr<GroupDecoder> Decoder;
+    size_t Next = 0;
+  };
+
   /// Calls \p F on the predictor the member currently runs.
   template <class Fn> void withPredictor(Fn &&F) {
     if constexpr (PredCanOverflow)
@@ -605,94 +742,48 @@ private:
         ExactS = std::make_unique<sim::DispatchState>(Cpu.ICache);
     withPredictor([&](auto &P) {
       if (ExactS)
-        replayPrefix(Source, End, *Layout, Slim, *ExactS, P);
+        catchUp(Source, End, *ExactS, P);
       else
-        replayPrefix(Source, End, *Layout, Slim, S, P);
+        catchUp(Source, End, S, P);
     });
+  }
+
+  /// Replays events [0, \p End) onto fresh models \p St and \p P. A
+  /// JVM member replays over a second fresh program copy and layout,
+  /// re-applying the records; both end where the member's own stand.
+  template <class StateT, class P>
+  void catchUp(const TraceSource &Source, size_t End, StateT &St, P &Pred) {
+    if (!Q) {
+      forEachPrefixTile(Source, End, [&](const EventSpan &Tile) {
+        runFused(Tile, *Layout, Slim, St, Pred);
+      });
+      return;
+    }
+    VMProgram Program = *Q->Schedule.Pristine;
+    std::unique_ptr<DispatchProgram> Fresh = Q->Schedule.Build(Program);
+    bool FreshSlim = isSlimLayout(*Fresh);
+    size_t Next = 0;
+    forEachPrefixTile(Source, End, [&](const EventSpan &Tile) {
+      stepQuickening(Tile, *Q->Schedule.Records, Next, Program, *Fresh,
+                     FreshSlim, St, Pred);
+    });
+    assert(Next == Q->Next && "catch-up must re-apply the member's records");
+    // Raw tiles from here on step the member's own layout.
+    Slim = isSlimLayout(*Layout);
   }
 
   std::shared_ptr<DispatchProgram> Layout;
   CpuConfig Cpu;
   size_t FetchBaseline;
-  bool Slim;
+  bool Slim = false;
   FastStateT S;
   PredT Pred;
   /// The exact tiers, created by the first overflow of each model.
   std::unique_ptr<sim::DispatchState> ExactS;
   std::unique_ptr<ExactPredT> ExactPred;
   bool Restarted = false;
-};
-
-/// JVM member: owns a fresh program copy and the layout built over it,
-/// re-applies the recorded quicken rewrites at their exact event
-/// positions while replaying on the exact-LRU models (quickening
-/// patches layout state, so no optimistic tier that may need a restart
-/// can apply).
-class QuickeningMember final : public GangMember {
-public:
-  /// \p Quickens is the trace's quicken record stream (borrowed; the
-  /// owning GangReplayer's TraceSource keeps it alive for the run —
-  /// streaming sources materialize the side-band records at open).
-  QuickeningMember(std::shared_ptr<DispatchProgram> Layout,
-                   std::shared_ptr<VMProgram> Program, const CpuConfig &Cpu,
-                   const BTBConfig &Config,
-                   const std::vector<DispatchTrace::QuickenRecord> &Quickens)
-      : Layout(std::move(Layout)), Program(std::move(Program)), Cpu(Cpu),
-        Pred(Config), S(Cpu.ICache), Quickens(Quickens) {
-    assert(&this->Layout->program() == this->Program.get() &&
-           "layout must be built over this member's program copy");
-  }
-
-  void runTile(const EventSpan &Span, const DecodedChunk *,
-               const TraceSource &) override {
-    const DispatchTrace::Event *Events = Span.Data;
-    sim::NullObserver Obs;
-    // Hoist the models into stack locals for the tile (see runFused):
-    // heap member state cannot be registerized across the event loop.
-    sim::DispatchState LocalS = std::move(S);
-    BTB LocalPred = std::move(Pred);
-    size_t LocalQIdx = QIdx;
-    uint64_t LocalDone = Done;
-    for (size_t I = 0, N = Span.size(); I < N; ++I) {
-      sim::step(*Layout, LocalS, LocalPred, Obs,
-                DispatchTrace::cur(Events[I]),
-                DispatchTrace::next(Events[I]));
-      ++LocalDone;
-      // Engine order: the quickable routine runs once (the step just
-      // replayed), then rewrites itself and patches the layout.
-      while (LocalQIdx < Quickens.size() &&
-             Quickens[LocalQIdx].AfterEvents == LocalDone) {
-        const DispatchTrace::QuickenRecord &Q = Quickens[LocalQIdx];
-        Program->Code[Q.Index] = Q.NewInstr;
-        Layout->onQuicken(Q.Index);
-        ++LocalQIdx;
-      }
-    }
-    S = std::move(LocalS);
-    Pred = std::move(LocalPred);
-    QIdx = LocalQIdx;
-    Done = LocalDone;
-  }
-
-  PerfCounters finish(const std::vector<PerfCounters> &) override {
-    assert(QIdx == Quickens.size() && "unconsumed quicken records");
-    return sim::finalize(S.Counters, *Layout, Cpu);
-  }
-
-  uint64_t stateBytes() const override {
-    return sizeof(*this) + modelStateBytes(S.ICache) +
-           modelStateBytes(Pred) + Program->Code.size() * sizeof(VMInstr);
-  }
-
-private:
-  std::shared_ptr<DispatchProgram> Layout;
-  std::shared_ptr<VMProgram> Program;
-  CpuConfig Cpu;
-  BTB Pred;
-  sim::DispatchState S;
-  const std::vector<DispatchTrace::QuickenRecord> &Quickens;
-  size_t QIdx = 0;
-  uint64_t Done = 0;
+  /// Null for quicken-free members.
+  std::unique_ptr<Quickening> Q;
 };
 
 } // namespace gang
@@ -774,22 +865,27 @@ public:
         std::move(Layout), Cpu, std::move(Pred), FetchBaseline));
   }
 
-  /// JVM member over a fresh program copy (layout must be built over
-  /// exactly that copy) with \p Cpu's default BTB.
-  size_t addQuickening(std::shared_ptr<DispatchProgram> Layout,
-                       std::shared_ptr<VMProgram> Program,
+  /// JVM member with \p Cpu's default BTB: replays over a fresh copy
+  /// of \p Pristine (borrowed; must outlive the gang) and the layout
+  /// \p Build makes over it, re-applying the trace's quicken records at
+  /// their event positions. \p Build runs again, on a pool worker, if
+  /// the member restarts.
+  size_t addQuickening(const VMProgram &Pristine, gang::LayoutFactory Build,
                        const CpuConfig &Cpu) {
-    return addQuickening(std::move(Layout), std::move(Program), Cpu,
-                         Cpu.Btb);
+    return addQuickening(Pristine, std::move(Build), Cpu, Cpu.Btb);
   }
 
-  /// JVM member with a custom BTB geometry.
-  size_t addQuickening(std::shared_ptr<DispatchProgram> Layout,
-                       std::shared_ptr<VMProgram> Program,
+  /// JVM member with a custom BTB geometry (sized ones start on the
+  /// no-evict model, as addBtb members do).
+  size_t addQuickening(const VMProgram &Pristine, gang::LayoutFactory Build,
                        const CpuConfig &Cpu, const BTBConfig &Config) {
-    return adopt(std::make_unique<gang::QuickeningMember>(
-        std::move(Layout), std::move(Program), Cpu, Config,
-        Source.quickens()));
+    gang::QuickenSchedule Schedule{&Source.quickens(), &Pristine,
+                                   std::move(Build)};
+    if (Config.Entries == 0)
+      return adopt(std::make_unique<gang::ReplayMember<BTB, true>>(
+          std::move(Schedule), Cpu, BTB(Config)));
+    return adopt(std::make_unique<gang::ReplayMember<NoEvictBTB, true>>(
+        std::move(Schedule), Cpu, NoEvictBTB(Config)));
   }
 
   size_t size() const { return Members.size(); }

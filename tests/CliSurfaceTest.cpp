@@ -7,7 +7,9 @@
 ///    stderr and prints nothing on stdout;
 ///  - `--help` exits 0 with its listing on stdout, and every option it
 ///    lists passes the same binary's check (`--help --name[=value]`),
-///    so the listing and the check read one declaration.
+///    so the listing and the check read one declaration;
+///  - a binary with modes declares one option set per mode
+///    (trace_synth's generate and --emit-spec).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -152,4 +154,44 @@ TEST_F(CliSurfaceTest, HelpListsWhatTheCheckAccepts) {
       EXPECT_EQ(Out.rfind("usage: ", 0), 0u) << Binary << " " << Listed[I];
     }
   }
+}
+
+TEST_F(CliSurfaceTest, TraceSynthDeclaresOneOptionSetPerMode) {
+  // Generate mode writes a trace and reads no shape override, so each
+  // one exits 1 naming the flag before a file is written; --emit-spec
+  // takes all three and no --out.
+  std::string Out, Err;
+  const std::string Trace = std::string(Dir) + "/synth.vmibtrace";
+  const std::vector<std::string> Workload = {"--seed=1", "--events=1k",
+                                             "--entropy=50"};
+  for (const std::string Flag : {"--threads=4", "--chunk=1024",
+                                 "--decode=stream"}) {
+    std::vector<std::string> Args = Workload;
+    Args.push_back(Flag);
+    Args.push_back("--out=" + Trace);
+    EXPECT_EQ(run("trace_synth", Args, Out, Err), 1) << Flag;
+    EXPECT_NE(Err.find(Flag.substr(0, Flag.find('='))), std::string::npos)
+        << Flag << ": " << Err;
+    EXPECT_NE(0, ::access(Trace.c_str(), F_OK)) << Flag << " wrote a trace";
+  }
+
+  std::vector<std::string> Emit = Workload;
+  Emit.insert(Emit.end(), {"--emit-spec", "--threads=4", "--chunk=1024",
+                           "--decode=stream"});
+  ASSERT_EQ(run("trace_synth", Emit, Out, Err), 0) << Err;
+  for (const char *Line : {"\nthreads 4\n", "\nchunk 1024\n",
+                           "\ndecode stream\n"})
+    EXPECT_NE(Out.find(Line), std::string::npos) << Line << Out;
+  Emit.push_back("--out=" + Trace);
+  EXPECT_EQ(run("trace_synth", Emit, Out, Err), 1);
+  EXPECT_NE(Err.find("--out"), std::string::npos) << Err;
+
+  // The benchmark's generate call (--seed --events --entropy into the
+  // trace cache) still writes its trace.
+  ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", Dir, 1));
+  int Status = run("trace_synth", Workload, Out, Err);
+  ::unsetenv("VMIB_TRACE_CACHE");
+  EXPECT_EQ(Status, 0) << Err;
+  EXPECT_NE(Out.find("[timing] bench=trace_synth:"), std::string::npos)
+      << Out;
 }

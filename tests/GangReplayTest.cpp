@@ -572,9 +572,18 @@ runForthMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads,
   return Gang.run(Threads, StatsOut);
 }
 
+/// The layout factory of a JVM member: (\p Benchmark, \p V) built over
+/// the member's program copy.
+gang::LayoutFactory javaLayouts(const std::string &Benchmark,
+                                const VariantSpec &V) {
+  return [Benchmark, V](const VMProgram &Over) {
+    return javaLab().buildLayout(Benchmark, V, Over);
+  };
+}
+
 /// The JVM quickening gang of the matrix: every member re-applies the
-/// recorded rewrites to its own program copy (fused members — the
-/// decoder ring still paces them tile by tile).
+/// recorded rewrites to its own program copy, decoding the stretches
+/// between them on the optimistic tier into its worker's scratch.
 const std::vector<VariantSpec> &javaMatrixVariants() {
   static const std::vector<VariantSpec> Variants = {
       makeVariant(DispatchStrategy::Threaded),
@@ -588,12 +597,9 @@ runJavaMatrixGang(const DispatchTrace &Trace, size_t Chunk, unsigned Threads) {
   JavaLab &Lab = javaLab();
   CpuConfig P4 = makePentium4Northwood();
   GangReplayer Gang(Trace, Chunk);
-  for (const VariantSpec &V : javaMatrixVariants()) {
-    auto Copy = std::make_shared<VMProgram>(Lab.program("jess").Program);
-    auto Layout = Lab.buildLayout("jess", V, *Copy);
-    Gang.addQuickening(std::shared_ptr<DispatchProgram>(std::move(Layout)),
-                       std::move(Copy), P4);
-  }
+  for (const VariantSpec &V : javaMatrixVariants())
+    Gang.addQuickening(Lab.program("jess").Program, javaLayouts("jess", V),
+                       P4);
   return Gang.run(Threads);
 }
 
@@ -626,9 +632,10 @@ TEST(GangReplay, ForthThreadCountInvarianceMatrix) {
 }
 
 TEST(GangReplay, JavaThreadCountInvarianceMatrix) {
-  // Same matrix over the quickening tier: JVM members are fused (each
-  // owns a mutating program copy) and must stay bit-identical for any
-  // thread count and tile size.
+  // Same matrix over quickening members: each owns a mutating program
+  // copy and decodes its stretches between rewrites on the optimistic
+  // tier, and must stay bit-identical for any thread count and tile
+  // size (1-event tiles split nowhere; 4K tiles split at records).
   JavaLab &Lab = javaLab();
   DispatchTrace Prefix = prefixTrace(Lab.trace("jess"), 60000);
   ASSERT_GT(Prefix.numEvents(), 0u);
@@ -663,22 +670,32 @@ namespace {
 
 /// Where the optimistic models of one configuration first overflow:
 /// the 1-based count of events replayed when the flag rose, 0 if it
-/// never does. Found by stepping the fused kernel event by event, so
-/// the restart matrix can pin which tile each restart lands in.
+/// never does. Found by stepping the fused kernel event by event (the
+/// recorded quickenings applied to \p Program, as exactOracle does;
+/// null for quicken-free traces), so the restart matrices can pin
+/// which tile each restart lands in.
 struct OverflowAt {
   size_t Btb = 0;
   size_t ICache = 0;
 };
 
 OverflowAt firstOverflows(const DispatchTrace &Trace, DispatchProgram &Layout,
-                          const CpuConfig &Cpu, const BTBConfig &Btb) {
+                          VMProgram *Program, const CpuConfig &Cpu,
+                          const BTBConfig &Btb) {
   sim::DispatchStateT<NoEvictICache> S(Cpu.ICache);
   NoEvictBTB Pred(Btb);
   sim::NullObserver Obs;
+  const std::vector<DispatchTrace::QuickenRecord> &Quickens =
+      Trace.quickens();
+  size_t Q = 0;
   OverflowAt At;
   for (size_t I = 0; I < Trace.numEvents(); ++I) {
     sim::step(Layout, S, Pred, Obs, DispatchTrace::cur(Trace.events()[I]),
               DispatchTrace::next(Trace.events()[I]));
+    for (; Q < Quickens.size() && Quickens[Q].AfterEvents == I + 1; ++Q) {
+      Program->Code[Quickens[Q].Index] = Quickens[Q].NewInstr;
+      Layout.onQuicken(Quickens[Q].Index);
+    }
     if (At.Btb == 0 && Pred.overflowed())
       At.Btb = I + 1;
     if (At.ICache == 0 && S.ICache.overflowed())
@@ -726,16 +743,18 @@ TEST(GangReplay, RestartMatrixBitIdenticalToExactOracle) {
     EXPECT_EQ(tileOf(At, Big), 0u) << What;
     EXPECT_GE(tileOf(At, Small), 2u) << What;
   };
-  OverflowAt PlainTiny = firstOverflows(Prefix, *LPlain, Cel, Tiny);
+  OverflowAt PlainTiny = firstOverflows(Prefix, *LPlain, nullptr, Cel, Tiny);
   ExpectRestartTiles(PlainTiny.Btb, "plain/tiny BTB");
   EXPECT_EQ(PlainTiny.ICache, 0u);
-  OverflowAt ReplDefault = firstOverflows(Prefix, *LRepl, Cel, Cel.Btb);
+  OverflowAt ReplDefault =
+      firstOverflows(Prefix, *LRepl, nullptr, Cel, Cel.Btb);
   ExpectRestartTiles(ReplDefault.Btb, "static repl/default BTB");
   ExpectRestartTiles(ReplDefault.ICache, "static repl/Celeron I-cache");
   // BTB first, I-cache later: two restarts with 1K tiles.
   EXPECT_LT(tileOf(ReplDefault.Btb, Small), tileOf(ReplDefault.ICache, Small));
-  ExpectRestartTiles(firstOverflows(Prefix, *LRandom, Cel, Cel.Btb).ICache,
-                     "random repl/Celeron I-cache");
+  ExpectRestartTiles(
+      firstOverflows(Prefix, *LRandom, nullptr, Cel, Cel.Btb).ICache,
+      "random repl/Celeron I-cache");
 
   // Exact-oracle references (predictor-only members equal the full
   // exact replay under their predictor).
@@ -784,6 +803,106 @@ TEST(GangReplay, RestartMatrixBitIdenticalToExactOracle) {
         for (size_t I = 0; I < R.size(); ++I)
           expectEqualCounters(Ref[I], R[I],
                               std::string(Names[I]) + ", " + Shape);
+        EXPECT_EQ(St.DeferredFinishes, Restarted) << Shape;
+      }
+}
+
+TEST(GangReplay, JavaRestartMatrixBitIdenticalToExactOracle) {
+  // Quickening members restart in place like Forth members — on the
+  // exact BTB, on the exact I-cache, or both — while quicken records
+  // still lie ahead of the overflow. The catch-up replays a second
+  // fresh program copy with the records re-applied, and the member
+  // goes on splitting its tiles at the records after it: the counters
+  // equal the exact oracle for every thread count, tile size and
+  // source, and the stats count each restarted member once.
+  JavaLab &Lab = javaLab();
+  CpuConfig Cel = makeCeleron800();
+  const std::string Bench = "jack";
+  DispatchTrace Prefix = prefixTrace(Lab.trace(Bench), 150000);
+  ASSERT_EQ(Prefix.numEvents(), 150000u);
+  const size_t LastRecord = Prefix.quickens().back().AfterEvents;
+  const VMProgram &Pristine = Lab.program(Bench).Program;
+  VariantSpec Plain = makeVariant(DispatchStrategy::Threaded);
+  VariantSpec Super = makeVariant(DispatchStrategy::StaticSuper);
+  VariantSpec Repl = makeVariant(DispatchStrategy::StaticRepl);
+  BTBConfig Tiny;
+  Tiny.Entries = 128;
+  Tiny.Ways = 2;
+  BTBConfig Ideal;
+  Ideal.Entries = 0; // the exact BTB from the start
+  Ideal.Ways = 4;
+
+  // Pin where each restart lands: inside tile 0 of 64K tiles, at least
+  // two tiles in with 1K tiles, and before a later quicken record.
+  constexpr size_t Big = 65536, Small = 1024;
+  auto Overflows = [&](const VariantSpec &V, const BTBConfig &Btb) {
+    VMProgram Copy = Pristine;
+    auto Layout = Lab.buildLayout(Bench, V, Copy);
+    return firstOverflows(Prefix, *Layout, &Copy, Cel, Btb);
+  };
+  auto ExpectRestartTiles = [&](size_t At, const char *What) {
+    ASSERT_NE(At, 0u) << What << " never overflows";
+    EXPECT_EQ(tileOf(At, Big), 0u) << What;
+    EXPECT_GE(tileOf(At, Small), 2u) << What;
+    EXPECT_LT(At, LastRecord) << What << ": no quicken record after it";
+  };
+  OverflowAt SuperTiny = Overflows(Super, Tiny);
+  ExpectRestartTiles(SuperTiny.Btb, "static super/tiny BTB");
+  EXPECT_EQ(SuperTiny.ICache, 0u);
+  OverflowAt ReplDefault = Overflows(Repl, Cel.Btb);
+  ExpectRestartTiles(ReplDefault.Btb, "static repl/default BTB");
+  ExpectRestartTiles(ReplDefault.ICache, "static repl/Celeron I-cache");
+  // BTB first, I-cache later: two restarts with 1K tiles.
+  EXPECT_LT(tileOf(ReplDefault.Btb, Small), tileOf(ReplDefault.ICache, Small));
+  OverflowAt PlainDefault = Overflows(Plain, Cel.Btb);
+  EXPECT_EQ(PlainDefault.Btb, 0u);
+  EXPECT_EQ(PlainDefault.ICache, 0u);
+
+  struct Member {
+    const char *Name;
+    VariantSpec V;
+    BTBConfig Btb;
+  };
+  const std::vector<Member> Members = {
+      {"static super, tiny BTB (BTB restart)", Super, Tiny},
+      {"static repl, idealised BTB (I-cache restart)", Repl, Ideal},
+      {"static repl, default BTB (BTB then I-cache restart)", Repl, Cel.Btb},
+      {"plain, default BTB (no restart)", Plain, Cel.Btb}};
+  constexpr uint64_t Restarted = 3;
+  std::vector<PerfCounters> Ref;
+  for (const Member &M : Members) {
+    VMProgram Copy = Pristine;
+    auto Layout = Lab.buildLayout(Bench, M.V, Copy);
+    Ref.push_back(exactOracle(Prefix, *Layout, &Copy, Cel, BTB(M.Btb)));
+  }
+
+  ScratchDir Scratch;
+  const std::string Path = Scratch / "java-restart-matrix.vmibtrace";
+  constexpr uint64_t WorkloadHash = 0x7a7a5eedULL;
+  ASSERT_TRUE(Prefix.save(Path, WorkloadHash));
+  TraceSource Streamed;
+  std::string Diag;
+  ASSERT_TRUE(TraceSource::openStreaming(Path, WorkloadHash, Streamed, &Diag))
+      << Diag;
+  ASSERT_EQ(Streamed.numQuickens(), Prefix.numQuickens());
+  TraceSource Materialized(Prefix);
+
+  for (const TraceSource *Src : {&Materialized, &Streamed})
+    for (size_t Chunk : {Big, Small})
+      for (unsigned Threads : {1u, 2u, 3u, 8u}) {
+        GangReplayer Gang(*Src, Chunk);
+        for (const Member &M : Members)
+          Gang.addQuickening(Pristine, javaLayouts(Bench, M.V), Cel, M.Btb);
+        GangReplayer::Stats St;
+        std::vector<PerfCounters> R = Gang.run(Threads, &St);
+        std::string Shape =
+            std::string(Src->streaming() ? "streamed" : "materialized") +
+            " chunk " + std::to_string(Chunk) + " threads " +
+            std::to_string(Threads);
+        ASSERT_EQ(R.size(), Ref.size()) << Shape;
+        for (size_t I = 0; I < R.size(); ++I)
+          expectEqualCounters(Ref[I], R[I],
+                              std::string(Members[I].Name) + ", " + Shape);
         EXPECT_EQ(St.DeferredFinishes, Restarted) << Shape;
       }
 }

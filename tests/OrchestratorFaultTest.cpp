@@ -18,7 +18,8 @@
 ///  - the result store reaches workers on their command line through
 ///    {store} — under a template that clears the environment too, and
 ///    as one shell word for any directory — and a custom template
-///    without {store} fails while a store is open,
+///    without {store} fails while a store is open; {spec} and
+///    {driver} paths are one shell word as well,
 ///  - malformed kill-drill counts warn once and leave the drill
 ///    disarmed,
 ///  - under VMIB_FAULT chaos (worker crashes, hangs, protocol garbage)
@@ -47,6 +48,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
@@ -484,6 +486,51 @@ TEST_F(OrchestratorFaultTest, StoreDirIsOneShellWordInTheDefaultTemplate) {
     EXPECT_NE(0, ::access(Injected.c_str(), F_OK))
         << "the store dir ran in the worker shell";
   }
+}
+
+TEST_F(OrchestratorFaultTest, SpecPathIsOneShellWordInTheDefaultTemplate) {
+  // The workers read the caller's spec file when it says the same as
+  // the orchestrated spec, so its path reaches their shell as is: a
+  // space or a quote in it must not split the argument.
+  SweepSpec Spec = faultForthSpec();
+  Spec.Benchmarks = {forthSuite()[0].Name};
+  std::string SpecPath = std::string(Dir) + "/fig 08's.spec";
+  std::string Error;
+  ASSERT_TRUE(writeSweepSpecFile(Spec, SpecPath, Error)) << Error;
+  std::vector<PerfCounters> Want = reference(Spec);
+
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  OrchestratorReport Report;
+  ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+      << Error;
+  expectCellsEqual(Want, Cells);
+  EXPECT_EQ(Report.WorkerFailures, 0u);
+}
+
+TEST_F(OrchestratorFaultTest, DriverPathIsOneShellWordInTheDefaultTemplate) {
+  // {driver} is a path too: a worker binary reached through a
+  // directory with a space in its name still launches.
+  SweepSpec Spec = faultForthSpec();
+  Spec.Benchmarks = {forthSuite()[0].Name};
+  std::string SpecPath = writeSpec(Spec);
+  std::vector<PerfCounters> Want = reference(Spec);
+  std::string BinDir = std::string(Dir) + "/bin dir";
+  ASSERT_EQ(0, ::mkdir(BinDir.c_str(), 0700));
+  std::string Driver = BinDir + "/sweep driver";
+  ASSERT_EQ(0, ::symlink(defaultSweepDriverPath().c_str(), Driver.c_str()));
+
+  SweepWorkerOptions Opt = baseOptions(SpecPath, 2);
+  Opt.DriverBinary = Driver;
+  std::vector<PerfCounters> Cells;
+  SweepRunStats Stats;
+  std::string Error;
+  OrchestratorReport Report;
+  ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
+      << Error;
+  expectCellsEqual(Want, Cells);
+  EXPECT_EQ(Report.WorkerFailures, 0u);
 }
 
 TEST_F(OrchestratorFaultTest, TemplateWithoutStoreFailsWhileAStoreIsOpen) {

@@ -168,6 +168,49 @@ TEST(ReplayEquivalence, FullSuitesBitIdentical) {
   }
 }
 
+TEST(ReplayEquivalence, JavaGangWithoutPlainCarriesHiddenBasis) {
+  // The runtime-overhead basis is the plain member's interpreter
+  // cycles. A variant list without plain gets a hidden plain member
+  // whose row is dropped. A fresh lab has no basis from an earlier
+  // gang, so the hidden member alone must supply it: the cells equal
+  // direct runs (overhead included) and the same cells of a gang that
+  // carries plain — under fig15's name for it, since plain is found by
+  // its config, not its name.
+  CpuConfig P4 = makePentium4Northwood();
+  const std::string Bench = "jess";
+  std::vector<VariantSpec> NoPlain = {
+      makeVariant(DispatchStrategy::DynamicSuper),
+      makeVariant(DispatchStrategy::DynamicRepl)};
+  JavaLab Fresh;
+  std::vector<uint64_t> FinalCostNs;
+  GangReplayer::Stats HiddenStats;
+  std::vector<PerfCounters> Hidden =
+      Fresh.replayGang(Bench, NoPlain, P4, /*Threads=*/2, &HiddenStats,
+                       nullptr, &FinalCostNs);
+  ASSERT_EQ(Hidden.size(), NoPlain.size());
+  EXPECT_EQ(FinalCostNs.size(), NoPlain.size());
+  const uint64_t Events = Fresh.traceSource(Bench).numEvents();
+  EXPECT_EQ(HiddenStats.MemberEvents, 3 * Events) << "two rows + hidden plain";
+
+  JavaLab &Lab = javaLab();
+  VariantSpec Plain = makeVariant(DispatchStrategy::Threaded);
+  Plain.Name = "total 0, 0% super";
+  GangReplayer::Stats CarriedStats;
+  std::vector<PerfCounters> Carried = Lab.replayGang(
+      Bench, {NoPlain[0], Plain, NoPlain[1]}, P4, /*Threads=*/1, &CarriedStats);
+  ASSERT_EQ(Carried.size(), 3u);
+  EXPECT_EQ(CarriedStats.MemberEvents, 3 * Events)
+      << "a renamed plain member must not get a hidden twin";
+  for (size_t I = 0; I < NoPlain.size(); ++I) {
+    const std::string What = Bench + "/" + NoPlain[I].Name;
+    expectEqualCounters(Lab.run(Bench, NoPlain[I], P4), Hidden[I],
+                        "hidden plain vs direct run/" + What);
+    expectEqualCounters(Carried[I == 0 ? 0 : 2], Hidden[I],
+                        "hidden plain vs carried plain/" + What);
+  }
+  EXPECT_EQ(Fresh.runtimeOverhead(Bench, P4), Lab.runtimeOverhead(Bench, P4));
+}
+
 TEST(ReplayEquivalence, JavaTraceRecordsQuickenings) {
   JavaLab &Lab = javaLab();
   const DispatchTrace &T = Lab.trace("jess");

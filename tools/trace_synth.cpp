@@ -4,7 +4,8 @@
 /// straight into the trace cache, where every downstream consumer —
 /// sweep_driver, the labs, the result store — picks it up exactly like
 /// a captured one (`--seed= --events= --entropy=`, or `--name=` of the
-/// same workload; `--emit-spec` prints a sweep spec for it instead).
+/// same workload; `--emit-spec` prints a sweep spec for it instead, and
+/// only that mode takes the spec's `--threads/--chunk/--decode`).
 ///
 /// Generation is O(events) with no interpreter state, so this is how
 /// multi-hundred-million-event decode/replay-bandwidth inputs are made:
@@ -27,16 +28,25 @@
 using namespace vmib;
 
 int main(int argc, char **argv) {
-  OptionTable Declared = bench::shapeOptions(); // under --emit-spec
-  Declared.insert(
-      Declared.begin(),
-      {{"seed", "generator seed (default 1)", OptionDecl::Value},
-       {"events", "trace length, k/m/g suffixes allowed", OptionDecl::Value},
-       {"entropy", "branch entropy 0..100 (default 50)", OptionDecl::Value},
-       {"name", "workload name synth-markov-s<seed>-n<events>-e<entropy>",
-        OptionDecl::Value},
-       {"out", "write here instead of the trace cache", OptionDecl::Value},
-       {"emit-spec", "print a sweep spec for the workload instead"}});
+  // Two modes, each declaring only what it reads: generate (the
+  // default) writes the trace and takes --out; --emit-spec prints a
+  // sweep spec instead and takes the spec's shape overrides.
+  const bool EmitSpec = OptionParser(argc, argv).has("emit-spec");
+  OptionTable Declared = {
+      {"seed", "generator seed (default 1)", OptionDecl::Value},
+      {"events", "trace length, k/m/g suffixes allowed", OptionDecl::Value},
+      {"entropy", "branch entropy 0..100 (default 50)", OptionDecl::Value},
+      {"name", "workload name synth-markov-s<seed>-n<events>-e<entropy>",
+       OptionDecl::Value}};
+  if (!EmitSpec)
+    Declared.push_back(
+        {"out", "write here instead of the trace cache", OptionDecl::Value});
+  Declared.push_back(
+      {"emit-spec", "print a sweep spec for the workload instead"});
+  if (EmitSpec) {
+    OptionTable Shape = bench::shapeOptions();
+    Declared.insert(Declared.end(), Shape.begin(), Shape.end());
+  }
   OptionParser Opts(argc, argv, Declared);
 
   // Both flag styles funnel through the one name grammar, so the
@@ -61,7 +71,7 @@ int main(int argc, char **argv) {
   }
   Name = synthBenchmarkName(Params); // canonical (collapses suffixes)
 
-  if (Opts.has("emit-spec")) {
+  if (EmitSpec) {
     // A four-variant single-benchmark sweep: enough members per gang
     // to share one decoded stream across a decode group, small enough
     // for a smoke cell.
