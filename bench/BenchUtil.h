@@ -93,8 +93,6 @@ inline OptionTable sweepOptions(const OptionTable &Extra = {}) {
         OptionDecl::Count, UINT32_MAX},
        {"kill-grace", "ms from a timeout's SIGTERM to its SIGKILL",
         OptionDecl::Count, UINT32_MAX},
-       {"hedge", "re-dispatch the last N outstanding jobs to idle slots",
-        OptionDecl::Count, UINT32_MAX},
        {"result-store", "durable cell store at <VMIB_TRACE_CACHE>/results"},
        {"store-dir", "result store at this directory", OptionDecl::Value},
        {"no-result-store", "force the result store off"},
@@ -138,17 +136,17 @@ inline void emitResult(const std::string &SweepName, size_t Workload,
 
 /// Emits the fault-tolerance summary of an orchestrated sweep — but
 /// only when something actually happened (a failure, retry, timeout,
-/// hedge, or coverage gap), so clean runs stay clean.
+/// or coverage gap), so clean runs stay clean.
 inline void emitOrchestratorReport(const std::string &SweepName,
                                    const OrchestratorReport &R) {
   if (R.WorkerFailures == 0 && R.RetriesScheduled == 0 && R.Timeouts == 0 &&
-      R.HedgesLaunched == 0 && R.complete())
+      R.complete())
     return;
   std::printf("[orchestrator] sweep=%s attempts=%u failures=%u retries=%u "
-              "timeouts=%u hedges=%u hedge_wins=%u covered=%zu/%zu\n",
+              "timeouts=%u covered=%zu/%zu\n",
               SweepName.c_str(), R.AttemptsLaunched, R.WorkerFailures,
-              R.RetriesScheduled, R.Timeouts, R.HedgesLaunched, R.HedgeWins,
-              R.cellsCovered(), R.CellCovered.size());
+              R.RetriesScheduled, R.Timeouts, R.cellsCovered(),
+              R.CellCovered.size());
 }
 
 /// Worker-side per-job result-store line: the orchestrator parses the
@@ -234,7 +232,7 @@ inline std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-/// Writes the full OrchestratorReport — attempt/retry/hedge, store,
+/// Writes the full OrchestratorReport — attempt/retry, store,
 /// and audit accounting — as a JSON object at \p Path
 /// (`sweep_driver --report-json=PATH`). \returns false (errno set) on
 /// any write failure; the file is written atomically enough for CI
@@ -252,8 +250,6 @@ inline bool writeOrchestratorReportJson(const std::string &Path,
   std::fprintf(F, "  \"worker_failures\": %u,\n", R.WorkerFailures);
   std::fprintf(F, "  \"timeouts\": %u,\n", R.Timeouts);
   std::fprintf(F, "  \"retries\": %u,\n", R.RetriesScheduled);
-  std::fprintf(F, "  \"hedges\": %u,\n", R.HedgesLaunched);
-  std::fprintf(F, "  \"hedge_wins\": %u,\n", R.HedgeWins);
   std::fprintf(F, "  \"cells\": %zu,\n", R.CellCovered.size());
   std::fprintf(F, "  \"cells_covered\": %zu,\n", R.cellsCovered());
   std::fprintf(F, "  \"complete\": %s,\n", R.complete() ? "true" : "false");
@@ -342,7 +338,7 @@ inline bool applySweepOptions(const OptionParser &Opts, SweepSpec &Spec,
   const std::pair<const char *, unsigned *> Counts[] = {
       {"shards", &W.Shards},          {"retries", &W.Retries},
       {"backoff-ms", &W.BackoffMs},   {"job-timeout", &W.JobTimeoutMs},
-      {"kill-grace", &W.KillGraceMs}, {"hedge", &W.HedgeLast}};
+      {"kill-grace", &W.KillGraceMs}};
   for (const auto &[Name, Field] : Counts) {
     uint64_t N = *Field;
     if (!(Ok = Opts.getCount(Name, UINT32_MAX, N, Error)))

@@ -3,6 +3,7 @@
 #include "harness/Auditor.h"
 
 #include "harness/SweepExecutor.h"
+#include "harness/WorkloadCache.h"
 #include "support/Format.h"
 #include "support/Random.h"
 #include "vmcore/DispatchTrace.h"
@@ -65,9 +66,9 @@ bool vmib::decideAudit(const AuditPlan &Plan, const SweepSpec &Spec,
   // layout, thread count, tile size, decode mode and the spec's display
   // name do not participate, so the sample is stable across every way
   // of executing the same sweep.
-  uint64_t CfgKey = memberCostKey(Spec, Member);
+  uint64_t CfgKey = memberConfigKey(Spec, Member);
   uint64_t Bench =
-      fnv1aString(Spec.Suite + "-" + Spec.Benchmarks[Workload]);
+      fnv1aString(workloadKey(Spec.Suite, Spec.Benchmarks[Workload]));
   SplitMix64 G(Plan.Seed ^ (CfgKey * 0x2545F4914F6CDD1DULL) ^
                (Bench * 0x9E3779B97F4A7C15ULL));
   return static_cast<double>(G.next() >> 11) * 0x1.0p-53 < Plan.Rate;
@@ -237,9 +238,8 @@ bool Auditor::traceHashFor(const SweepSpec &Spec, size_t Workload,
     return false;
   const std::string &B = Spec.Benchmarks[Workload];
   if (!DispatchTrace::peekContentHash(
-          DispatchTrace::cachePathFor(Spec.Suite + "-" + B), Out))
-    Out = Spec.Suite == "java" ? Executor.java().trace(B).contentHash()
-                               : Executor.forth().trace(B).contentHash();
+          DispatchTrace::cachePathFor(workloadKey(Spec.Suite, B)), Out))
+    Out = Executor.lab(Spec).trace(B).contentHash();
   return true;
 }
 

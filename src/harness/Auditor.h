@@ -86,7 +86,7 @@ bool parseAuditRate(const std::string &Text, AuditPlan &Plan,
 
 /// The deterministic sampling draw for one cell. Keyed on content
 /// identity only — suite, benchmark, member configuration (via
-/// memberCostKey) — never on execution shape, shard layout or the
+/// memberConfigKey) — never on execution shape, shard layout or the
 /// spec's display name, so the same logical cell is audited no matter
 /// how the sweep is decomposed. Pure.
 bool decideAudit(const AuditPlan &Plan, const SweepSpec &Spec,

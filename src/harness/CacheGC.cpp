@@ -38,7 +38,9 @@ bool hasSuffix(const std::string &S, const char *Suffix) {
 }
 
 /// A managed artifact is one of the self-checking cache/store formats;
-/// lock files and unknown names are never touched.
+/// lock files and unknown names are never touched. `.vmibcost` is no
+/// longer written but stays managed, so caches that older builds
+/// filled are still evicted.
 bool isManagedArtifact(const std::string &Name) {
   return hasSuffix(Name, ".vmibtrace") || hasSuffix(Name, ".vmibmeta") ||
          hasSuffix(Name, ".vmibprofile") || hasSuffix(Name, ".vmibcost") ||

@@ -3,11 +3,12 @@
 /// \file
 /// Size-budgeted eviction over the persistent artifacts the pipeline
 /// accumulates: trace files and their sidecars in the VMIB_TRACE_CACHE
-/// directory (`.vmibtrace` / `.vmibmeta` / `.vmibprofile` /
-/// `.vmibcost`) and result-store journal segments (`.vmibstore`,
-/// including quarantined ones). `sweep_driver --cache-gc=BYTES` is the
-/// user entry point; the GC evicts oldest-modified-first until the
-/// combined footprint fits the budget.
+/// directory (`.vmibtrace` / `.vmibmeta` / `.vmibprofile`, plus the
+/// `.vmibcost` replay-cost sidecars older builds wrote) and
+/// result-store journal segments (`.vmibstore`, including quarantined
+/// ones). `sweep_driver --cache-gc=BYTES` is the user entry point; the
+/// GC evicts oldest-modified-first until the combined footprint fits
+/// the budget.
 ///
 /// Safety: every managed directory carries an `inuse.lock` advisory
 /// flock. Users of the directory (a sweep holding its trace cache, an

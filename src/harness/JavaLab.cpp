@@ -13,9 +13,10 @@
 
 using namespace vmib;
 
-JavaLab::JavaLab() = default; // all state is populated lazily
+JavaLab::JavaLab() : WorkloadLab("java") {} // state is populated lazily
 
-const JavaProgram &JavaLab::programLocked(const std::string &Benchmark) {
+const JavaProgram &JavaLab::program(const std::string &Benchmark) {
+  std::lock_guard<std::mutex> Lock(ProgramMutex);
   auto It = Programs.find(Benchmark);
   if (It != Programs.end())
     return It->second;
@@ -34,77 +35,36 @@ const JavaProgram &JavaLab::programLocked(const std::string &Benchmark) {
                  P.Error.c_str());
     std::abort();
   }
-  // The reference run exists to produce the output hash and step count;
-  // a valid meta sidecar in the trace cache stands in for it. The
-  // sidecar is bound to the pristine program we just assembled, so a
-  // changed workload rejects its stale sidecar structurally; on top of
-  // that a sidecar-sourced hash stays provisional — any interpretation
-  // that disagrees refreshes it instead of aborting.
-  uint64_t Binding = programBindingHash(P.Program);
-  BindingHash[Benchmark] = Binding;
-  WorkloadMeta Meta;
-  if (loadWorkloadMeta("java-" + Benchmark, Binding, Meta)) {
-    ReferenceHash[Benchmark] = Meta.ReferenceHash;
-    ReferenceSteps[Benchmark] = Meta.ReferenceSteps;
-    HashFromSidecar[Benchmark] = true;
-  } else {
-    // Reference run on a scratch copy (quickening mutates it).
-    JavaProgram Copy = P;
-    JavaVM VM;
-    JavaVM::Result Ref = VM.run(Copy);
-    ReferenceRuns.fetch_add(1, std::memory_order_relaxed);
-    if (!Ref.ok()) {
-      std::fprintf(stderr, "fatal: benchmark %s reference run: %s\n",
-                   Benchmark.c_str(), Ref.Error.c_str());
-      std::abort();
-    }
-    ReferenceHash[Benchmark] = Ref.OutputHash;
-    ReferenceSteps[Benchmark] = Ref.Steps;
-    HashFromSidecar[Benchmark] = false;
-    (void)saveWorkloadMeta("java-" + Benchmark, Binding,
-                           {Ref.OutputHash, Ref.Steps}); // best-effort
-  }
   return Programs.emplace(Benchmark, std::move(P)).first->second;
 }
 
-uint64_t JavaLab::confirmedReferenceHash(const std::string &Benchmark) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  JavaProgram Copy = programLocked(Benchmark);
-  if (!HashFromSidecar[Benchmark])
-    return ReferenceHash[Benchmark];
+WorkloadBinding JavaLab::identify(const std::string &Benchmark) {
+  WorkloadBinding B;
+  B.ProgramHash = programBindingHash(program(Benchmark).Program);
+  return B;
+}
+
+bool JavaLab::interpret(const std::string &Benchmark, DispatchTrace *Capture,
+                        WorkloadMeta &Out, std::string &Error) {
+  JavaProgram Copy = program(Benchmark);
   JavaVM VM;
-  JavaVM::Result Ref = VM.run(Copy);
-  ReferenceRuns.fetch_add(1, std::memory_order_relaxed);
-  if (!Ref.ok()) {
-    std::fprintf(stderr, "fatal: benchmark %s reference run: %s\n",
-                 Benchmark.c_str(), Ref.Error.c_str());
-    std::abort();
-  }
-  if (Ref.OutputHash != ReferenceHash[Benchmark]) {
-    std::fprintf(stderr,
-                 "warning: stale workload meta sidecar for %s; refreshed\n",
-                 Benchmark.c_str());
-    // Profiles (and the leave-one-out selections merging them) derived
-    // from the stale hash are derived from the wrong workload.
-    Profiles.erase(Benchmark);
-    ResourceCache.clear();
-  }
-  ReferenceHash[Benchmark] = Ref.OutputHash;
-  ReferenceSteps[Benchmark] = Ref.Steps;
-  HashFromSidecar[Benchmark] = false;
-  (void)saveWorkloadMeta("java-" + Benchmark, BindingHash[Benchmark],
-                         {Ref.OutputHash, Ref.Steps});
-  return Ref.OutputHash;
+  JavaVM::Result R =
+      VM.run(Copy, nullptr, nullptr, 1ull << 33, nullptr, Capture);
+  Out = {R.OutputHash, R.Steps};
+  Error = R.Error;
+  return R.ok();
 }
 
-const JavaProgram &JavaLab::program(const std::string &Benchmark) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return programLocked(Benchmark);
+void JavaLab::warmSelection() {
+  for (const JavaBenchmark &B : javaSuite()) {
+    std::lock_guard<std::mutex> Lock(CacheMutex);
+    (void)profileOfLocked(B.Name);
+  }
 }
 
-const SequenceProfile &JavaLab::profileOf(const std::string &Benchmark) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return profileOfLocked(Benchmark);
+void JavaLab::retireDerived(const std::string &Benchmark) {
+  Profiles.erase(Benchmark);
+  ResourceCache.clear();
 }
 
 const SequenceProfile &
@@ -116,39 +76,26 @@ JavaLab::profileOfLocked(const std::string &Benchmark) {
   // reference hash) replaces the interpretation below — this is the
   // bulk of a Java worker's cold start, since every leave-one-out
   // resource selection needs the profiles of the whole suite.
-  (void)programLocked(Benchmark); // ensures the reference hash exists
   SequenceProfile Persisted;
   if (loadTrainedProfile("java-profile-" + Benchmark,
-                         ReferenceHash[Benchmark], Persisted))
+                         referenceHashLocked(Benchmark), Persisted))
     return Profiles.emplace(Benchmark, std::move(Persisted)).first->second;
   // Run once to quicken everything, then take the *static* profile of
   // the post-quickening code: static selection must see quick forms
   // (§5.4), and the JVM scheme counts static occurrences (§7.1).
-  JavaProgram Copy = programLocked(Benchmark);
+  JavaProgram Copy = program(Benchmark);
   JavaVM VM;
   JavaVM::Result R = VM.run(Copy);
   ProfileRuns.fetch_add(1, std::memory_order_relaxed);
   assert(R.ok() && "profile run failed");
-  // The profile run doubles as hash confirmation: adopt its output if
-  // the provisional sidecar value disagreed (stale sidecar).
-  if (R.ok() && HashFromSidecar[Benchmark]) {
-    if (R.OutputHash != ReferenceHash[Benchmark]) {
-      std::fprintf(stderr,
-                   "warning: stale workload meta sidecar for %s; "
-                   "refreshed\n",
-                   Benchmark.c_str());
-      ResourceCache.clear(); // selections merged a stale-hash profile set
-    }
-    ReferenceHash[Benchmark] = R.OutputHash;
-    ReferenceSteps[Benchmark] = R.Steps;
-    HashFromSidecar[Benchmark] = false;
-    (void)saveWorkloadMeta("java-" + Benchmark, BindingHash[Benchmark],
-                           {R.OutputHash, R.Steps});
-  }
+  // The profile run doubles as hash confirmation.
+  if (R.ok())
+    adoptLocked(Benchmark, {R.OutputHash, R.Steps});
   SequenceProfile Prof =
       buildProfile(Copy.Program, java::opcodeSet(), /*ExecCounts=*/{});
   (void)saveTrainedProfile("java-profile-" + Benchmark,
-                           ReferenceHash[Benchmark], Prof); // best-effort
+                           referenceHashLocked(Benchmark),
+                           Prof); // best-effort
   return Profiles.emplace(Benchmark, std::move(Prof)).first->second;
 }
 
@@ -302,172 +249,25 @@ PerfCounters JavaLab::runNoOverhead(const std::string &Benchmark,
   return Sim.counters();
 }
 
-uint64_t JavaLab::referenceHash(const std::string &Benchmark) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  (void)programLocked(Benchmark);
-  return ReferenceHash[Benchmark];
-}
-
-uint64_t JavaLab::referenceSteps(const std::string &Benchmark) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  (void)programLocked(Benchmark);
-  return ReferenceSteps[Benchmark];
-}
-
-const DispatchTrace &JavaLab::trace(const std::string &Benchmark) {
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Traces.find(Benchmark);
-    if (It != Traces.end())
-      return It->second;
-  }
-
-  // Serialized-trace cache: a hash-verified file (events + quicken
-  // records) replaces the whole interpretation. A file that exists but
-  // fails verification is surfaced (then re-captured).
-  uint64_t WorkloadHash = referenceHash(Benchmark);
-  std::string CachePath = DispatchTrace::cachePathFor("java-" + Benchmark);
-  if (!CachePath.empty()) {
-    DispatchTrace Cached;
-    std::string Diag;
-    if (Cached.load(CachePath, WorkloadHash, &Diag)) {
-      std::lock_guard<std::mutex> Lock(CacheMutex);
-      return Traces.emplace(Benchmark, std::move(Cached)).first->second;
-    }
-    if (Diag.find("cannot open") == std::string::npos)
-      std::fprintf(stderr, "warning: ignoring trace cache entry: %s\n",
-                   Diag.c_str());
-  }
-
-  // Capture on a scratch copy: quickening mutates the program, and the
-  // rewrites are recorded in the trace for replays to re-apply. Runs
-  // outside the lock (a whole-workload interpretation); concurrent
-  // first captures race to the emplace and the loser is discarded.
-  JavaProgram Copy = program(Benchmark);
-  DispatchTrace T;
-  // One event per step: the reference run already told us the size.
-  T.reserve(referenceSteps(Benchmark));
-  JavaVM VM;
-  JavaVM::Result R = VM.run(Copy, nullptr, nullptr, 1ull << 33, nullptr, &T);
-  if (!R.ok()) {
-    std::fprintf(stderr, "fatal: %s capture run failed (%s)\n",
-                 Benchmark.c_str(), R.Error.c_str());
-    std::abort();
-  }
-  if (R.OutputHash != WorkloadHash) {
-    // The capture interpretation IS an authoritative reference run: if
-    // the expected hash was provisional (meta sidecar), the sidecar
-    // was stale — adopt the real numbers and refresh it. A mismatch
-    // against a confirmed hash is a genuine divergence.
-    bool Provisional;
-    {
-      std::lock_guard<std::mutex> Lock(CacheMutex);
-      Provisional = HashFromSidecar[Benchmark];
-    }
-    if (!Provisional) {
-      std::fprintf(stderr, "fatal: %s capture run diverged (%s)\n",
-                   Benchmark.c_str(), R.Error.c_str());
-      std::abort();
-    }
-    std::fprintf(stderr,
-                 "warning: stale workload meta sidecar for %s; refreshed\n",
-                 Benchmark.c_str());
-    uint64_t Binding;
-    {
-      std::lock_guard<std::mutex> Lock(CacheMutex);
-      ReferenceHash[Benchmark] = R.OutputHash;
-      ReferenceSteps[Benchmark] = R.Steps;
-      HashFromSidecar[Benchmark] = false;
-      Binding = BindingHash[Benchmark];
-      // Profile state derived from the stale hash dies with it.
-      Profiles.erase(Benchmark);
-      ResourceCache.clear();
-    }
-    (void)saveWorkloadMeta("java-" + Benchmark, Binding,
-                           {R.OutputHash, R.Steps});
-    WorkloadHash = R.OutputHash;
-  } else {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    HashFromSidecar[Benchmark] = false; // capture confirmed the sidecar
-  }
-  T.seal(); // hashed once here, O(1) for every later store/cost key
-  if (!CachePath.empty())
-    (void)T.save(CachePath, WorkloadHash); // best-effort
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return Traces.emplace(Benchmark, std::move(T)).first->second;
-}
-
-void JavaLab::dropTrace(const std::string &Benchmark) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  Traces.erase(Benchmark);
-}
-
-TraceSource JavaLab::traceSource(const std::string &Benchmark,
-                                 TraceDecodeMode Mode) {
-  if (Mode != TraceDecodeMode::Stream) {
-    // Already materialized? Borrowing it is free, so streaming only to
-    // save memory that is already spent would be pure loss.
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Traces.find(Benchmark);
-    if (It != Traces.end())
-      return TraceSource(It->second);
-  }
-  // Materialize (explicit, or Auto within the decode budget) pins the
-  // whole event arena.
-  if (Mode == TraceDecodeMode::Materialize ||
-      (Mode == TraceDecodeMode::Auto &&
-       referenceSteps(Benchmark) * sizeof(DispatchTrace::Event) <=
-           AutoDecodeBudgetBytes))
-    return TraceSource(trace(Benchmark));
-  // Stream from the cache file, capturing it first if absent: trace()
-  // saves to the same path, so one capture makes the file streamable
-  // for every later call.
-  std::string CachePath = DispatchTrace::cachePathFor("java-" + Benchmark);
-  if (!CachePath.empty()) {
-    TraceSource S;
-    std::string Diag;
-    if (TraceSource::openStreaming(CachePath, referenceHash(Benchmark), S,
-                                   &Diag))
-      return S;
-    if (Diag.find("cannot open") == std::string::npos)
-      std::fprintf(stderr, "warning: ignoring trace cache entry: %s\n",
-                   Diag.c_str());
-  }
-  const DispatchTrace &T = trace(Benchmark);
-  if (Mode == TraceDecodeMode::Stream)
-    std::fprintf(stderr,
-                 "warning: %s: no streamable trace cache file "
-                 "(VMIB_TRACE_CACHE unset or save failed); replaying "
-                 "materialized\n",
-                 Benchmark.c_str());
-  return TraceSource(T);
-}
-
 std::vector<PerfCounters>
 JavaLab::replayGang(const std::string &Benchmark,
                     const std::vector<VariantSpec> &Variants,
                     const CpuConfig &Cpu, unsigned Threads,
-                    GangReplayer::Stats *StatsOut,
-                    const std::vector<uint64_t> *SeedCostNs,
-                    std::vector<uint64_t> *FinalCostNs,
-                    TraceDecodeMode Decode) {
+                    GangReplayer::Stats *StatsOut, TraceDecodeMode Decode) {
   // The overhead basis is the plain member's interpreter cycles. A
   // variant list without plain carries a hidden plain member at its
-  // end: unseeded, and its row and cost are dropped below.
+  // end, whose row is dropped below.
   std::vector<VariantSpec> Members = Variants;
   size_t Plain = static_cast<size_t>(
       std::find_if(Members.begin(), Members.end(), buildsPlainLayout) -
       Members.begin());
   if (Plain == Members.size())
     Members.push_back(plainVariant());
-  std::vector<PerfCounters> Results =
-      replayGangNoOverhead(Benchmark, Members, Cpu, Threads, StatsOut,
-                           SeedCostNs, FinalCostNs, Decode);
+  std::vector<PerfCounters> Results = replayGangNoOverhead(
+      Benchmark, Members, Cpu, Threads, StatsOut, Decode);
   uint64_t Basis = Results[Plain].Cycles;
   recordBasis(Benchmark, Cpu, Basis);
   Results.resize(Variants.size());
-  if (FinalCostNs && FinalCostNs->size() > Variants.size())
-    FinalCostNs->resize(Variants.size());
   uint64_t Overhead = overheadFrom(Benchmark, Basis);
   for (PerfCounters &C : Results)
     C.Cycles += Overhead;
@@ -479,27 +279,18 @@ JavaLab::replayGangNoOverhead(const std::string &Benchmark,
                               const std::vector<VariantSpec> &Variants,
                               const CpuConfig &Cpu, unsigned Threads,
                               GangReplayer::Stats *StatsOut,
-                              const std::vector<uint64_t> *SeedCostNs,
-                              std::vector<uint64_t> *FinalCostNs,
                               TraceDecodeMode Decode) {
   GangReplayer Gang(traceSource(Benchmark, Decode));
   const VMProgram &Pristine = program(Benchmark).Program;
-  for (const VariantSpec &V : Variants) {
+  for (const VariantSpec &V : Variants)
     // Each member builds its layout over its own fresh copy of the
     // pristine program, so the recorded quickenings patch it; a
     // restart builds another one on the pool worker replaying it.
-    size_t Member = Gang.addQuickening(
+    Gang.addQuickening(
         Pristine,
         [this, Benchmark, V](const VMProgram &Over) {
           return buildLayout(Benchmark, V, Over);
         },
         Cpu);
-    if (SeedCostNs && Member < SeedCostNs->size() &&
-        (*SeedCostNs)[Member] != 0)
-      Gang.seedMemberCost(Member, (*SeedCostNs)[Member]);
-  }
-  std::vector<PerfCounters> Results = Gang.run(Threads, StatsOut);
-  if (FinalCostNs)
-    *FinalCostNs = Gang.finalCosts();
-  return Results;
+  return Gang.run(Threads, StatsOut);
 }

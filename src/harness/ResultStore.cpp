@@ -275,7 +275,7 @@ StoreKey vmib::cellStoreKey(const SweepSpec &Spec, size_t Member,
   return K;
 }
 
-uint64_t vmib::memberCostKey(const SweepSpec &Spec, size_t Member) {
+uint64_t vmib::memberConfigKey(const SweepSpec &Spec, size_t Member) {
   uint64_t H = FnvOffset;
   feedString(H, Spec.Suite);
   feedMemberConfig(H, Spec, Member);

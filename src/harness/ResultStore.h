@@ -96,10 +96,10 @@ StoreKey cellStoreKey(const SweepSpec &Spec, size_t Member,
                       uint64_t TraceContentHash);
 
 /// 64-bit member-configuration key with NO trace hash folded in: the
-/// key space of the `.vmibcost` replay-cost sidecar (WorkloadCache),
-/// which binds to the trace separately so one member config maps to
-/// one cost entry per workload.
-uint64_t memberCostKey(const SweepSpec &Spec, size_t Member);
+/// suite and the member's configuration, shape-free like the store
+/// key. The audit sample draws on it (decideAudit), so its value is
+/// part of which cells a seeded audit re-runs.
+uint64_t memberConfigKey(const SweepSpec &Spec, size_t Member);
 
 /// What the `[store]` summary line reports.
 struct ResultStoreStats {

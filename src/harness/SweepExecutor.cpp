@@ -4,7 +4,6 @@
 
 #include "harness/Auditor.h"
 #include "harness/SweepRunner.h"
-#include "harness/WorkloadCache.h"
 #include "support/Statistics.h"
 #include "uarch/CaseBlockTable.h"
 #include "uarch/CpuModel.h"
@@ -17,44 +16,6 @@
 
 using namespace vmib;
 
-namespace {
-
-/// Loads the persisted cost table of \p TraceKey into a by-key map.
-std::map<uint64_t, uint64_t> loadCostMap(const std::string &TraceKey,
-                                         uint64_t TraceHash) {
-  std::map<uint64_t, uint64_t> Map;
-  std::vector<MemberCost> Persisted;
-  if (loadMemberCosts(TraceKey, TraceHash, Persisted))
-    for (const MemberCost &C : Persisted)
-      Map[C.MemberKey] = C.CostNs;
-  return Map;
-}
-
-/// Folds \p Final (per gang-member measured EWMAs; 0 = unmeasured)
-/// back into \p Map under each member's config key and persists the
-/// merged table (best-effort, like every sidecar write).
-void saveCostMap(const SweepSpec &Spec, const std::vector<size_t> &Members,
-                 const std::vector<uint64_t> &Final,
-                 std::map<uint64_t, uint64_t> &Map,
-                 const std::string &TraceKey, uint64_t TraceHash) {
-  bool Changed = false;
-  for (size_t K = 0; K < Members.size() && K < Final.size(); ++K) {
-    if (Final[K] == 0)
-      continue;
-    Map[memberCostKey(Spec, Members[K])] = Final[K];
-    Changed = true;
-  }
-  if (!Changed)
-    return;
-  std::vector<MemberCost> ToSave;
-  ToSave.reserve(Map.size());
-  for (const auto &[Key, Ns] : Map)
-    ToSave.push_back({Key, Ns});
-  (void)saveMemberCosts(TraceKey, TraceHash, ToSave);
-}
-
-} // namespace
-
 StoredSlice vmib::probeStoredSlice(ResultStore &Store, const SweepSpec &Spec,
                                    size_t Workload, size_t MemberBegin,
                                    size_t MemberEnd, bool Counted,
@@ -65,8 +26,8 @@ StoredSlice vmib::probeStoredSlice(ResultStore &Store, const SweepSpec &Spec,
     S.TraceHash = *TraceHash;
   else
     S.Keyed = DispatchTrace::peekContentHash(
-        DispatchTrace::cachePathFor(Spec.Suite + "-" +
-                                    Spec.Benchmarks[Workload]),
+        DispatchTrace::cachePathFor(
+            workloadKey(Spec.Suite, Spec.Benchmarks[Workload])),
         S.TraceHash);
   S.Cells.resize(MemberEnd - MemberBegin);
   for (size_t M = MemberBegin; M < MemberEnd; ++M) {
@@ -103,6 +64,12 @@ JavaLab &SweepExecutor::java() {
   if (!OwnedJava)
     OwnedJava = std::make_unique<JavaLab>();
   return *OwnedJava;
+}
+
+WorkloadLab &SweepExecutor::lab(const SweepSpec &Spec) {
+  if (Spec.Suite == "java")
+    return java();
+  return forth();
 }
 
 std::vector<PerfCounters>
@@ -152,28 +119,11 @@ SweepExecutor::runForthSlice(const SweepSpec &Spec, size_t Workload,
       break;
     }
   }
-  // Persisted pool-scheduler costs: seed each gang member's EWMA from
-  // the trace's cost sidecar so even tile 0 plans cost-weighted.
-  const unsigned Threads = resolveGangThreads(Spec.Threads);
-  const bool PersistCosts = Threads > 1;
-  const std::string TraceKey = "forth-" + Benchmark;
-  const uint64_t TraceHash = PersistCosts ? Source.contentHash() : 0;
-  std::map<uint64_t, uint64_t> CostMap;
-  if (PersistCosts) {
-    CostMap = loadCostMap(TraceKey, TraceHash);
-    for (size_t K = 0; K < Members.size(); ++K) {
-      auto It = CostMap.find(memberCostKey(Spec, Members[K]));
-      if (It != CostMap.end() && It->second != 0)
-        Gang.seedMemberCost(K, It->second);
-    }
-  }
   GangReplayer::Stats GangLoad;
-  std::vector<PerfCounters> Out = Gang.run(Threads, &GangLoad);
+  std::vector<PerfCounters> Out =
+      Gang.run(resolveGangThreads(Spec.Threads), &GangLoad);
   if (LoadOut)
     LoadOut->merge(GangLoad);
-  if (PersistCosts)
-    saveCostMap(Spec, Members, Gang.finalCosts(), CostMap, TraceKey,
-                TraceHash);
   return Out;
 }
 
@@ -193,16 +143,6 @@ SweepExecutor::runJavaSlice(const SweepSpec &Spec, size_t Workload,
   assert(Spec.Predictors.size() <= 1 &&
          "validateSweepSpec caps java specs at one predictor entry");
   const unsigned Threads = resolveGangThreads(Spec.Threads);
-  const bool PersistCosts = Threads > 1;
-  const std::string TraceKey = "java-" + Benchmark;
-  std::map<uint64_t, uint64_t> CostMap;
-  uint64_t TraceHash = 0;
-  if (PersistCosts) {
-    // traceSource avoids materializing a streamed trace just for its
-    // hash (the streaming view carries the verified header's value).
-    TraceHash = Lab.traceSource(Benchmark, Spec.Decode).contentHash();
-    CostMap = loadCostMap(TraceKey, TraceHash);
-  }
   std::vector<PerfCounters> Out;
   size_t V = Spec.Variants.size();
   size_t Pos = 0;
@@ -216,29 +156,14 @@ SweepExecutor::runJavaSlice(const SweepSpec &Spec, size_t Workload,
     assert(Known && "validateSweepSpec admits only known cpu ids");
     (void)Known;
     std::vector<VariantSpec> Subset;
-    std::vector<uint64_t> SeedNs(GroupEnd - Pos, 0);
     Subset.reserve(GroupEnd - Pos);
-    for (size_t K = Pos; K < GroupEnd; ++K) {
+    for (size_t K = Pos; K < GroupEnd; ++K)
       Subset.push_back(Spec.Variants[Members[K] % V]);
-      if (PersistCosts) {
-        auto It = CostMap.find(memberCostKey(Spec, Members[K]));
-        if (It != CostMap.end())
-          SeedNs[K - Pos] = It->second;
-      }
-    }
     GangReplayer::Stats GangLoad;
-    std::vector<uint64_t> FinalNs;
-    std::vector<PerfCounters> Row =
-        Lab.replayGang(Benchmark, Subset, Cpu, Threads, &GangLoad,
-                       PersistCosts ? &SeedNs : nullptr,
-                       PersistCosts ? &FinalNs : nullptr, Spec.Decode);
+    std::vector<PerfCounters> Row = Lab.replayGang(
+        Benchmark, Subset, Cpu, Threads, &GangLoad, Spec.Decode);
     if (LoadOut)
       LoadOut->merge(GangLoad);
-    if (PersistCosts && !FinalNs.empty()) {
-      std::vector<size_t> GroupMembers(Members.begin() + Pos,
-                                       Members.begin() + GroupEnd);
-      saveCostMap(Spec, GroupMembers, FinalNs, CostMap, TraceKey, TraceHash);
-    }
     Out.insert(Out.end(), Row.begin(), Row.end());
     Pos = GroupEnd;
   }
@@ -263,10 +188,8 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
       // No trace cache file to peek: the lab's trace — which the misses
       // need loaded anyway — supplies the hash (a re-capture reproduces
       // it, so stored cells still apply).
-      const std::string &B = Spec.Benchmarks[Workload];
-      uint64_t TraceHash = Spec.Suite == "java"
-                               ? java().trace(B).contentHash()
-                               : forth().trace(B).contentHash();
+      uint64_t TraceHash =
+          lab(Spec).trace(Spec.Benchmarks[Workload]).contentHash();
       Stored = probeStoredSlice(*Store, Spec, Workload, MemberBegin,
                                 MemberEnd, /*Counted=*/true, &TraceHash);
     }
@@ -280,9 +203,7 @@ std::vector<PerfCounters> SweepExecutor::runSlice(const SweepSpec &Spec,
 
   const std::vector<size_t> &Missing = Stored.Missing;
   std::vector<PerfCounters> Fresh =
-      Spec.Suite == "java"
-          ? runJavaSlice(Spec, Workload, Missing, LoadOut)
-          : runForthSlice(Spec, Workload, Missing, LoadOut);
+      replayMembersDirect(Spec, Workload, Missing, LoadOut);
   assert(Fresh.size() == Missing.size() && "slice runner covers its members");
   for (size_t K = 0; K < Missing.size(); ++K) {
     // Injected compute corruption lands here — after the replay, before
@@ -367,10 +288,7 @@ SweepRunStats SweepExecutor::runAll(const SweepSpec &Spec, unsigned Threads,
           // Trace load and training/profile warmups: idempotent, so the
           // later CPUs cost lookups only. Java's runtime-overhead basis
           // comes from the gang's own plain member, not from here.
-          if (Spec.Suite == "java")
-            java().warmup(B, Cpu, Spec.Decode);
-          else
-            forth().warmup(B, Cpu, Spec.Decode);
+          lab(Spec).warmup(B, Cpu, Spec.Decode);
         }
         CaptureBusy += T.seconds();
       },

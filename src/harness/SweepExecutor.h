@@ -13,10 +13,10 @@
 ///    process executes for its ShardJob).
 ///
 /// Both paths honor the spec's `Threads` knob: each gang replays on
-/// GangReplayer's shared-tile worker pool (cost-planned tiles, work
-/// stealing, overflowing members restarting in place on the pool,
-/// per-member costs persisted to the trace's `.vmibcost` sidecar) when
-/// the resolved thread count exceeds 1 (Threads == 0 auto-detects the
+/// GangReplayer's shared-tile worker pool (tiles planned from the costs
+/// measured on earlier tiles, work stealing, overflowing members
+/// restarting in place on the pool) when the resolved thread count
+/// exceeds 1 (Threads == 0 auto-detects the
 /// host's core count, see resolveGangThreads) — so a worker process
 /// can use several cores of its host without re-decoding the trace per
 /// core (two-level shards × threads fan-out). Cells are bit-identical
@@ -156,6 +156,9 @@ public:
 
   ForthLab &forth();
   JavaLab &java();
+  /// The lab of \p Spec's suite: where a sweep loads or captures its
+  /// traces and warms up.
+  WorkloadLab &lab(const SweepSpec &Spec);
 
 private:
   // The slice runners take an arbitrary (ascending) member list rather

@@ -172,8 +172,6 @@ struct Attempt {
   int ErrFd = -1;
   size_t Job = 0;
   unsigned AttemptNo = 0;
-  bool Hedge = false;
-  bool Cancelled = false; ///< another attempt already won this job
   bool TimedOut = false;
   bool TermSent = false;
   bool KillSent = false;
@@ -204,8 +202,6 @@ struct Attempt {
 struct JobState {
   unsigned NextAttemptNo = 0; ///< monotonic; {attempt} substitution
   unsigned RetriesUsed = 0;
-  unsigned Live = 0;    ///< attempts currently in the pool
-  unsigned Hedged = 0;  ///< hedge attempts ever launched (cap: 1)
   bool Queued = true;   ///< waiting for dispatch (maybe behind ReadyAt)
   bool Committed = false;
   bool FailedForGood = false;
@@ -233,9 +229,8 @@ public:
            std::string &Error, OrchestratorReport &Report);
 
 private:
-  bool spawn(size_t JobIdx, bool Hedge);
+  bool spawn(size_t JobIdx);
   void dispatchReady(TimePoint Now);
-  void hedgeStragglers(TimePoint Now);
   void auditCommitted();
   void enforceDeadlines(TimePoint Now);
   int pollTimeoutMs(TimePoint Now) const;
@@ -270,7 +265,7 @@ private:
   OrchestratorReport Rep;
 };
 
-bool Orchestration::spawn(size_t JobIdx, bool Hedge) {
+bool Orchestration::spawn(size_t JobIdx) {
   JobState &J = JobStates[JobIdx];
   std::string Cmd =
       expandTemplate(Template, {{"{driver}", shellWord(Driver)},
@@ -323,7 +318,6 @@ bool Orchestration::spawn(size_t JobIdx, bool Hedge) {
   A.ErrFd = ErrPipe[0];
   A.Job = JobIdx;
   A.AttemptNo = J.NextAttemptNo++;
-  A.Hedge = Hedge;
   for (int Fd : {A.OutFd, A.ErrFd}) {
     ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) | O_NONBLOCK);
     // Don't leak this pipe into later workers' shells.
@@ -336,10 +330,7 @@ bool Orchestration::spawn(size_t JobIdx, bool Hedge) {
     A.HasDeadline = true;
     A.Deadline = Clock::now() + std::chrono::milliseconds(Opt.JobTimeoutMs);
   }
-  J.Live++;
-  J.Hedged += Hedge ? 1 : 0;
   Rep.AttemptsLaunched++;
-  Rep.HedgesLaunched += Hedge ? 1 : 0;
   return true;
 }
 
@@ -350,36 +341,11 @@ void Orchestration::dispatchReady(TimePoint Now) {
     if (!J.Queued || J.Committed || J.FailedForGood || Now < J.ReadyAt)
       continue;
     J.Queued = false;
-    if (!spawn(JobIdx, /*Hedge=*/false)) {
+    if (!spawn(JobIdx)) {
       Failed = true;
       return;
     }
   }
-}
-
-void Orchestration::hedgeStragglers(TimePoint Now) {
-  if (Opt.HedgeLast == 0 || Pool.size() >= Concurrent)
-    return;
-  // Only hedge once nothing is waiting for a slot (including jobs
-  // sitting out a backoff delay — a retry beats a speculative copy).
-  for (const JobState &J : JobStates)
-    if (J.Queued && !J.Committed && !J.FailedForGood)
-      return;
-  // "The last K outstanding": walk jobs from the back, duplicate the
-  // still-running ones into idle slots, at most one hedge per job.
-  unsigned Budget = Opt.HedgeLast;
-  for (size_t I = Jobs.size(); I-- > 0 && Budget > 0 &&
-                               Pool.size() < Concurrent;) {
-    JobState &J = JobStates[I];
-    if (J.Committed || J.FailedForGood || J.Live == 0 || J.Hedged > 0)
-      continue;
-    --Budget;
-    if (!spawn(I, /*Hedge=*/true)) {
-      Failed = true;
-      return;
-    }
-  }
-  (void)Now;
 }
 
 void Orchestration::enforceDeadlines(TimePoint Now) {
@@ -389,7 +355,7 @@ void Orchestration::enforceDeadlines(TimePoint Now) {
       A.TermSent = true;
       A.KillAt = Now + std::chrono::milliseconds(
                            Opt.KillGraceMs > 0 ? Opt.KillGraceMs : 1);
-      Rep.Timeouts += A.Cancelled ? 0 : 1;
+      Rep.Timeouts++;
       killAttempt(A, SIGTERM);
     }
     if (A.TermSent && !A.KillSent && Now >= A.KillAt) {
@@ -427,7 +393,7 @@ int Orchestration::pollTimeoutMs(TimePoint Now) const {
 }
 
 void Orchestration::handleLine(Attempt &A, const std::string &Line) {
-  if (A.Cancelled || !A.ProtocolError.empty())
+  if (!A.ProtocolError.empty())
     return;
   const ShardJob &Job = Jobs[A.Job];
   std::string Name;
@@ -450,8 +416,8 @@ void Orchestration::handleLine(Attempt &A, const std::string &Line) {
     A.Slice[Slot] = C;
   } else if (Line.compare(0, 8, "[timing]") == 0) {
     // Staged like the rows: only a committed attempt's timing lines
-    // reach the artifact and the stats, so retries and hedge losers
-    // never double-count.
+    // reach the artifact and the stats, so retries never
+    // double-count.
     A.ReplayedEvents += replayedEventsOf(Line);
     A.CaptureSeconds += captureSecondsOf(Line);
     A.TimingLines.push_back(Line);
@@ -531,11 +497,6 @@ void Orchestration::finishAttempt(Attempt &A, int Status, TimePoint Now) {
     handleLine(A, A.OutLine);
     A.OutLine.clear();
   }
-  JobState &J = JobStates[A.Job];
-  J.Live--;
-  if (A.Cancelled || J.Committed)
-    return; // hedge/retry loser of an already-won job: discard
-
   size_t Members = Jobs[A.Job].MemberEnd - Jobs[A.Job].MemberBegin;
   bool CleanExit = WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
   if (A.TimedOut) {
@@ -577,15 +538,6 @@ void Orchestration::commit(Attempt &A) {
   if (Opt.EchoWorkerTimings)
     for (const std::string &Line : A.TimingLines)
       std::printf("%s\n", Line.c_str());
-  if (A.Hedge)
-    Rep.HedgeWins++;
-  // First completion wins: put every other attempt of this job out of
-  // its misery. Their (identical, by determinism) rows are discarded.
-  for (Attempt &Other : Pool)
-    if (&Other != &A && Other.Job == A.Job && !Other.Cancelled) {
-      Other.Cancelled = true;
-      killAttempt(Other, SIGKILL);
-    }
   // Crash drill: die mid-sweep, AFTER this worker flushed its cells.
   if (uint64_t K = orchKillAfterCommits()) {
     static uint64_t CommitsEver = 0;
@@ -648,8 +600,6 @@ void Orchestration::failAttempt(Attempt &A, std::string Why, TimePoint Now) {
   J.LastError = Desc;
   if (Rep.FirstFailure.empty())
     Rep.FirstFailure = Desc;
-  if (J.Live > 0)
-    return; // a sibling attempt (hedge) is still running this job
   if (J.RetriesUsed < Opt.Retries) {
     J.RetriesUsed++;
     Rep.RetriesScheduled++;
@@ -734,9 +684,6 @@ bool Orchestration::run(std::vector<PerfCounters> &Cells,
   while (!Failed && (!allJobsSettled() || !Pool.empty())) {
     TimePoint Now = Clock::now();
     dispatchReady(Now);
-    if (Failed)
-      break;
-    hedgeStragglers(Now);
     if (Failed)
       break;
     enforceDeadlines(Now);

@@ -19,8 +19,8 @@
 ///     --threads={threads} --attempt={attempt} {store}
 ///   ssh host 'VMIB_TRACE_CACHE=/shared/cache {driver} --worker ... {store}'
 ///
-/// `{attempt}` is the job's retry/hedge attempt number (0 for the
-/// first launch): workers only use it to seed deterministic fault
+/// `{attempt}` is the job's attempt number (0 for the first launch,
+/// one more per retry): workers only use it to seed deterministic fault
 /// injection (VMIB_FAULT), so templates without the placeholder still
 /// work. `{store}` is `--store-dir=<dir>` while `Store` is open and
 /// empty otherwise; a template without it fails the sweep before any
@@ -57,11 +57,9 @@
 /// re-enters the queue with exponential backoff + deterministic
 /// jitter, up to `Retries` requeues; a job that exhausts its budget
 /// fails the sweep loudly (with the worker's stderr tail) unless
-/// `PartialOk` degrades it to a per-cell coverage report. Optional
-/// straggler hedging re-dispatches the last `HedgeLast` outstanding
-/// jobs to idle slots; the first attempt to complete a job wins and
-/// the losers are killed — safe because cells are deterministic, so
-/// any winner reports identical counters.
+/// `PartialOk` degrades it to a per-cell coverage report. A job has
+/// at most one live attempt: a stalled worker is ended by the job
+/// timeout and its job requeued like any other failure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,7 +102,7 @@ struct SweepWorkerOptions {
   std::string DriverBinary;
   /// Echo worker [timing] lines to stdout (the merged timing
   /// artifact). Only lines from *committed* attempts are echoed, so
-  /// retried/hedged duplicates never double-count in the artifact.
+  /// retried duplicates never double-count in the artifact.
   bool EchoWorkerTimings = true;
 
   //===--- fault tolerance -------------------------------------------------===//
@@ -122,11 +120,6 @@ struct SweepWorkerOptions {
   unsigned JobTimeoutMs = 0;
   /// SIGTERM-to-SIGKILL escalation grace.
   unsigned KillGraceMs = 2000;
-  /// Straggler hedging: when the job queue is drained and worker
-  /// slots sit idle, re-dispatch up to this many of the still-running
-  /// jobs (newest first, at most one hedge per job). First completed
-  /// attempt wins; losers are killed and discarded. 0 disables.
-  unsigned HedgeLast = 0;
   /// A job that exhausts its retries stops the sweep (false) or is
   /// recorded in the report while the rest of the sweep completes
   /// (true). Uncovered cells are zero-filled; OrchestratorReport says
@@ -162,16 +155,14 @@ struct SweepWorkerOptions {
   AuditPlan Audit;
 };
 
-/// What happened while fanning a sweep out: retry/timeout/hedge
+/// What happened while fanning a sweep out: retry/timeout
 /// accounting plus — under PartialOk — exactly which jobs and cells
 /// are missing. All-zero counters mean every job succeeded first try.
 struct OrchestratorReport {
-  unsigned AttemptsLaunched = 0; ///< all spawns, including hedges
+  unsigned AttemptsLaunched = 0; ///< all spawns, including retries
   unsigned WorkerFailures = 0;   ///< failed attempts (any cause)
   unsigned Timeouts = 0;         ///< attempts killed by the job timeout
   unsigned RetriesScheduled = 0; ///< requeues actually performed
-  unsigned HedgesLaunched = 0;
-  unsigned HedgeWins = 0; ///< jobs whose committed attempt was a hedge
   /// Jobs (decomposeSweep indices) that exhausted their retry budget.
   /// Non-empty only under PartialOk (otherwise the sweep failed).
   std::vector<size_t> FailedJobs;

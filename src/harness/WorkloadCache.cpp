@@ -28,7 +28,6 @@ namespace {
 
 constexpr uint64_t MetaMagic = 0x0154454d42494d56ULL;    // "VMIBMET\1"
 constexpr uint64_t ProfileMagic = 0x014f524250494d56ULL; // "VMIPBRO\1"
-constexpr uint64_t CostMagic = 0x0154534342494d56ULL;    // "VMIBCST\1"
 /// Bump on any change to the sidecar layout OR to what the numbers
 /// mean (reference hashing, profile construction): the version word is
 /// what retires every stale entry at once.
@@ -98,6 +97,11 @@ bool readWords(const std::string &Path, std::vector<uint64_t> &Words) {
 }
 
 } // namespace
+
+std::string vmib::workloadKey(const std::string &Suite,
+                              const std::string &Benchmark) {
+  return Suite + "-" + Benchmark;
+}
 
 std::string vmib::workloadMetaPath(const std::string &Key) {
   return sidecarPath(Key, ".vmibmeta");
@@ -226,59 +230,5 @@ bool vmib::loadTrainedProfile(const std::string &Key,
   if (Pos != PayloadWords || P.SequenceWeight.size() != NumSeqs)
     return false;
   Profile = std::move(P);
-  return true;
-}
-
-//===--- per-member cost sidecar (".vmibcost") ----------------------------===//
-//
-//   [magic, version, boundhash, count, (memberKey, costNs) * count,
-//    checksum]
-//
-// boundhash is the trace *content* hash the costs were measured
-// against: costs describe replay work over a specific event stream, so
-// a re-captured trace retires them. checksum = fnv1aWords over the
-// 4-word header ^ fnv1aWords over the payload pairs. Stale or missing
-// costs are harmless (they steer the dynamic scheduler's first tiles,
-// never any counter), so loaders stay best-effort.
-
-bool vmib::saveMemberCosts(const std::string &Key, uint64_t BoundHash,
-                           const std::vector<MemberCost> &Costs) {
-  std::string Path = sidecarPath(Key, ".vmibcost");
-  if (Path.empty())
-    return false;
-  std::vector<uint64_t> Words = {CostMagic, SidecarVersion, BoundHash,
-                                 Costs.size()};
-  for (const MemberCost &C : Costs) {
-    Words.push_back(C.MemberKey);
-    Words.push_back(C.CostNs);
-  }
-  uint64_t Check = fnv1aWords(Words.data(), 4) ^
-                   fnv1aWords(Words.data() + 4, Words.size() - 4);
-  Words.push_back(Check);
-  return writeWords(Path, Words);
-}
-
-bool vmib::loadMemberCosts(const std::string &Key, uint64_t ExpectedBoundHash,
-                           std::vector<MemberCost> &Costs) {
-  std::string Path = sidecarPath(Key, ".vmibcost");
-  if (Path.empty())
-    return false;
-  std::vector<uint64_t> Words;
-  if (!readWords(Path, Words) || Words.size() < 5)
-    return false;
-  if (Words[0] != CostMagic || Words[1] != SidecarVersion ||
-      Words[2] != ExpectedBoundHash)
-    return false;
-  uint64_t Count = Words[3];
-  if (Words.size() != 5 + 2 * Count)
-    return false;
-  if (Words.back() != (fnv1aWords(Words.data(), 4) ^
-                       fnv1aWords(Words.data() + 4, 2 * Count)))
-    return false;
-  std::vector<MemberCost> Out;
-  Out.reserve(Count);
-  for (uint64_t I = 0; I < Count; ++I)
-    Out.push_back({Words[4 + 2 * I], Words[5 + 2 * I]});
-  Costs = std::move(Out);
   return true;
 }

@@ -9,7 +9,8 @@
 ///    and step count of a benchmark. The labs' reference run exists
 ///    only to produce these two numbers (every variant run and the
 ///    trace cache verify against them), so a worker that finds a valid
-///    sidecar skips the whole reference interpretation.
+///    sidecar skips the whole reference interpretation. WorkloadLab,
+///    the labs' shared base, is the only reader and writer.
 ///  - **Trained profiles** (`<key>.vmibprofile`): a SequenceProfile —
 ///    the training input every static-resource selection (replicas,
 ///    superinstructions) derives from. Forth persists the dynamic
@@ -25,12 +26,14 @@
 /// (programBindingHash): a changed workload compiles to a different
 /// program, so its stale sidecar is rejected structurally — BEFORE any
 /// hash it supplies could be used to accept an equally stale trace
-/// file. Belt and braces on top of that, the labs still treat a
-/// sidecar-sourced hash as provisional and fall back to a real
-/// reference run instead of aborting if an interpretation ever
-/// disagrees with it. Profiles are bound to the reference hash of the
-/// workload they were trained on, so they invalidate together with
-/// their meta entry.
+/// file. Belt and braces on top of that, WorkloadLab still treats a
+/// sidecar-sourced hash as provisional and adopts the numbers of the
+/// first interpretation that disagrees with it instead of aborting.
+/// Profiles are bound to the reference hash of the workload they were
+/// trained on, so they invalidate together with their meta entry.
+///
+/// The cache holds no scheduler state: the gang pool plans from the
+/// per-member costs it measures during the run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +44,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace vmib {
 
@@ -52,9 +54,14 @@ struct WorkloadMeta {
   uint64_t ReferenceSteps = 0;
 };
 
+/// The cache key of one suite benchmark, "<suite>-<benchmark>": the
+/// stem of its trace file (DispatchTrace::cachePathFor) and meta
+/// sidecar, and the workload half of the audit sample's draw.
+std::string workloadKey(const std::string &Suite,
+                        const std::string &Benchmark);
+
 /// Sidecar path for workload \p Key ("<cache>/<key>.vmibmeta"), or ""
-/// when the trace cache is disabled. Key is "<suite>-<benchmark>",
-/// matching DispatchTrace::cachePathFor.
+/// when the trace cache is disabled. Key is a workloadKey().
 std::string workloadMetaPath(const std::string &Key);
 
 /// Identity of the compiled program a meta sidecar describes: FNV-1a
@@ -94,30 +101,6 @@ bool saveTrainedProfile(const std::string &Key, uint64_t BoundHash,
 /// exactly \p ExpectedBoundHash.
 bool loadTrainedProfile(const std::string &Key, uint64_t ExpectedBoundHash,
                         SequenceProfile &Profile);
-
-/// One persisted per-member replay-cost EWMA (`<key>.vmibcost`): the
-/// dynamic gang scheduler's learned nanosecond cost of one gang member
-/// crossing one tile, keyed by the member's configuration hash
-/// (memberCostKey in harness/ResultStore.h — trace-independent, so
-/// the same member config reuses its cost across shard slicings).
-struct MemberCost {
-  uint64_t MemberKey = 0;
-  uint64_t CostNs = 0;
-};
-
-/// Persists the cost table bound to \p BoundHash — the *content* hash
-/// of the trace the costs were measured over, so a re-captured trace
-/// retires them. Same best-effort contract as saveWorkloadMeta.
-bool saveMemberCosts(const std::string &Key, uint64_t BoundHash,
-                     const std::vector<MemberCost> &Costs);
-
-/// Loads the cost table; \returns false (leaving \p Costs untouched)
-/// unless the file exists, verifies, and is bound to exactly
-/// \p ExpectedBoundHash. Costs only ever seed the dynamic scheduler's
-/// first tile plan — a stale-but-verifying table degrades wall clock,
-/// never counters.
-bool loadMemberCosts(const std::string &Key, uint64_t ExpectedBoundHash,
-                     std::vector<MemberCost> &Costs);
 
 } // namespace vmib
 

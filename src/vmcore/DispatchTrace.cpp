@@ -12,9 +12,9 @@
 ///       words followed by the four packed words of each quicken record
 ///       (AfterEvents, Op << 32 | Index, A, B). Because the hash is
 ///       defined over the logical stream rather than the file bytes,
-///       every content-keyed derivation (ResultStore cells,
-///       WorkloadCache cost sidecars) survives a change of encoding —
-///       the retired version-1 flat dump declared the same hash here.
+///       every content-keyed derivation (ResultStore cells) survives
+///       a change of encoding — the retired version-1 flat dump
+///       declared the same hash here.
 ///   [6] events per frame (FrameEvents at write time)
 ///   [7] number of frames = ceil(numEvents / eventsPerFrame)
 ///   [8] quicken block payload bytes

@@ -327,11 +327,7 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
     auto CostNs = std::make_unique<std::atomic<uint64_t>[]>(M);
     for (size_t I = 0; I < M; ++I) {
       DoneTile[I].store(0, std::memory_order_relaxed);
-      // Seeded costs (persisted EWMAs of a previous run) make even tile
-      // 0's plan cost-weighted; the EWMA update then absorbs them like
-      // any other past sample.
-      CostNs[I].store(I < SeedCostNs.size() ? SeedCostNs[I] : 0,
-                      std::memory_order_relaxed);
+      CostNs[I].store(0, std::memory_order_relaxed);
     }
 
     auto Worker = [&](unsigned W) {
@@ -488,9 +484,6 @@ std::vector<PerfCounters> GangReplayer::run(unsigned Threads,
       Th.join();
     if (FirstError)
       std::rethrow_exception(FirstError);
-    FinalCostNs.assign(M, 0);
-    for (size_t I = 0; I < M; ++I)
-      FinalCostNs[I] = CostNs[I].load(std::memory_order_relaxed);
   }
 
   for (const std::unique_ptr<GangMember> &Member : Members)

@@ -890,26 +890,6 @@ public:
 
   size_t size() const { return Members.size(); }
 
-  /// Seeds the pool scheduler's measured-cost EWMA for member
-  /// \p Member (add order) with \p Ns nanoseconds per tile — typically
-  /// a persisted cost from a previous run over the same trace
-  /// (WorkloadCache::loadMemberCosts). A seeded gang plans its FIRST
-  /// tile cost-weighted instead of round-robin. Costs steer the plan
-  /// only, never the results; a wildly stale seed costs wall clock on
-  /// early tiles until the EWMA converges. No-op for serial runs.
-  void seedMemberCost(size_t Member, uint64_t Ns) {
-    if (SeedCostNs.size() < Members.size())
-      SeedCostNs.resize(Members.size(), 0);
-    assert(Member < Members.size() && "seed for a member not added yet");
-    SeedCostNs[Member] = Ns;
-  }
-
-  /// The per-member cost EWMAs as of the end of the last pooled run()
-  /// (nanoseconds per tile, add order; 0 = never measured). Empty
-  /// unless such a run happened — the executor persists these for the
-  /// next process's seedMemberCost.
-  const std::vector<uint64_t> &finalCosts() const { return FinalCostNs; }
-
   /// Pool accounting of one run(): who replayed how much, who waited,
   /// who stole, and how many members restarted. Workers is empty for
   /// serial runs (no pool to account). The sweep layers aggregate this
@@ -997,10 +977,9 @@ public:
   /// shared-tile worker pool: the calling thread reads each tile into
   /// a small ring, decodes it once per shared group and publishes a
   /// cost-weighted owner table with it (LPT over per-member replay cost
-  /// measured on earlier tiles, or seeded by seedMemberCost); a worker
-  /// first claims its planned members, then *steals* any member another
-  /// worker has not claimed yet, decoding a group of one into its own
-  /// scratch. Claims are per (member, tile) — exactly one owner per
+  /// measured on earlier tiles of this run); a worker first claims its
+  /// planned members, then *steals* any member another worker has not
+  /// claimed yet, decoding a group of one into its own scratch. Claims are per (member, tile) — exactly one owner per
   /// member per tile, serialized against the member's previous tile —
   /// so any steal schedule observes the serial event order.
   ///
@@ -1031,8 +1010,6 @@ private:
   TraceSource Source;
   size_t ChunkEvents;
   std::vector<std::unique_ptr<GangMember>> Members;
-  std::vector<uint64_t> SeedCostNs;
-  std::vector<uint64_t> FinalCostNs;
 };
 
 } // namespace vmib

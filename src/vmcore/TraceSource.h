@@ -98,7 +98,7 @@ public:
   /// materialized (O(1) for the labs' sealed traces), the verified
   /// header declaration when streaming.
   /// Identical for the same logical stream either way, so everything
-  /// keyed by it (ResultStore cells, cost sidecars) is path-agnostic.
+  /// keyed by it (ResultStore cells) is path-agnostic.
   uint64_t contentHash() const;
 
   /// The trace file path ("" when materialized).

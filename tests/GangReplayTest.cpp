@@ -936,7 +936,6 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
   EXPECT_GT(Busy, 0.0);
   EXPECT_EQ(St.DeferredFinishes, 0u);
   EXPECT_GE(St.FinishSeconds, 0.0);
-  EXPECT_EQ(Pooled.finalCosts().size(), NumMembers);
 
   // Serial runs have no pool to account, but still report their work.
   GangReplayer Serial(Prefix, 4096);
@@ -945,7 +944,6 @@ TEST(GangReplay, SchedulerStatsAccountGangWork) {
   (void)Serial.run(1, &SerialSt);
   EXPECT_TRUE(SerialSt.Workers.empty());
   EXPECT_EQ(SerialSt.MemberEvents, Prefix.numEvents());
-  EXPECT_TRUE(Serial.finalCosts().empty());
 }
 
 TEST(GangReplay, ThreadedFullTraceMatchesDirectRun) {

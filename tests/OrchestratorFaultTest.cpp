@@ -10,8 +10,6 @@
 ///    after the grace period,
 ///  - --partial-ok degrades exhausted jobs into a per-cell coverage
 ///    report while every surviving cell stays exact,
-///  - straggler hedging re-dispatches outstanding jobs and the first
-///    completion wins,
 ///  - workers read the effective spec (shape overrides included), not
 ///    a stale --spec file, through a temp path that carries no spec
 ///    text (a name with shell syntax or a slash is harmless),
@@ -310,36 +308,6 @@ TEST_F(OrchestratorFaultTest, PartialOkCompletesWithCoverageReport) {
   }
   EXPECT_EQ(Report.cellsCovered(),
             Want.size() - (Jobs[0].MemberEnd - Jobs[0].MemberBegin));
-}
-
-//===--- straggler hedging ------------------------------------------------===//
-
-TEST_F(OrchestratorFaultTest, HedgingFirstCompletionWins) {
-  SweepSpec Spec = faultForthSpec();
-  Spec.Benchmarks = {forthSuite()[0].Name}; // one workload, 3 members
-  std::string SpecPath = writeSpec(Spec);
-  std::vector<PerfCounters> Want = reference(Spec);
-
-  // Attempt 0 of the last job stalls forever; the hedge (attempt 1)
-  // dispatched into the idle slot wins and the straggler is killed.
-  SweepWorkerOptions Opt = baseOptions(SpecPath, 3);
-  Opt.CommandTemplate = std::string("if [ {job} -eq 2 ] && "
-                                    "[ {attempt} -eq 0 ]; then sleep 60; "
-                                    "fi; ") +
-                        WorkerExec;
-  Opt.HedgeLast = 1;
-
-  std::vector<PerfCounters> Cells;
-  SweepRunStats Stats;
-  std::string Error;
-  OrchestratorReport Report;
-  ASSERT_TRUE(orchestrateSweep(Spec, Opt, Cells, Stats, Error, &Report))
-      << Error;
-  expectCellsEqual(Want, Cells);
-  EXPECT_GE(Report.HedgesLaunched, 1u);
-  EXPECT_GE(Report.HedgeWins, 1u);
-  EXPECT_EQ(Report.RetriesScheduled, 0u); // hedging, not retrying
-  EXPECT_TRUE(Report.complete());
 }
 
 //===--- the spec carries execution shape to workers ----------------------===//

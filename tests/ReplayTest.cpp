@@ -182,13 +182,10 @@ TEST(ReplayEquivalence, JavaGangWithoutPlainCarriesHiddenBasis) {
       makeVariant(DispatchStrategy::DynamicSuper),
       makeVariant(DispatchStrategy::DynamicRepl)};
   JavaLab Fresh;
-  std::vector<uint64_t> FinalCostNs;
   GangReplayer::Stats HiddenStats;
   std::vector<PerfCounters> Hidden =
-      Fresh.replayGang(Bench, NoPlain, P4, /*Threads=*/2, &HiddenStats,
-                       nullptr, &FinalCostNs);
+      Fresh.replayGang(Bench, NoPlain, P4, /*Threads=*/2, &HiddenStats);
   ASSERT_EQ(Hidden.size(), NoPlain.size());
-  EXPECT_EQ(FinalCostNs.size(), NoPlain.size());
   const uint64_t Events = Fresh.traceSource(Bench).numEvents();
   EXPECT_EQ(HiddenStats.MemberEvents, 3 * Events) << "two rows + hidden plain";
 

@@ -230,7 +230,7 @@ TEST_F(ResultStoreTest, KeyIgnoresCosmeticAndInvariantKnobs) {
   for (size_t M = 0; M < Spec.membersPerWorkload(); ++M)
     EXPECT_EQ(cellStoreKey(Spec, M, 42), cellStoreKey(Tweaked, M, 42))
         << "member " << M;
-  EXPECT_EQ(memberCostKey(Spec, 0), memberCostKey(Tweaked, 0));
+  EXPECT_EQ(memberConfigKey(Spec, 0), memberConfigKey(Tweaked, 0));
 }
 
 TEST_F(ResultStoreTest, FlushedCellsReloadBitIdentically) {

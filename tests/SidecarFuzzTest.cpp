@@ -3,7 +3,7 @@
 /// TraceFuzzTest's mutation contract, extended to every other durable
 /// artifact the cache directory holds:
 ///
-///  - the `.vmibmeta`, `.vmibprofile` and `.vmibcost` sidecars
+///  - the `.vmibmeta` and `.vmibprofile` sidecars
 ///    (harness/WorkloadCache) are all-or-nothing: for ANY single-byte
 ///    overwrite, bit flip, truncation or extension, load must either
 ///    succeed bit-identically (only when the mutation rewrote the byte
@@ -219,37 +219,6 @@ TEST_F(SidecarFuzzTest, TrainedProfileAllOrNothing) {
                    EXPECT_EQ(Out.OpcodeWeight.size(), 3u)
                        << What << ": partial state after failed load";
                    EXPECT_TRUE(Out.SequenceWeight.empty()) << What;
-                 }
-               });
-}
-
-TEST_F(SidecarFuzzTest, MemberCostsAllOrNothing) {
-  const std::string Key = "forth-fuzzcost";
-  std::vector<MemberCost> Costs;
-  for (uint64_t I = 0; I < 9; ++I)
-    Costs.push_back({0x1000 + I * 7, 50000 + I * 111});
-  ASSERT_TRUE(saveMemberCosts(Key, BindingHash, Costs));
-  std::string Path = CacheDir + "/" + Key + ".vmibcost";
-  std::vector<unsigned char> Pristine = readBytes(Path);
-  ASSERT_EQ(Pristine.size(), (5 + 2 * Costs.size()) * sizeof(uint64_t));
-
-  fuzzArtifact(Path, Pristine, 0x636f737446757a7aULL,
-               [&](bool Identical, const std::string &What) {
-                 std::vector<MemberCost> Out;
-                 Out.push_back({0xDEAD, 0xBEEF}); // sentinel
-                 bool Ok = loadMemberCosts(Key, BindingHash, Out);
-                 if (Identical) {
-                   ASSERT_TRUE(Ok) << What;
-                   ASSERT_EQ(Out.size(), Costs.size()) << What;
-                   for (size_t I = 0; I < Costs.size(); ++I) {
-                     EXPECT_EQ(Out[I].MemberKey, Costs[I].MemberKey) << What;
-                     EXPECT_EQ(Out[I].CostNs, Costs[I].CostNs) << What;
-                   }
-                 } else {
-                   EXPECT_FALSE(Ok) << What << ": corrupt sidecar loaded";
-                   ASSERT_EQ(Out.size(), 1u)
-                       << What << ": partial state after failed load";
-                   EXPECT_EQ(Out[0].MemberKey, 0xDEADu) << What;
                  }
                });
 }

@@ -666,41 +666,46 @@ void expectSameCounters(const PerfCounters &A, const PerfCounters &B,
 
 } // namespace
 
-TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
-  char Base[64];
-  std::snprintf(Base, sizeof(Base), "/tmp/vmib-sidecar-test-XXXXXX");
-  ASSERT_NE(nullptr, ::mkdtemp(Base));
-  ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", Base, 1));
+/// The meta-sidecar protocol on one lab over \p Bench: a cold start
+/// persists trace and sidecar, a warm start skips every reference run,
+/// a deleted trace recaptures without one, a sidecar bound to another
+/// program is rejected, and a stale hash is adopted from the capture.
+/// \p Warm populates a lab the way a sweep worker does (\p Cold says
+/// whether it is the first lab); \p Program is the compiled program
+/// the sidecar is bound to. Replays are one-member plain gangs.
+template <typename LabT, typename WarmFn, typename ProgramFn>
+void expectSidecarProtocol(const std::string &Suite, const std::string &Bench,
+                           uint64_t ColdReferenceRuns, WarmFn Warm,
+                           ProgramFn Program) {
+  const std::string Key = workloadKey(Suite, Bench);
+  SCOPED_TRACE(Key);
   CpuConfig P4 = makePentium4Northwood();
   VariantSpec Threaded = makeVariant(DispatchStrategy::Threaded);
-  auto Replay = [&](ForthLab &Lab) { // a one-member gang
-    return Lab.replayGang("gray", {Threaded}, P4)[0];
+  auto Replay = [&](LabT &Lab) {
+    return Lab.replayGang(Bench, {Threaded}, P4)[0];
   };
 
-  // Cold lab: pays the reference + training interpretations once and
-  // persists trace, meta sidecar and trained profile.
+  // Cold lab: pays the reference interpretations once and persists
+  // trace and meta sidecar.
   PerfCounters Baseline;
   {
-    ForthLab Cold;
-    Cold.warmup("gray", P4);
-    EXPECT_GE(Cold.referenceRunsPerformed(), 2u); // gray + brainless
-    EXPECT_EQ(Cold.trainingRunsPerformed(), 1u);
+    LabT Cold;
+    Warm(Cold, /*Cold=*/true);
+    EXPECT_GE(Cold.referenceRunsPerformed(), ColdReferenceRuns);
     Baseline = Replay(Cold);
   }
   struct stat St;
-  ASSERT_EQ(0, ::stat(workloadMetaPath("forth-gray").c_str(), &St));
-  ASSERT_EQ(0, ::stat(DispatchTrace::cachePathFor("forth-gray").c_str(),
-                      &St));
+  ASSERT_EQ(0, ::stat(workloadMetaPath(Key).c_str(), &St));
+  ASSERT_EQ(0, ::stat(DispatchTrace::cachePathFor(Key).c_str(), &St));
 
   // Warm worker: every interpretation is skipped — trace loads from
-  // the cache, reference numbers come from the meta sidecars, the
-  // training profile is persisted. Counters stay bit-identical.
+  // the cache, reference numbers come from the meta sidecars.
+  // Counters stay bit-identical.
   {
-    ForthLab Warm;
-    Warm.warmup("gray", P4);
-    EXPECT_EQ(Warm.referenceRunsPerformed(), 0u);
-    EXPECT_EQ(Warm.trainingRunsPerformed(), 0u);
-    expectSameCounters(Baseline, Replay(Warm),
+    LabT WarmLab;
+    Warm(WarmLab, /*Cold=*/false);
+    EXPECT_EQ(WarmLab.referenceRunsPerformed(), 0u);
+    expectSameCounters(Baseline, Replay(WarmLab),
                        "warm replay off cached trace + sidecars");
   }
 
@@ -708,11 +713,10 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
   // the sidecar hash still stands in for the reference run (the
   // capture verifies against it), so the worker pays ONE
   // interpretation instead of two.
-  ASSERT_EQ(0,
-            std::remove(DispatchTrace::cachePathFor("forth-gray").c_str()));
+  ASSERT_EQ(0, std::remove(DispatchTrace::cachePathFor(Key).c_str()));
   {
-    ForthLab Recapture;
-    (void)Recapture.trace("gray");
+    LabT Recapture;
+    (void)Recapture.trace(Bench);
     EXPECT_EQ(Recapture.referenceRunsPerformed(), 0u)
         << "sidecar should have replaced the reference run";
     expectSameCounters(Baseline, Replay(Recapture),
@@ -725,16 +729,16 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
   // stale-but-mutually-consistent (sidecar, trace) pair.
   uint64_t Binding;
   {
-    ForthLab BindingProbe;
-    Binding = programBindingHash(BindingProbe.unit("gray").Program);
+    LabT BindingProbe;
+    Binding = programBindingHash(Program(BindingProbe));
   }
   WorkloadMeta Real;
-  ASSERT_TRUE(loadWorkloadMeta("forth-gray", Binding, Real));
-  EXPECT_FALSE(loadWorkloadMeta("forth-gray", Binding + 1, Real));
-  ASSERT_TRUE(saveWorkloadMeta("forth-gray", Binding + 1, Real));
+  ASSERT_TRUE(loadWorkloadMeta(Key, Binding, Real));
+  EXPECT_FALSE(loadWorkloadMeta(Key, Binding + 1, Real));
+  ASSERT_TRUE(saveWorkloadMeta(Key, Binding + 1, Real));
   {
-    ForthLab ChangedWorkload;
-    (void)ChangedWorkload.referenceHash("gray");
+    LabT ChangedWorkload;
+    (void)ChangedWorkload.referenceHash(Bench);
     EXPECT_GE(ChangedWorkload.referenceRunsPerformed(), 1u)
         << "wrong-binding sidecar must not replace the reference run";
     expectSameCounters(Baseline, Replay(ChangedWorkload),
@@ -744,20 +748,46 @@ TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
   // A *stale* (right binding, wrong hash) sidecar must degrade to a
   // refreshed capture, never to a divergence abort: the capture run is
   // adopted as the authoritative reference and the sidecar rewritten.
-  ASSERT_EQ(0,
-            std::remove(DispatchTrace::cachePathFor("forth-gray").c_str()));
+  ASSERT_EQ(0, std::remove(DispatchTrace::cachePathFor(Key).c_str()));
   WorkloadMeta Stale;
   Stale.ReferenceHash = 0xdeadbeef;
   Stale.ReferenceSteps = 1;
-  ASSERT_TRUE(saveWorkloadMeta("forth-gray", Binding, Stale));
+  ASSERT_TRUE(saveWorkloadMeta(Key, Binding, Stale));
   {
-    ForthLab Refreshed;
+    LabT Refreshed;
     expectSameCounters(Baseline, Replay(Refreshed),
                        "replay after stale-sidecar refresh");
   }
   WorkloadMeta After;
-  ASSERT_TRUE(loadWorkloadMeta("forth-gray", Binding, After));
+  ASSERT_TRUE(loadWorkloadMeta(Key, Binding, After));
   EXPECT_NE(After.ReferenceHash, 0xdeadbeefull);
+}
+
+TEST(WorkloadCacheSidecar, SkipsColdStartAndSurvivesTraceDeletion) {
+  char Base[64];
+  std::snprintf(Base, sizeof(Base), "/tmp/vmib-sidecar-test-XXXXXX");
+  ASSERT_NE(nullptr, ::mkdtemp(Base));
+  ASSERT_EQ(0, ::setenv("VMIB_TRACE_CACHE", Base, 1));
+  CpuConfig P4 = makePentium4Northwood();
+
+  // Forth warms like a sweep worker: trace plus the training profile,
+  // which a warm lab reads from its persisted sidecar.
+  expectSidecarProtocol<ForthLab>(
+      "forth", "gray", /*gray + brainless*/ 2,
+      [&](ForthLab &Lab, bool Cold) {
+        Lab.warmup("gray", P4);
+        EXPECT_EQ(Lab.trainingRunsPerformed(), Cold ? 1u : 0u);
+      },
+      [](ForthLab &Lab) -> const VMProgram & {
+        return Lab.unit("gray").Program;
+      });
+  // Java loads only the trace: the plain variant needs no suite
+  // profiles, so this half interprets nothing but jess.
+  expectSidecarProtocol<JavaLab>(
+      "java", "jess", 1, [](JavaLab &Lab, bool) { (void)Lab.trace("jess"); },
+      [](JavaLab &Lab) -> const VMProgram & {
+        return Lab.program("jess").Program;
+      });
 
   ::unsetenv("VMIB_TRACE_CACHE");
   std::string Cleanup = "rm -rf " + std::string(Base);

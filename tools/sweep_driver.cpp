@@ -82,7 +82,7 @@ void printTables(const SweepSpec &Spec,
 }
 
 /// Runs one shard job and speaks the worker protocol on stdout.
-/// \p Attempt is the orchestrator's retry/hedge counter; it only
+/// \p Attempt is the orchestrator's retry counter; it only
 /// seeds the (optional) VMIB_FAULT chaos draw.
 int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
               unsigned Attempt, ResultStore *Store) {
@@ -125,10 +125,7 @@ int runWorker(const SweepSpec &Spec, unsigned Shards, size_t JobIdx,
       CpuConfig Cpu;
       if (!cpuConfigById(CpuId, Cpu))
         continue;
-      if (Spec.Suite == "java")
-        Executor.java().warmup(Benchmark, Cpu, Spec.Decode);
-      else
-        Executor.forth().warmup(Benchmark, Cpu, Spec.Decode);
+      Executor.lab(Spec).warmup(Benchmark, Cpu, Spec.Decode);
     }
     CaptureSeconds = CaptureTimer.seconds();
   }
@@ -417,13 +414,13 @@ OptionTable driverOptions(Mode M) {
   switch (M) {
   case Mode::Worker:
     return withoutOptions(All, {"worker-cmd", "retries", "backoff-ms",
-                                "job-timeout", "kill-grace", "hedge",
-                                "partial-ok", "report-json", "cache-gc",
-                                "audit", "audit-seed"});
+                                "job-timeout", "kill-grace", "partial-ok",
+                                "report-json", "cache-gc", "audit",
+                                "audit-seed"});
   case Mode::InProcess:
     return withoutOptions(All, {"shards", "worker-cmd", "retries",
                                 "backoff-ms", "job-timeout", "kill-grace",
-                                "hedge", "partial-ok", "report-json", "job",
+                                "partial-ok", "report-json", "job",
                                 "attempt", "schedule"});
   case Mode::Verify:
     return withoutOptions(All, {"audit", "audit-seed", "report-json", "job",

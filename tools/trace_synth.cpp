@@ -20,6 +20,7 @@
 
 #include "BenchUtil.h"
 
+#include "harness/WorkloadCache.h"
 #include "workloads/SynthSuite.h"
 
 #include <cstdio>
@@ -91,7 +92,7 @@ int main(int argc, char **argv) {
 
   std::string Out = Opts.get("out");
   if (Out.empty())
-    Out = DispatchTrace::cachePathFor("forth-" + Name);
+    Out = DispatchTrace::cachePathFor(workloadKey("forth", Name));
   if (Out.empty()) {
     std::fprintf(stderr, "error: no destination: set VMIB_TRACE_CACHE or "
                          "pass --out=PATH\n");
